@@ -20,6 +20,7 @@ __all__ = [
     "bilinear_accumulate",
     "log_weight",
     "log_weights",
+    "support",
     "warmup",
 ]
 
@@ -141,22 +142,27 @@ def log_weight(n, k, x):
     return _log_weight_py(n, k, x)
 
 
-def _log_weights_np(n, x):
-    lw = np.empty(n + 1)
-    if x == 0.0:
+def _log_weights_np(n, x, lo=0, hi=None):
+    """ln basis weights for degree n at point x, indices lo..hi (default
+    all n+1)."""
+    hi = n if hi is None else hi
+    lw = np.empty(hi - lo + 1)
+    if x == 0.0 or x == 1.0:
         lw[:] = -np.inf
-        lw[0] = 0.0
+        mode = 0 if x == 0.0 else n
+        if lo <= mode <= hi:
+            lw[mode - lo] = 0.0
         return lw
-    if x == 1.0:
-        lw[:] = -np.inf
-        lw[n] = 0.0
+    if lo == 0:
+        lw[0] = n * math.log1p(-x)
+    if hi == n:
+        lw[-1] = n * math.log(x)
+    k0 = max(lo, 1)
+    k1 = min(hi, n - 1)
+    if k1 < k0:
         return lw
-    lw[0] = n * math.log1p(-x)
-    lw[n] = n * math.log(x)
-    if n < 2:
-        return lw
-    k = np.arange(1.0, float(n))
-    lw[1:n] = (
+    k = np.arange(float(k0), float(k1 + 1))
+    lw[k0 - lo : k1 - lo + 1] = (
         _stirlerr_py(float(n))
         - _stirlerr_np(k)
         - _stirlerr_np(n - k)
@@ -205,6 +211,26 @@ def _bd0_np(a, m):
 
 
 # --------------------------------------------------------------------------
+# Support window of the weights.
+#
+# The weights at x are the Binomial(n, x) pmf, so by Hoeffding's inequality
+# the mass with |k - n x| >= r is at most 2 exp(-2 r^2 / n).  With
+# r = sqrt(n ln(2/delta) / 2) that mass is at most delta, so an operator sum
+# restricted to the window drops at most delta * sup|f| per axis.
+# --------------------------------------------------------------------------
+
+SUPPORT_DELTA = 1e-20
+_SUPPORT_LOG = math.log(2.0 / SUPPORT_DELTA) / 2.0
+
+
+def support(n, x):
+    """Inclusive index window (lo, hi) outside which the degree-n weights at
+    x hold at most SUPPORT_DELTA of their mass."""
+    r = math.sqrt(n * _SUPPORT_LOG)
+    return max(0, math.floor(n * x - r)), min(n, math.ceil(n * x + r))
+
+
+# --------------------------------------------------------------------------
 # Compensated reductions (numpy/python fallbacks).
 # math.fsum is a full-precision compensated sum, so the fallback meets the
 # same contract as the Kahan loops; the bilinear fallback keeps Kahan
@@ -238,14 +264,17 @@ if _HAVE_NUMBA:
     _bd0_nb = njit(cache=True)(_bd0_py)
 
     @njit(cache=True)
-    def _log_weights_nb(n, x, lw):
-        lw[0] = n * math.log1p(-x)
-        lw[n] = n * math.log(x)
+    def _log_weights_nb(n, x, lo, hi, lw):
+        # lw[k - lo] = ln w_k for k = lo..hi; 0 < x < 1
+        if lo == 0:
+            lw[0] = n * math.log1p(-x)
+        if hi == n:
+            lw[n - lo] = n * math.log(x)
         nf = float(n)
         sn = _stirlerr_nb(nf)
-        for k in range(1, n):
+        for k in range(max(lo, 1), min(hi, n - 1) + 1):
             kf = float(k)
-            lw[k] = (
+            lw[k - lo] = (
                 sn
                 - _stirlerr_nb(kf)
                 - _stirlerr_nb(nf - kf)
@@ -315,17 +344,18 @@ if USING_NUMBA:
             np.ascontiguousarray(block, dtype=np.float64), wx_block, wy, state
         )
 
-    def log_weights(n, x):
-        """Vector of ln basis weights for degree n at point x."""
-        lw = np.empty(n + 1)
-        if x == 0.0:
+    def log_weights(n, x, lo=0, hi=None):
+        """ln basis weights for degree n at point x, indices lo..hi (default
+        all n+1)."""
+        hi = n if hi is None else hi
+        lw = np.empty(hi - lo + 1)
+        if x == 0.0 or x == 1.0:
             lw[:] = -np.inf
-            lw[0] = 0.0
-        elif x == 1.0:
-            lw[:] = -np.inf
-            lw[n] = 0.0
+            mode = 0 if x == 0.0 else n
+            if lo <= mode <= hi:
+                lw[mode - lo] = 0.0
         else:
-            _log_weights_nb(n, x, lw)
+            _log_weights_nb(n, x, lo, hi, lw)
         return lw
 
 else:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import comp_dot, log_weights
+from ._kernels import comp_dot, log_weights, support
 from .basis import eval_on
 from .errors import DomainError
 
@@ -106,16 +106,17 @@ def remainder(n, k):
 def akr_apply(f, n, j, x):
     """Evaluate the modified-node operator of f at x.
 
-    Same weights and summation discipline as ``bernstein_apply``; only the
-    sampling nodes differ.
+    Same weights, support window and summation discipline as
+    ``bernstein_apply``; only the sampling nodes differ.
     """
     n, j = _check_nj(n, j)
     x = float(x)
     if not 0.0 <= x <= 1.0:
         raise DomainError(f"point must lie in [0, 1], got {x}")
-    w = np.exp(log_weights(n, x))
-    table = build_node_table(n, j)
-    return comp_dot(eval_on(f.eval, table.nodes), w)
+    lo, hi = support(n, x)
+    w = np.exp(log_weights(n, x, lo, hi))
+    nodes = build_node_table(n, j).nodes[lo : hi + 1]
+    return comp_dot(eval_on(f.eval, nodes), w)
 
 
 def fixed_point_error(n, j, grid_size):

@@ -14,13 +14,15 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from ._kernels import comp_dot, log_weights
+from ._kernels import comp_dot, log_weights, support
 from .akr import akr_apply, build_node_table, remainder
 from .basis import bernstein_apply
 from .errors import CapabilityError, DomainError
 from .fd import fd_derivative_1d, fd_partials_2d
 from .tensor import (
     SquarePoint,
+    _axis_window,
+    _window_apply,
     as_point,
     tensor_akr_apply,
     tensor_bernstein_apply,
@@ -182,9 +184,10 @@ def lemma_sum(n, x):
     if n < 2:
         raise DomainError(f"degree must be >= 2, got {n}")
     x = _check_positive_x(x)
-    w = np.exp(log_weights(n, x))
-    r = remainder(n, np.arange(n + 1))
-    return n * comp_dot(w[1:], r[1:])
+    lo, hi = support(n, x)
+    lo = max(lo, 1)
+    w = np.exp(log_weights(n, x, lo, hi))
+    return n * comp_dot(w, remainder(n, np.arange(lo, hi + 1)))
 
 
 def voronovskaja_rhs_1d(f, x, allow_fd=True):
@@ -256,13 +259,16 @@ def decomposition(f, n, p):
     if f.fx is None or f.fy is None:
         raise CapabilityError("decomposition requires exact first partials")
     uniform = np.arange(n + 1, dtype=np.float64) / n
-    drift = build_node_table(n, 2).nodes - uniform
-    wx = np.exp(log_weights(n, p.x))
-    wy = np.exp(log_weights(n, p.y))
-    e_term = n * tensor_reduce(f.fx, uniform, uniform, wx * drift, wy)
-    f_term = n * tensor_reduce(f.fy, uniform, uniform, wx, wy * drift)
+    nodes = build_node_table(n, 2).nodes
+    drift = nodes - uniform
+    x_window = _axis_window(n, p.x)
+    y_window = _axis_window(n, p.y)
+    (sx, wx), (sy, wy) = x_window, y_window
+    e_term = n * tensor_reduce(f.fx, uniform[sx], uniform[sy], wx * drift[sx], wy)
+    f_term = n * tensor_reduce(f.fy, uniform[sx], uniform[sy], wx, wy * drift[sy])
     total = n * (
-        tensor_akr_apply(f, n, 2, p) - tensor_bernstein_apply(f, n, p)
+        _window_apply(f, nodes, x_window, y_window)
+        - _window_apply(f, uniform, x_window, y_window)
     )
     return Decomposition(
         e_term=e_term,

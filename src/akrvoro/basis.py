@@ -7,7 +7,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.special import gammaln
 
-from ._kernels import comp_dot, log_weight, log_weights
+from ._kernels import comp_dot, log_weight, log_weights, support
 from .errors import DomainError
 
 __all__ = [
@@ -96,13 +96,14 @@ def eval_on(func, nodes):
 def bernstein_apply(f, n, x):
     """Evaluate the degree-n Bernstein operator of f at x.
 
-    Samples f at the uniform nodes k/n and accumulates the weighted sum in
-    ascending k with compensated summation.
+    Samples f at the uniform nodes k/n of the weights' support window and
+    accumulates the weighted sum in ascending k with compensated summation.
     """
     n = int(n)
     if n < 1:
         raise DomainError(f"degree must be >= 1, got {n}")
     x = _check_x(x)
-    w = np.exp(log_weights(n, x))
-    nodes = np.arange(n + 1, dtype=np.float64) / n
+    lo, hi = support(n, x)
+    w = np.exp(log_weights(n, x, lo, hi))
+    nodes = np.arange(lo, hi + 1, dtype=np.float64) / n
     return comp_dot(eval_on(f.eval, nodes), w)

@@ -164,7 +164,10 @@ def _workers_from_env():
     raw = os.environ.get("AKRVORO_WORKERS", "").strip()
     if not raw:
         return None
-    count = int(raw)
+    try:
+        count = int(raw)
+    except ValueError:
+        raise DomainError(f"AKRVORO_WORKERS must be an integer, got {raw!r}") from None
     if count < 1:
         raise DomainError(f"AKRVORO_WORKERS must be >= 1, got {count}")
     return count

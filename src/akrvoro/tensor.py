@@ -1,11 +1,11 @@
 """Tensor-product operators on the unit square.
 
 Both operators apply the same one-dimensional rule in each coordinate:
-f is sampled on an (n+1) x (n+1) node grid and contracted against the two
-per-point weight vectors.  The general path streams the value grid in row
-blocks through a compensated bilinear reduction (k outer, l inner, both
-ascending); functions declared separable take an exact product fast path
-through the one-dimensional operators.
+f is sampled on the node grid restricted to the weights' support window in
+each axis and contracted against the two windowed weight vectors.  The
+general path streams the value grid in row blocks through a compensated
+bilinear reduction (k outer, l inner, both ascending); functions declared
+separable take an exact product fast path of two one-dimensional sums.
 """
 
 from dataclasses import dataclass
@@ -13,9 +13,9 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from ._kernels import bilinear_accumulate, log_weights
-from .akr import _check_nj, akr_apply, build_node_table
-from .basis import Function1D, bernstein_apply
+from ._kernels import bilinear_accumulate, comp_dot, log_weights, support
+from .akr import _check_nj, build_node_table
+from .basis import Function1D, eval_on
 from .errors import DomainError
 
 __all__ = [
@@ -105,19 +105,35 @@ def tensor_reduce(func, s_nodes, t_nodes, wx, wy):
     return state[0] + state[1]
 
 
+def _axis_window(n, x):
+    """Support window of the degree-n weights at x, as a slice of a node
+    table, and the weights on it."""
+    lo, hi = support(n, x)
+    return slice(lo, hi + 1), np.exp(log_weights(n, x, lo, hi))
+
+
+def _window_apply(f, nodes, x_window, y_window, use_separability=True):
+    """Tensor operator of f on one node table shared by both axes, summed
+    over the per-axis windows returned by ``_axis_window``."""
+    (sx, wx), (sy, wy) = x_window, y_window
+    if use_separability and f.factors is not None:
+        g, h = f.factors
+        return comp_dot(eval_on(g.eval, nodes[sx]), wx) * comp_dot(
+            eval_on(h.eval, nodes[sy]), wy
+        )
+    return tensor_reduce(f.eval, nodes[sx], nodes[sy], wx, wy)
+
+
 def tensor_bernstein_apply(f, n, p, *, use_separability=True):
     """Tensor-product Bernstein operator of f at p, degree n in each axis."""
     n = int(n)
     if n < 1:
         raise DomainError(f"degree must be >= 1, got {n}")
     p = as_point(p)
-    if use_separability and f.factors is not None:
-        g, h = f.factors
-        return bernstein_apply(g, n, p.x) * bernstein_apply(h, n, p.y)
     nodes = np.arange(n + 1, dtype=np.float64) / n
-    wx = np.exp(log_weights(n, p.x))
-    wy = np.exp(log_weights(n, p.y))
-    return tensor_reduce(f.eval, nodes, nodes, wx, wy)
+    return _window_apply(
+        f, nodes, _axis_window(n, p.x), _axis_window(n, p.y), use_separability
+    )
 
 
 def tensor_akr_apply(f, n, j, p, *, use_separability=True):
@@ -125,10 +141,7 @@ def tensor_akr_apply(f, n, j, p, *, use_separability=True):
     table serves both axes."""
     n, j = _check_nj(n, j)
     p = as_point(p)
-    if use_separability and f.factors is not None:
-        g, h = f.factors
-        return akr_apply(g, n, j, p.x) * akr_apply(h, n, j, p.y)
     nodes = build_node_table(n, j).nodes
-    wx = np.exp(log_weights(n, p.x))
-    wy = np.exp(log_weights(n, p.y))
-    return tensor_reduce(f.eval, nodes, nodes, wx, wy)
+    return _window_apply(
+        f, nodes, _axis_window(n, p.x), _axis_window(n, p.y), use_separability
+    )

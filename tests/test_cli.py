@@ -361,6 +361,16 @@ def test_worker_env_variable_keeps_output_identical(capsys, monkeypatch):
     assert "AKRVORO_WORKERS" in err
 
 
+def test_non_integer_worker_count_is_a_structured_error(capsys, monkeypatch):
+    monkeypatch.setenv("AKRVORO_WORKERS", "abc")
+    code, out, err = run_cli(capsys, ["lemma", "--x", "0.5", "--format", "json"])
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "DomainError"
+    assert "AKRVORO_WORKERS" in error["message"] and "'abc'" in error["message"]
+
+
 def test_verify_subset_runs_fast_criteria(capsys):
     code, out, _ = run_cli(capsys, ["verify", "--criteria", "1,8"])
     assert code == 0

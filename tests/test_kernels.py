@@ -107,6 +107,42 @@ def test_log_weight_scalar_agrees_with_vector():
             assert got == pytest.approx(lw[k], rel=1e-13, abs=1e-13)
 
 
+@given(
+    st.integers(min_value=1, max_value=4096),
+    st.one_of(
+        st.sampled_from([0.0, 1.0, 5e-324, 1.0 - 2.0**-53]),
+        st.floats(min_value=0.0, max_value=1.0),
+    ),
+)
+@settings(max_examples=100, deadline=None)
+def test_windowed_log_weights_are_a_slice_of_the_full_vector(n, x):
+    full = _kernels.log_weights(n, x)
+    assert full.shape == (n + 1,)
+    lo, hi = _kernels.support(n, x)
+    assert 0 <= lo <= hi <= n
+    np.testing.assert_array_equal(_kernels.log_weights(n, x, lo, hi), full[lo : hi + 1])
+
+
+def _binomial_pmf(n, x):
+    """Exact Binomial(n, x) pmf, k = 0..n, by the ratio recurrence."""
+    x = mp.mpf(x)
+    ratio = x / (1 - x)
+    p = [(1 - x) ** n]
+    for k in range(1, n + 1):
+        p.append(p[-1] * (n - k + 1) / k * ratio)
+    return p
+
+
+@pytest.mark.parametrize("n", [2, 64, 1024, 8192])
+@pytest.mark.parametrize("x", [0.5, 0.3, 0.9, 1e-300, 1.0 - 2.0**-53])
+def test_support_drops_at_most_delta_of_the_mass(n, x):
+    lo, hi = _kernels.support(n, x)
+    p = _binomial_pmf(n, x)
+    assert abs(mp.fsum(p) - 1) < mp.mpf("1e-40")
+    dropped = mp.fsum(p[:lo]) + mp.fsum(p[hi + 1 :])
+    assert dropped <= 1e-20
+
+
 def test_log_weights_endpoint_branches_exact():
     w0 = np.exp(_kernels.log_weights(9, 0.0))
     w1 = np.exp(_kernels.log_weights(9, 1.0))
@@ -149,3 +185,10 @@ def test_backends_agree_on_reductions():
         lw_nb = _kernels.log_weights(n, 0.42)
         lw_np = _kernels._log_weights_np(n, 0.42)
         np.testing.assert_allclose(lw_nb, lw_np, rtol=1e-13, atol=1e-13)
+    lo, hi = _kernels.support(999, 0.42)
+    np.testing.assert_allclose(
+        _kernels.log_weights(999, 0.42, lo, hi),
+        _kernels._log_weights_np(999, 0.42, lo, hi),
+        rtol=1e-13,
+        atol=1e-13,
+    )
