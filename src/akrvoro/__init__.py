@@ -4,11 +4,10 @@ behavior numerically: residual series on doubling degree schedules, rate and
 limit extrapolation, and an exact drift decomposition.
 """
 
-from ._kernels import USING_NUMBA, backend
+from ._kernels import backend
 from .akr import (
     NodeTable,
     akr_apply,
-    akr_node,
     build_node_table,
     fixed_point_error,
     remainder,
@@ -29,7 +28,6 @@ from .asymptotics import (
     voronovskaja_rhs_2d,
 )
 from .basis import (
-    BasisContext,
     Function1D,
     basis_weight,
     bernstein_apply,
@@ -49,11 +47,9 @@ from .tensor import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "USING_NUMBA",
     "backend",
     "NodeTable",
     "akr_apply",
-    "akr_node",
     "build_node_table",
     "fixed_point_error",
     "remainder",
@@ -70,7 +66,6 @@ __all__ = [
     "residual_series",
     "voronovskaja_rhs_1d",
     "voronovskaja_rhs_2d",
-    "BasisContext",
     "Function1D",
     "basis_weight",
     "bernstein_apply",

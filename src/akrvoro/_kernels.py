@@ -1,49 +1,29 @@
 """Numeric kernels: compensated reductions and stable log binomial weights.
 
-Two interchangeable backends live here.  The default uses numba-compiled
-loops with explicit Kahan compensation; setting ``AKRVORO_PURE_NUMPY=1``
-(or running without numba installed) selects pure numpy/python fallbacks
-that keep the same accuracy contracts.  Reduction order is fixed
-(ascending index, rows outer) so results are deterministic per backend.
+There is one numpy path.  ``comp_dot`` sums its products with ``math.fsum``
+(exact summation); ``bilinear_accumulate`` lets BLAS form each row product
+and carries Kahan compensation across rows; ``log_weights`` evaluates the
+saddle-point split below with vectorized numpy.  Reduction order is fixed
+(ascending index, rows outer), so results are deterministic.
 """
 
 import math
-import os
 
 import numpy as np
 
 __all__ = [
-    "USING_NUMBA",
     "backend",
-    "comp_sum",
     "comp_dot",
     "bilinear_accumulate",
-    "log_weight",
     "log_weights",
     "support",
     "warmup",
 ]
 
 
-def _flag_enabled(name):
-    return os.environ.get(name, "").strip().lower() in ("1", "true", "yes", "on")
-
-
-_FORCE_NUMPY = _flag_enabled("AKRVORO_PURE_NUMPY")
-
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via the env flag instead
-    _HAVE_NUMBA = False
-
-USING_NUMBA = _HAVE_NUMBA and not _FORCE_NUMPY
-
-
 def backend():
-    """Name of the active kernel backend, 'numba' or 'numpy'."""
-    return "numba" if USING_NUMBA else "numpy"
+    """Name of the kernel backend, reported in run metadata: always 'numpy'."""
+    return "numpy"
 
 
 # --------------------------------------------------------------------------
@@ -97,52 +77,7 @@ def _stirlerr_py(m):
     return (_S0 - (_S1 - (_S2 - (_S3 - _S4 / m2) / m2) / m2) / m2) / m
 
 
-def _bd0_py(a, m):
-    # a ln(a/m) + m - a, series form when a is within 10% of m
-    if abs(a - m) < 0.1 * (a + m):
-        v = (a - m) / (a + m)
-        s = (a - m) * v
-        ej = 2.0 * a * v
-        v2 = v * v
-        j = 1
-        while True:
-            ej *= v2
-            s1 = s + ej / (2 * j + 1)
-            if s1 == s:
-                return s1
-            s = s1
-            j += 1
-    return a * math.log(a / m) + m - a
-
-
-def _log_weight_py(n, k, x):
-    # interior 0 < k < n, 0 < x < 1 only; endpoints are branched by callers
-    nf = float(n)
-    kf = float(k)
-    return (
-        _stirlerr_py(nf)
-        - _stirlerr_py(kf)
-        - _stirlerr_py(nf - kf)
-        - _bd0_py(kf, nf * x)
-        - _bd0_py(nf - kf, nf * (1.0 - x))
-        + 0.5 * math.log(nf / (2.0 * math.pi * kf * (nf - kf)))
-    )
-
-
-def log_weight(n, k, x):
-    """ln of the degree-n Bernstein basis weight at index k and point x."""
-    if x == 0.0:
-        return 0.0 if k == 0 else -math.inf
-    if x == 1.0:
-        return 0.0 if k == n else -math.inf
-    if k == 0:
-        return n * math.log1p(-x)
-    if k == n:
-        return n * math.log(x)
-    return _log_weight_py(n, k, x)
-
-
-def _log_weights_np(n, x, lo=0, hi=None):
+def log_weights(n, x, lo=0, hi=None):
     """ln basis weights for degree n at point x, indices lo..hi (default
     all n+1)."""
     hi = n if hi is None else hi
@@ -231,22 +166,19 @@ def support(n, x):
 
 
 # --------------------------------------------------------------------------
-# Compensated reductions (numpy/python fallbacks).
-# math.fsum is a full-precision compensated sum, so the fallback meets the
-# same contract as the Kahan loops; the bilinear fallback keeps Kahan
-# compensation across rows and lets BLAS handle each row product.
+# Compensated reductions.
+# math.fsum is a full-precision compensated sum; the bilinear reduction keeps
+# Kahan compensation across rows and lets BLAS handle each row product.
 # --------------------------------------------------------------------------
 
 
-def _comp_sum_np(values):
-    return math.fsum(values)
-
-
-def _comp_dot_np(a, b):
+def comp_dot(a, b):
+    """Compensated sum of elementwise products, ascending index order."""
     return math.fsum(np.multiply(a, b))
 
 
-def _bilinear_accumulate_np(block, wx_block, wy, state):
+def bilinear_accumulate(block, wx_block, wy, state):
+    """Add sum_i wx_block[i] * sum_l block[i,l]*wy[l] into Kahan state."""
     rows = block @ wy
     s = state[0]
     c = state[1]
@@ -259,118 +191,10 @@ def _bilinear_accumulate_np(block, wx_block, wy, state):
     state[1] = c
 
 
-if _HAVE_NUMBA:
-    _stirlerr_nb = njit(cache=True)(_stirlerr_py)
-    _bd0_nb = njit(cache=True)(_bd0_py)
-
-    @njit(cache=True)
-    def _log_weights_nb(n, x, lo, hi, lw):
-        # lw[k - lo] = ln w_k for k = lo..hi; 0 < x < 1
-        if lo == 0:
-            lw[0] = n * math.log1p(-x)
-        if hi == n:
-            lw[n - lo] = n * math.log(x)
-        nf = float(n)
-        sn = _stirlerr_nb(nf)
-        for k in range(max(lo, 1), min(hi, n - 1) + 1):
-            kf = float(k)
-            lw[k - lo] = (
-                sn
-                - _stirlerr_nb(kf)
-                - _stirlerr_nb(nf - kf)
-                - _bd0_nb(kf, nf * x)
-                - _bd0_nb(nf - kf, nf * (1.0 - x))
-                + 0.5 * math.log(nf / (2.0 * math.pi * kf * (nf - kf)))
-            )
-
-    @njit(cache=True)
-    def _comp_sum_nb(values):
-        s = 0.0
-        c = 0.0
-        for i in range(values.shape[0]):
-            v = values[i]
-            t = s + v
-            c += (s - t) + v
-            s = t
-        return s + c
-
-    @njit(cache=True)
-    def _comp_dot_nb(a, b):
-        s = 0.0
-        c = 0.0
-        for i in range(a.shape[0]):
-            v = a[i] * b[i]
-            t = s + v
-            c += (s - t) + v
-            s = t
-        return s + c
-
-    @njit(cache=True)
-    def _bilinear_accumulate_nb(block, wx_block, wy, state):
-        s = state[0]
-        c = state[1]
-        for i in range(block.shape[0]):
-            rs = 0.0
-            rc = 0.0
-            for l in range(block.shape[1]):
-                v = block[i, l] * wy[l]
-                t = rs + v
-                rc += (rs - t) + v
-                rs = t
-            v = wx_block[i] * (rs + rc)
-            t = s + v
-            c += (s - t) + v
-            s = t
-        state[0] = s
-        state[1] = c
-
-
-if USING_NUMBA:
-
-    def comp_sum(values):
-        """Compensated sum of a 1-d array, ascending index order."""
-        return _comp_sum_nb(np.ascontiguousarray(values, dtype=np.float64))
-
-    def comp_dot(a, b):
-        """Compensated sum of elementwise products, ascending index order."""
-        return _comp_dot_nb(
-            np.ascontiguousarray(a, dtype=np.float64),
-            np.ascontiguousarray(b, dtype=np.float64),
-        )
-
-    def bilinear_accumulate(block, wx_block, wy, state):
-        """Add sum_i wx_block[i] * sum_l block[i,l]*wy[l] into Kahan state."""
-        _bilinear_accumulate_nb(
-            np.ascontiguousarray(block, dtype=np.float64), wx_block, wy, state
-        )
-
-    def log_weights(n, x, lo=0, hi=None):
-        """ln basis weights for degree n at point x, indices lo..hi (default
-        all n+1)."""
-        hi = n if hi is None else hi
-        lw = np.empty(hi - lo + 1)
-        if x == 0.0 or x == 1.0:
-            lw[:] = -np.inf
-            mode = 0 if x == 0.0 else n
-            if lo <= mode <= hi:
-                lw[mode - lo] = 0.0
-        else:
-            _log_weights_nb(n, x, lo, hi, lw)
-        return lw
-
-else:
-    comp_sum = _comp_sum_np
-    comp_dot = _comp_dot_np
-    bilinear_accumulate = _bilinear_accumulate_np
-    log_weights = _log_weights_np
-
-
 def warmup():
-    """Trigger JIT compilation (no-op on the numpy backend)."""
+    """Run each kernel once on a tiny input, so one-time first-call costs
+    stay out of timed work."""
     a = np.array([1.0, 2.0, 3.0])
-    comp_sum(a)
     comp_dot(a, a)
-    state = np.zeros(2)
-    bilinear_accumulate(np.ones((2, 3)), a[:2], a, state)
+    bilinear_accumulate(np.ones((2, 3)), a[:2], a, np.zeros(2))
     log_weights(4, 0.5)
-    log_weight(4, 2, 0.5)

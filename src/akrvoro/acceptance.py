@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .akr import build_node_table, fixed_point_error, remainder
 from .asymptotics import (
     ConvergenceSeries,
@@ -22,9 +21,10 @@ from .asymptotics import (
     voronovskaja_rhs_2d,
 )
 from .catalog import lookup
+from .errors import DomainError
 from .tensor import tensor_akr_apply, tensor_bernstein_apply
 
-__all__ = ["CriterionResult", "CRITERIA", "run_all", "run_criterion"]
+__all__ = ["CriterionResult", "CRITERIA", "relative_ok", "run_all", "run_criterion"]
 
 
 @dataclass(frozen=True)
@@ -47,8 +47,9 @@ class CriterionResult:
         )
 
 
-def _relative_ok(limit, target, tol):
-    # strict relative comparison, absolute when the target vanishes exactly
+def relative_ok(limit, target, tol):
+    """(passed, error) of a limit against its target: relative error, or
+    absolute when the target vanishes exactly, compared strictly to tol."""
     if target == 0.0:
         return abs(limit) <= tol, abs(limit)
     err = abs(limit - target) / abs(target)
@@ -121,7 +122,7 @@ def criterion_4():
         series = residual_series("akr-1d", entry.function, x, n0=64, doublings=7)
         limit = extrapolate(series).limit_estimate
         target = -(1.0 - x) / 2.0
-        good, err = _relative_ok(limit, target, 1e-2)
+        good, err = relative_ok(limit, target, 1e-2)
         ok = ok and good
         detail.append(f"x={x}: rel err {err:.1e}")
     return ok, "; ".join(detail)
@@ -143,7 +144,7 @@ def criterion_5():
         series = residual_series("akr-2d", f, point, n0=64, doublings=7)
         limit = extrapolate(series).limit_estimate
         target = voronovskaja_rhs_2d(f, point)
-        good, err = _relative_ok(limit, target, 2e-2)
+        good, err = relative_ok(limit, target, 2e-2)
         ok = ok and good
         detail.append(f"{fn_name}@{point}: err {err:.1e}")
     return ok, "; ".join(detail)
@@ -160,7 +161,7 @@ def criterion_6():
         )
         limit = extrapolate(series).limit_estimate
         target = drift_rhs_2d(f, point)
-        good, err = _relative_ok(limit, target, 2e-2)
+        good, err = relative_ok(limit, target, 2e-2)
         ok = ok and good
         detail.append(f"{fn_name}@{point}: err {err:.1e}")
     return ok, "; ".join(detail)
@@ -228,22 +229,34 @@ CRITERIA = (
 )
 
 
+_NUMBERS = tuple(num for num, *_ in CRITERIA)
+
+
+def _check_numbers(numbers):
+    unknown = [num for num in numbers if num not in _NUMBERS]
+    if unknown:
+        raise DomainError(
+            f"no criterion numbered {', '.join(map(str, unknown))}; "
+            f"valid numbers: {', '.join(map(str, _NUMBERS))}"
+        )
+
+
 def run_criterion(number):
-    """Run one numbered criterion (kernels are warmed first)."""
-    _kernels.warmup()
-    for num, name, fn, limit in CRITERIA:
-        if num == number:
-            start = time.perf_counter()
-            passed, detail = fn()
-            elapsed = time.perf_counter() - start
-            if elapsed >= limit:
-                passed = False
-                detail += f"; runtime {elapsed:.1f}s exceeded {limit:.0f}s"
-            return CriterionResult(num, name, passed, elapsed, limit, detail)
-    raise ValueError(f"no criterion numbered {number}")
+    """Run one numbered criterion."""
+    _check_numbers([number])
+    num, name, fn, limit = CRITERIA[_NUMBERS.index(number)]
+    start = time.perf_counter()
+    passed, detail = fn()
+    elapsed = time.perf_counter() - start
+    if elapsed >= limit:
+        passed = False
+        detail += f"; runtime {elapsed:.1f}s exceeded {limit:.0f}s"
+    return CriterionResult(num, name, bool(passed), elapsed, limit, detail)
 
 
 def run_all(numbers=None):
-    """Run the requested criteria (all by default) in order."""
-    wanted = tuple(numbers) if numbers else tuple(num for num, *_ in CRITERIA)
+    """Run the requested criteria (all by default) in order; every number
+    is checked before any criterion runs."""
+    wanted = tuple(numbers) if numbers else _NUMBERS
+    _check_numbers(wanted)
     return [run_criterion(num) for num in wanted]

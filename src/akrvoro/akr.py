@@ -17,7 +17,6 @@ from .errors import DomainError
 
 __all__ = [
     "NodeTable",
-    "akr_node",
     "build_node_table",
     "remainder",
     "akr_apply",
@@ -46,22 +45,6 @@ def _check_nj(n, j):
     if n < j:
         raise DomainError(f"degree must satisfy n >= j, got n={n}, j={j}")
     return n, j
-
-
-def akr_node(n, k, j=2):
-    """Single node t(n,k,j), log-domain evaluated with exact endpoint branches."""
-    n, j = _check_nj(n, j)
-    k = int(k)
-    if not 0 <= k <= n:
-        raise DomainError(f"index must lie in [0, {n}], got {k}")
-    if k < j:
-        return 0.0
-    if k == n:
-        return 1.0
-    acc = 0.0
-    for i in range(j):
-        acc += np.log(float(k - i)) - np.log(float(n - i))
-    return float(np.exp(acc / j))
 
 
 def build_node_table(n, j=2):

@@ -8,7 +8,6 @@ extrapolator for the series.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
@@ -42,6 +41,7 @@ __all__ = [
     "drift_rhs_2d",
     "decomposition",
     "residual_series",
+    "rate_estimates",
     "extrapolate",
 ]
 
@@ -300,13 +300,12 @@ def _series_value(kind, f, point, n, j):
     )
 
 
-def residual_series(kind, f, point, n0=64, doublings=7, j=2, workers=None):
+def residual_series(kind, f, point, n0=64, doublings=7, j=2):
     """Scaled residuals at degrees n0, 2 n0, ..., n0 * 2^doublings.
 
     ``f`` is a Function1D or Function2D matching the kind's arity and is
     ignored for kind 'lemma-sum'.  Strictly positive coordinates are
-    required for the modified-node kinds.  ``workers`` > 1 evaluates
-    schedule entries in a thread pool; output order is the schedule order.
+    required for the modified-node kinds.
     """
     if kind not in SERIES_KINDS:
         raise DomainError(
@@ -336,13 +335,25 @@ def residual_series(kind, f, point, n0=64, doublings=7, j=2, workers=None):
             raise DomainError(f"kind {kind!r} requires strictly positive coordinates")
 
     ns = [n0 * 2**m for m in range(doublings + 1)]
-    if workers is not None and int(workers) > 1:
-        with ThreadPoolExecutor(max_workers=int(workers)) as pool:
-            values = list(pool.map(lambda n: _series_value(kind, f, point, n, j), ns))
-    else:
-        values = [_series_value(kind, f, point, n, j) for n in ns]
-    entries = tuple(zip(ns, (float(v) for v in values)))
+    entries = tuple((n, float(_series_value(kind, f, point, n, j))) for n in ns)
     return ConvergenceSeries(entries=entries, operator_kind=kind, point=point)
+
+
+def rate_estimates(values):
+    """Empirical rate exponent at each entry of a doubling-schedule series.
+
+    With d_i = values[i] - values[i-1], entry i >= 2 gets
+    log2(|d_{i-1} / d_i|) when the two differences share a sign and shrink,
+    and None otherwise; entries 0 and 1 get None.
+    """
+    d = np.diff(values)
+    rates = [None] * min(2, len(values))
+    for i in range(1, d.shape[0]):
+        if d[i - 1] * d[i] > 0.0 and abs(d[i - 1]) > abs(d[i]):
+            rates.append(math.log2(abs(d[i - 1] / d[i])))
+        else:
+            rates.append(None)
+    return rates
 
 
 def extrapolate(series):
@@ -356,11 +367,8 @@ def extrapolate(series):
     values = series.values
     if values.shape[0] < 4:
         raise DomainError("extrapolation needs at least 4 series entries")
+    rates = [r for r in rate_estimates(values) if r is not None]
     d = np.diff(values)
-    rates = []
-    for i in range(1, d.shape[0]):
-        if d[i - 1] * d[i] > 0.0 and abs(d[i - 1]) > abs(d[i]):
-            rates.append(math.log2(abs(d[i - 1] / d[i])))
     tail = d[-3:]
     monotone = bool(np.all(tail >= 0.0) or np.all(tail <= 0.0))
     residual_tail = float(abs(d[-1]))

@@ -5,14 +5,12 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import gammaln
 
-from ._kernels import comp_dot, log_weight, log_weights, support
+from ._kernels import comp_dot, log_weights, support
 from .errors import DomainError
 
 __all__ = [
     "Function1D",
-    "BasisContext",
     "basis_weight",
     "weight_vector",
     "bernstein_apply",
@@ -32,30 +30,6 @@ class Function1D:
     d2: Optional[Callable] = None
 
 
-class BasisContext:
-    """Degree-n evaluation context with a precomputed log-factorial table.
-
-    ``log_factorial[m]`` is ln(m!) for m = 0..n.  Immutable after
-    construction and safe to share across threads.
-    """
-
-    __slots__ = ("n", "log_factorial")
-
-    def __init__(self, n):
-        n = int(n)
-        if n < 1:
-            raise DomainError(f"degree must be >= 1, got {n}")
-        table = gammaln(np.arange(n + 1, dtype=np.float64) + 1.0)
-        table.flags.writeable = False
-        self.n = n
-        self.log_factorial = table
-
-    def log_binomial(self, k):
-        """ln C(n, k); accepts a scalar or an index array."""
-        lf = self.log_factorial
-        return lf[self.n] - lf[k] - lf[self.n - k]
-
-
 def _check_x(x):
     x = float(x)
     if not 0.0 <= x <= 1.0:
@@ -63,17 +37,20 @@ def _check_x(x):
     return x
 
 
-def basis_weight(ctx, k, x):
+def basis_weight(n, k, x):
     """Bernstein basis weight C(n,k) x^k (1-x)^(n-k), log-domain evaluated.
 
     Exact 0/1 at the endpoints; a single exponentiation everywhere else, so
     the result is non-negative by construction.
     """
+    n = int(n)
+    if n < 1:
+        raise DomainError(f"degree must be >= 1, got {n}")
     k = int(k)
-    if not 0 <= k <= ctx.n:
-        raise DomainError(f"index must lie in [0, {ctx.n}], got {k}")
+    if not 0 <= k <= n:
+        raise DomainError(f"index must lie in [0, {n}], got {k}")
     x = _check_x(x)
-    return math.exp(log_weight(ctx.n, k, x))
+    return math.exp(log_weights(n, x, k, k)[0])
 
 
 def weight_vector(n, x):

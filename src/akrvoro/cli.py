@@ -3,21 +3,18 @@
 Subcommands: nodes, eval, residual, lemma, decompose, verify.  Output is
 CSV (default) or JSON via --format; --out redirects to a file.  Exit codes:
 0 success / all verdicts pass, 1 a verification verdict failed, 2 invalid
-arguments or domain errors.  AKRVORO_WORKERS sets the schedule worker
-count (absent means sequential); AKRVORO_PURE_NUMPY=1 disables the numba
-kernels.
+arguments or domain errors, with a structured error object on stderr in
+JSON mode.
 """
 
 import argparse
 import csv
 import json
-import math
-import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import List, Optional
 
-from .acceptance import run_all
+from .acceptance import relative_ok, run_all
 from .akr import akr_apply, build_node_table
 from .asymptotics import (
     classical_rhs_1d,
@@ -25,6 +22,7 @@ from .asymptotics import (
     decomposition,
     drift_rhs_2d,
     extrapolate,
+    rate_estimates,
     residual_series,
     voronovskaja_rhs_1d,
     voronovskaja_rhs_2d,
@@ -137,40 +135,22 @@ def build_parser():
     return parser
 
 
-def _config_from_args(args):
-    cfg = RunConfig(command=args.command)
-    for field in (
-        "format",
-        "output_path",
-        "dry_run",
-        "n",
-        "n0",
-        "doublings",
-        "j",
-        "kind",
-        "fn_name",
-        "point",
-        "x",
-        "tolerance",
-    ):
-        if hasattr(args, field):
-            setattr(cfg, field, getattr(args, field))
-    if getattr(args, "criteria", None) is not None:
-        cfg.criteria = [int(v) for v in str(args.criteria).split(",") if v.strip()]
-    return cfg
-
-
-def _workers_from_env():
-    raw = os.environ.get("AKRVORO_WORKERS", "").strip()
-    if not raw:
-        return None
+def _parse_criteria(raw):
     try:
-        count = int(raw)
+        return [int(v) for v in raw.split(",") if v.strip()]
     except ValueError:
-        raise DomainError(f"AKRVORO_WORKERS must be an integer, got {raw!r}") from None
-    if count < 1:
-        raise DomainError(f"AKRVORO_WORKERS must be >= 1, got {count}")
-    return count
+        raise DomainError(
+            f"--criteria must be comma-separated integers, got {raw!r}"
+        ) from None
+
+
+def _config_from_args(args):
+    values = {
+        f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)
+    }
+    if values.get("criteria") is not None:
+        values["criteria"] = _parse_criteria(values["criteria"])
+    return RunConfig(**values)
 
 
 # --------------------------------------------------------------------------
@@ -190,23 +170,11 @@ def _entry_for(cfg, arity):
 
 def _series_rows(series):
     values = series.values
-    ns = series.ns
-    rows = []
     diffs = [None] + [float(b - a) for a, b in zip(values, values[1:])]
-    for i in range(len(values)):
-        rate = None
-        if i >= 2 and diffs[i - 1] and diffs[i]:
-            if diffs[i - 1] * diffs[i] > 0 and abs(diffs[i - 1]) > abs(diffs[i]):
-                rate = math.log2(abs(diffs[i - 1] / diffs[i]))
-        rows.append(
-            {
-                "n": int(ns[i]),
-                "value": float(values[i]),
-                "diff": diffs[i],
-                "rate_estimate": rate,
-            }
-        )
-    return rows
+    return [
+        {"n": int(n), "value": float(v), "diff": diff, "rate_estimate": rate}
+        for n, v, diff, rate in zip(series.ns, values, diffs, rate_estimates(values))
+    ]
 
 
 def _residual_target(cfg, entry, point):
@@ -225,14 +193,6 @@ def _residual_target(cfg, entry, point):
         return drift_rhs_2d(f, point)
     except CapabilityError:
         return None
-
-
-def _verdict(limit, target, tolerance):
-    if target is None:
-        return None
-    if target == 0.0:
-        return "PASS" if abs(limit) <= tolerance else "FAIL"
-    return "PASS" if abs(limit - target) / abs(target) <= tolerance else "FAIL"
 
 
 def _cmd_nodes(cfg):
@@ -277,11 +237,13 @@ def _cmd_residual(cfg):
         n0=cfg.n0,
         doublings=cfg.doublings,
         j=cfg.j,
-        workers=_workers_from_env(),
     )
     result = extrapolate(series)
     target = _residual_target(cfg, entry, point)
-    verdict = _verdict(result.limit_estimate, target, cfg.tolerance)
+    verdict = None
+    if target is not None:
+        passed, _ = relative_ok(result.limit_estimate, target, cfg.tolerance)
+        verdict = "PASS" if passed else "FAIL"
     summary = {
         "limit_estimate": result.limit_estimate,
         "rate_estimate": result.rate_estimate,
@@ -300,7 +262,6 @@ def _cmd_lemma(cfg):
         cfg.x,
         n0=cfg.n0,
         doublings=cfg.doublings,
-        workers=_workers_from_env(),
     )
     result = extrapolate(series)
     verdict = "PASS" if abs(result.limit_estimate) <= cfg.tolerance else "FAIL"
@@ -423,8 +384,8 @@ def _render(stream, cfg, rows, summary):
         _write_csv(stream, rows, summary)
 
 
-def _emit_error(cfg, exc):
-    if cfg is not None and cfg.format == "json":
+def _emit_error(fmt, exc):
+    if fmt == "json":
         payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         json.dump(payload, sys.stderr)
         sys.stderr.write("\n")
@@ -433,10 +394,9 @@ def _emit_error(cfg, exc):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    cfg = _config_from_args(args)
+    args = build_parser().parse_args(argv)
     try:
+        cfg = _config_from_args(args)
         if cfg.dry_run:
             if cfg.output_path:
                 with open(cfg.output_path, "w", encoding="utf-8") as stream:
@@ -450,7 +410,7 @@ def main(argv=None):
         _emit(cfg, rows, summary)
         return code
     except (DomainError, UnknownFunctionError, CapabilityError) as exc:
-        _emit_error(cfg, exc)
+        _emit_error(args.format, exc)
         return 2
 
 

@@ -10,7 +10,6 @@ from akrvoro import (
     DomainError,
     Function1D,
     akr_apply,
-    akr_node,
     bernstein_apply,
     build_node_table,
     fixed_point_error,
@@ -19,6 +18,10 @@ from akrvoro import (
 )
 
 mp.mp.dps = 50
+
+
+def akr_node(n, k, j):
+    return build_node_table(n, j).nodes[k]
 
 
 def test_akr_node_frozen_values():
@@ -31,13 +34,9 @@ def test_akr_node_frozen_values():
 
 def test_akr_node_domain_errors():
     with pytest.raises(DomainError):
-        akr_node(1, 0, 2)
+        build_node_table(1, 2)
     with pytest.raises(DomainError):
-        akr_node(4, 5, 2)
-    with pytest.raises(DomainError):
-        akr_node(4, -1, 2)
-    with pytest.raises(DomainError):
-        akr_node(4, 2, 1)
+        build_node_table(4, 1)
 
 
 def test_build_node_table_frozen_values():
@@ -59,7 +58,9 @@ def test_node_table_invariants(n, j):
     assert nodes[n] == 1.0
     assert np.all(np.diff(nodes) >= 0.0)
     assert np.all((nodes >= 0.0) & (nodes <= 1.0))
-    assert akr_node(n, n // 2, j) == pytest.approx(nodes[n // 2], rel=1e-14, abs=0.0)
+    k = n // 2
+    exact = mp.root(mp.fprod(mp.mpf(k - i) / (n - i) for i in range(j)), j)
+    assert nodes[k] == pytest.approx(float(exact), rel=1e-14, abs=0.0)
 
 
 def test_node_drift_bounds_small_degrees():

@@ -289,13 +289,6 @@ def test_lemma_kind_matches_lemma_sum():
         assert value == lemma_sum(n, 0.25)
 
 
-def test_workers_do_not_change_results():
-    e1 = lookup("e1").function
-    seq = residual_series("akr-1d", e1, 0.3, n0=8, doublings=4)
-    par = residual_series("akr-1d", e1, 0.3, n0=8, doublings=4, workers=4)
-    assert seq.entries == par.entries
-
-
 # --------------------------------------------------------------------------
 # extrapolation
 # --------------------------------------------------------------------------

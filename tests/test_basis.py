@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from akrvoro import (
-    BasisContext,
     DomainError,
     Function1D,
     basis_weight,
@@ -23,25 +22,11 @@ def exact_weight(n, k, x):
     return float(math.comb(n, k) * xf**k * (1 - xf) ** (n - k))
 
 
-def test_log_factorial_table_matches_exact_factorials():
-    ctx = BasisContext(25)
-    for m in range(21):
-        ref = math.log(math.factorial(m)) if m > 1 else 0.0
-        tol = 4.0 * np.spacing(abs(ref)) if ref else 1e-15
-        assert abs(ctx.log_factorial[m] - ref) <= tol
-
-
-def test_log_binomial_matches_comb():
-    ctx = BasisContext(30)
-    for k in (0, 1, 7, 15, 30):
-        assert math.exp(ctx.log_binomial(k)) == pytest.approx(
-            math.comb(30, k), rel=1e-12
-        )
-
-
 def test_context_rejects_bad_degree():
     with pytest.raises(DomainError):
-        BasisContext(0)
+        basis_weight(0, 0, 0.5)
+    with pytest.raises(DomainError):
+        weight_vector(0, 0.5)
 
 
 @pytest.mark.parametrize(
@@ -49,44 +34,41 @@ def test_context_rejects_bad_degree():
     [(5, 2, 0.3), (7, 0, 0.11), (7, 7, 0.11), (12, 5, 0.5), (40, 13, 0.77)],
 )
 def test_basis_weight_against_rational_oracle(n, k, x):
-    got = basis_weight(BasisContext(n), k, x)
+    got = basis_weight(n, k, x)
     assert got == pytest.approx(exact_weight(n, k, x), rel=1e-13)
 
 
 def test_basis_weight_frozen_values():
-    assert basis_weight(BasisContext(2), 1, 0.5) == pytest.approx(0.5, abs=1e-15)
-    assert basis_weight(BasisContext(5), 0, 0.0) == 1.0
-    assert basis_weight(BasisContext(5), 2, 0.3) == pytest.approx(0.3087, abs=1e-13)
+    assert basis_weight(2, 1, 0.5) == pytest.approx(0.5, abs=1e-15)
+    assert basis_weight(5, 0, 0.0) == 1.0
+    assert basis_weight(5, 2, 0.3) == pytest.approx(0.3087, abs=1e-13)
 
 
 def test_basis_weight_endpoints_exact():
-    ctx = BasisContext(6)
-    assert basis_weight(ctx, 0, 0.0) == 1.0
-    assert basis_weight(ctx, 3, 0.0) == 0.0
-    assert basis_weight(ctx, 6, 1.0) == 1.0
-    assert basis_weight(ctx, 2, 1.0) == 0.0
+    assert basis_weight(6, 0, 0.0) == 1.0
+    assert basis_weight(6, 3, 0.0) == 0.0
+    assert basis_weight(6, 6, 1.0) == 1.0
+    assert basis_weight(6, 2, 1.0) == 0.0
 
 
 def test_basis_weight_domain_errors():
-    ctx = BasisContext(4)
     with pytest.raises(DomainError):
-        basis_weight(ctx, -1, 0.5)
+        basis_weight(4, -1, 0.5)
     with pytest.raises(DomainError):
-        basis_weight(ctx, 5, 0.5)
+        basis_weight(4, 5, 0.5)
     with pytest.raises(DomainError):
-        basis_weight(ctx, 2, -0.01)
+        basis_weight(4, 2, -0.01)
     with pytest.raises(DomainError):
-        basis_weight(ctx, 2, 1.01)
+        basis_weight(4, 2, 1.01)
 
 
 def test_scalar_weight_agrees_with_vector():
     rng = np.random.default_rng(5)
     for n in (1, 3, 41, 700):
-        ctx = BasisContext(n)
         x = float(rng.uniform(0.0, 1.0))
         w = weight_vector(n, x)
         for k in sorted({0, 1, n // 2, n}):
-            assert basis_weight(ctx, k, x) == pytest.approx(
+            assert basis_weight(n, k, x) == pytest.approx(
                 w[k], rel=1e-13, abs=1e-300
             )
 

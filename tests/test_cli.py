@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from akrvoro import akr_node
+from akrvoro import build_node_table
 from akrvoro.cli import main
 
 
@@ -40,7 +40,7 @@ def test_nodes_emits_expected_table(capsys):
     assert values[2] == pytest.approx(0.4082483, abs=1e-7)
     assert values[3] == pytest.approx(math.sqrt(0.5), rel=1e-15)
     for k in range(5):
-        assert values[k] == akr_node(4, k, 2)
+        assert values[k] == build_node_table(4, 2).nodes[k]
 
 
 def test_dry_run_round_trips_the_config(capsys):
@@ -348,29 +348,6 @@ def test_output_file_writing(tmp_path, capsys):
     assert [float(r["t"]) for r in rows][:3] == [0.0, 0.0, 0.0]
 
 
-def test_worker_env_variable_keeps_output_identical(capsys, monkeypatch):
-    argv = ["lemma", "--x", "0.5", "--n0", "16", "--doublings", "3"]
-    code_seq, out_seq, _ = run_cli(capsys, argv)
-    monkeypatch.setenv("AKRVORO_WORKERS", "3")
-    code_par, out_par, _ = run_cli(capsys, argv)
-    assert code_seq == code_par == 0
-    assert out_seq == out_par
-    monkeypatch.setenv("AKRVORO_WORKERS", "0")
-    code_bad, _, err = run_cli(capsys, argv)
-    assert code_bad == 2
-    assert "AKRVORO_WORKERS" in err
-
-
-def test_non_integer_worker_count_is_a_structured_error(capsys, monkeypatch):
-    monkeypatch.setenv("AKRVORO_WORKERS", "abc")
-    code, out, err = run_cli(capsys, ["lemma", "--x", "0.5", "--format", "json"])
-    assert code == 2
-    assert out == ""
-    error = json.loads(err)["error"]
-    assert error["type"] == "DomainError"
-    assert "AKRVORO_WORKERS" in error["message"] and "'abc'" in error["message"]
-
-
 def test_verify_subset_runs_fast_criteria(capsys):
     code, out, _ = run_cli(capsys, ["verify", "--criteria", "1,8"])
     assert code == 0
@@ -378,3 +355,31 @@ def test_verify_subset_runs_fast_criteria(capsys):
     assert [int(r["criterion"]) for r in rows] == [1, 8]
     assert all(r["status"] == "PASS" for r in rows)
     assert summary["verdict"] == "PASS"
+
+
+def test_verify_json_summary_counts_are_python_ints(capsys):
+    code, out, _ = run_cli(capsys, ["verify", "--criteria", "1,8", "--format", "json"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["summary"]["passed"] == 2
+    assert type(payload["summary"]["passed"]) is int
+    assert payload["summary"]["verdict"] == "PASS"
+    assert [row["status"] for row in payload["rows"]] == ["PASS", "PASS"]
+
+
+@pytest.mark.parametrize("criteria", ["9", "a", "1,9"])
+def test_verify_rejects_unknown_criteria_before_running(criteria, capsys, monkeypatch):
+    def no_run(number):
+        raise AssertionError(f"criterion {number} ran")
+
+    monkeypatch.setattr("akrvoro.acceptance.run_criterion", no_run)
+    code, out, err = run_cli(capsys, ["verify", "--criteria", criteria])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and criteria.split(",")[-1] in err
+    code, out, err = run_cli(
+        capsys, ["verify", "--criteria", criteria, "--format", "json"]
+    )
+    assert (code, out) == (2, "")
+    error = json.loads(err)["error"]
+    assert error["type"] == "DomainError"
+    assert criteria.split(",")[-1] in error["message"]

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -9,25 +10,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import akrvoro
 from akrvoro import _kernels
 
 mp.mp.dps = 50
 
 
-def test_backend_reports_numba_by_default():
-    assert _kernels.backend() in ("numba", "numpy")
-    if _kernels.USING_NUMBA:
-        assert _kernels.backend() == "numba"
+def comp_sum(values):
+    """A compensated sum is a compensated dot product against ones."""
+    return _kernels.comp_dot(values, np.ones_like(values))
+
+
+def test_backend_reports_numpy():
+    assert _kernels.backend() == "numpy"
+    assert akrvoro.backend() == "numpy"
 
 
 def test_comp_sum_survives_cancellation():
     data = np.array([1e16, 1.0, -1e16, 1.0, 1e-8])
-    assert _kernels.comp_sum(data) == pytest.approx(math.fsum(data), abs=1e-12)
+    assert comp_sum(data) == pytest.approx(math.fsum(data), abs=1e-12)
 
 
 def test_comp_sum_empty_and_single():
-    assert _kernels.comp_sum(np.array([], dtype=float)) == 0.0
-    assert _kernels.comp_sum(np.array([3.5])) == 3.5
+    assert comp_sum(np.array([], dtype=float)) == 0.0
+    assert comp_sum(np.array([3.5])) == 3.5
 
 
 def test_comp_dot_matches_fsum_of_products():
@@ -77,7 +83,7 @@ def test_comp_sum_is_compensated(xs):
     arr = np.array(xs)
     exact = math.fsum(xs)
     bound = 4.0 * np.finfo(float).eps * float(np.sum(np.abs(arr))) + 1e-300
-    assert abs(_kernels.comp_sum(arr) - exact) <= bound
+    assert abs(comp_sum(arr) - exact) <= bound
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 64, 500, 2048, 8192])
@@ -95,16 +101,6 @@ def test_log_weights_against_high_precision(n):
         exact = mp.binomial(n, k) * x**k * (1 - x) ** (n - k)
         if exact > mp.mpf("1e-300"):
             assert abs(w[k] / float(exact) - 1.0) <= 1e-12
-
-
-def test_log_weight_scalar_agrees_with_vector():
-    rng = np.random.default_rng(3)
-    for n in (1, 2, 17, 256, 3001):
-        x = float(rng.uniform(0.01, 0.99))
-        lw = _kernels.log_weights(n, x)
-        for k in sorted({0, 1, n // 2, n - 1, n}):
-            got = _kernels.log_weight(n, k, x)
-            assert got == pytest.approx(lw[k], rel=1e-13, abs=1e-13)
 
 
 @given(
@@ -150,45 +146,15 @@ def test_log_weights_endpoint_branches_exact():
     assert w1[9] == 1.0 and np.all(w1[:9] == 0.0)
 
 
-def test_pure_numpy_flag_selects_fallback():
+def test_import_leaves_out_scipy_and_numba():
     code = (
-        "import akrvoro._kernels as k;"
-        "print(k.backend());"
-        "import numpy as np;"
-        "print(repr(k.comp_dot(np.arange(5.0), np.arange(5.0))))"
+        "import sys, akrvoro;"
+        "print(sorted(m for m in ('scipy', 'numba') if m in sys.modules))"
     )
-    env = dict(os.environ, AKRVORO_PURE_NUMPY="1")
+    src = str(Path(akrvoro.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env
     )
     assert out.returncode == 0, out.stderr
-    lines = out.stdout.strip().splitlines()
-    assert lines[0] == "numpy"
-    assert float(lines[1]) == _kernels.comp_dot(np.arange(5.0), np.arange(5.0))
-
-
-@pytest.mark.skipif(not _kernels.USING_NUMBA, reason="numba backend inactive")
-def test_backends_agree_on_reductions():
-    rng = np.random.default_rng(21)
-    a = rng.random(500)
-    b = rng.random(500)
-    assert _kernels._comp_dot_nb(a, b) == pytest.approx(
-        _kernels._comp_dot_np(a, b), rel=1e-15, abs=1e-15
-    )
-    block = rng.random((20, 500))
-    s_nb = np.zeros(2)
-    s_np = np.zeros(2)
-    _kernels._bilinear_accumulate_nb(block, a[:20], b, s_nb)
-    _kernels._bilinear_accumulate_np(block, a[:20], b, s_np)
-    assert s_nb[0] + s_nb[1] == pytest.approx(s_np[0] + s_np[1], rel=1e-14)
-    for n in (3, 100, 999):
-        lw_nb = _kernels.log_weights(n, 0.42)
-        lw_np = _kernels._log_weights_np(n, 0.42)
-        np.testing.assert_allclose(lw_nb, lw_np, rtol=1e-13, atol=1e-13)
-    lo, hi = _kernels.support(999, 0.42)
-    np.testing.assert_allclose(
-        _kernels.log_weights(999, 0.42, lo, hi),
-        _kernels._log_weights_np(999, 0.42, lo, hi),
-        rtol=1e-13,
-        atol=1e-13,
-    )
+    assert out.stdout.strip() == "[]"
