@@ -8,6 +8,7 @@ from ._kernels import backend
 from .akr import (
     NodeTable,
     akr_apply,
+    bernstein_apply,
     build_node_table,
     fixed_point_error,
     remainder,
@@ -30,7 +31,6 @@ from .asymptotics import (
 from .basis import (
     Function1D,
     basis_weight,
-    bernstein_apply,
     weight_vector,
 )
 from .catalog import CatalogEntry, catalog_names, lookup
@@ -50,6 +50,7 @@ __all__ = [
     "backend",
     "NodeTable",
     "akr_apply",
+    "bernstein_apply",
     "build_node_table",
     "fixed_point_error",
     "remainder",
@@ -68,7 +69,6 @@ __all__ = [
     "voronovskaja_rhs_2d",
     "Function1D",
     "basis_weight",
-    "bernstein_apply",
     "weight_vector",
     "CatalogEntry",
     "catalog_names",

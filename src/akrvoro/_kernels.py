@@ -11,8 +11,11 @@ import math
 
 import numpy as np
 
+from .errors import DomainError
+
 __all__ = [
     "backend",
+    "check_degree",
     "comp_dot",
     "bilinear_accumulate",
     "log_weights",
@@ -156,6 +159,21 @@ def _bd0_np(a, m):
 
 SUPPORT_DELTA = 1e-20
 _SUPPORT_LOG = math.log(2.0 / SUPPORT_DELTA) / 2.0
+
+# Largest degree any operator accepts: 16 times the largest degree a test or
+# benchmark workload uses.  Node tables and weight vectors are O(n) per call,
+# so an unchecked degree from the command line could exhaust memory.
+MAX_DEGREE = 2**20
+
+
+def check_degree(n, least=1):
+    """n as an int, refused with DomainError unless least <= n <= MAX_DEGREE."""
+    n = int(n)
+    if n < least:
+        raise DomainError(f"degree must be >= {least}, got {n}")
+    if n > MAX_DEGREE:
+        raise DomainError(f"degree must be <= {MAX_DEGREE}, got {n}")
+    return n
 
 
 def support(n, x):

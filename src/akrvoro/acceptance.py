@@ -13,12 +13,11 @@ import numpy as np
 
 from .akr import build_node_table, fixed_point_error, remainder
 from .asymptotics import (
+    KINDS,
     ConvergenceSeries,
     decomposition,
-    drift_rhs_2d,
     extrapolate,
     residual_series,
-    voronovskaja_rhs_2d,
 )
 from .catalog import lookup
 from .errors import DomainError
@@ -135,36 +134,28 @@ _LIMIT_CASES = tuple(
 )
 
 
-def criterion_5():
-    """Square-domain residual series match the saturation limit to 2e-2."""
+def _square_limits(kind):
+    """Residual series of ``kind`` at _LIMIT_CASES against its limit, to 2e-2."""
     ok = True
     detail = []
     for fn_name, point in _LIMIT_CASES:
         f = lookup(fn_name).function
-        series = residual_series("akr-2d", f, point, n0=64, doublings=7)
+        series = residual_series(kind, f, point, n0=64, doublings=7)
         limit = extrapolate(series).limit_estimate
-        target = voronovskaja_rhs_2d(f, point)
-        good, err = relative_ok(limit, target, 2e-2)
+        good, err = relative_ok(limit, KINDS[kind].limit(f, point), 2e-2)
         ok = ok and good
         detail.append(f"{fn_name}@{point}: err {err:.1e}")
     return ok, "; ".join(detail)
+
+
+def criterion_5():
+    """Square-domain residual series match the saturation limit to 2e-2."""
+    return _square_limits("akr-2d")
 
 
 def criterion_6():
     """Operator-difference series match the first-order drift to 2e-2."""
-    ok = True
-    detail = []
-    for fn_name, point in _LIMIT_CASES:
-        f = lookup(fn_name).function
-        series = residual_series(
-            "akr-minus-bernstein-2d", f, point, n0=64, doublings=7
-        )
-        limit = extrapolate(series).limit_estimate
-        target = drift_rhs_2d(f, point)
-        good, err = relative_ok(limit, target, 2e-2)
-        ok = ok and good
-        detail.append(f"{fn_name}@{point}: err {err:.1e}")
-    return ok, "; ".join(detail)
+    return _square_limits("akr-minus-bernstein-2d")
 
 
 def criterion_7():

@@ -1,24 +1,27 @@
-"""Modified-node operators that fix the constant and the j-th monomial.
+"""Operators on [0, 1] that fix the constant and the j-th monomial.
 
 The degree-n operator of order j samples at nodes
 t(n,k,j) = (k (k-1) ... (k-j+1) / (n (n-1) ... (n-j+1)))^(1/j)
-instead of k/n, keeping the Bernstein weights.  ``remainder`` is the j = 2
-node correction term whose weighted sums govern the operator's first-order
-asymptotics.
+and keeps the Bernstein weights.  At j = 1 the nodes are k/n, so the
+Bernstein operator is the order-1 case and shares the one operator body.
+``remainder`` is the j = 2 node correction term whose weighted sums govern
+the operator's first-order asymptotics.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import comp_dot, log_weights, support
-from .basis import eval_on
+from ._kernels import check_degree, comp_dot, log_weights, support
+from .basis import _check_x, eval_on
 from .errors import DomainError
 
 __all__ = [
     "NodeTable",
     "build_node_table",
+    "node_values",
     "remainder",
+    "bernstein_apply",
     "akr_apply",
     "fixed_point_error",
 ]
@@ -38,13 +41,10 @@ class NodeTable:
 
 
 def _check_nj(n, j):
-    n = int(n)
     j = int(j)
     if j < 2:
         raise DomainError(f"order j must be >= 2, got {j}")
-    if n < j:
-        raise DomainError(f"degree must satisfy n >= j, got n={n}, j={j}")
-    return n, j
+    return check_degree(n, j), j
 
 
 def build_node_table(n, j=2):
@@ -62,6 +62,14 @@ def build_node_table(n, j=2):
     return NodeTable(n=n, j=j, nodes=nodes)
 
 
+def node_values(n, j):
+    """Sampling nodes for k = 0..n of the order-j operator: k/n for j = 1
+    (Bernstein), the node table for j >= 2.  Callers check n and j."""
+    if j == 1:
+        return np.arange(n + 1, dtype=np.float64) / n
+    return build_node_table(n, j).nodes
+
+
 def remainder(n, k):
     """Node correction term for j = 2:
 
@@ -70,9 +78,7 @@ def remainder(n, k):
     evaluated directly from the four terms (not via the node table) so the
     two computations can be cross-checked.  ``k`` may be an array.
     """
-    n = int(n)
-    if n < 2:
-        raise DomainError(f"degree must be >= 2, got {n}")
+    n = check_degree(n, 2)
     k = np.asarray(k)
     if np.any(k < 0) or np.any(k > n):
         raise DomainError(f"index must lie in [0, {n}]")
@@ -86,20 +92,24 @@ def remainder(n, k):
     return float(value) if value.ndim == 0 else value
 
 
-def akr_apply(f, n, j, x):
-    """Evaluate the modified-node operator of f at x.
-
-    Same weights, support window and summation discipline as
-    ``bernstein_apply``; only the sampling nodes differ.
-    """
-    n, j = _check_nj(n, j)
-    x = float(x)
-    if not 0.0 <= x <= 1.0:
-        raise DomainError(f"point must lie in [0, 1], got {x}")
+def _apply(f, n, j, x):
+    """Order-j operator of f at x: f sampled at the nodes of the weights'
+    support window, summed against the weights in ascending k with
+    compensated summation."""
     lo, hi = support(n, x)
     w = np.exp(log_weights(n, x, lo, hi))
-    nodes = build_node_table(n, j).nodes[lo : hi + 1]
-    return comp_dot(eval_on(f.eval, nodes), w)
+    return comp_dot(eval_on(f.eval, node_values(n, j)[lo : hi + 1]), w)
+
+
+def bernstein_apply(f, n, x):
+    """Evaluate the degree-n Bernstein operator of f at x (order 1)."""
+    return _apply(f, check_degree(n), 1, _check_x(x))
+
+
+def akr_apply(f, n, j, x):
+    """Evaluate the modified-node operator of order j >= 2 of f at x."""
+    n, j = _check_nj(n, j)
+    return _apply(f, n, j, _check_x(x))
 
 
 def fixed_point_error(n, j, grid_size):
@@ -111,9 +121,8 @@ def fixed_point_error(n, j, grid_size):
     grid_size = int(grid_size)
     if grid_size < 2:
         raise DomainError(f"grid size must be >= 2, got {grid_size}")
-    table = build_node_table(n, j)
     ones = np.ones(n + 1)
-    powers = table.nodes**j
+    powers = node_values(n, j) ** j
     worst = 0.0
     for x in np.linspace(0.0, 1.0, grid_size):
         w = np.exp(log_weights(n, x))

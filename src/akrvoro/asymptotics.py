@@ -9,13 +9,12 @@ extrapolator for the series.
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
-from ._kernels import comp_dot, log_weights, support
-from .akr import akr_apply, build_node_table, remainder
-from .basis import bernstein_apply
+from ._kernels import check_degree, comp_dot, log_weights, support
+from .akr import akr_apply, bernstein_apply, node_values, remainder
 from .errors import CapabilityError, DomainError
 from .fd import fd_derivative_1d, fd_partials_2d
 from .tensor import (
@@ -30,6 +29,8 @@ from .tensor import (
 
 __all__ = [
     "SERIES_KINDS",
+    "KINDS",
+    "SeriesKind",
     "ConvergenceSeries",
     "ExtrapolationResult",
     "Decomposition",
@@ -44,18 +45,6 @@ __all__ = [
     "rate_estimates",
     "extrapolate",
 ]
-
-SERIES_KINDS = (
-    "bernstein-1d",
-    "akr-1d",
-    "bernstein-2d",
-    "akr-2d",
-    "akr-minus-bernstein-2d",
-    "lemma-sum",
-)
-
-_KINDS_1D = ("bernstein-1d", "akr-1d", "lemma-sum")
-_KINDS_POSITIVE = ("akr-1d", "akr-2d", "akr-minus-bernstein-2d", "lemma-sum")
 
 
 # --------------------------------------------------------------------------
@@ -125,24 +114,16 @@ class Decomposition:
 # --------------------------------------------------------------------------
 
 
-def _derivative_1d(f, x, order, allow_fd):
+def _derivative_1d(f, x, order):
     fn = f.d1 if order == 1 else f.d2
     if fn is not None:
         return float(fn(x))
-    if not allow_fd:
-        raise CapabilityError(
-            f"order-{order} derivative not provided and finite differences disabled"
-        )
     return fd_derivative_1d(f.eval, x, order)
 
 
-def _first_partials(f, p, allow_fd):
+def _first_partials(f, p):
     if f.fx is not None and f.fy is not None:
         return float(f.fx(p.x, p.y)), float(f.fy(p.x, p.y))
-    if not allow_fd:
-        raise CapabilityError(
-            "first partials not provided and finite differences disabled"
-        )
     fx, fy = fd_partials_2d(f.eval, p.x, p.y, 1)
     if f.fx is not None:
         fx = float(f.fx(p.x, p.y))
@@ -151,13 +132,9 @@ def _first_partials(f, p, allow_fd):
     return fx, fy
 
 
-def _pure_second_partials(f, p, allow_fd):
+def _pure_second_partials(f, p):
     if f.fxx is not None and f.fyy is not None:
         return float(f.fxx(p.x, p.y)), float(f.fyy(p.x, p.y))
-    if not allow_fd:
-        raise CapabilityError(
-            "second partials not provided and finite differences disabled"
-        )
     fxx, _, fyy = fd_partials_2d(f.eval, p.x, p.y, 2)
     if f.fxx is not None:
         fxx = float(f.fxx(p.x, p.y))
@@ -180,9 +157,7 @@ def _check_positive_x(x, name="x"):
 
 def lemma_sum(n, x):
     """n * sum_{k>=1} p(n,k,x) remainder(n,k); non-negative, vanishing in n."""
-    n = int(n)
-    if n < 2:
-        raise DomainError(f"degree must be >= 2, got {n}")
+    n = check_degree(n, 2)
     x = _check_positive_x(x)
     lo, hi = support(n, x)
     lo = max(lo, 1)
@@ -190,29 +165,29 @@ def lemma_sum(n, x):
     return n * comp_dot(w, remainder(n, np.arange(lo, hi + 1)))
 
 
-def voronovskaja_rhs_1d(f, x, allow_fd=True):
+def voronovskaja_rhs_1d(f, x):
     """x(1-x)/2 f'' - (1-x)/2 f', the 1-d modified-node saturation limit."""
     x = _check_positive_x(x)
-    d1 = _derivative_1d(f, x, 1, allow_fd)
-    d2 = _derivative_1d(f, x, 2, allow_fd)
+    d1 = _derivative_1d(f, x, 1)
+    d2 = _derivative_1d(f, x, 2)
     return 0.5 * x * (1.0 - x) * d2 - 0.5 * (1.0 - x) * d1
 
 
-def classical_rhs_1d(f, x, allow_fd=True):
+def classical_rhs_1d(f, x):
     """x(1-x)/2 f'', the classical 1-d saturation limit."""
     x = float(x)
     if not 0.0 <= x <= 1.0:
         raise DomainError(f"x must lie in [0, 1], got {x}")
-    return 0.5 * x * (1.0 - x) * _derivative_1d(f, x, 2, allow_fd)
+    return 0.5 * x * (1.0 - x) * _derivative_1d(f, x, 2)
 
 
-def voronovskaja_rhs_2d(f, p, allow_fd=True):
+def voronovskaja_rhs_2d(f, p):
     """Square-domain saturation limit of the modified-node tensor operator."""
     p = as_point(p)
     _check_positive_x(p.x, "x")
     _check_positive_x(p.y, "y")
-    fx, fy = _first_partials(f, p, allow_fd)
-    fxx, fyy = _pure_second_partials(f, p, allow_fd)
+    fx, fy = _first_partials(f, p)
+    fxx, fyy = _pure_second_partials(f, p)
     return (
         0.5 * p.x * (1.0 - p.x) * fxx
         + 0.5 * p.y * (1.0 - p.y) * fyy
@@ -221,14 +196,14 @@ def voronovskaja_rhs_2d(f, p, allow_fd=True):
     )
 
 
-def classical_rhs_2d(f, p, allow_fd=True):
+def classical_rhs_2d(f, p):
     """x(1-x)/2 fxx + y(1-y)/2 fyy, the classical tensor saturation limit."""
     p = as_point(p)
-    fxx, fyy = _pure_second_partials(f, p, allow_fd)
+    fxx, fyy = _pure_second_partials(f, p)
     return 0.5 * p.x * (1.0 - p.x) * fxx + 0.5 * p.y * (1.0 - p.y) * fyy
 
 
-def drift_rhs_2d(f, p, allow_fd=True):
+def drift_rhs_2d(f, p):
     """-(1-x)/2 fx - (1-y)/2 fy, the first-order node-drift limit.
 
     Equals voronovskaja_rhs_2d - classical_rhs_2d.
@@ -236,7 +211,7 @@ def drift_rhs_2d(f, p, allow_fd=True):
     p = as_point(p)
     _check_positive_x(p.x, "x")
     _check_positive_x(p.y, "y")
-    fx, fy = _first_partials(f, p, allow_fd)
+    fx, fy = _first_partials(f, p)
     return -0.5 * (1.0 - p.x) * fx - 0.5 * (1.0 - p.y) * fy
 
 
@@ -252,14 +227,12 @@ def decomposition(f, n, p):
     uniform grid, f_term does the same in y, and g_residual is the exact
     difference total - e_term - f_term.  Requires exact first partials.
     """
-    n = int(n)
-    if n < 2:
-        raise DomainError(f"degree must be >= 2, got {n}")
+    n = check_degree(n, 2)
     p = as_point(p)
     if f.fx is None or f.fy is None:
         raise CapabilityError("decomposition requires exact first partials")
-    uniform = np.arange(n + 1, dtype=np.float64) / n
-    nodes = build_node_table(n, 2).nodes
+    uniform = node_values(n, 1)
+    nodes = node_values(n, 2)
     drift = nodes - uniform
     x_window = _axis_window(n, p.x)
     y_window = _axis_window(n, p.y)
@@ -283,21 +256,58 @@ def decomposition(f, n, p):
 # --------------------------------------------------------------------------
 
 
-def _series_value(kind, f, point, n, j):
-    if kind == "lemma-sum":
-        return lemma_sum(n, point)
-    if kind == "bernstein-1d":
-        return n * (bernstein_apply(f, n, point) - float(f.eval(point)))
-    if kind == "akr-1d":
-        return n * (akr_apply(f, n, j, point) - float(f.eval(point)))
-    if kind == "bernstein-2d":
-        return n * (tensor_bernstein_apply(f, n, point) - float(f.eval(point.x, point.y)))
-    if kind == "akr-2d":
-        return n * (tensor_akr_apply(f, n, j, point) - float(f.eval(point.x, point.y)))
-    # akr-minus-bernstein-2d
-    return n * (
-        tensor_akr_apply(f, n, j, point) - tensor_bernstein_apply(f, n, point)
-    )
+@dataclass(frozen=True)
+class SeriesKind:
+    """How one kind of scaled series is computed and what it converges to.
+
+    ``value(f, n, j, point)`` is the series at degree n; ``limit(f, point)``
+    its limit at j = 2.  ``operator(f, n, j, point)`` is the operator value
+    for kinds whose series is n (Op_n f - f) at the point.  The point has
+    ``arity`` coordinates, all strictly positive when ``positive``, and is a
+    float (arity 1) or a SquarePoint (arity 2).  ``uses_f`` is False for a
+    series that does not depend on f.
+    """
+
+    arity: int
+    positive: bool
+    value: Callable
+    limit: Callable
+    operator: Optional[Callable] = None
+    uses_f: bool = True
+
+
+def _operator_kind(arity, positive, operator, limit):
+    def value(f, n, j, point):
+        at = f.eval(point) if arity == 1 else f.eval(point.x, point.y)
+        return n * (operator(f, n, j, point) - float(at))
+
+    return SeriesKind(arity, positive, value, limit, operator)
+
+
+def _drift_value(f, n, j, p):
+    return n * (tensor_akr_apply(f, n, j, p) - tensor_bernstein_apply(f, n, p))
+
+
+def _lemma_value(f, n, j, x):
+    if j != 2:
+        raise DomainError("the remainder sum is defined for j = 2 only")
+    return lemma_sum(n, x)
+
+
+KINDS = {
+    "bernstein-1d": _operator_kind(
+        1, False, lambda f, n, j, x: bernstein_apply(f, n, x), classical_rhs_1d
+    ),
+    "akr-1d": _operator_kind(1, True, akr_apply, voronovskaja_rhs_1d),
+    "bernstein-2d": _operator_kind(
+        2, False, lambda f, n, j, p: tensor_bernstein_apply(f, n, p), classical_rhs_2d
+    ),
+    "akr-2d": _operator_kind(2, True, tensor_akr_apply, voronovskaja_rhs_2d),
+    "akr-minus-bernstein-2d": SeriesKind(2, True, _drift_value, drift_rhs_2d),
+    "lemma-sum": SeriesKind(1, True, _lemma_value, lambda f, x: 0.0, uses_f=False),
+}
+
+SERIES_KINDS = tuple(KINDS)
 
 
 def residual_series(kind, f, point, n0=64, doublings=7, j=2):
@@ -305,37 +315,38 @@ def residual_series(kind, f, point, n0=64, doublings=7, j=2):
 
     ``f`` is a Function1D or Function2D matching the kind's arity and is
     ignored for kind 'lemma-sum'.  Strictly positive coordinates are
-    required for the modified-node kinds.
+    required for the modified-node kinds.  The whole schedule is checked
+    against MAX_DEGREE before any operator runs.
     """
-    if kind not in SERIES_KINDS:
+    if kind not in KINDS:
         raise DomainError(
             f"unknown series kind {kind!r}; expected one of {', '.join(SERIES_KINDS)}"
         )
+    spec = KINDS[kind]
     n0 = int(n0)
     doublings = int(doublings)
     j = int(j)
     if j < 2:
         raise DomainError(f"order j must be >= 2, got {j}")
-    if kind == "lemma-sum" and j != 2:
-        raise DomainError("the remainder sum is defined for j = 2 only")
     if doublings < 2:
         raise DomainError(f"schedule too short to extrapolate: doublings={doublings}")
     if n0 < max(2, j):
         raise DomainError(f"n0 must be >= max(2, j), got {n0}")
+    check_degree(n0 * 2**doublings)
 
-    if kind in _KINDS_1D:
+    if spec.arity == 1:
         point = float(point)
         if not 0.0 <= point <= 1.0:
             raise DomainError(f"point must lie in [0, 1], got {point}")
-        if kind in _KINDS_POSITIVE and point == 0.0:
-            raise DomainError(f"kind {kind!r} requires a strictly positive point")
+        coords = (point,)
     else:
         point = as_point(point)
-        if kind in _KINDS_POSITIVE and (point.x == 0.0 or point.y == 0.0):
-            raise DomainError(f"kind {kind!r} requires strictly positive coordinates")
+        coords = (point.x, point.y)
+    if spec.positive and 0.0 in coords:
+        raise DomainError(f"kind {kind!r} requires strictly positive coordinates")
 
     ns = [n0 * 2**m for m in range(doublings + 1)]
-    entries = tuple((n, float(_series_value(kind, f, point, n, j))) for n in ns)
+    entries = tuple((n, float(spec.value(f, n, j, point))) for n in ns)
     return ConvergenceSeries(entries=entries, operator_kind=kind, point=point)
 
 

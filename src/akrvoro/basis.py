@@ -1,4 +1,4 @@
-"""One-dimensional Bernstein basis and operator evaluation on [0, 1]."""
+"""One-dimensional Bernstein basis weights on [0, 1]."""
 
 import math
 from dataclasses import dataclass
@@ -6,14 +6,13 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._kernels import comp_dot, log_weights, support
+from ._kernels import check_degree, log_weights
 from .errors import DomainError
 
 __all__ = [
     "Function1D",
     "basis_weight",
     "weight_vector",
-    "bernstein_apply",
 ]
 
 
@@ -43,9 +42,7 @@ def basis_weight(n, k, x):
     Exact 0/1 at the endpoints; a single exponentiation everywhere else, so
     the result is non-negative by construction.
     """
-    n = int(n)
-    if n < 1:
-        raise DomainError(f"degree must be >= 1, got {n}")
+    n = check_degree(n)
     k = int(k)
     if not 0 <= k <= n:
         raise DomainError(f"index must lie in [0, {n}], got {k}")
@@ -55,9 +52,7 @@ def basis_weight(n, k, x):
 
 def weight_vector(n, x):
     """All n+1 basis weights at x as a vector (the per-point hot path)."""
-    n = int(n)
-    if n < 1:
-        raise DomainError(f"degree must be >= 1, got {n}")
+    n = check_degree(n)
     x = _check_x(x)
     return np.exp(log_weights(n, x))
 
@@ -69,18 +64,3 @@ def eval_on(func, nodes):
         out = np.broadcast_to(out, nodes.shape)
     return out
 
-
-def bernstein_apply(f, n, x):
-    """Evaluate the degree-n Bernstein operator of f at x.
-
-    Samples f at the uniform nodes k/n of the weights' support window and
-    accumulates the weighted sum in ascending k with compensated summation.
-    """
-    n = int(n)
-    if n < 1:
-        raise DomainError(f"degree must be >= 1, got {n}")
-    x = _check_x(x)
-    lo, hi = support(n, x)
-    w = np.exp(log_weights(n, x, lo, hi))
-    nodes = np.arange(lo, hi + 1, dtype=np.float64) / n
-    return comp_dot(eval_on(f.eval, nodes), w)

@@ -65,19 +65,25 @@ def _monomial_1d(p):
     return Function1D(eval=ev, d1=d1, d2=d2)
 
 
-def _monomial_2d(p, q):
-    gp, gq = _monomial_1d(p), _monomial_1d(q)
+def _product(g, h, sup_bounds):
+    """f(s,t) = g(s) h(t) with its partials from those of g and h."""
     return Function2D(
-        eval=lambda s, t: gp.eval(s) * gq.eval(t),
-        fx=lambda s, t: gp.d1(s) * gq.eval(t),
-        fy=lambda s, t: gp.eval(s) * gq.d1(t),
-        fxx=lambda s, t: gp.d2(s) * gq.eval(t),
-        fxy=lambda s, t: gp.d1(s) * gq.d1(t),
-        fyy=lambda s, t: gp.eval(s) * gq.d2(t),
-        sup_bounds=SupBounds(
-            fxx=float(p * (p - 1)), fxy=float(p * q), fyy=float(q * (q - 1))
-        ),
-        factors=(gp, gq),
+        eval=lambda s, t: g.eval(s) * h.eval(t),
+        fx=lambda s, t: g.d1(s) * h.eval(t),
+        fy=lambda s, t: g.eval(s) * h.d1(t),
+        fxx=lambda s, t: g.d2(s) * h.eval(t),
+        fxy=lambda s, t: g.d1(s) * h.d1(t),
+        fyy=lambda s, t: g.eval(s) * h.d2(t),
+        sup_bounds=sup_bounds,
+        factors=(g, h),
+    )
+
+
+def _monomial_2d(p, q):
+    return _product(
+        _monomial_1d(p),
+        _monomial_1d(q),
+        SupBounds(fxx=float(p * (p - 1)), fxy=float(p * q), fyy=float(q * (q - 1))),
     )
 
 
@@ -87,6 +93,7 @@ def _exp_1d():
 
 def _exp_sum():
     e2 = float(np.exp(2.0))  # sup of every second partial, attained at (1,1)
+    # exp(s + t), not exp(s) exp(t): the product rounds differently
     ev = lambda s, t: np.exp(np.asarray(s, dtype=np.float64) + t)
     return Function2D(
         eval=ev, fx=ev, fy=ev, fxx=ev, fxy=ev, fyy=ev,
@@ -108,16 +115,7 @@ def _sinpix_cospiy():
         d2=lambda t: -(pi**2) * np.cos(pi * np.asarray(t, dtype=np.float64)),
     )
     p2 = float(pi**2)
-    return Function2D(
-        eval=lambda s, t: sin_part.eval(s) * cos_part.eval(t),
-        fx=lambda s, t: sin_part.d1(s) * cos_part.eval(t),
-        fy=lambda s, t: sin_part.eval(s) * cos_part.d1(t),
-        fxx=lambda s, t: sin_part.d2(s) * cos_part.eval(t),
-        fxy=lambda s, t: sin_part.d1(s) * cos_part.d1(t),
-        fyy=lambda s, t: sin_part.eval(s) * cos_part.d2(t),
-        sup_bounds=SupBounds(fxx=p2, fxy=p2, fyy=p2),
-        factors=(sin_part, cos_part),
-    )
+    return _product(sin_part, cos_part, SupBounds(fxx=p2, fxy=p2, fyy=p2))
 
 
 def _runge_2d():

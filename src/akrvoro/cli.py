@@ -10,35 +10,23 @@ JSON mode.
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass, fields
 from typing import List, Optional
 
+from ._kernels import check_degree
 from .acceptance import relative_ok, run_all
-from .akr import akr_apply, build_node_table
+from .akr import build_node_table
 from .asymptotics import (
-    classical_rhs_1d,
-    classical_rhs_2d,
+    KINDS,
     decomposition,
-    drift_rhs_2d,
     extrapolate,
     rate_estimates,
     residual_series,
-    voronovskaja_rhs_1d,
-    voronovskaja_rhs_2d,
 )
-from .basis import bernstein_apply
 from .catalog import lookup
 from .errors import CapabilityError, DomainError, UnknownFunctionError
-from .tensor import tensor_akr_apply, tensor_bernstein_apply
-
-_OPERATOR_KINDS = (
-    "bernstein-1d",
-    "akr-1d",
-    "bernstein-2d",
-    "akr-2d",
-    "akr-minus-bernstein-2d",
-)
 
 DEFAULT_TOLERANCE = 1e-2
 
@@ -86,7 +74,11 @@ def build_parser():
     common(p)
 
     p = sub.add_parser("eval", help="evaluate one operator value")
-    p.add_argument("--kind", choices=_OPERATOR_KINDS[:4], required=True)
+    p.add_argument(
+        "--kind",
+        choices=[name for name, kind in KINDS.items() if kind.operator],
+        required=True,
+    )
     p.add_argument("--fn", dest="fn_name", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--j", type=int, default=2)
@@ -96,7 +88,11 @@ def build_parser():
     p = sub.add_parser(
         "residual", help="scaled residual series plus extrapolated limit"
     )
-    p.add_argument("--kind", choices=_OPERATOR_KINDS, required=True)
+    p.add_argument(
+        "--kind",
+        choices=[name for name, kind in KINDS.items() if kind.uses_f],
+        required=True,
+    )
     p.add_argument("--fn", dest="fn_name", required=True)
     p.add_argument("--point", type=float, nargs="+", required=True)
     p.add_argument("--n0", type=int, default=64)
@@ -150,6 +146,11 @@ def _config_from_args(args):
     }
     if values.get("criteria") is not None:
         values["criteria"] = _parse_criteria(values["criteria"])
+    if values.get("doublings") is not None and values["doublings"] < 0:
+        raise DomainError(f"--doublings must be >= 0, got {values['doublings']}")
+    tolerance = values.get("tolerance")
+    if tolerance is not None and not (math.isfinite(tolerance) and tolerance >= 0.0):
+        raise DomainError(f"--tolerance must be finite and >= 0, got {tolerance}")
     return RunConfig(**values)
 
 
@@ -177,59 +178,31 @@ def _series_rows(series):
     ]
 
 
-def _residual_target(cfg, entry, point):
-    if cfg.j is not None and cfg.j != 2:
-        return None
-    f = entry.function
-    try:
-        if cfg.kind == "bernstein-1d":
-            return classical_rhs_1d(f, point)
-        if cfg.kind == "akr-1d":
-            return voronovskaja_rhs_1d(f, point)
-        if cfg.kind == "bernstein-2d":
-            return classical_rhs_2d(f, point)
-        if cfg.kind == "akr-2d":
-            return voronovskaja_rhs_2d(f, point)
-        return drift_rhs_2d(f, point)
-    except CapabilityError:
-        return None
-
-
 def _cmd_nodes(cfg):
     table = build_node_table(cfg.n, cfg.j)
     rows = [{"k": k, "t": float(t)} for k, t in enumerate(table.nodes)]
     return rows, {}, 0
 
 
-def _cmd_eval(cfg):
-    arity = 1 if cfg.kind.endswith("1d") else 2
-    entry = _entry_for(cfg, arity)
-    point = cfg.point
-    if len(point) != arity:
-        raise DomainError(
-            f"kind {cfg.kind!r} needs {arity} point coordinate(s), got {len(point)}"
-        )
-    f = entry.function
-    if cfg.kind == "bernstein-1d":
-        value = bernstein_apply(f, cfg.n, point[0])
-    elif cfg.kind == "akr-1d":
-        value = akr_apply(f, cfg.n, cfg.j, point[0])
-    elif cfg.kind == "bernstein-2d":
-        value = tensor_bernstein_apply(f, cfg.n, tuple(point))
-    else:
-        value = tensor_akr_apply(f, cfg.n, cfg.j, tuple(point))
-    rows = [{"n": cfg.n, "value": float(value)}]
-    return rows, {"value": float(value)}, 0
-
-
-def _cmd_residual(cfg):
-    arity = 1 if cfg.kind.endswith("1d") else 2
+def _entry_and_point(cfg, arity):
     entry = _entry_for(cfg, arity)
     if len(cfg.point) != arity:
         raise DomainError(
             f"kind {cfg.kind!r} needs {arity} point coordinate(s), got {len(cfg.point)}"
         )
-    point = cfg.point[0] if arity == 1 else tuple(cfg.point)
+    return entry, cfg.point[0] if arity == 1 else tuple(cfg.point)
+
+
+def _cmd_eval(cfg):
+    kind = KINDS[cfg.kind]
+    entry, point = _entry_and_point(cfg, kind.arity)
+    value = float(kind.operator(entry.function, cfg.n, cfg.j, point))
+    return [{"n": cfg.n, "value": value}], {"value": value}, 0
+
+
+def _cmd_residual(cfg):
+    kind = KINDS[cfg.kind]
+    entry, point = _entry_and_point(cfg, kind.arity)
     series = residual_series(
         cfg.kind,
         entry.function,
@@ -239,7 +212,8 @@ def _cmd_residual(cfg):
         j=cfg.j,
     )
     result = extrapolate(series)
-    target = _residual_target(cfg, entry, point)
+    # the limits are known at j = 2 only
+    target = kind.limit(entry.function, point) if cfg.j == 2 else None
     verdict = None
     if target is not None:
         passed, _ = relative_ok(result.limit_estimate, target, cfg.tolerance)
@@ -279,6 +253,8 @@ def _cmd_decompose(cfg):
     entry = _entry_for(cfg, 2)
     f = entry.function
     point = tuple(cfg.point)
+    # refuse the last degree of the schedule before computing any row
+    check_degree(cfg.n0 * 2**cfg.doublings, 2)
     bound_const = (
         f.sup_bounds.taylor_constant() if f.sup_bounds is not None else None
     )

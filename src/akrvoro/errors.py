@@ -6,7 +6,7 @@ class DomainError(ValueError):
 
 
 class CapabilityError(RuntimeError):
-    """A required derivative is missing and fallbacks are disabled."""
+    """A required exact derivative is missing and no fallback applies."""
 
 
 class UnknownFunctionError(KeyError):

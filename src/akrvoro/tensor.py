@@ -1,6 +1,7 @@
 """Tensor-product operators on the unit square.
 
-Both operators apply the same one-dimensional rule in each coordinate:
+Both operators apply the same one-dimensional rule of order j in each
+coordinate (j = 1 is Bernstein, j >= 2 the modified-node operator):
 f is sampled on the node grid restricted to the weights' support window in
 each axis and contracted against the two windowed weight vectors.  The
 general path streams the value grid in row blocks through a compensated
@@ -13,8 +14,8 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from ._kernels import bilinear_accumulate, comp_dot, log_weights, support
-from .akr import _check_nj, build_node_table
+from ._kernels import bilinear_accumulate, check_degree, comp_dot, log_weights, support
+from .akr import _check_nj, node_values
 from .basis import Function1D, eval_on
 from .errors import DomainError
 
@@ -124,24 +125,21 @@ def _window_apply(f, nodes, x_window, y_window, use_separability=True):
     return tensor_reduce(f.eval, nodes[sx], nodes[sy], wx, wy)
 
 
-def tensor_bernstein_apply(f, n, p, *, use_separability=True):
-    """Tensor-product Bernstein operator of f at p, degree n in each axis."""
-    n = int(n)
-    if n < 1:
-        raise DomainError(f"degree must be >= 1, got {n}")
+def _apply(f, n, j, p, use_separability):
+    """Tensor operator of order j of f at p; one node grid serves both axes."""
     p = as_point(p)
-    nodes = np.arange(n + 1, dtype=np.float64) / n
+    nodes = node_values(n, j)
     return _window_apply(
         f, nodes, _axis_window(n, p.x), _axis_window(n, p.y), use_separability
     )
+
+
+def tensor_bernstein_apply(f, n, p, *, use_separability=True):
+    """Tensor-product Bernstein operator of f at p, degree n in each axis."""
+    return _apply(f, check_degree(n), 1, p, use_separability)
 
 
 def tensor_akr_apply(f, n, j, p, *, use_separability=True):
-    """Tensor-product modified-node operator of f at p; one shared node
-    table serves both axes."""
+    """Tensor-product modified-node operator of order j >= 2 of f at p."""
     n, j = _check_nj(n, j)
-    p = as_point(p)
-    nodes = build_node_table(n, j).nodes
-    return _window_apply(
-        f, nodes, _axis_window(n, p.x), _axis_window(n, p.y), use_separability
-    )
+    return _apply(f, n, j, p, use_separability)

@@ -82,8 +82,6 @@ def test_voronovskaja_rhs_1d_finite_difference_fallback():
     eval_only = Function1D(eval=np.exp)
     exact = -0.125 * math.exp(0.5)
     assert voronovskaja_rhs_1d(eval_only, 0.5) == pytest.approx(exact, abs=1e-8)
-    with pytest.raises(CapabilityError):
-        voronovskaja_rhs_1d(eval_only, 0.5, allow_fd=False)
 
 
 def test_classical_rhs_1d_value():
@@ -135,8 +133,6 @@ def test_rhs_2d_finite_difference_fallback():
     eval_only = Function2D(eval=lambda s, t: np.exp(s + t))
     got = voronovskaja_rhs_2d(eval_only, (0.5, 0.5))
     assert got == pytest.approx(-0.25 * math.e, abs=1e-5)
-    with pytest.raises(CapabilityError):
-        voronovskaja_rhs_2d(eval_only, (0.5, 0.5), allow_fd=False)
 
 
 # --------------------------------------------------------------------------
@@ -234,6 +230,18 @@ def test_residual_series_argument_validation():
     es = lookup("exp-sum").function
     with pytest.raises(DomainError):
         residual_series("akr-2d", es, (0.0, 0.5))
+
+
+@pytest.mark.parametrize("kind", ["akr-1d", "bernstein-2d", "lemma-sum"])
+def test_residual_series_refuses_a_schedule_past_the_degree_cap(kind):
+    def never(*args):
+        raise AssertionError("an operator ran")
+
+    f = Function1D(eval=never) if kind == "akr-1d" else Function2D(eval=never)
+    point = 0.5 if kind != "bernstein-2d" else (0.5, 0.5)
+    # 64 * 2^15 = 2 MAX_DEGREE
+    with pytest.raises(DomainError, match="degree must be <="):
+        residual_series(kind, f, point, n0=64, doublings=15)
 
 
 def test_bernstein_1d_series_vanishes_for_identity():

@@ -1,11 +1,12 @@
+import argparse
 import csv
 import json
 import math
 
 import pytest
 
-from akrvoro import build_node_table
-from akrvoro.cli import main
+from akrvoro import SERIES_KINDS, build_node_table
+from akrvoro.cli import build_parser, main
 
 
 def run_cli(capsys, argv):
@@ -303,6 +304,58 @@ def test_positivity_requirement_is_enforced(capsys):
     )
     assert code == 2
     assert "positive" in err
+
+
+def test_kind_choices_come_from_series_kinds():
+    sub = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    for command, count in (("eval", 4), ("residual", 5)):
+        kind = next(a for a in sub.choices[command]._actions if a.dest == "kind")
+        assert list(kind.choices) == list(SERIES_KINDS[:count])
+
+
+def assert_structured_error(capsys, argv):
+    code, out, err = run_cli(capsys, argv + ["--format", "json"])
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"]["type"] == "DomainError"
+
+
+_HUGE = "1000000000000000"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["nodes", "--n", _HUGE],
+        ["eval", "--kind", "akr-1d", "--fn", "e1", "--n", _HUGE, "--point", "0.5"],
+        ["eval", "--kind", "bernstein-2d", "--fn", "runge-2d", "--n", _HUGE,
+         "--point", "0.5", "0.5"],
+        ["residual", "--kind", "akr-2d", "--fn", "runge-2d", "--point", "0.5", "0.5",
+         "--doublings", "40"],
+        ["lemma", "--x", "0.5", "--doublings", "40"],
+        # the first rows are cheap; the last degree, 64 * 2^20, is refused first
+        ["decompose", "--fn", "exp-sum", "--point", "0.5", "0.5", "--doublings", "20"],
+    ],
+)
+def test_degree_past_the_cap_is_a_structured_error(argv, capsys):
+    assert_structured_error(capsys, argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decompose", "--fn", "exp-sum", "--point", "0.5", "0.5", "--doublings", "-1"],
+    ]
+    + [
+        ["residual", "--kind", "akr-1d", "--fn", "e1", "--point", "0.5",
+         "--n0", "16", "--doublings", "4", "--tolerance", tol]
+        for tol in ("-1", "nan", "inf")
+    ]
+    + [["lemma", "--x", "0.5", "--tolerance", tol] for tol in ("-1", "nan", "inf")],
+)
+def test_bad_doublings_and_tolerance_are_structured_errors(argv, capsys):
+    assert_structured_error(capsys, argv)
 
 
 def test_argparse_rejects_bad_usage():

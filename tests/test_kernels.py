@@ -158,3 +158,39 @@ def test_import_leaves_out_scipy_and_numba():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+def test_check_degree_bounds():
+    assert _kernels.check_degree(np.int64(5)) == 5
+    assert _kernels.check_degree(_kernels.MAX_DEGREE) == _kernels.MAX_DEGREE
+    assert _kernels.check_degree(2, 2) == 2
+    for n, least in ((0, 1), (1, 2), (_kernels.MAX_DEGREE + 1, 1), (10**15, 1)):
+        with pytest.raises(akrvoro.DomainError):
+            _kernels.check_degree(n, least)
+
+
+_TOO_BIG = 10**15
+_ONES_1D = akrvoro.Function1D(eval=np.ones_like)
+_ONES_2D = akrvoro.Function2D(eval=lambda s, t: 1.0, fx=lambda s, t: 0.0,
+                              fy=lambda s, t: 0.0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: akrvoro.basis_weight(_TOO_BIG, 0, 0.5),
+        lambda: akrvoro.weight_vector(_TOO_BIG, 0.5),
+        lambda: akrvoro.bernstein_apply(_ONES_1D, _TOO_BIG, 0.5),
+        lambda: akrvoro.akr_apply(_ONES_1D, _TOO_BIG, 2, 0.5),
+        lambda: akrvoro.build_node_table(_TOO_BIG, 2),
+        lambda: akrvoro.fixed_point_error(_TOO_BIG, 2, 3),
+        lambda: akrvoro.remainder(_TOO_BIG, 0),
+        lambda: akrvoro.tensor_bernstein_apply(_ONES_2D, _TOO_BIG, (0.5, 0.5)),
+        lambda: akrvoro.tensor_akr_apply(_ONES_2D, _TOO_BIG, 2, (0.5, 0.5)),
+        lambda: akrvoro.lemma_sum(_TOO_BIG, 0.5),
+        lambda: akrvoro.decomposition(_ONES_2D, _TOO_BIG, (0.5, 0.5)),
+    ],
+)
+def test_every_operator_refuses_a_degree_past_the_cap(call):
+    with pytest.raises(akrvoro.DomainError, match="degree must be <="):
+        call()
