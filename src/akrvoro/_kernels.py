@@ -7,6 +7,7 @@ saddle-point split below with vectorized numpy.  Reduction order is fixed
 (ascending index, rows outer), so results are deterministic.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -80,6 +81,29 @@ def _stirlerr_py(m):
     return (_S0 - (_S1 - (_S2 - (_S3 - _S4 / m2) / m2) / m2) / m2) / m
 
 
+# Degrees up to this keep their x-independent terms in a cache: at most
+# _TERMS_CACHE_SIZE entries of 2 (n - 1) doubles each, about 2 MB at the
+# worst.  Larger degrees compute them on the requested window only.
+_TERMS_MAX_DEGREE = 8192
+_TERMS_CACHE_SIZE = 16
+
+
+def _degree_terms(n, k):
+    """head = s(n) - s(k) - s(n-k) and tail = 0.5 ln(n / (2 pi k (n-k)))."""
+    head = _stirlerr_py(float(n)) - _stirlerr_np(k) - _stirlerr_np(n - k)
+    tail = 0.5 * np.log(n / (2.0 * math.pi * k * (n - k)))
+    return head, tail
+
+
+@functools.lru_cache(maxsize=_TERMS_CACHE_SIZE)
+def _cached_degree_terms(n):
+    """Read-only head and tail for k = 1..n-1 (index k - 1)."""
+    terms = _degree_terms(n, np.arange(1.0, float(n)))
+    for t in terms:
+        t.flags.writeable = False
+    return terms
+
+
 def log_weights(n, x, lo=0, hi=None):
     """ln basis weights for degree n at point x, indices lo..hi (default
     all n+1)."""
@@ -100,14 +124,22 @@ def log_weights(n, x, lo=0, hi=None):
     if k1 < k0:
         return lw
     k = np.arange(float(k0), float(k1 + 1))
-    lw[k0 - lo : k1 - lo + 1] = (
-        _stirlerr_py(float(n))
-        - _stirlerr_np(k)
-        - _stirlerr_np(n - k)
-        - _bd0_np(k, n * x)
-        - _bd0_np(n - k, n * (1.0 - x))
-        + 0.5 * np.log(n / (2.0 * math.pi * k * (n - k)))
+    if n <= _TERMS_MAX_DEGREE:
+        head, tail = _cached_degree_terms(n)
+        head, tail = head[k0 - 1 : k1], tail[k0 - 1 : k1]
+    else:
+        head, tail = _degree_terms(n, k)
+    # bd0 is elementwise, so one call serves k against n x and n - k
+    # against n (1 - x)
+    size = k.size
+    bd0 = _bd0_np(
+        np.concatenate((k, n - k)), np.array((n * x, n * (1.0 - x))).repeat(size)
     )
+    # in place, in the order s(n) - s(k) - s(n-k) - bd0 - bd0 + tail
+    inner = lw[k0 - lo : k1 - lo + 1]
+    np.subtract(head, bd0[:size], out=inner)
+    inner -= bd0[size:]
+    inner += tail
     return lw
 
 
@@ -121,30 +153,44 @@ def _stirlerr_np(m):
     return out
 
 
+# The series for bd0 runs only where |v| < 0.1, so each term is at most 0.01
+# of the one before it, and the first term left out after `terms` of them is
+# below v2_max^terms times the sum.  With v2_max^terms <= 2^-60 every term
+# left out is far below half an ulp of the sum, so a fixed number of terms
+# gives the same bits as summing until the sum stops changing.
+_SERIES_LOG_EPS = -60.0 * math.log(2.0)
+
+
 def _bd0_np(a, m):
-    a = np.asarray(a, dtype=float)
-    m = np.broadcast_to(np.asarray(m, dtype=float), a.shape)
-    out = np.empty(a.shape)
-    near = np.abs(a - m) < 0.1 * (a + m)
-    an, mn = a[near], m[near]
-    v = (an - mn) / (an + mn)
-    s = (an - mn) * v
-    ej = 2.0 * an * v
-    v2 = v * v
-    j = 1
-    while ej.size:
-        ej = ej * v2
-        s1 = s + ej / (2 * j + 1)
-        if np.array_equal(s1, s):
-            break
-        s = s1
-        j += 1
+    d = a - m
+    t = a + m
+    near = np.abs(d) < 0.1 * t
+    far = ~near
+    an, dn = a[near], d[near]
+    v = dn / t[near]
+    s = dn * v
+    if s.size:
+        ej = 2.0 * an * v
+        v2 = v * v
+        v2_max = float(v2.max())
+        terms = math.ceil(_SERIES_LOG_EPS / math.log(v2_max)) if v2_max else 0
+        for j in range(1, terms + 1):
+            ej *= v2
+            s += ej / (2 * j + 1)
+    # t is not read again, so its buffer takes the result
+    out = t
     out[near] = s
-    af, mf = a[~near], m[~near]
-    # af/mf may overflow when mf is subnormal (x within a few ulp of 0 or
-    # 1); the inf propagates to a -inf log weight, i.e. an exact 0 weight
+    # in place: af * log(af / mf) + mf - af, in that order; af / mf may
+    # overflow when mf is subnormal (x within a few ulp of 0 or 1), and the
+    # inf propagates to a -inf log weight, i.e. an exact 0 weight
+    af, mf = a[far], m[far]
     with np.errstate(over="ignore"):
-        out[~near] = af * np.log(af / mf) + mf - af
+        q = af / mf
+    np.log(q, out=q)
+    q *= af
+    q += mf
+    q -= af
+    out[far] = q
     return out
 
 

@@ -261,11 +261,12 @@ class SeriesKind:
     """How one kind of scaled series is computed and what it converges to.
 
     ``value(f, n, j, point)`` is the series at degree n; ``limit(f, point)``
-    its limit at j = 2.  ``operator(f, n, j, point)`` is the operator value
-    for kinds whose series is n (Op_n f - f) at the point.  The point has
-    ``arity`` coordinates, all strictly positive when ``positive``, and is a
-    float (arity 1) or a SquarePoint (arity 2).  ``uses_f`` is False for a
-    series that does not depend on f.
+    its limit at j = 2, or at every j for a series that ignores j (``uses_j``
+    False).  ``operator(f, n, j, point)`` is the operator value for kinds
+    whose series is n (Op_n f - f) at the point.  The point has ``arity``
+    coordinates, all strictly positive when ``positive``, and is a float
+    (arity 1) or a SquarePoint (arity 2).  ``uses_f`` is False for a series
+    that does not depend on f.
     """
 
     arity: int
@@ -274,14 +275,15 @@ class SeriesKind:
     limit: Callable
     operator: Optional[Callable] = None
     uses_f: bool = True
+    uses_j: bool = True
 
 
-def _operator_kind(arity, positive, operator, limit):
+def _operator_kind(arity, positive, operator, limit, uses_j=True):
     def value(f, n, j, point):
         at = f.eval(point) if arity == 1 else f.eval(point.x, point.y)
         return n * (operator(f, n, j, point) - float(at))
 
-    return SeriesKind(arity, positive, value, limit, operator)
+    return SeriesKind(arity, positive, value, limit, operator, uses_j=uses_j)
 
 
 def _drift_value(f, n, j, p):
@@ -296,11 +298,13 @@ def _lemma_value(f, n, j, x):
 
 KINDS = {
     "bernstein-1d": _operator_kind(
-        1, False, lambda f, n, j, x: bernstein_apply(f, n, x), classical_rhs_1d
+        1, False, lambda f, n, j, x: bernstein_apply(f, n, x), classical_rhs_1d,
+        uses_j=False,
     ),
     "akr-1d": _operator_kind(1, True, akr_apply, voronovskaja_rhs_1d),
     "bernstein-2d": _operator_kind(
-        2, False, lambda f, n, j, p: tensor_bernstein_apply(f, n, p), classical_rhs_2d
+        2, False, lambda f, n, j, p: tensor_bernstein_apply(f, n, p), classical_rhs_2d,
+        uses_j=False,
     ),
     "akr-2d": _operator_kind(2, True, tensor_akr_apply, voronovskaja_rhs_2d),
     "akr-minus-bernstein-2d": SeriesKind(2, True, _drift_value, drift_rhs_2d),
@@ -315,8 +319,9 @@ def residual_series(kind, f, point, n0=64, doublings=7, j=2):
 
     ``f`` is a Function1D or Function2D matching the kind's arity and is
     ignored for kind 'lemma-sum'.  Strictly positive coordinates are
-    required for the modified-node kinds.  The whole schedule is checked
-    against MAX_DEGREE before any operator runs.
+    required for the modified-node kinds.  n0 must be at least 2, and at
+    least j for a kind that uses j.  The whole schedule is checked against
+    MAX_DEGREE before any operator runs.
     """
     if kind not in KINDS:
         raise DomainError(
@@ -330,8 +335,9 @@ def residual_series(kind, f, point, n0=64, doublings=7, j=2):
         raise DomainError(f"order j must be >= 2, got {j}")
     if doublings < 2:
         raise DomainError(f"schedule too short to extrapolate: doublings={doublings}")
-    if n0 < max(2, j):
-        raise DomainError(f"n0 must be >= max(2, j), got {n0}")
+    least = max(2, j) if spec.uses_j else 2
+    if n0 < least:
+        raise DomainError(f"n0 must be >= {least}, got {n0}")
     check_degree(n0 * 2**doublings)
 
     if spec.arity == 1:

@@ -232,6 +232,16 @@ def test_residual_series_argument_validation():
         residual_series("akr-2d", es, (0.0, 0.5))
 
 
+@pytest.mark.parametrize("kind, point", [("bernstein-1d", 0.3), ("bernstein-2d", (0.3, 0.7))])
+def test_bernstein_series_ignore_j_and_start_at_degree_two(kind, point):
+    f = lookup("e3" if kind == "bernstein-1d" else "runge-2d").function
+    at_j2 = residual_series(kind, f, point, n0=2, doublings=3)
+    at_j5 = residual_series(kind, f, point, n0=2, doublings=3, j=5)
+    assert at_j5.entries == at_j2.entries
+    with pytest.raises(DomainError, match="n0 must be >= 2"):
+        residual_series(kind, f, point, n0=1, doublings=3, j=5)
+
+
 @pytest.mark.parametrize("kind", ["akr-1d", "bernstein-2d", "lemma-sum"])
 def test_residual_series_refuses_a_schedule_past_the_degree_cap(kind):
     def never(*args):

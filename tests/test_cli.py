@@ -2,6 +2,7 @@ import argparse
 import csv
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -259,6 +260,41 @@ def test_residual_with_general_order_reports_without_verdict(capsys):
     payload = json.loads(out)
     assert payload["summary"]["verdict"] is None
     assert payload["summary"]["target"] is None
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "golden, argv",
+    [
+        ("residual_bernstein_1d_e3.csv",
+         ["--kind", "bernstein-1d", "--fn", "e3", "--point", "0.3"]),
+        ("residual_bernstein_2d_runge.csv",
+         ["--kind", "bernstein-2d", "--fn", "runge-2d", "--point", "0.3", "0.7"]),
+    ],
+)
+def test_bernstein_residual_ignores_j_and_keeps_its_verdict(golden, argv, capsys):
+    # the Bernstein series does not depend on j, so --j 3 prints the j = 2
+    # rows, limit and verdict byte for byte
+    code, out, _ = run_cli(
+        capsys, ["residual", *argv, "--n0", "16", "--doublings", "4", "--j", "3"]
+    )
+    assert code == 0
+    assert out == (GOLDEN / golden).read_text()
+
+
+def test_bernstein_residual_accepts_n0_two_at_any_j(capsys):
+    code, out, err = run_cli(
+        capsys,
+        ["residual", "--kind", "bernstein-1d", "--fn", "e3", "--point", "0.3",
+         "--n0", "2", "--doublings", "4", "--j", "3", "--format", "json"],
+    )
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["rows"][0]["n"] == 2
+    assert payload["summary"]["target"] == pytest.approx(0.189, rel=1e-12)
+    assert payload["summary"]["verdict"] == "PASS"
 
 
 def test_unknown_function_is_a_usage_error_with_json_error_object(capsys):

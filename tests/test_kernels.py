@@ -93,14 +93,15 @@ def test_log_weights_partition_of_unity(n, x):
     assert abs(math.fsum(w) - 1.0) <= 1e-14
 
 
-@pytest.mark.parametrize("n", [5, 50, 500, 5000])
+@pytest.mark.parametrize("n", [2, 5, 50, 64, 500, 1024, 5000, 8192])
 def test_log_weights_against_high_precision(n):
-    x = mp.mpf(0.37)
-    w = np.exp(_kernels.log_weights(n, float(x)))
-    for k in (0, 1, n // 3, n // 2, int(round(0.37 * n)), n - 1, n):
-        exact = mp.binomial(n, k) * x**k * (1 - x) ** (n - k)
-        if exact > mp.mpf("1e-300"):
-            assert abs(w[k] / float(exact) - 1.0) <= 1e-12
+    for x in (0.37, 0.5, 1e-300, 5e-324, 2.0**-53, 1.0 - 2.0**-53):
+        w = np.exp(_kernels.log_weights(n, x))
+        xm = mp.mpf(x)
+        for k in sorted({0, 1, 2, n // 3, n // 2, round(n * x), n - 2, n - 1, n}):
+            exact = mp.binomial(n, k) * xm**k * (1 - xm) ** (n - k)
+            if exact > mp.mpf("1e-300"):
+                assert abs(w[k] / float(exact) - 1.0) <= 1e-12, (x, k)
 
 
 @given(
@@ -117,6 +118,133 @@ def test_windowed_log_weights_are_a_slice_of_the_full_vector(n, x):
     lo, hi = _kernels.support(n, x)
     assert 0 <= lo <= hi <= n
     np.testing.assert_array_equal(_kernels.log_weights(n, x, lo, hi), full[lo : hi + 1])
+
+
+# --------------------------------------------------------------------------
+# Frozen reference: log_weights as it was before the per-degree cache, the
+# single bd0 call and the fixed-length series.  Every weight of the kernel
+# must equal this one bit for bit.
+# --------------------------------------------------------------------------
+
+_FROZEN_STIRLERR = np.array(
+    [
+        0.0,
+        0.081061466795327258219670264,
+        0.041340695955409294093822081,
+        0.0276779256849983391487892927,
+        0.020790672103765093111522771,
+        0.0166446911898211921631948653,
+        0.013876128823070747998745727,
+        0.0118967099458917700950557241,
+        0.010411265261972096497478567,
+        0.0092554621827127329177286366,
+        0.008330563433362871256469318,
+        0.0075736754879518407949720242,
+        0.006942840107209529865664152,
+        0.0064089941880042070684396310,
+        0.005951370112758847735624416,
+        0.0055547335519628013710386899,
+    ]
+)
+_S = (1.0 / 12.0, 1.0 / 360.0, 1.0 / 1260.0, 1.0 / 1680.0, 1.0 / 1188.0)
+
+
+def _frozen_stirlerr(m):
+    out = np.empty_like(m)
+    small = m < 16.0
+    out[small] = _FROZEN_STIRLERR[m[small].astype(np.intp)]
+    mm = m[~small]
+    m2 = mm * mm
+    s0, s1, s2, s3, s4 = _S
+    out[~small] = (s0 - (s1 - (s2 - (s3 - s4 / m2) / m2) / m2) / m2) / mm
+    return out
+
+
+def _frozen_bd0(a, m):
+    m = np.broadcast_to(m, a.shape)
+    out = np.empty(a.shape)
+    near = np.abs(a - m) < 0.1 * (a + m)
+    an, mn = a[near], m[near]
+    v = (an - mn) / (an + mn)
+    s = (an - mn) * v
+    ej = 2.0 * an * v
+    v2 = v * v
+    j = 1
+    while ej.size:
+        ej = ej * v2
+        s1 = s + ej / (2 * j + 1)
+        if np.array_equal(s1, s):
+            break
+        s = s1
+        j += 1
+    out[near] = s
+    af, mf = a[~near], m[~near]
+    with np.errstate(over="ignore"):
+        out[~near] = af * np.log(af / mf) + mf - af
+    return out
+
+
+def _frozen_log_weights(n, x, lo=0, hi=None):
+    hi = n if hi is None else hi
+    lw = np.empty(hi - lo + 1)
+    if x == 0.0 or x == 1.0:
+        lw[:] = -np.inf
+        mode = 0 if x == 0.0 else n
+        if lo <= mode <= hi:
+            lw[mode - lo] = 0.0
+        return lw
+    if lo == 0:
+        lw[0] = n * math.log1p(-x)
+    if hi == n:
+        lw[-1] = n * math.log(x)
+    k0 = max(lo, 1)
+    k1 = min(hi, n - 1)
+    if k1 < k0:
+        return lw
+    k = np.arange(float(k0), float(k1 + 1))
+    sn = _frozen_stirlerr(np.array([float(n)]))[0]
+    lw[k0 - lo : k1 - lo + 1] = (
+        sn
+        - _frozen_stirlerr(k)
+        - _frozen_stirlerr(n - k)
+        - _frozen_bd0(k, n * x)
+        - _frozen_bd0(n - k, n * (1.0 - x))
+        + 0.5 * np.log(n / (2.0 * math.pi * k * (n - k)))
+    )
+    return lw
+
+
+@given(
+    st.one_of(
+        st.integers(min_value=1, max_value=4096),
+        st.sampled_from([8192, 8193, 65536]),
+    ),
+    st.one_of(
+        st.sampled_from([0.0, 1.0, 5e-324, 1e-300, 1.0 - 2.0**-53]),
+        st.floats(min_value=0.0, max_value=1.0),
+    ),
+    st.integers(min_value=0, max_value=2**20),
+)
+@settings(max_examples=300, deadline=None)
+def test_log_weights_are_bit_identical_to_the_frozen_reference(n, x, cut):
+    np.testing.assert_array_equal(_kernels.log_weights(n, x), _frozen_log_weights(n, x))
+    lo, hi = _kernels.support(n, x)
+    np.testing.assert_array_equal(
+        _kernels.log_weights(n, x, lo, hi), _frozen_log_weights(n, x, lo, hi)
+    )
+    # an arbitrary sub-range, which may end inside the window or outside it
+    lo, hi = sorted((cut % (n + 1), (cut // 7) % (n + 1)))
+    np.testing.assert_array_equal(
+        _kernels.log_weights(n, x, lo, hi), _frozen_log_weights(n, x, lo, hi)
+    )
+
+
+def test_cached_degree_terms_are_read_only():
+    for n in (2, 64, 8192):
+        for terms in _kernels._cached_degree_terms(n):
+            assert terms.shape == (n - 1,)
+            with pytest.raises(ValueError):
+                terms[0] = 0.0
 
 
 def _binomial_pmf(n, x):
