@@ -5,14 +5,7 @@ limit extrapolation, and an exact drift decomposition.
 """
 
 from ._kernels import backend
-from .akr import (
-    NodeTable,
-    akr_apply,
-    bernstein_apply,
-    build_node_table,
-    fixed_point_error,
-    remainder,
-)
+from .akr import NodeTable, build_node_table, fixed_point_error, remainder
 from .asymptotics import (
     SERIES_KINDS,
     ConvergenceSeries,
@@ -35,11 +28,12 @@ from .basis import (
 )
 from .catalog import CatalogEntry, catalog_names, lookup
 from .errors import CapabilityError, DomainError, UnknownFunctionError
-from .fd import finite_difference_partials
 from .tensor import (
     Function2D,
     SquarePoint,
     SupBounds,
+    akr_apply,
+    bernstein_apply,
     tensor_akr_apply,
     tensor_bernstein_apply,
 )
@@ -76,7 +70,6 @@ __all__ = [
     "CapabilityError",
     "DomainError",
     "UnknownFunctionError",
-    "finite_difference_partials",
     "Function2D",
     "SquarePoint",
     "SupBounds",

@@ -142,7 +142,7 @@ def _square_limits(kind):
         f = lookup(fn_name).function
         series = residual_series(kind, f, point, n0=64, doublings=7)
         limit = extrapolate(series).limit_estimate
-        good, err = relative_ok(limit, KINDS[kind].limit(f, point), 2e-2)
+        good, err = relative_ok(limit, KINDS[kind].limit(f, point, 2), 2e-2)
         ok = ok and good
         detail.append(f"{fn_name}@{point}: err {err:.1e}")
     return ok, "; ".join(detail)

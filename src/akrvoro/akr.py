@@ -1,9 +1,10 @@
-"""Operators on [0, 1] that fix the constant and the j-th monomial.
+"""Sampling nodes of the operators that fix the constant and the j-th monomial.
 
 The degree-n operator of order j samples at nodes
 t(n,k,j) = (k (k-1) ... (k-j+1) / (n (n-1) ... (n-j+1)))^(1/j)
 and keeps the Bernstein weights.  At j = 1 the nodes are k/n, so the
-Bernstein operator is the order-1 case and shares the one operator body.
+Bernstein operator is the order-1 case; the operators themselves live in
+``tensor``, one body for [0, 1] and the square.
 ``remainder`` is the j = 2 node correction term whose weighted sums govern
 the operator's first-order asymptotics.
 """
@@ -12,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import check_degree, comp_dot, log_weights, support
-from .basis import _check_x, eval_on
+from ._kernels import check_degree, comp_dot, log_weights
 from .errors import DomainError
 
 __all__ = [
@@ -21,8 +21,6 @@ __all__ = [
     "build_node_table",
     "node_values",
     "remainder",
-    "bernstein_apply",
-    "akr_apply",
     "fixed_point_error",
 ]
 
@@ -90,26 +88,6 @@ def remainder(n, k):
         + kf / (2.0 * n * n)
     )
     return float(value) if value.ndim == 0 else value
-
-
-def _apply(f, n, j, x):
-    """Order-j operator of f at x: f sampled at the nodes of the weights'
-    support window, summed against the weights in ascending k with
-    compensated summation."""
-    lo, hi = support(n, x)
-    w = np.exp(log_weights(n, x, lo, hi))
-    return comp_dot(eval_on(f.eval, node_values(n, j)[lo : hi + 1]), w)
-
-
-def bernstein_apply(f, n, x):
-    """Evaluate the degree-n Bernstein operator of f at x (order 1)."""
-    return _apply(f, check_degree(n), 1, _check_x(x))
-
-
-def akr_apply(f, n, j, x):
-    """Evaluate the modified-node operator of order j >= 2 of f at x."""
-    n, j = _check_nj(n, j)
-    return _apply(f, n, j, _check_x(x))
 
 
 def fixed_point_error(n, j, grid_size):

@@ -1,7 +1,8 @@
 """First-order asymptotics of the operators.
 
 Provides the scaled residual series n*(Op_n f - f) along a degree-doubling
-schedule, the limiting differential expressions those series approach, the
+schedule, the limiting differential expression those series approach (one
+formula for every order j on [0, 1] and on the square), the
 exact first-order drift decomposition of the difference between the
 modified-node and classical tensor operators, and an empirical rate/limit
 extrapolator for the series.
@@ -14,14 +15,16 @@ from typing import Callable, Optional, Tuple, Union
 import numpy as np
 
 from ._kernels import check_degree, comp_dot, log_weights, support
-from .akr import akr_apply, bernstein_apply, node_values, remainder
+from .akr import node_values, remainder
 from .errors import CapabilityError, DomainError
-from .fd import fd_derivative_1d, fd_partials_2d
 from .tensor import (
     SquarePoint,
     _axis_window,
+    _coords,
     _window_apply,
+    akr_apply,
     as_point,
+    bernstein_apply,
     tensor_akr_apply,
     tensor_bernstein_apply,
     tensor_reduce,
@@ -110,42 +113,10 @@ class Decomposition:
 
 
 # --------------------------------------------------------------------------
-# Derivative access with finite-difference fallback
-# --------------------------------------------------------------------------
-
-
-def _derivative_1d(f, x, order):
-    fn = f.d1 if order == 1 else f.d2
-    if fn is not None:
-        return float(fn(x))
-    return fd_derivative_1d(f.eval, x, order)
-
-
-def _first_partials(f, p):
-    if f.fx is not None and f.fy is not None:
-        return float(f.fx(p.x, p.y)), float(f.fy(p.x, p.y))
-    fx, fy = fd_partials_2d(f.eval, p.x, p.y, 1)
-    if f.fx is not None:
-        fx = float(f.fx(p.x, p.y))
-    if f.fy is not None:
-        fy = float(f.fy(p.x, p.y))
-    return fx, fy
-
-
-def _pure_second_partials(f, p):
-    if f.fxx is not None and f.fyy is not None:
-        return float(f.fxx(p.x, p.y)), float(f.fyy(p.x, p.y))
-    fxx, _, fyy = fd_partials_2d(f.eval, p.x, p.y, 2)
-    if f.fxx is not None:
-        fxx = float(f.fxx(p.x, p.y))
-    if f.fyy is not None:
-        fyy = float(f.fyy(p.x, p.y))
-    return fxx, fyy
-
-
-# --------------------------------------------------------------------------
 # Limit expressions
 # --------------------------------------------------------------------------
+
+_EPS = float(np.finfo(np.float64).eps)
 
 
 def _check_positive_x(x, name="x"):
@@ -165,42 +136,69 @@ def lemma_sum(n, x):
     return n * comp_dot(w, remainder(n, np.arange(lo, hi + 1)))
 
 
+def _partials(f, coords, order):
+    """The exact pure partials of f of this order, one per axis, at coords."""
+    if len(coords) == 1:
+        fns = (f.d1,) if order == 1 else (f.d2,)
+    else:
+        fns = (f.fx, f.fy) if order == 1 else (f.fxx, f.fyy)
+    if any(fn is None for fn in fns):
+        kind = "first" if order == 1 else "second"
+        raise CapabilityError(f"the limit requires exact {kind} partials")
+    return [float(fn(*coords)) for fn in fns]
+
+
+def _limit(f, coords, j, diffusion=True):
+    """sum_i x_i(1-x_i)/2 f_ii - sum_i (j-1)(1-x_i)/2 f_i at the point coords.
+
+    The first-order limit of n (Op_n f - f) for the order-j operator on
+    [0, 1]^d, d = len(coords): the nodes t(n,k,j) = k/n - (j-1)(1-k/n)/(2n)
+    + O(n^-2) add the drift terms to the Bernstein (j = 1) diffusion terms.
+    Without ``diffusion`` it is the limit of n (A_n f - B_n f).  The terms
+    are summed left to right, diffusion first, each in axis order.  Order
+    j >= 2 needs strictly positive coordinates.
+    """
+    if j != 1:
+        for i, x in enumerate(coords):
+            _check_positive_x(x, "xy"[i])
+    terms = []
+    if diffusion:
+        second = _partials(f, coords, 2)
+        terms += [0.5 * x * (1.0 - x) * fii for x, fii in zip(coords, second)]
+    if j != 1:
+        first = _partials(f, coords, 1)
+        terms += [-(0.5 * (j - 1) * (1.0 - x) * fi) for x, fi in zip(coords, first)]
+    value = terms[0]
+    for term in terms[1:]:
+        value += term
+    # Each term carries a relative error of a few eps/2 (its partial and up
+    # to four roundings), and the left-to-right sum adds at most
+    # (len(terms) - 1) eps/2 of sum|terms|.  A value within 16 eps sum|terms|
+    # is what an exact cancellation leaves, as for e_j at order j, whose
+    # limit is 0: in double precision it cannot be told from 0.
+    if abs(value) <= 16.0 * _EPS * sum(abs(t) for t in terms):
+        return 0.0
+    return value
+
+
 def voronovskaja_rhs_1d(f, x):
     """x(1-x)/2 f'' - (1-x)/2 f', the 1-d modified-node saturation limit."""
-    x = _check_positive_x(x)
-    d1 = _derivative_1d(f, x, 1)
-    d2 = _derivative_1d(f, x, 2)
-    return 0.5 * x * (1.0 - x) * d2 - 0.5 * (1.0 - x) * d1
+    return _limit(f, _coords(x, 1), 2)
 
 
 def classical_rhs_1d(f, x):
     """x(1-x)/2 f'', the classical 1-d saturation limit."""
-    x = float(x)
-    if not 0.0 <= x <= 1.0:
-        raise DomainError(f"x must lie in [0, 1], got {x}")
-    return 0.5 * x * (1.0 - x) * _derivative_1d(f, x, 2)
+    return _limit(f, _coords(x, 1), 1)
 
 
 def voronovskaja_rhs_2d(f, p):
     """Square-domain saturation limit of the modified-node tensor operator."""
-    p = as_point(p)
-    _check_positive_x(p.x, "x")
-    _check_positive_x(p.y, "y")
-    fx, fy = _first_partials(f, p)
-    fxx, fyy = _pure_second_partials(f, p)
-    return (
-        0.5 * p.x * (1.0 - p.x) * fxx
-        + 0.5 * p.y * (1.0 - p.y) * fyy
-        - 0.5 * (1.0 - p.x) * fx
-        - 0.5 * (1.0 - p.y) * fy
-    )
+    return _limit(f, _coords(p, 2), 2)
 
 
 def classical_rhs_2d(f, p):
     """x(1-x)/2 fxx + y(1-y)/2 fyy, the classical tensor saturation limit."""
-    p = as_point(p)
-    fxx, fyy = _pure_second_partials(f, p)
-    return 0.5 * p.x * (1.0 - p.x) * fxx + 0.5 * p.y * (1.0 - p.y) * fyy
+    return _limit(f, _coords(p, 2), 1)
 
 
 def drift_rhs_2d(f, p):
@@ -208,11 +206,7 @@ def drift_rhs_2d(f, p):
 
     Equals voronovskaja_rhs_2d - classical_rhs_2d.
     """
-    p = as_point(p)
-    _check_positive_x(p.x, "x")
-    _check_positive_x(p.y, "y")
-    fx, fy = _first_partials(f, p)
-    return -0.5 * (1.0 - p.x) * fx - 0.5 * (1.0 - p.y) * fy
+    return _limit(f, _coords(p, 2), 2, diffusion=False)
 
 
 # --------------------------------------------------------------------------
@@ -234,14 +228,12 @@ def decomposition(f, n, p):
     uniform = node_values(n, 1)
     nodes = node_values(n, 2)
     drift = nodes - uniform
-    x_window = _axis_window(n, p.x)
-    y_window = _axis_window(n, p.y)
-    (sx, wx), (sy, wy) = x_window, y_window
+    windows = (_axis_window(n, p.x), _axis_window(n, p.y))
+    (sx, wx), (sy, wy) = windows
     e_term = n * tensor_reduce(f.fx, uniform[sx], uniform[sy], wx * drift[sx], wy)
     f_term = n * tensor_reduce(f.fy, uniform[sx], uniform[sy], wx, wy * drift[sy])
     total = n * (
-        _window_apply(f, nodes, x_window, y_window)
-        - _window_apply(f, uniform, x_window, y_window)
+        _window_apply(f, nodes, windows) - _window_apply(f, uniform, windows)
     )
     return Decomposition(
         e_term=e_term,
@@ -260,13 +252,14 @@ def decomposition(f, n, p):
 class SeriesKind:
     """How one kind of scaled series is computed and what it converges to.
 
-    ``value(f, n, j, point)`` is the series at degree n; ``limit(f, point)``
-    its limit at j = 2, or at every j for a series that ignores j (``uses_j``
-    False).  ``operator(f, n, j, point)`` is the operator value for kinds
-    whose series is n (Op_n f - f) at the point.  The point has ``arity``
-    coordinates, all strictly positive when ``positive``, and is a float
-    (arity 1) or a SquarePoint (arity 2).  ``uses_f`` is False for a series
-    that does not depend on f.
+    ``value(f, n, j, point)`` is the series at degree n and ``limit(f, point,
+    j)`` its limit; a kind that ignores j (``uses_j`` False) has the limit of
+    its own order at every j.  ``uses_j`` also makes j the least n0.
+    ``operator(f, n, j, point)`` is the operator value for kinds whose series
+    is n (Op_n f - f) at the point.  The point has ``arity`` coordinates, all
+    strictly positive when ``positive``, and is a float (arity 1) or a
+    SquarePoint (arity 2).  ``uses_f`` is False for a series that does not
+    depend on f.
     """
 
     arity: int
@@ -278,12 +271,20 @@ class SeriesKind:
     uses_j: bool = True
 
 
-def _operator_kind(arity, positive, operator, limit, uses_j=True):
+def _limit_of(arity, order=None, diffusion=True):
+    """limit(f, point, j) at the given order, or at j when order is None."""
+    return lambda f, point, j: _limit(f, _coords(point, arity), order or j, diffusion)
+
+
+def _operator_kind(arity, positive, operator, order=None):
+    """The kind n (Op_n f - f); a fixed order (1 for Bernstein) ignores j."""
+
     def value(f, n, j, point):
         at = f.eval(point) if arity == 1 else f.eval(point.x, point.y)
         return n * (operator(f, n, j, point) - float(at))
 
-    return SeriesKind(arity, positive, value, limit, operator, uses_j=uses_j)
+    limit = _limit_of(arity, order)
+    return SeriesKind(arity, positive, value, limit, operator, uses_j=order is None)
 
 
 def _drift_value(f, n, j, p):
@@ -298,17 +299,17 @@ def _lemma_value(f, n, j, x):
 
 KINDS = {
     "bernstein-1d": _operator_kind(
-        1, False, lambda f, n, j, x: bernstein_apply(f, n, x), classical_rhs_1d,
-        uses_j=False,
+        1, False, lambda f, n, j, x: bernstein_apply(f, n, x), order=1
     ),
-    "akr-1d": _operator_kind(1, True, akr_apply, voronovskaja_rhs_1d),
+    "akr-1d": _operator_kind(1, True, akr_apply),
     "bernstein-2d": _operator_kind(
-        2, False, lambda f, n, j, p: tensor_bernstein_apply(f, n, p), classical_rhs_2d,
-        uses_j=False,
+        2, False, lambda f, n, j, p: tensor_bernstein_apply(f, n, p), order=1
     ),
-    "akr-2d": _operator_kind(2, True, tensor_akr_apply, voronovskaja_rhs_2d),
-    "akr-minus-bernstein-2d": SeriesKind(2, True, _drift_value, drift_rhs_2d),
-    "lemma-sum": SeriesKind(1, True, _lemma_value, lambda f, x: 0.0, uses_f=False),
+    "akr-2d": _operator_kind(2, True, tensor_akr_apply),
+    "akr-minus-bernstein-2d": SeriesKind(
+        2, True, _drift_value, _limit_of(2, diffusion=False)
+    ),
+    "lemma-sum": SeriesKind(1, True, _lemma_value, lambda f, x, j: 0.0, uses_f=False),
 }
 
 SERIES_KINDS = tuple(KINDS)
@@ -340,14 +341,8 @@ def residual_series(kind, f, point, n0=64, doublings=7, j=2):
         raise DomainError(f"n0 must be >= {least}, got {n0}")
     check_degree(n0 * 2**doublings)
 
-    if spec.arity == 1:
-        point = float(point)
-        if not 0.0 <= point <= 1.0:
-            raise DomainError(f"point must lie in [0, 1], got {point}")
-        coords = (point,)
-    else:
-        point = as_point(point)
-        coords = (point.x, point.y)
+    coords = _coords(point, spec.arity)
+    point = coords[0] if spec.arity == 1 else as_point(point)
     if spec.positive and 0.0 in coords:
         raise DomainError(f"kind {kind!r} requires strictly positive coordinates")
 

@@ -212,14 +212,9 @@ def _cmd_residual(cfg):
         j=cfg.j,
     )
     result = extrapolate(series)
-    # the limits are known at j = 2, and at every j for a series that ignores j
-    target = (
-        kind.limit(entry.function, point) if cfg.j == 2 or not kind.uses_j else None
-    )
-    verdict = None
-    if target is not None:
-        passed, _ = relative_ok(result.limit_estimate, target, cfg.tolerance)
-        verdict = "PASS" if passed else "FAIL"
+    target = kind.limit(entry.function, point, cfg.j)
+    passed, _ = relative_ok(result.limit_estimate, target, cfg.tolerance)
+    verdict = "PASS" if passed else "FAIL"
     summary = {
         "limit_estimate": result.limit_estimate,
         "rate_estimate": result.rate_estimate,

@@ -1,14 +1,16 @@
-"""Tensor-product operators on the unit square.
+"""Operators on [0, 1] and on the unit square.
 
-Both operators apply the same one-dimensional rule of order j in each
-coordinate (j = 1 is Bernstein, j >= 2 the modified-node operator):
-f is sampled on the node grid restricted to the weights' support window in
-each axis and contracted against the two windowed weight vectors.  The
-general path streams the value grid in row blocks through a compensated
-bilinear reduction (k outer, l inner, both ascending); functions declared
-separable take an exact product fast path of two one-dimensional sums.
+Every operator applies the same one-dimensional rule of order j in each
+coordinate (j = 1 is Bernstein, j >= 2 the modified-node operator): f is
+sampled on the node grid restricted to the weights' support window in each
+axis and contracted against the windowed weight vectors.  On [0, 1] that is
+one compensated dot product.  On the square the general path streams the
+value grid in row blocks through a compensated bilinear reduction (k outer,
+l inner, both ascending); functions declared separable take an exact
+product fast path of one-dimensional sums.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
@@ -16,13 +18,15 @@ import numpy as np
 
 from ._kernels import bilinear_accumulate, check_degree, comp_dot, log_weights, support
 from .akr import _check_nj, node_values
-from .basis import Function1D, eval_on
+from .basis import Function1D, _check_x, eval_on
 from .errors import DomainError
 
 __all__ = [
     "SquarePoint",
     "SupBounds",
     "Function2D",
+    "bernstein_apply",
+    "akr_apply",
     "tensor_bernstein_apply",
     "tensor_akr_apply",
 ]
@@ -113,33 +117,55 @@ def _axis_window(n, x):
     return slice(lo, hi + 1), np.exp(log_weights(n, x, lo, hi))
 
 
-def _window_apply(f, nodes, x_window, y_window, use_separability=True):
-    """Tensor operator of f on one node table shared by both axes, summed
-    over the per-axis windows returned by ``_axis_window``."""
-    (sx, wx), (sy, wy) = x_window, y_window
+def _window_apply(f, nodes, windows, use_separability=True):
+    """Operator of f on one node table shared by every axis, summed over the
+    per-axis windows returned by ``_axis_window``: a compensated dot on
+    [0, 1]; on the square the product of the factors' sums when f declares
+    them, else the blocked double sum."""
+    if len(windows) == 1:
+        ((s, w),) = windows
+        return comp_dot(eval_on(f.eval, nodes[s]), w)
     if use_separability and f.factors is not None:
-        g, h = f.factors
-        return comp_dot(eval_on(g.eval, nodes[sx]), wx) * comp_dot(
-            eval_on(h.eval, nodes[sy]), wy
+        return math.prod(
+            _window_apply(g, nodes, (window,)) for g, window in zip(f.factors, windows)
         )
+    (sx, wx), (sy, wy) = windows
     return tensor_reduce(f.eval, nodes[sx], nodes[sy], wx, wy)
 
 
-def _apply(f, n, j, p, use_separability):
-    """Tensor operator of order j of f at p; one node grid serves both axes."""
-    p = as_point(p)
+def _coords(point, arity):
+    """The coordinates of a point of [0, 1] (arity 1) or of the square."""
+    if arity == 1:
+        return (_check_x(point),)
+    p = as_point(point)
+    return (p.x, p.y)
+
+
+def _apply(f, n, j, coords, use_separability=True):
+    """Operator of order j of f at the point with these coordinates; one node
+    table serves every axis."""
     nodes = node_values(n, j)
-    return _window_apply(
-        f, nodes, _axis_window(n, p.x), _axis_window(n, p.y), use_separability
-    )
+    windows = tuple(_axis_window(n, x) for x in coords)
+    return _window_apply(f, nodes, windows, use_separability)
+
+
+def bernstein_apply(f, n, x):
+    """Evaluate the degree-n Bernstein operator of f at x (order 1)."""
+    return _apply(f, check_degree(n), 1, _coords(x, 1))
+
+
+def akr_apply(f, n, j, x):
+    """Evaluate the modified-node operator of order j >= 2 of f at x."""
+    n, j = _check_nj(n, j)
+    return _apply(f, n, j, _coords(x, 1))
 
 
 def tensor_bernstein_apply(f, n, p, *, use_separability=True):
     """Tensor-product Bernstein operator of f at p, degree n in each axis."""
-    return _apply(f, check_degree(n), 1, p, use_separability)
+    return _apply(f, check_degree(n), 1, _coords(p, 2), use_separability)
 
 
 def tensor_akr_apply(f, n, j, p, *, use_separability=True):
     """Tensor-product modified-node operator of order j >= 2 of f at p."""
     n, j = _check_nj(n, j)
-    return _apply(f, n, j, p, use_separability)
+    return _apply(f, n, j, _coords(p, 2), use_separability)

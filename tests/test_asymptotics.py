@@ -22,6 +22,8 @@ from akrvoro import (
     voronovskaja_rhs_1d,
     voronovskaja_rhs_2d,
 )
+from akrvoro.acceptance import relative_ok
+from akrvoro.asymptotics import KINDS
 
 
 # --------------------------------------------------------------------------
@@ -78,12 +80,6 @@ def test_voronovskaja_rhs_1d_values():
         voronovskaja_rhs_1d(e1, 0.0)
 
 
-def test_voronovskaja_rhs_1d_finite_difference_fallback():
-    eval_only = Function1D(eval=np.exp)
-    exact = -0.125 * math.exp(0.5)
-    assert voronovskaja_rhs_1d(eval_only, 0.5) == pytest.approx(exact, abs=1e-8)
-
-
 def test_classical_rhs_1d_value():
     e2 = lookup("e2").function
     assert classical_rhs_1d(e2, 0.5) == pytest.approx(0.25, rel=1e-15)
@@ -129,10 +125,104 @@ def test_drift_rhs_equals_difference_of_limits():
             assert drift_rhs_2d(f, p) == pytest.approx(expected, rel=1e-12, abs=1e-13)
 
 
-def test_rhs_2d_finite_difference_fallback():
-    eval_only = Function2D(eval=lambda s, t: np.exp(s + t))
-    got = voronovskaja_rhs_2d(eval_only, (0.5, 0.5))
-    assert got == pytest.approx(-0.25 * math.e, abs=1e-5)
+_EVAL_ONLY_1D = Function1D(eval=np.exp)
+_EVAL_ONLY_2D = Function2D(eval=lambda s, t: np.exp(s + t))
+
+
+@pytest.mark.parametrize(
+    "limit, f, point",
+    [
+        (voronovskaja_rhs_1d, _EVAL_ONLY_1D, 0.5),
+        (classical_rhs_1d, _EVAL_ONLY_1D, 0.5),
+        (voronovskaja_rhs_2d, _EVAL_ONLY_2D, (0.5, 0.5)),
+        (classical_rhs_2d, _EVAL_ONLY_2D, (0.5, 0.5)),
+        (drift_rhs_2d, _EVAL_ONLY_2D, (0.5, 0.5)),
+    ],
+)
+def test_limits_require_exact_partials(limit, f, point):
+    with pytest.raises(CapabilityError):
+        limit(f, point)
+
+
+def test_limits_read_only_the_partials_they_need():
+    # the classical limits have no drift terms and need no first partials;
+    # the drift limit has no diffusion terms and needs no second partials
+    f1 = Function1D(eval=np.exp, d2=np.exp)
+    assert classical_rhs_1d(f1, 0.5) == 0.125 * math.exp(0.5)
+    with pytest.raises(CapabilityError):
+        voronovskaja_rhs_1d(f1, 0.5)
+    ev = lambda s, t: np.exp(s + t)
+    second_only = Function2D(eval=ev, fxx=ev, fyy=ev)
+    assert classical_rhs_2d(second_only, (0.5, 0.5)) == 0.25 * math.e
+    first_only = Function2D(eval=ev, fx=ev, fy=ev)
+    assert drift_rhs_2d(first_only, (0.5, 0.5)) == -0.5 * math.e
+
+
+def _monomial_limit(p, j, x):
+    """x(1-x)/2 p(p-1) x^(p-2) - (j-1)(1-x)/2 p x^(p-1), the order-j limit of t^p."""
+    return 0.5 * p * x ** (p - 1) * (1.0 - x) * (p - j)
+
+
+@pytest.mark.parametrize("j", [2, 3, 4])
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_order_j_limit_of_monomials(p, j):
+    f = lookup(f"e{p}").function
+    limit = KINDS["akr-1d"].limit
+    for x in (0.1, 0.3, 0.5, 0.7, 0.9, 1.0):
+        got = limit(f, x, j)
+        if p == j:
+            # t^j is a fixed point of the order-j operator: its limit
+            # cancels exactly and must not be left as rounding
+            assert got == 0.0
+        else:
+            assert got == pytest.approx(_monomial_limit(p, j, x), rel=1e-14)
+
+
+def test_order_j_limit_of_the_fixed_point_on_the_square():
+    f = lookup("monomial(3,3)").function
+    for p in ((0.3, 0.7), (0.7, 0.3), (0.5, 0.9)):
+        assert KINDS["akr-2d"].limit(f, p, 3) == 0.0
+        assert KINDS["akr-2d"].limit(f, p, 2) != 0.0
+
+
+def test_limit_keeps_a_small_value_that_is_not_rounding():
+    # at x = 1/2 the terms are 0.25 (1 + 2^-42) and -0.25, both exact: the
+    # value 2^-44, 512 eps of the terms' sum, is no rounding and must survive
+    f = Function1D(
+        eval=np.exp,
+        d1=lambda t: np.ones_like(t),
+        d2=lambda t: np.full_like(t, 2.0 * (1.0 + 2.0**-42)),
+    )
+    assert voronovskaja_rhs_1d(f, 0.5) == 2.0**-44
+
+
+_ORDER_J_CASES = [
+    ("akr-1d", "e1", 0.3),
+    ("akr-1d", "e3", 0.7),
+    ("akr-2d", "runge-2d", (0.7, 0.3)),
+    ("akr-2d", "exp-sum", (0.7, 0.3)),
+    ("akr-minus-bernstein-2d", "runge-2d", (0.7, 0.3)),
+    ("akr-minus-bernstein-2d", "exp-sum", (0.7, 0.3)),
+]
+
+
+@pytest.mark.parametrize("j", [3, 4, 5])
+@pytest.mark.parametrize("kind, name, point", _ORDER_J_CASES)
+def test_order_j_limit_matches_the_extrapolated_series(kind, name, point, j):
+    f = lookup(name).function
+    series = residual_series(kind, f, point, n0=64, doublings=7, j=j)
+    estimate = extrapolate(series).limit_estimate
+    passed, err = relative_ok(estimate, KINDS[kind].limit(f, point, j), 2e-3)
+    assert passed, err
+
+
+def test_drift_limit_scales_with_order():
+    f = lookup("runge-2d").function
+    base = KINDS["akr-minus-bernstein-2d"].limit(f, (0.7, 0.3), 2)
+    assert base == drift_rhs_2d(f, (0.7, 0.3))
+    for j in (3, 4, 5):
+        got = KINDS["akr-minus-bernstein-2d"].limit(f, (0.7, 0.3), j)
+        assert got == pytest.approx((j - 1) * base, rel=1e-14)
 
 
 # --------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -62,7 +63,9 @@ def test_declared_factors_reproduce_the_function(name):
 
 
 @pytest.mark.parametrize(
-    "name", ["exp-sum", "sinpix-cospiy", "runge-2d", "monomial(3,2)"]
+    "name",
+    ["exp-sum", "sinpix-cospiy", "runge-2d", "monomial(3,2)", "monomial(2,3)",
+     "monomial(0,4)"],
 )
 def test_sup_bounds_hold_on_verification_grid(name):
     f = lookup(name).function
@@ -70,9 +73,13 @@ def test_sup_bounds_hold_on_verification_grid(name):
     s = np.linspace(0.0, 1.0, 201)
     S, T = s[:, None], s[None, :]
     slack = 1.0 + 1e-12
-    assert np.max(np.abs(f.fxx(S, T))) <= bounds.fxx * slack + 1e-300
-    assert np.max(np.abs(f.fxy(S, T))) <= bounds.fxy * slack + 1e-300
-    assert np.max(np.abs(f.fyy(S, T))) <= bounds.fyy * slack + 1e-300
+    for partial in ("fxx", "fxy", "fyy"):
+        sup = np.max(np.abs(np.broadcast_to(getattr(f, partial)(S, T), (201, 201))))
+        bound = getattr(bounds, partial)
+        assert sup <= bound * slack + 1e-300
+        # and the bound is the sup, not a loose constant: the grid holds
+        # every maximiser but runge-2d's fxy one, which it misses by 1.2%
+        assert bound <= 1.02 * sup
 
 
 def test_runge_is_not_separable_in_value():
@@ -92,3 +99,56 @@ def test_monomial_zero_exponent_edge_cases():
     g = lookup("monomial(1,0)").function
     assert float(g.fx(0.0, 0.0)) == 1.0
     assert float(g.fxx(0.5, 0.5)) == 0.0
+
+
+# --------------------------------------------------------------------------
+# every exact partial against mpmath's numerical derivative at 50 digits
+# --------------------------------------------------------------------------
+
+_MP_1D = {
+    "const1": lambda t: mp.mpf(1),
+    "e1": lambda t: t,
+    "e2": lambda t: t**2,
+    "e3": lambda t: t**3,
+}
+
+_MP_2D = {
+    "exp-sum": lambda s, t: mp.exp(s + t),
+    "sinpix-cospiy": lambda s, t: mp.sin(mp.pi * s) * mp.cos(mp.pi * t),
+    "runge-2d": lambda s, t: 1 / (1 + 25 * (s - mp.mpf(0.5)) ** 2
+                                  + 25 * (t - mp.mpf(0.5)) ** 2),
+    "monomial(2,3)": lambda s, t: s**2 * t**3,
+    "monomial(0,4)": lambda s, t: t**4,
+}
+
+_EDGE = (0.0, 0.3, 0.5, 0.85, 1.0)
+
+
+def _close(got, exact):
+    exact = float(exact)
+    assert abs(float(got) - exact) <= 1e-12 * abs(exact) + 1e-14, (got, exact)
+
+
+@pytest.mark.parametrize("name", sorted(_MP_1D))
+def test_1d_derivatives_match_mpmath(name):
+    f = lookup(name).function
+    g = _MP_1D[name]
+    with mp.workdps(50):
+        for x in _EDGE:
+            _close(f.eval(x), g(mp.mpf(x)))
+            _close(f.d1(x), mp.diff(g, mp.mpf(x), 1))
+            _close(f.d2(x), mp.diff(g, mp.mpf(x), 2))
+
+
+@pytest.mark.parametrize("name", sorted(_MP_2D))
+def test_2d_partials_match_mpmath(name):
+    f = lookup(name).function
+    g = _MP_2D[name]
+    orders = {"fx": (1, 0), "fy": (0, 1), "fxx": (2, 0), "fxy": (1, 1), "fyy": (0, 2)}
+    with mp.workdps(50):
+        for x in _EDGE:
+            for y in _EDGE:
+                at = (mp.mpf(x), mp.mpf(y))
+                _close(f.eval(x, y), g(*at))
+                for partial, order in orders.items():
+                    _close(getattr(f, partial)(x, y), mp.diff(g, at, order))

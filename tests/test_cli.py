@@ -235,31 +235,30 @@ def test_residual_schedule_too_short_to_extrapolate(capsys):
     assert "at least 4" in err
 
 
-def test_residual_with_general_order_reports_without_verdict(capsys):
-    code, out, _ = run_cli(
+@pytest.mark.parametrize(
+    "kind, point",
+    [
+        ("akr-1d", ["0.5"]),
+        ("akr-2d", ["0.5", "0.5"]),
+        ("akr-minus-bernstein-2d", ["0.7", "0.3"]),
+    ],
+    ids=["akr-1d", "akr-2d", "drift"],
+)
+@pytest.mark.parametrize("j", ["3", "4"])
+def test_residual_with_general_order_reports_target_and_verdict(kind, point, j, capsys):
+    fn = "e1" if kind == "akr-1d" else "exp-sum"
+    code, out, err = run_cli(
         capsys,
-        [
-            "residual",
-            "--kind",
-            "akr-1d",
-            "--fn",
-            "e1",
-            "--point",
-            "0.5",
-            "--n0",
-            "8",
-            "--doublings",
-            "3",
-            "--j",
-            "3",
-            "--format",
-            "json",
-        ],
+        ["residual", "--kind", kind, "--fn", fn, "--point", *point,
+         "--n0", "64", "--doublings", "5", "--j", j, "--format", "json"],
     )
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["summary"]["verdict"] is None
-    assert payload["summary"]["target"] is None
+    assert code == 0, err
+    summary = json.loads(out)["summary"]
+    assert summary["target"] is not None
+    assert summary["verdict"] == "PASS"
+    if kind == "akr-1d":
+        # -(j-1)(1-x)/2 at x = 1/2
+        assert summary["target"] == -(int(j) - 1) / 4.0
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden"

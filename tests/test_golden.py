@@ -82,6 +82,17 @@ CASES = {
          "--n0", "16", "--doublings", "4", "--format", "json"],
         0,
     ),
+    # order 3: e3 is the fixed point, so its target is exactly 0
+    "residual_akr_1d_e3_j3.csv": (
+        ["residual", "--kind", "akr-1d", "--fn", "e3", "--point", "0.7",
+         "--n0", "64", "--doublings", "7", "--j", "3"],
+        0,
+    ),
+    "residual_akr_2d_runge_j3.csv": (
+        ["residual", "--kind", "akr-2d", "--fn", "runge-2d", "--point", "0.7", "0.3",
+         "--n0", "16", "--doublings", "4", "--j", "3"],
+        1,
+    ),
 }
 
 

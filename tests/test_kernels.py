@@ -1,3 +1,4 @@
+import importlib
 import math
 import os
 import subprocess
@@ -286,6 +287,10 @@ def test_import_leaves_out_scipy_and_numba():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+    # the limits need exact partials; there is no finite-difference module
+    with pytest.raises(ImportError):
+        importlib.import_module("akrvoro.fd")
+    assert "finite_difference_partials" not in akrvoro.__all__
 
 
 def test_check_degree_bounds():
