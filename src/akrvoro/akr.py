@@ -9,6 +9,7 @@ Bernstein operator is the order-1 case; the operators themselves live in
 the operator's first-order asymptotics.
 """
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,15 +28,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class NodeTable:
-    """Sampling nodes t(n,k,j) for k = 0..n at fixed degree n and order j.
+    """Sampling nodes t(n,k,j) for k = lo..hi at fixed degree n and order j.
 
-    nodes[k] = 0 for k < j (a zero factor in the product), nodes[n] = 1
-    exactly, and the sequence is non-decreasing.
+    nodes[i] is t(n, lo + i, j).  Over the full window (0, n): nodes[k] = 0
+    for k < j (a zero factor in the product), nodes[n] = 1 exactly, and the
+    sequence is non-decreasing.
     """
 
     n: int
     j: int
     nodes: np.ndarray
+    lo: int = 0
 
 
 def _check_nj(n, j):
@@ -45,27 +48,48 @@ def _check_nj(n, j):
     return check_degree(n, j), j
 
 
-def build_node_table(n, j=2):
-    """All nodes for degree n and order j as an immutable table."""
+def _check_window(n, lo, hi):
+    """The inclusive index window (lo, hi) as ints, hi = n when None;
+    refused with DomainError unless 0 <= lo <= hi <= n."""
+    hi = n if hi is None else hi
+    try:
+        lo, hi = operator.index(lo), operator.index(hi)
+    except TypeError:
+        msg = f"window bounds must be integers, got ({lo!r}, {hi!r})"
+        raise DomainError(msg) from None
+    if not 0 <= lo <= hi <= n:
+        raise DomainError(f"window must satisfy 0 <= lo <= hi <= {n}, got ({lo}, {hi})")
+    return lo, hi
+
+
+def build_node_table(n, j=2, lo=0, hi=None):
+    """Nodes for degree n and order j at k = lo..hi (default all n+1) as an
+    immutable table.  Each node is computed from k alone, so a window holds
+    the full table's values bit for bit."""
     n, j = _check_nj(n, j)
-    nodes = np.zeros(n + 1)
-    if n > j:
-        k = np.arange(j, n, dtype=np.float64)
+    lo, hi = _check_window(n, lo, hi)
+    nodes = np.zeros(hi - lo + 1)
+    k0, k1 = max(lo, j), min(hi, n - 1)
+    if k0 <= k1:
+        k = np.arange(k0, k1 + 1, dtype=np.float64)
         acc = np.zeros_like(k)
         for i in range(j):
             acc += np.log(k - i) - np.log(float(n - i))
-        nodes[j:n] = np.exp(acc / j)
-    nodes[n] = 1.0
+        nodes[k0 - lo : k1 - lo + 1] = np.exp(acc / j)
+    if hi == n:
+        nodes[-1] = 1.0
     nodes.flags.writeable = False
-    return NodeTable(n=n, j=j, nodes=nodes)
+    return NodeTable(n=n, j=j, nodes=nodes, lo=lo)
 
 
-def node_values(n, j):
-    """Sampling nodes for k = 0..n of the order-j operator: k/n for j = 1
-    (Bernstein), the node table for j >= 2.  Callers check n and j."""
+def node_values(n, j, lo=0, hi=None):
+    """Sampling nodes for k = lo..hi (default 0..n) of the order-j operator:
+    k/n for j = 1 (Bernstein), the node table for j >= 2.  Callers check n
+    and j."""
     if j == 1:
-        return np.arange(n + 1, dtype=np.float64) / n
-    return build_node_table(n, j).nodes
+        lo, hi = _check_window(n, lo, hi)
+        return np.arange(lo, hi + 1, dtype=np.float64) / n
+    return build_node_table(n, j, lo, hi).nodes
 
 
 def remainder(n, k):

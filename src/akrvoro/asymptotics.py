@@ -19,7 +19,7 @@ from .akr import node_values, remainder
 from .errors import CapabilityError, DomainError
 from .tensor import (
     SquarePoint,
-    _axis_window,
+    _axis_windows,
     _coords,
     _window_apply,
     akr_apply,
@@ -225,10 +225,10 @@ def decomposition(f, n, p):
     p = as_point(p)
     if f.fx is None or f.fy is None:
         raise CapabilityError("decomposition requires exact first partials")
-    uniform = node_values(n, 1)
-    nodes = node_values(n, 2)
+    lo, hi, windows = _axis_windows(n, (p.x, p.y))
+    uniform = node_values(n, 1, lo, hi)
+    nodes = node_values(n, 2, lo, hi)
     drift = nodes - uniform
-    windows = (_axis_window(n, p.x), _axis_window(n, p.y))
     (sx, wx), (sy, wy) = windows
     e_term = n * tensor_reduce(f.fx, uniform[sx], uniform[sy], wx * drift[sx], wy)
     f_term = n * tensor_reduce(f.fy, uniform[sx], uniform[sy], wx, wy * drift[sy])
@@ -253,17 +253,16 @@ class SeriesKind:
     """How one kind of scaled series is computed and what it converges to.
 
     ``value(f, n, j, point)`` is the series at degree n and ``limit(f, point,
-    j)`` its limit; a kind that ignores j (``uses_j`` False) has the limit of
-    its own order at every j.  ``uses_j`` also makes j the least n0.
-    ``operator(f, n, j, point)`` is the operator value for kinds whose series
-    is n (Op_n f - f) at the point.  The point has ``arity`` coordinates, all
-    strictly positive when ``positive``, and is a float (arity 1) or a
-    SquarePoint (arity 2).  ``uses_f`` is False for a series that does not
-    depend on f.
+    j)`` its limit; a kind that ignores j (``uses_j`` False) is of order 1
+    and has the Bernstein limit at every j.  A kind that uses j is of order
+    j >= 2: j is its least n0 and its point must have strictly positive
+    coordinates.  ``operator(f, n, j, point)`` is the operator value for
+    kinds whose series is n (Op_n f - f) at the point.  The point has
+    ``arity`` coordinates and is a float (arity 1) or a SquarePoint (arity
+    2).  ``uses_f`` is False for a series that does not depend on f.
     """
 
     arity: int
-    positive: bool
     value: Callable
     limit: Callable
     operator: Optional[Callable] = None
@@ -276,7 +275,7 @@ def _limit_of(arity, order=None, diffusion=True):
     return lambda f, point, j: _limit(f, _coords(point, arity), order or j, diffusion)
 
 
-def _operator_kind(arity, positive, operator, order=None):
+def _operator_kind(arity, operator, order=None):
     """The kind n (Op_n f - f); a fixed order (1 for Bernstein) ignores j."""
 
     def value(f, n, j, point):
@@ -284,7 +283,7 @@ def _operator_kind(arity, positive, operator, order=None):
         return n * (operator(f, n, j, point) - float(at))
 
     limit = _limit_of(arity, order)
-    return SeriesKind(arity, positive, value, limit, operator, uses_j=order is None)
+    return SeriesKind(arity, value, limit, operator, uses_j=order is None)
 
 
 def _drift_value(f, n, j, p):
@@ -299,17 +298,17 @@ def _lemma_value(f, n, j, x):
 
 KINDS = {
     "bernstein-1d": _operator_kind(
-        1, False, lambda f, n, j, x: bernstein_apply(f, n, x), order=1
+        1, lambda f, n, j, x: bernstein_apply(f, n, x), order=1
     ),
-    "akr-1d": _operator_kind(1, True, akr_apply),
+    "akr-1d": _operator_kind(1, akr_apply),
     "bernstein-2d": _operator_kind(
-        2, False, lambda f, n, j, p: tensor_bernstein_apply(f, n, p), order=1
+        2, lambda f, n, j, p: tensor_bernstein_apply(f, n, p), order=1
     ),
-    "akr-2d": _operator_kind(2, True, tensor_akr_apply),
+    "akr-2d": _operator_kind(2, tensor_akr_apply),
     "akr-minus-bernstein-2d": SeriesKind(
-        2, True, _drift_value, _limit_of(2, diffusion=False)
+        2, _drift_value, _limit_of(2, diffusion=False)
     ),
-    "lemma-sum": SeriesKind(1, True, _lemma_value, lambda f, x, j: 0.0, uses_f=False),
+    "lemma-sum": SeriesKind(1, _lemma_value, lambda f, x, j: 0.0, uses_f=False),
 }
 
 SERIES_KINDS = tuple(KINDS)
@@ -319,10 +318,10 @@ def residual_series(kind, f, point, n0=64, doublings=7, j=2):
     """Scaled residuals at degrees n0, 2 n0, ..., n0 * 2^doublings.
 
     ``f`` is a Function1D or Function2D matching the kind's arity and is
-    ignored for kind 'lemma-sum'.  Strictly positive coordinates are
-    required for the modified-node kinds.  n0 must be at least 2, and at
-    least j for a kind that uses j.  The whole schedule is checked against
-    MAX_DEGREE before any operator runs.
+    ignored for kind 'lemma-sum'.  A kind that uses j (order j >= 2) needs
+    strictly positive coordinates and n0 of at least j; every kind needs n0
+    of at least 2.  The whole schedule is checked against MAX_DEGREE before
+    any operator runs.
     """
     if kind not in KINDS:
         raise DomainError(
@@ -343,7 +342,7 @@ def residual_series(kind, f, point, n0=64, doublings=7, j=2):
 
     coords = _coords(point, spec.arity)
     point = coords[0] if spec.arity == 1 else as_point(point)
-    if spec.positive and 0.0 in coords:
+    if spec.uses_j and 0.0 in coords:
         raise DomainError(f"kind {kind!r} requires strictly positive coordinates")
 
     ns = [n0 * 2**m for m in range(doublings + 1)]

@@ -2,12 +2,13 @@
 
 Every operator applies the same one-dimensional rule of order j in each
 coordinate (j = 1 is Bernstein, j >= 2 the modified-node operator): f is
-sampled on the node grid restricted to the weights' support window in each
-axis and contracted against the windowed weight vectors.  On [0, 1] that is
-one compensated dot product.  On the square the general path streams the
-value grid in row blocks through a compensated bilinear reduction (k outer,
-l inner, both ascending); functions declared separable take an exact
-product fast path of one-dimensional sums.
+sampled on the nodes of the weights' support window in each axis and
+contracted against the windowed weight vectors.  The nodes are built only
+on the hull of the axes' windows.  On [0, 1] that is one compensated dot
+product.  On the square the general path streams the value grid in row
+blocks through a compensated bilinear reduction (k outer, l inner, both
+ascending); functions declared separable take an exact product fast path
+of one-dimensional sums.
 """
 
 import math
@@ -110,16 +111,23 @@ def tensor_reduce(func, s_nodes, t_nodes, wx, wy):
     return state[0] + state[1]
 
 
-def _axis_window(n, x):
-    """Support window of the degree-n weights at x, as a slice of a node
-    table, and the weights on it."""
-    lo, hi = support(n, x)
-    return slice(lo, hi + 1), np.exp(log_weights(n, x, lo, hi))
+def _axis_windows(n, coords):
+    """The hull (lo, hi) of the support windows of the degree-n weights at
+    these coordinates, and each axis's window as a slice of a node array
+    over the hull, with the weights on it."""
+    bounds = [support(n, x) for x in coords]
+    lo = min(a for a, _ in bounds)
+    hi = max(b for _, b in bounds)
+    windows = tuple(
+        (slice(a - lo, b - lo + 1), np.exp(log_weights(n, x, a, b)))
+        for x, (a, b) in zip(coords, bounds)
+    )
+    return lo, hi, windows
 
 
 def _window_apply(f, nodes, windows, use_separability=True):
-    """Operator of f on one node table shared by every axis, summed over the
-    per-axis windows returned by ``_axis_window``: a compensated dot on
+    """Operator of f on one node array shared by every axis, summed over the
+    per-axis windows returned by ``_axis_windows``: a compensated dot on
     [0, 1]; on the square the product of the factors' sums when f declares
     them, else the blocked double sum."""
     if len(windows) == 1:
@@ -143,10 +151,9 @@ def _coords(point, arity):
 
 def _apply(f, n, j, coords, use_separability=True):
     """Operator of order j of f at the point with these coordinates; one node
-    table serves every axis."""
-    nodes = node_values(n, j)
-    windows = tuple(_axis_window(n, x) for x in coords)
-    return _window_apply(f, nodes, windows, use_separability)
+    array over the hull of the axes' windows serves every axis."""
+    lo, hi, windows = _axis_windows(n, coords)
+    return _window_apply(f, node_values(n, j, lo, hi), windows, use_separability)
 
 
 def bernstein_apply(f, n, x):

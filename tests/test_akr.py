@@ -1,3 +1,4 @@
+import functools
 import math
 
 import mpmath as mp
@@ -16,6 +17,7 @@ from akrvoro import (
     lookup,
     remainder,
 )
+from akrvoro.akr import node_values
 
 mp.mp.dps = 50
 
@@ -61,6 +63,58 @@ def test_node_table_invariants(n, j):
     k = n // 2
     exact = mp.root(mp.fprod(mp.mpf(k - i) / (n - i) for i in range(j)), j)
     assert nodes[k] == pytest.approx(float(exact), rel=1e-14, abs=0.0)
+
+
+@functools.lru_cache(maxsize=8)
+def full_nodes(n, j):
+    return node_values(n, j)
+
+
+@st.composite
+def node_windows(draw):
+    """(n, j, lo, hi): a window of the degree-n order-j nodes, random or at
+    an edge: below j, one node, ending at n, or the full table."""
+    j = draw(st.integers(min_value=1, max_value=5))
+    n = draw(
+        st.integers(min_value=j, max_value=4096)
+        | st.sampled_from([8192, 65536, 2**20])
+    )
+    shape = draw(st.sampled_from(["random", "below-j", "single", "to-n", "full"]))
+    if shape == "random":
+        lo, hi = sorted(draw(st.integers(min_value=0, max_value=n)) for _ in "ab")
+    elif shape == "below-j":
+        lo = draw(st.integers(min_value=0, max_value=j - 1))
+        hi = draw(st.integers(min_value=lo, max_value=n))
+    elif shape == "single":
+        lo = hi = draw(st.integers(min_value=0, max_value=n))
+    elif shape == "to-n":
+        lo, hi = draw(st.integers(min_value=0, max_value=n)), n
+    else:
+        lo, hi = 0, n
+    return n, j, lo, hi
+
+
+@given(window=node_windows())
+@settings(max_examples=300, deadline=None)
+def test_windowed_nodes_equal_the_full_table_bit_for_bit(window):
+    n, j, lo, hi = window
+    expected = full_nodes(n, j)[lo : hi + 1]
+    np.testing.assert_array_equal(node_values(n, j, lo, hi), expected)
+    if j >= 2:
+        table = build_node_table(n, j, lo, hi)
+        assert (table.n, table.j, table.lo) == (n, j, lo)
+        np.testing.assert_array_equal(table.nodes, expected)
+        assert not table.nodes.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "lo, hi", [(-1, 4), (0, 9), (5, 4), (9, 9), (0.5, 4), (0, 4.0), ("0", 4)]
+)
+def test_bad_node_window_is_a_domain_error(lo, hi):
+    with pytest.raises(DomainError, match="window"):
+        build_node_table(8, 2, lo, hi)
+    with pytest.raises(DomainError, match="window"):
+        node_values(8, 1, lo, hi)
 
 
 def test_node_drift_bounds_small_degrees():

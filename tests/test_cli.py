@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from akrvoro import SERIES_KINDS, build_node_table
+from akrvoro import SERIES_KINDS, build_node_table, cli
 from akrvoro.cli import build_parser, main
 
 
@@ -32,9 +32,18 @@ def parse_csv(text):
     return rows, summary
 
 
-def test_nodes_emits_expected_table(capsys):
+def test_nodes_emits_expected_table(capsys, monkeypatch):
+    tables = []
+
+    def spy(*args):
+        tables.append(build_node_table(*args))
+        return tables[-1]
+
+    monkeypatch.setattr(cli, "build_node_table", spy)
     code, out, _ = run_cli(capsys, ["nodes", "--n", "4", "--j", "2"])
     assert code == 0
+    # the command prints the full table, so row k is node k
+    assert [(t.lo, t.nodes.shape) for t in tables] == [(0, (5,))]
     rows, _ = parse_csv(out)
     assert [int(r["k"]) for r in rows] == [0, 1, 2, 3, 4]
     values = [float(r["t"]) for r in rows]

@@ -4,10 +4,13 @@ Every operator sums only over ``support(n, x)``.  The references below sum
 over all n+1 nodes with the weights of ``log_weights(n, x)``.  A value is
 compared relative to the sum of its absolute terms, the scale of a sum's
 rounding; that scale is the value itself when f and the weights keep one
-sign.
+sign.  The operators also build their nodes on the window only: their
+values equal, bit for bit, the same sums over slices of the full node
+table, and a value at n = 2^20 allocates far less than one full table.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 from hypothesis import given, settings
@@ -25,13 +28,15 @@ from akrvoro import (
     tensor_akr_apply,
     tensor_bernstein_apply,
 )
-from akrvoro._kernels import log_weights
+from akrvoro._kernels import comp_dot, log_weights, support
+from akrvoro.basis import eval_on
 from akrvoro.tensor import tensor_reduce
 
 REL = 1e-14
 ABS = 1e-300
 
 RUNGE = lookup("runge-2d").function
+EXP_SUM = lookup("exp-sum").function
 WAVE = Function1D(eval=lambda t: np.cos(7.0 * np.pi * np.asarray(t)))
 
 degrees = st.integers(min_value=2, max_value=4096)
@@ -99,3 +104,76 @@ def test_window_matches_full_sum_2d(n, x, y):
     assert_close(d.e_term, e_ref)
     assert_close(d.f_term, f_ref)
     assert_close(d.g_residual, g_ref)
+
+
+def sliced_window(n, x):
+    """The support window at x as a slice of a full table, with its weights."""
+    lo, hi = support(n, x)
+    return slice(lo, hi + 1), np.exp(log_weights(n, x, lo, hi))
+
+
+def sliced_sum(f, nodes, windows, use_separability=True):
+    """The operator's sum, in the operator's order, over slices of the full
+    node table ``nodes``."""
+    if len(windows) == 1:
+        ((s, w),) = windows
+        return comp_dot(eval_on(f.eval, nodes[s]), w)
+    if use_separability and f.factors is not None:
+        return math.prod(
+            sliced_sum(g, nodes, (window,)) for g, window in zip(f.factors, windows)
+        )
+    (sx, wx), (sy, wy) = windows
+    return tensor_reduce(f.eval, nodes[sx], nodes[sy], wx, wy)
+
+
+@given(
+    n=degrees | st.sampled_from([8192, 65536]),
+    j=st.integers(min_value=2, max_value=4),
+    x=points,
+    y=points,
+)
+@settings(max_examples=25, deadline=None)
+def test_window_nodes_give_the_sliced_full_table_sums_bit_for_bit(n, j, x, y):
+    if n < j:
+        n = j
+    uniform = np.arange(n + 1, dtype=np.float64) / n
+    nodes = build_node_table(n, j).nodes
+    wins = (sliced_window(n, x), sliced_window(n, y))
+    assert akr_apply(WAVE, n, j, x) == sliced_sum(WAVE, nodes, wins[:1])
+    assert bernstein_apply(WAVE, n, x) == sliced_sum(WAVE, uniform, wins[:1])
+    p = (x, y)
+    # runge-2d has no factors: its double sum at n = 65536 is slow
+    functions = (EXP_SUM,) if n > 8192 else (EXP_SUM, RUNGE)
+    for f in functions:
+        for sep in (True, False):
+            got = tensor_akr_apply(f, n, j, p, use_separability=sep)
+            assert got == sliced_sum(f, nodes, wins, sep)
+            got = tensor_bernstein_apply(f, n, p, use_separability=sep)
+            assert got == sliced_sum(f, uniform, wins, sep)
+
+    nodes = build_node_table(n, 2).nodes
+    drift = nodes - uniform
+    (sx, wx), (sy, wy) = wins
+    s, t = uniform[sx], uniform[sy]
+    for f in functions:
+        e_ref = n * tensor_reduce(f.fx, s, t, wx * drift[sx], wy)
+        f_ref = n * tensor_reduce(f.fy, s, t, wx, wy * drift[sy])
+        total = n * (sliced_sum(f, nodes, wins) - sliced_sum(f, uniform, wins))
+        d = decomposition(f, n, p)
+        assert (d.e_term, d.f_term, d.total) == (e_ref, f_ref, total)
+        assert d.g_residual == total - e_ref - f_ref
+
+
+def test_an_operator_value_allocates_far_less_than_a_full_table():
+    # one full node table at n = 2^20 is 8 MiB; the support window is about
+    # 10^4 nodes
+    e3 = lookup("e3").function
+    n = 2**20
+    akr_apply(e3, n, 2, 0.5)
+    tracemalloc.start()
+    try:
+        akr_apply(e3, n, 2, 0.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak
