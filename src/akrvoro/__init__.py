@@ -22,15 +22,13 @@ from .asymptotics import (
     voronovskaja_rhs_2d,
 )
 from .basis import (
-    Function1D,
     basis_weight,
     weight_vector,
 )
 from .catalog import CatalogEntry, catalog_names, lookup
 from .errors import CapabilityError, DomainError, UnknownFunctionError
 from .tensor import (
-    Function2D,
-    SquarePoint,
+    Function,
     SupBounds,
     akr_apply,
     bernstein_apply,
@@ -61,7 +59,6 @@ __all__ = [
     "residual_series",
     "voronovskaja_rhs_1d",
     "voronovskaja_rhs_2d",
-    "Function1D",
     "basis_weight",
     "weight_vector",
     "CatalogEntry",
@@ -70,8 +67,7 @@ __all__ = [
     "CapabilityError",
     "DomainError",
     "UnknownFunctionError",
-    "Function2D",
-    "SquarePoint",
+    "Function",
     "SupBounds",
     "tensor_akr_apply",
     "tensor_bernstein_apply",

@@ -10,7 +10,7 @@ extrapolator for the series.
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple, Union
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -18,12 +18,10 @@ from ._kernels import check_degree, comp_dot, log_weights, support
 from .akr import node_values, remainder
 from .errors import CapabilityError, DomainError
 from .tensor import (
-    SquarePoint,
     _axis_windows,
     _coords,
     _window_apply,
     akr_apply,
-    as_point,
     bernstein_apply,
     tensor_akr_apply,
     tensor_bernstein_apply,
@@ -57,11 +55,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ConvergenceSeries:
-    """Scaled residual values along a strictly doubling degree schedule."""
+    """Scaled residual values along a strictly doubling degree schedule, at
+    the point with coordinates ``point``."""
 
     entries: Tuple[Tuple[int, float], ...]
     operator_kind: str
-    point: Union[float, SquarePoint]
+    point: Tuple[float, ...]
 
     def __post_init__(self):
         if len(self.entries) < 1:
@@ -136,16 +135,17 @@ def lemma_sum(n, x):
     return n * comp_dot(w, remainder(n, np.arange(lo, hi + 1)))
 
 
-def _partials(f, coords, order):
-    """The exact pure partials of f of this order, one per axis, at coords."""
-    if len(coords) == 1:
-        fns = (f.d1,) if order == 1 else (f.d2,)
+def _partials(f, d, order, needed_by="the limit"):
+    """The exact pure partials of f of this order on [0, 1]^d, one callable
+    per axis: ``grad[i]``, or the diagonal ``hess[i][i]``."""
+    if order == 1:
+        fns = None if f.grad is None else [f.grad[i] for i in range(d)]
     else:
-        fns = (f.fx, f.fy) if order == 1 else (f.fxx, f.fyy)
-    if any(fn is None for fn in fns):
+        fns = None if f.hess is None else [f.hess[i][i] for i in range(d)]
+    if fns is None or any(fn is None for fn in fns):
         kind = "first" if order == 1 else "second"
-        raise CapabilityError(f"the limit requires exact {kind} partials")
-    return [float(fn(*coords)) for fn in fns]
+        raise CapabilityError(f"{needed_by} requires exact {kind} partials")
+    return fns
 
 
 def _limit(f, coords, j, diffusion=True):
@@ -163,10 +163,10 @@ def _limit(f, coords, j, diffusion=True):
             _check_positive_x(x, "xy"[i])
     terms = []
     if diffusion:
-        second = _partials(f, coords, 2)
+        second = [float(fn(*coords)) for fn in _partials(f, len(coords), 2)]
         terms += [0.5 * x * (1.0 - x) * fii for x, fii in zip(coords, second)]
     if j != 1:
-        first = _partials(f, coords, 1)
+        first = [float(fn(*coords)) for fn in _partials(f, len(coords), 1)]
         terms += [-(0.5 * (j - 1) * (1.0 - x) * fi) for x, fi in zip(coords, first)]
     value = terms[0]
     for term in terms[1:]:
@@ -222,16 +222,15 @@ def decomposition(f, n, p):
     difference total - e_term - f_term.  Requires exact first partials.
     """
     n = check_degree(n, 2)
-    p = as_point(p)
-    if f.fx is None or f.fy is None:
-        raise CapabilityError("decomposition requires exact first partials")
-    lo, hi, windows = _axis_windows(n, (p.x, p.y))
+    coords = _coords(p, 2)
+    fx, fy = _partials(f, 2, 1, "decomposition")
+    lo, hi, windows = _axis_windows(n, coords)
     uniform = node_values(n, 1, lo, hi)
     nodes = node_values(n, 2, lo, hi)
     drift = nodes - uniform
     (sx, wx), (sy, wy) = windows
-    e_term = n * tensor_reduce(f.fx, uniform[sx], uniform[sy], wx * drift[sx], wy)
-    f_term = n * tensor_reduce(f.fy, uniform[sx], uniform[sy], wx, wy * drift[sy])
+    e_term = n * tensor_reduce(fx, uniform[sx], uniform[sy], wx * drift[sx], wy)
+    f_term = n * tensor_reduce(fy, uniform[sx], uniform[sy], wx, wy * drift[sy])
     total = n * (
         _window_apply(f, nodes, windows) - _window_apply(f, uniform, windows)
     )
@@ -257,9 +256,10 @@ class SeriesKind:
     and has the Bernstein limit at every j.  A kind that uses j is of order
     j >= 2: j is its least n0 and its point must have strictly positive
     coordinates.  ``operator(f, n, j, point)`` is the operator value for
-    kinds whose series is n (Op_n f - f) at the point.  The point has
-    ``arity`` coordinates and is a float (arity 1) or a SquarePoint (arity
-    2).  ``uses_f`` is False for a series that does not depend on f.
+    kinds whose series is n (Op_n f - f) at the point.  The point is the
+    tuple of its ``arity`` coordinates; ``operator`` and ``limit`` also take
+    any point that ``tensor._coords`` accepts.  ``uses_f`` is False for a
+    series that does not depend on f.
     """
 
     arity: int
@@ -279,8 +279,7 @@ def _operator_kind(arity, operator, order=None):
     """The kind n (Op_n f - f); a fixed order (1 for Bernstein) ignores j."""
 
     def value(f, n, j, point):
-        at = f.eval(point) if arity == 1 else f.eval(point.x, point.y)
-        return n * (operator(f, n, j, point) - float(at))
+        return n * (operator(f, n, j, point) - float(f.eval(*point)))
 
     limit = _limit_of(arity, order)
     return SeriesKind(arity, value, limit, operator, uses_j=order is None)
@@ -290,10 +289,10 @@ def _drift_value(f, n, j, p):
     return n * (tensor_akr_apply(f, n, j, p) - tensor_bernstein_apply(f, n, p))
 
 
-def _lemma_value(f, n, j, x):
+def _lemma_value(f, n, j, point):
     if j != 2:
         raise DomainError("the remainder sum is defined for j = 2 only")
-    return lemma_sum(n, x)
+    return lemma_sum(n, *point)
 
 
 KINDS = {
@@ -308,7 +307,7 @@ KINDS = {
     "akr-minus-bernstein-2d": SeriesKind(
         2, _drift_value, _limit_of(2, diffusion=False)
     ),
-    "lemma-sum": SeriesKind(1, _lemma_value, lambda f, x, j: 0.0, uses_f=False),
+    "lemma-sum": SeriesKind(1, _lemma_value, lambda f, point, j: 0.0, uses_f=False),
 }
 
 SERIES_KINDS = tuple(KINDS)
@@ -317,11 +316,12 @@ SERIES_KINDS = tuple(KINDS)
 def residual_series(kind, f, point, n0=64, doublings=7, j=2):
     """Scaled residuals at degrees n0, 2 n0, ..., n0 * 2^doublings.
 
-    ``f`` is a Function1D or Function2D matching the kind's arity and is
-    ignored for kind 'lemma-sum'.  A kind that uses j (order j >= 2) needs
-    strictly positive coordinates and n0 of at least j; every kind needs n0
-    of at least 2.  The whole schedule is checked against MAX_DEGREE before
-    any operator runs.
+    ``f`` is a Function of the kind's arity and is ignored for kind
+    'lemma-sum'.  ``point`` is a sequence of that many coordinates, or a
+    bare number for a kind on [0, 1]; the series carries it as a tuple.  A
+    kind that uses j (order j >= 2) needs strictly positive coordinates and
+    n0 of at least j; every kind needs n0 of at least 2.  The whole
+    schedule is checked against MAX_DEGREE before any operator runs.
     """
     if kind not in KINDS:
         raise DomainError(
@@ -341,13 +341,12 @@ def residual_series(kind, f, point, n0=64, doublings=7, j=2):
     check_degree(n0 * 2**doublings)
 
     coords = _coords(point, spec.arity)
-    point = coords[0] if spec.arity == 1 else as_point(point)
     if spec.uses_j and 0.0 in coords:
         raise DomainError(f"kind {kind!r} requires strictly positive coordinates")
 
     ns = [n0 * 2**m for m in range(doublings + 1)]
-    entries = tuple((n, float(spec.value(f, n, j, point))) for n in ns)
-    return ConvergenceSeries(entries=entries, operator_kind=kind, point=point)
+    entries = tuple((n, float(spec.value(f, n, j, coords))) for n in ns)
+    return ConvergenceSeries(entries=entries, operator_kind=kind, point=coords)
 
 
 def rate_estimates(values):

@@ -1,8 +1,6 @@
 """One-dimensional Bernstein basis weights on [0, 1]."""
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -10,23 +8,9 @@ from ._kernels import check_degree, log_weights
 from .errors import DomainError
 
 __all__ = [
-    "Function1D",
     "basis_weight",
     "weight_vector",
 ]
-
-
-@dataclass(frozen=True)
-class Function1D:
-    """A real function on [0, 1] with optional exact derivatives.
-
-    ``eval`` (and the derivatives, when given) must accept numpy arrays and
-    broadcast elementwise; operators evaluate them on full node vectors.
-    """
-
-    eval: Callable
-    d1: Optional[Callable] = None
-    d2: Optional[Callable] = None
 
 
 def _check_x(x):

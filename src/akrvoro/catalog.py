@@ -7,13 +7,11 @@ is s^2 t^3.  All callables broadcast over numpy arrays.
 
 import re
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
-from .basis import Function1D
 from .errors import UnknownFunctionError
-from .tensor import Function2D, SupBounds
+from .tensor import Function, SupBounds
 
 __all__ = ["CatalogEntry", "lookup", "catalog_names"]
 
@@ -26,15 +24,11 @@ _MONOMIAL_RE = re.compile(r"^monomial\((\d+),\s*(\d+)\)$")
 class CatalogEntry:
     name: str
     arity: int
-    function: Union[Function1D, Function2D]
-
-    @property
-    def sup_bounds(self):
-        return self.function.sup_bounds if self.arity == 2 else None
+    function: Function
 
     @property
     def separable(self):
-        return self.arity == 2 and self.function.factors is not None
+        return self.function.factors is not None
 
 
 def _zeros(t):
@@ -47,7 +41,7 @@ def _ones(t):
 
 def _monomial_1d(p):
     if p == 0:
-        return Function1D(eval=_ones, d1=_zeros, d2=_zeros)
+        return Function(eval=_ones, grad=(_zeros,), hess=((_zeros,),))
 
     def ev(t, p=p):
         return np.asarray(t, dtype=np.float64) ** p
@@ -62,18 +56,21 @@ def _monomial_1d(p):
             return np.zeros_like(t)
         return p * (p - 1) * t ** (p - 2)
 
-    return Function1D(eval=ev, d1=d1, d2=d2)
+    return Function(eval=ev, grad=(d1,), hess=((d2,),))
 
 
 def _product(g, h, sup_bounds):
     """f(s,t) = g(s) h(t) with its partials from those of g and h."""
-    return Function2D(
+    (g1,), ((g2,),) = g.grad, g.hess
+    (h1,), ((h2,),) = h.grad, h.hess
+    fxy = lambda s, t: g1(s) * h1(t)
+    return Function(
         eval=lambda s, t: g.eval(s) * h.eval(t),
-        fx=lambda s, t: g.d1(s) * h.eval(t),
-        fy=lambda s, t: g.eval(s) * h.d1(t),
-        fxx=lambda s, t: g.d2(s) * h.eval(t),
-        fxy=lambda s, t: g.d1(s) * h.d1(t),
-        fyy=lambda s, t: g.eval(s) * h.d2(t),
+        grad=(lambda s, t: g1(s) * h.eval(t), lambda s, t: g.eval(s) * h1(t)),
+        hess=(
+            (lambda s, t: g2(s) * h.eval(t), fxy),
+            (fxy, lambda s, t: g.eval(s) * h2(t)),
+        ),
         sup_bounds=sup_bounds,
         factors=(g, h),
     )
@@ -88,15 +85,15 @@ def _monomial_2d(p, q):
 
 
 def _exp_1d():
-    return Function1D(eval=np.exp, d1=np.exp, d2=np.exp)
+    return Function(eval=np.exp, grad=(np.exp,), hess=((np.exp,),))
 
 
 def _exp_sum():
     e2 = float(np.exp(2.0))  # sup of every second partial, attained at (1,1)
     # exp(s + t), not exp(s) exp(t): the product rounds differently
     ev = lambda s, t: np.exp(np.asarray(s, dtype=np.float64) + t)
-    return Function2D(
-        eval=ev, fx=ev, fy=ev, fxx=ev, fxy=ev, fyy=ev,
+    return Function(
+        eval=ev, grad=(ev, ev), hess=((ev, ev), (ev, ev)),
         sup_bounds=SupBounds(fxx=e2, fxy=e2, fyy=e2),
         factors=(_exp_1d(), _exp_1d()),
     )
@@ -104,15 +101,15 @@ def _exp_sum():
 
 def _sinpix_cospiy():
     pi = np.pi
-    sin_part = Function1D(
+    sin_part = Function(
         eval=lambda t: np.sin(pi * np.asarray(t, dtype=np.float64)),
-        d1=lambda t: pi * np.cos(pi * np.asarray(t, dtype=np.float64)),
-        d2=lambda t: -(pi**2) * np.sin(pi * np.asarray(t, dtype=np.float64)),
+        grad=(lambda t: pi * np.cos(pi * np.asarray(t, dtype=np.float64)),),
+        hess=((lambda t: -(pi**2) * np.sin(pi * np.asarray(t, dtype=np.float64)),),),
     )
-    cos_part = Function1D(
+    cos_part = Function(
         eval=lambda t: np.cos(pi * np.asarray(t, dtype=np.float64)),
-        d1=lambda t: -pi * np.sin(pi * np.asarray(t, dtype=np.float64)),
-        d2=lambda t: -(pi**2) * np.cos(pi * np.asarray(t, dtype=np.float64)),
+        grad=(lambda t: -pi * np.sin(pi * np.asarray(t, dtype=np.float64)),),
+        hess=((lambda t: -(pi**2) * np.cos(pi * np.asarray(t, dtype=np.float64)),),),
     )
     p2 = float(pi**2)
     return _product(sin_part, cos_part, SupBounds(fxx=p2, fxy=p2, fyy=p2))
@@ -150,8 +147,8 @@ def _runge_2d():
 
     # |fxx| peaks at 50 (center); |fxy| peaks at 5000 c / (1+50c)^3 with
     # c = 1/100, just under 14.82
-    return Function2D(
-        eval=ev, fx=fx, fy=fy, fxx=fxx, fxy=fxy, fyy=fyy,
+    return Function(
+        eval=ev, grad=(fx, fy), hess=((fxx, fxy), (fxy, fyy)),
         sup_bounds=SupBounds(fxx=50.0, fxy=15.0, fyy=50.0),
     )
 

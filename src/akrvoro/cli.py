@@ -184,35 +184,26 @@ def _cmd_nodes(cfg):
     return rows, {}, 0
 
 
-def _entry_and_point(cfg, arity):
-    entry = _entry_for(cfg, arity)
-    if len(cfg.point) != arity:
-        raise DomainError(
-            f"kind {cfg.kind!r} needs {arity} point coordinate(s), got {len(cfg.point)}"
-        )
-    return entry, cfg.point[0] if arity == 1 else tuple(cfg.point)
-
-
 def _cmd_eval(cfg):
     kind = KINDS[cfg.kind]
-    entry, point = _entry_and_point(cfg, kind.arity)
-    value = float(kind.operator(entry.function, cfg.n, cfg.j, point))
+    entry = _entry_for(cfg, kind.arity)
+    value = float(kind.operator(entry.function, cfg.n, cfg.j, cfg.point))
     return [{"n": cfg.n, "value": value}], {"value": value}, 0
 
 
 def _cmd_residual(cfg):
     kind = KINDS[cfg.kind]
-    entry, point = _entry_and_point(cfg, kind.arity)
+    entry = _entry_for(cfg, kind.arity)
     series = residual_series(
         cfg.kind,
         entry.function,
-        point,
+        cfg.point,
         n0=cfg.n0,
         doublings=cfg.doublings,
         j=cfg.j,
     )
     result = extrapolate(series)
-    target = kind.limit(entry.function, point, cfg.j)
+    target = kind.limit(entry.function, series.point, cfg.j)
     passed, _ = relative_ok(result.limit_estimate, target, cfg.tolerance)
     verdict = "PASS" if passed else "FAIL"
     summary = {
@@ -249,7 +240,6 @@ def _cmd_lemma(cfg):
 def _cmd_decompose(cfg):
     entry = _entry_for(cfg, 2)
     f = entry.function
-    point = tuple(cfg.point)
     # refuse the last degree of the schedule before computing any row
     check_degree(cfg.n0 * 2**cfg.doublings, 2)
     bound_const = (
@@ -258,7 +248,7 @@ def _cmd_decompose(cfg):
     rows = []
     for m in range(cfg.doublings + 1):
         n = cfg.n0 * 2**m
-        d = decomposition(f, n, point)
+        d = decomposition(f, n, cfg.point)
         rows.append(
             {
                 "n": n,

@@ -1,4 +1,4 @@
-"""Operators on [0, 1] and on the unit square.
+"""The function type and the operators on [0, 1] and on the unit square.
 
 Every operator applies the same one-dimensional rule of order j in each
 coordinate (j = 1 is Bernstein, j >= 2 the modified-node operator): f is
@@ -19,13 +19,12 @@ import numpy as np
 
 from ._kernels import bilinear_accumulate, check_degree, comp_dot, log_weights, support
 from .akr import _check_nj, node_values
-from .basis import Function1D, _check_x, eval_on
+from .basis import eval_on
 from .errors import DomainError
 
 __all__ = [
-    "SquarePoint",
     "SupBounds",
-    "Function2D",
+    "Function",
     "bernstein_apply",
     "akr_apply",
     "tensor_bernstein_apply",
@@ -34,28 +33,6 @@ __all__ = [
 
 # rows per evaluation block; keeps peak memory ~33 MB at n = 8192
 _BLOCK_ELEMENTS = 1 << 22
-
-
-@dataclass(frozen=True)
-class SquarePoint:
-    """A point of the closed unit square."""
-
-    x: float
-    y: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.x <= 1.0 and 0.0 <= self.y <= 1.0):
-            raise DomainError(
-                f"point must lie in the closed unit square, got ({self.x}, {self.y})"
-            )
-
-
-def as_point(p):
-    """Coerce a SquarePoint or (x, y) pair into a SquarePoint."""
-    if isinstance(p, SquarePoint):
-        return p
-    x, y = p
-    return SquarePoint(float(x), float(y))
 
 
 @dataclass(frozen=True)
@@ -72,22 +49,32 @@ class SupBounds:
 
 
 @dataclass(frozen=True)
-class Function2D:
-    """A real function on [0,1]^2 with optional exact partials.
+class Function:
+    """A real function on [0, 1]^d with optional exact partials.
 
-    All callables must broadcast over numpy arrays.  ``factors`` declares
-    f(s,t) = g(s) h(t); when present, tensor operators may use the product
-    of the 1-d operator values instead of the double sum.
+    Every callable takes the d coordinates and must broadcast over numpy
+    arrays; operators evaluate them on whole node vectors and grids.
+    ``grad[i]`` is the partial in coordinate i and ``hess[i][l]`` the second
+    partial in coordinates i and l.  ``factors`` declares f(x_1, ..., x_d) =
+    g_1(x_1) ... g_d(x_d), each g_i a Function of one coordinate; the
+    operators of such an f are the products of the 1-d operator values.
     """
 
     eval: Callable
-    fx: Optional[Callable] = None
-    fy: Optional[Callable] = None
-    fxx: Optional[Callable] = None
-    fxy: Optional[Callable] = None
-    fyy: Optional[Callable] = None
+    grad: Optional[Tuple[Callable, ...]] = None
+    hess: Optional[Tuple[Tuple[Callable, ...], ...]] = None
     sup_bounds: Optional[SupBounds] = None
-    factors: Optional[Tuple[Function1D, Function1D]] = None
+    factors: Optional[Tuple["Function", ...]] = None
+
+    # The benchmark's runge-2d reference test reads these two; they go when
+    # the benchmark changes (ROADMAP item 4).  The package reads grad/hess.
+    @property
+    def fx(self):
+        return self.grad[0]
+
+    @property
+    def fyy(self):
+        return self.hess[1][1]
 
 
 def eval_grid_block(func, s_nodes, t_nodes):
@@ -125,7 +112,7 @@ def _axis_windows(n, coords):
     return lo, hi, windows
 
 
-def _window_apply(f, nodes, windows, use_separability=True):
+def _window_apply(f, nodes, windows):
     """Operator of f on one node array shared by every axis, summed over the
     per-axis windows returned by ``_axis_windows``: a compensated dot on
     [0, 1]; on the square the product of the factors' sums when f declares
@@ -133,7 +120,7 @@ def _window_apply(f, nodes, windows, use_separability=True):
     if len(windows) == 1:
         ((s, w),) = windows
         return comp_dot(eval_on(f.eval, nodes[s]), w)
-    if use_separability and f.factors is not None:
+    if f.factors is not None:
         return math.prod(
             _window_apply(g, nodes, (window,)) for g, window in zip(f.factors, windows)
         )
@@ -142,18 +129,31 @@ def _window_apply(f, nodes, windows, use_separability=True):
 
 
 def _coords(point, arity):
-    """The coordinates of a point of [0, 1] (arity 1) or of the square."""
-    if arity == 1:
-        return (_check_x(point),)
-    p = as_point(point)
-    return (p.x, p.y)
+    """The coordinates of a point of [0, 1]^arity as a tuple of floats.
+
+    The one point validator: a point is a sequence of ``arity`` numbers, and
+    a point of [0, 1] may also be a bare number.  A point of another shape,
+    a non-numeric coordinate or one outside [0, 1] is a DomainError.
+    """
+    try:
+        bare = arity == 1 and np.ndim(point) == 0
+        coords = tuple(map(float, (point,) if bare else point))
+    except (TypeError, ValueError):
+        coords = None
+    if coords is None or len(coords) != arity:
+        msg = f"point must have {arity} numeric coordinate(s), got {point!r}"
+        raise DomainError(msg)
+    if not all(0.0 <= x <= 1.0 for x in coords):
+        cube = "[0, 1]" if arity == 1 else f"[0, 1]^{arity}"
+        raise DomainError(f"point must lie in {cube}, got {point}")
+    return coords
 
 
-def _apply(f, n, j, coords, use_separability=True):
+def _apply(f, n, j, coords):
     """Operator of order j of f at the point with these coordinates; one node
     array over the hull of the axes' windows serves every axis."""
     lo, hi, windows = _axis_windows(n, coords)
-    return _window_apply(f, node_values(n, j, lo, hi), windows, use_separability)
+    return _window_apply(f, node_values(n, j, lo, hi), windows)
 
 
 def bernstein_apply(f, n, x):
@@ -167,12 +167,12 @@ def akr_apply(f, n, j, x):
     return _apply(f, n, j, _coords(x, 1))
 
 
-def tensor_bernstein_apply(f, n, p, *, use_separability=True):
+def tensor_bernstein_apply(f, n, p):
     """Tensor-product Bernstein operator of f at p, degree n in each axis."""
-    return _apply(f, check_degree(n), 1, _coords(p, 2), use_separability)
+    return _apply(f, check_degree(n), 1, _coords(p, 2))
 
 
-def tensor_akr_apply(f, n, j, p, *, use_separability=True):
+def tensor_akr_apply(f, n, j, p):
     """Tensor-product modified-node operator of order j >= 2 of f at p."""
     n, j = _check_nj(n, j)
-    return _apply(f, n, j, _coords(p, 2), use_separability)
+    return _apply(f, n, j, _coords(p, 2))

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from akrvoro import (
     DomainError,
-    Function1D,
+    Function,
     akr_apply,
     bernstein_apply,
     build_node_table,
@@ -216,7 +216,7 @@ def test_akr_apply_equals_bernstein_apply_of_node_values():
             idx = np.rint(np.asarray(u) * n).astype(int)
             return nodes[idx]
 
-        f = Function1D(eval=node_lookup)
+        f = Function(eval=node_lookup)
         for x in (0.2, 0.55, 0.9):
             e1 = lookup("e1").function
             assert akr_apply(e1, n, 2, x) == pytest.approx(

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,8 +8,9 @@ from akrvoro import (
     CapabilityError,
     ConvergenceSeries,
     DomainError,
-    Function1D,
-    Function2D,
+    Function,
+    akr_apply,
+    bernstein_apply,
     classical_rhs_1d,
     classical_rhs_2d,
     decomposition,
@@ -72,7 +74,7 @@ def test_voronovskaja_rhs_1d_values():
     assert voronovskaja_rhs_1d(const1, 0.37) == 0.0
     e1 = lookup("e1").function
     assert voronovskaja_rhs_1d(e1, 0.5) == -0.25
-    f = Function1D(eval=np.exp, d1=np.exp, d2=np.exp)
+    f = Function(eval=np.exp, grad=(np.exp,), hess=((np.exp,),))
     assert voronovskaja_rhs_1d(f, 0.5) == pytest.approx(
         -0.125 * math.exp(0.5), rel=1e-15
     )
@@ -104,13 +106,12 @@ def test_voronovskaja_rhs_2d_values():
 def test_classical_rhs_2d_values():
     const = lookup("monomial(0,0)").function
     assert classical_rhs_2d(const, (0.2, 0.8)) == 0.0
-    s2t2 = Function2D(
+    zero = lambda s, t: 0.0 * s * t
+    two = lambda s, t: 2.0 + 0.0 * s * t
+    s2t2 = Function(
         eval=lambda s, t: s**2 + t**2,
-        fx=lambda s, t: 2.0 * s + 0.0 * t,
-        fy=lambda s, t: 2.0 * t + 0.0 * s,
-        fxx=lambda s, t: 2.0 + 0.0 * s * t,
-        fxy=lambda s, t: 0.0 * s * t,
-        fyy=lambda s, t: 2.0 + 0.0 * s * t,
+        grad=(lambda s, t: 2.0 * s + 0.0 * t, lambda s, t: 2.0 * t + 0.0 * s),
+        hess=((two, zero), (zero, two)),
     )
     assert classical_rhs_2d(s2t2, (0.5, 0.5)) == pytest.approx(0.5, rel=1e-15)
     es = lookup("exp-sum").function
@@ -125,8 +126,8 @@ def test_drift_rhs_equals_difference_of_limits():
             assert drift_rhs_2d(f, p) == pytest.approx(expected, rel=1e-12, abs=1e-13)
 
 
-_EVAL_ONLY_1D = Function1D(eval=np.exp)
-_EVAL_ONLY_2D = Function2D(eval=lambda s, t: np.exp(s + t))
+_EVAL_ONLY_1D = Function(eval=np.exp)
+_EVAL_ONLY_2D = Function(eval=lambda s, t: np.exp(s + t))
 
 
 @pytest.mark.parametrize(
@@ -147,14 +148,14 @@ def test_limits_require_exact_partials(limit, f, point):
 def test_limits_read_only_the_partials_they_need():
     # the classical limits have no drift terms and need no first partials;
     # the drift limit has no diffusion terms and needs no second partials
-    f1 = Function1D(eval=np.exp, d2=np.exp)
+    f1 = Function(eval=np.exp, hess=((np.exp,),))
     assert classical_rhs_1d(f1, 0.5) == 0.125 * math.exp(0.5)
     with pytest.raises(CapabilityError):
         voronovskaja_rhs_1d(f1, 0.5)
     ev = lambda s, t: np.exp(s + t)
-    second_only = Function2D(eval=ev, fxx=ev, fyy=ev)
+    second_only = Function(eval=ev, hess=((ev, None), (None, ev)))
     assert classical_rhs_2d(second_only, (0.5, 0.5)) == 0.25 * math.e
-    first_only = Function2D(eval=ev, fx=ev, fy=ev)
+    first_only = Function(eval=ev, grad=(ev, ev))
     assert drift_rhs_2d(first_only, (0.5, 0.5)) == -0.5 * math.e
 
 
@@ -188,10 +189,10 @@ def test_order_j_limit_of_the_fixed_point_on_the_square():
 def test_limit_keeps_a_small_value_that_is_not_rounding():
     # at x = 1/2 the terms are 0.25 (1 + 2^-42) and -0.25, both exact: the
     # value 2^-44, 512 eps of the terms' sum, is no rounding and must survive
-    f = Function1D(
+    f = Function(
         eval=np.exp,
-        d1=lambda t: np.ones_like(t),
-        d2=lambda t: np.full_like(t, 2.0 * (1.0 + 2.0**-42)),
+        grad=(lambda t: np.ones_like(t),),
+        hess=((lambda t: np.full_like(t, 2.0 * (1.0 + 2.0**-42)),),),
     )
     assert voronovskaja_rhs_1d(f, 0.5) == 2.0**-44
 
@@ -247,6 +248,7 @@ def test_decomposition_linear_in_x():
 
 def test_decomposition_identity_and_remainder_bound():
     es = lookup("exp-sum").function
+    double_sum = replace(es, factors=None)
     bound_const = es.sup_bounds.taylor_constant()
     assert bound_const == pytest.approx(4.0 * math.e**2, rel=1e-15)
     for n in (64, 256):
@@ -257,8 +259,8 @@ def test_decomposition_identity_and_remainder_bound():
         assert abs(d.g_residual) <= bound_const / (2.0 * n)
         # the identity survives recomputing the total through the general path
         recomputed = n * (
-            tensor_akr_apply(es, n, 2, (0.5, 0.5), use_separability=False)
-            - tensor_bernstein_apply(es, n, (0.5, 0.5), use_separability=False)
+            tensor_akr_apply(double_sum, n, 2, (0.5, 0.5))
+            - tensor_bernstein_apply(double_sum, n, (0.5, 0.5))
         )
         assert recomputed == pytest.approx(d.total, abs=1e-10)
 
@@ -283,7 +285,7 @@ def test_decomposition_drift_terms_approach_their_limits():
 
 
 def test_decomposition_requires_exact_partials():
-    eval_only = Function2D(eval=lambda s, t: np.exp(s + t))
+    eval_only = Function(eval=lambda s, t: np.exp(s + t))
     with pytest.raises(CapabilityError):
         decomposition(eval_only, 16, (0.5, 0.5))
     with pytest.raises(DomainError):
@@ -297,10 +299,10 @@ def test_decomposition_requires_exact_partials():
 
 def test_series_validation():
     with pytest.raises(DomainError):
-        ConvergenceSeries(((4, 1.0), (9, 0.5)), "bernstein-1d", 0.5)
+        ConvergenceSeries(((4, 1.0), (9, 0.5)), "bernstein-1d", (0.5,))
     with pytest.raises(DomainError):
-        ConvergenceSeries(((4, math.inf), (8, 0.5)), "bernstein-1d", 0.5)
-    series = ConvergenceSeries(((4, 1.0), (8, 0.5)), "bernstein-1d", 0.5)
+        ConvergenceSeries(((4, math.inf), (8, 0.5)), "bernstein-1d", (0.5,))
+    series = ConvergenceSeries(((4, 1.0), (8, 0.5)), "bernstein-1d", (0.5,))
     assert list(series.ns) == [4, 8]
     assert list(series.values) == [1.0, 0.5]
 
@@ -337,11 +339,82 @@ def test_residual_series_refuses_a_schedule_past_the_degree_cap(kind):
     def never(*args):
         raise AssertionError("an operator ran")
 
-    f = Function1D(eval=never) if kind == "akr-1d" else Function2D(eval=never)
+    f = Function(eval=never)
     point = 0.5 if kind != "bernstein-2d" else (0.5, 0.5)
     # 64 * 2^15 = 2 MAX_DEGREE
     with pytest.raises(DomainError, match="degree must be <="):
         residual_series(kind, f, point, n0=64, doublings=15)
+
+
+E3 = lookup("e3").function
+RUNGE = lookup("runge-2d").function
+
+_POINT_CALLS_1D = {
+    "bernstein_apply": lambda p: bernstein_apply(E3, 16, p),
+    "akr_apply": lambda p: akr_apply(E3, 16, 2, p),
+    "voronovskaja_rhs_1d": lambda p: voronovskaja_rhs_1d(E3, p),
+    "classical_rhs_1d": lambda p: classical_rhs_1d(E3, p),
+    **{
+        f"residual_series {kind}": (
+            lambda p, kind=kind: residual_series(kind, E3, p, n0=8, doublings=2)
+        )
+        for kind in ("bernstein-1d", "akr-1d", "lemma-sum")
+    },
+}
+_POINT_CALLS_2D = {
+    "tensor_bernstein_apply": lambda p: tensor_bernstein_apply(RUNGE, 16, p),
+    "tensor_akr_apply": lambda p: tensor_akr_apply(RUNGE, 16, 2, p),
+    "voronovskaja_rhs_2d": lambda p: voronovskaja_rhs_2d(RUNGE, p),
+    "classical_rhs_2d": lambda p: classical_rhs_2d(RUNGE, p),
+    "drift_rhs_2d": lambda p: drift_rhs_2d(RUNGE, p),
+    "decomposition": lambda p: decomposition(RUNGE, 16, p),
+    **{
+        f"residual_series {kind}": (
+            lambda p, kind=kind: residual_series(kind, RUNGE, p, n0=8, doublings=2)
+        )
+        for kind in ("bernstein-2d", "akr-2d", "akr-minus-bernstein-2d")
+    },
+}
+_BAD_POINTS_1D = ((0.3, 0.4), (), "x", None, 1.5, (1.5,), math.nan)
+_BAD_POINTS_2D = ((0.5,), (0.5, 0.5, 0.5), 0.5, ("a", 0.5), (0.5, 1.1), (-0.1, 0.5))
+
+
+@pytest.mark.parametrize(
+    "name, point",
+    [(name, p) for name in _POINT_CALLS_1D for p in _BAD_POINTS_1D]
+    + [(name, p) for name in _POINT_CALLS_2D for p in _BAD_POINTS_2D],
+)
+def test_a_point_of_the_wrong_shape_or_range_is_a_domain_error(name, point):
+    call = _POINT_CALLS_1D.get(name) or _POINT_CALLS_2D[name]
+    with pytest.raises(DomainError):
+        call(point)
+
+
+@pytest.mark.parametrize(
+    "calls, good",
+    [
+        (_POINT_CALLS_1D, ((0.3,), [0.3], 0.3)),
+        (_POINT_CALLS_2D, ((0.3, 0.7), [0.3, 0.7])),
+    ],
+)
+def test_every_point_taker_accepts_its_coordinates_in_any_sequence(calls, good):
+    for name, call in calls.items():
+        values = [call(p) for p in good]
+        assert all(v == values[0] for v in values[1:]), name
+
+
+@pytest.mark.parametrize(
+    "kind, f, point, coords",
+    [
+        ("akr-1d", E3, 0.3, (0.3,)),
+        ("lemma-sum", None, [np.float64(0.3)], (0.3,)),
+        ("akr-2d", RUNGE, [0.3, 0.7], (0.3, 0.7)),
+    ],
+)
+def test_series_point_is_the_coordinate_tuple(kind, f, point, coords):
+    series = residual_series(kind, f, point, n0=8, doublings=2)
+    assert series.point == coords
+    assert all(type(x) is float for x in series.point)
 
 
 def test_bernstein_1d_series_vanishes_for_identity():
@@ -404,7 +477,7 @@ def test_lemma_kind_matches_lemma_sum():
 
 def _synthetic(values, n0=16):
     entries = tuple((n0 * 2**m, float(v)) for m, v in enumerate(values))
-    return ConvergenceSeries(entries, "lemma-sum", 0.5)
+    return ConvergenceSeries(entries, "lemma-sum", (0.5,))
 
 
 def test_extrapolate_requires_four_entries():

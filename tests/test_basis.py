@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from akrvoro import (
     DomainError,
-    Function1D,
+    Function,
     basis_weight,
     bernstein_apply,
     lookup,
@@ -143,7 +143,7 @@ def test_bernstein_apply_monotone_in_the_integrand():
 
 
 def test_bernstein_apply_interpolates_endpoints_exactly():
-    f = Function1D(eval=np.exp)
+    f = Function(eval=np.exp)
     for n in (1, 4, 33):
         assert bernstein_apply(f, n, 0.0) == 1.0
         assert bernstein_apply(f, n, 1.0) == float(np.exp(1.0))

@@ -35,13 +35,13 @@ def test_arities():
 def test_frozen_values():
     e2 = lookup("e2").function
     assert float(e2.eval(0.5)) == 0.25
-    assert float(e2.d2(0.9)) == 2.0
+    assert float(e2.hess[0][0](0.9)) == 2.0
     es = lookup("exp-sum").function
     assert float(es.eval(0.25, 0.75)) == pytest.approx(math.e, rel=1e-15)
-    assert float(es.fxy(1.0, 1.0)) == pytest.approx(math.e**2, rel=1e-15)
+    assert float(es.hess[0][1](1.0, 1.0)) == pytest.approx(math.e**2, rel=1e-15)
     const = lookup("const1").function
     assert float(const.eval(0.123)) == 1.0
-    assert float(const.d1(0.123)) == 0.0
+    assert float(const.grad[0](0.123)) == 0.0
 
 
 def test_separability_declarations():
@@ -73,8 +73,8 @@ def test_sup_bounds_hold_on_verification_grid(name):
     s = np.linspace(0.0, 1.0, 201)
     S, T = s[:, None], s[None, :]
     slack = 1.0 + 1e-12
-    for partial in ("fxx", "fxy", "fyy"):
-        sup = np.max(np.abs(np.broadcast_to(getattr(f, partial)(S, T), (201, 201))))
+    for partial, (i, l) in {"fxx": (0, 0), "fxy": (0, 1), "fyy": (1, 1)}.items():
+        sup = np.max(np.abs(np.broadcast_to(f.hess[i][l](S, T), (201, 201))))
         bound = getattr(bounds, partial)
         assert sup <= bound * slack + 1e-300
         # and the bound is the sup, not a loose constant: the grid holds
@@ -93,12 +93,32 @@ def test_runge_is_not_separable_in_value():
 
 def test_monomial_zero_exponent_edge_cases():
     f = lookup("monomial(0,2)").function
-    assert float(f.fx(0.0, 0.5)) == 0.0
-    assert float(f.fxx(0.0, 0.5)) == 0.0
-    assert float(f.fyy(0.3, 0.0)) == 2.0
+    assert float(f.grad[0](0.0, 0.5)) == 0.0
+    assert float(f.hess[0][0](0.0, 0.5)) == 0.0
+    assert float(f.hess[1][1](0.3, 0.0)) == 2.0
     g = lookup("monomial(1,0)").function
-    assert float(g.fx(0.0, 0.0)) == 1.0
-    assert float(g.fxx(0.5, 0.5)) == 0.0
+    assert float(g.grad[0](0.0, 0.0)) == 1.0
+    assert float(g.hess[0][0](0.5, 0.5)) == 0.0
+
+
+_NAMES_2D = ("exp-sum", "sinpix-cospiy", "runge-2d", "monomial(2,3)", "monomial(0,4)")
+
+
+@pytest.mark.parametrize("name", _NAMES_2D)
+def test_hessian_is_symmetric(name):
+    f = lookup(name).function
+    s = np.linspace(0.0, 1.0, 41)
+    S, T = s[:, None], s[None, :]
+    np.testing.assert_array_equal(f.hess[0][1](S, T), f.hess[1][0](S, T))
+
+
+@pytest.mark.parametrize("name", ("const1", "e3") + _NAMES_2D)
+def test_partials_match_the_entry_arity(name):
+    entry = lookup(name)
+    f = entry.function
+    assert len(f.grad) == entry.arity
+    assert len(f.hess) == entry.arity
+    assert all(len(row) == entry.arity for row in f.hess)
 
 
 # --------------------------------------------------------------------------
@@ -136,19 +156,26 @@ def test_1d_derivatives_match_mpmath(name):
     with mp.workdps(50):
         for x in _EDGE:
             _close(f.eval(x), g(mp.mpf(x)))
-            _close(f.d1(x), mp.diff(g, mp.mpf(x), 1))
-            _close(f.d2(x), mp.diff(g, mp.mpf(x), 2))
+            _close(f.grad[0](x), mp.diff(g, mp.mpf(x), 1))
+            _close(f.hess[0][0](x), mp.diff(g, mp.mpf(x), 2))
 
 
 @pytest.mark.parametrize("name", sorted(_MP_2D))
 def test_2d_partials_match_mpmath(name):
     f = lookup(name).function
     g = _MP_2D[name]
-    orders = {"fx": (1, 0), "fy": (0, 1), "fxx": (2, 0), "fxy": (1, 1), "fyy": (0, 2)}
+
+    def order(*axes):
+        """mpmath's derivative order of the partial in these axes."""
+        return tuple(axes.count(a) for a in range(2))
+
+    # every grad[i] and every hess[i][l]
+    partials = [(f.grad[i], order(i)) for i in range(2)]
+    partials += [(f.hess[i][l], order(i, l)) for i in range(2) for l in range(2)]
     with mp.workdps(50):
         for x in _EDGE:
             for y in _EDGE:
                 at = (mp.mpf(x), mp.mpf(y))
                 _close(f.eval(x, y), g(*at))
-                for partial, order in orders.items():
-                    _close(getattr(f, partial)(x, y), mp.diff(g, at, order))
+                for partial, axes in partials:
+                    _close(partial(x, y), mp.diff(g, at, axes))

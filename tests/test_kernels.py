@@ -291,6 +291,11 @@ def test_import_leaves_out_scipy_and_numba():
     with pytest.raises(ImportError):
         importlib.import_module("akrvoro.fd")
     assert "finite_difference_partials" not in akrvoro.__all__
+    # one function type and coordinate-tuple points for every arity
+    assert "Function" in akrvoro.__all__
+    for gone in ("Function1D", "Function2D", "SquarePoint"):
+        assert gone not in akrvoro.__all__
+        assert not hasattr(akrvoro, gone)
 
 
 def test_check_degree_bounds():
@@ -303,9 +308,9 @@ def test_check_degree_bounds():
 
 
 _TOO_BIG = 10**15
-_ONES_1D = akrvoro.Function1D(eval=np.ones_like)
-_ONES_2D = akrvoro.Function2D(eval=lambda s, t: 1.0, fx=lambda s, t: 0.0,
-                              fy=lambda s, t: 0.0)
+_ONES_1D = akrvoro.Function(eval=np.ones_like)
+_ONES_2D = akrvoro.Function(eval=lambda s, t: 1.0,
+                            grad=(lambda s, t: 0.0, lambda s, t: 0.0))
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -6,26 +7,49 @@ import pytest
 
 from akrvoro import (
     DomainError,
-    Function2D,
-    SquarePoint,
+    Function,
     akr_apply,
     bernstein_apply,
     lookup,
     tensor_akr_apply,
     tensor_bernstein_apply,
 )
-from akrvoro.tensor import as_point
+from akrvoro.tensor import _coords
 
 
-def test_square_point_validation():
-    SquarePoint(0.0, 1.0)
+def test_coords_accepts_any_sequence_and_a_bare_number_in_1d():
+    assert _coords((0.0, 1.0), 2) == (0.0, 1.0)
+    assert _coords([0.25, np.float64(0.75)], 2) == (0.25, 0.75)
+    assert _coords(np.array([0.25, 0.75]), 2) == (0.25, 0.75)
+    for p in (0.3, np.float64(0.3), np.array(0.3), (0.3,), [0.3]):
+        got = _coords(p, 1)
+        assert got == (0.3,) and all(type(x) is float for x in got)
+
+
+@pytest.mark.parametrize(
+    "point, arity",
+    [
+        ((-0.1, 0.5), 2),
+        ((0.5, 1.1), 2),
+        ((0.5, math.nan), 2),
+        ((0.5,), 2),
+        ((0.5, 0.5, 0.5), 2),
+        (0.5, 2),
+        (("a", 0.5), 2),
+        ((None, 0.5), 2),
+        (1.5, 1),
+        (-0.0001, 1),
+        (math.nan, 1),
+        ((0.3, 0.4), 1),
+        ((), 1),
+        ("x", 1),
+        (None, 1),
+        ([0.5, [0.1, 0.2]], 1),
+    ],
+)
+def test_coords_refuses_a_point_of_the_wrong_shape_or_range(point, arity):
     with pytest.raises(DomainError):
-        SquarePoint(-0.1, 0.5)
-    with pytest.raises(DomainError):
-        SquarePoint(0.5, 1.1)
-    p = as_point((0.25, 0.75))
-    assert (p.x, p.y) == (0.25, 0.75)
-    assert as_point(p) is p
+        _coords(point, arity)
 
 
 def test_tensor_bernstein_frozen_values():
@@ -37,7 +61,7 @@ def test_tensor_bernstein_frozen_values():
     assert tensor_bernstein_apply(st, 8, (0.4, 0.6)) == pytest.approx(0.24, abs=1e-13)
     s2 = lookup("monomial(2,0)").function
     assert tensor_bernstein_apply(
-        s2, 2, (0.5, 0.5), use_separability=False
+        replace(s2, factors=None), 2, (0.5, 0.5)
     ) == pytest.approx(0.375, abs=1e-14)
 
 
@@ -51,8 +75,8 @@ def test_tensor_bernstein_square_against_rational_brute_force():
         for k in range(3)
         for l in range(3)
     )
-    s2 = lookup("monomial(2,0)").function
-    got = tensor_bernstein_apply(s2, 2, (0.5, 0.5), use_separability=False)
+    s2 = replace(lookup("monomial(2,0)").function, factors=None)
+    got = tensor_bernstein_apply(s2, 2, (0.5, 0.5))
     assert got == pytest.approx(float(oracle), abs=1e-14)
 
 
@@ -65,7 +89,7 @@ def test_tensor_akr_frozen_values():
     assert tensor_akr_apply(st, 2, 2, (0.5, 0.5)) == pytest.approx(0.0625, abs=1e-15)
     # general path must agree with the product fast path
     assert tensor_akr_apply(
-        st, 2, 2, (0.5, 0.5), use_separability=False
+        replace(st, factors=None), 2, 2, (0.5, 0.5)
     ) == pytest.approx(0.0625, abs=1e-14)
 
 
@@ -84,13 +108,14 @@ def test_domain_errors():
 def test_separable_fast_path_matches_general_sum(name, n):
     f = lookup(name).function
     assert f.factors is not None
+    double_sum = replace(f, factors=None)
     for point in ((0.21, 0.83), (0.5, 0.5), (1.0, 0.35)):
-        for apply_op, args in (
-            (tensor_bernstein_apply, (f, n, point)),
-            (tensor_akr_apply, (f, n, 2, point)),
+        for fast, general in (
+            (tensor_bernstein_apply(f, n, point),
+             tensor_bernstein_apply(double_sum, n, point)),
+            (tensor_akr_apply(f, n, 2, point),
+             tensor_akr_apply(double_sum, n, 2, point)),
         ):
-            fast = apply_op(*args)
-            general = apply_op(*args, use_separability=False)
             assert general == pytest.approx(fast, rel=1e-12, abs=1e-12)
 
 
@@ -105,12 +130,12 @@ def test_separable_fast_path_is_the_1d_product():
 
 @pytest.mark.parametrize("n", [1, 2, 16, 128, 1024])
 def test_partition_of_unity_on_square(n):
-    const = lookup("monomial(0,0)").function
+    const = replace(lookup("monomial(0,0)").function, factors=None)
     for point in ((0.5, 0.5), (0.05, 0.93)):
-        got = tensor_bernstein_apply(const, n, point, use_separability=False)
+        got = tensor_bernstein_apply(const, n, point)
         assert got == pytest.approx(1.0, abs=1e-12)
         if n >= 2:
-            got = tensor_akr_apply(const, n, 2, point, use_separability=False)
+            got = tensor_akr_apply(const, n, 2, point)
             assert got == pytest.approx(1.0, abs=1e-12)
 
 
@@ -124,9 +149,9 @@ def test_akr_tensor_fixed_point_set(n):
         "monomial(2,2)": lambda x, y: x**2 * y**2,
     }
     for name, target in cases.items():
-        f = lookup(name).function
+        f = replace(lookup(name).function, factors=None)
         for point in ((0.3, 0.7), (1.0, 0.2)):
-            got = tensor_akr_apply(f, n, 2, point, use_separability=False)
+            got = tensor_akr_apply(f, n, 2, point)
             assert got == pytest.approx(target(*point), abs=1e-12)
 
 
@@ -145,7 +170,7 @@ def test_blocked_reduction_matches_direct_double_sum():
 
 
 def test_nonvectorized_constant_return_is_broadcast():
-    f = Function2D(eval=lambda s, t: 1.0)
+    f = Function(eval=lambda s, t: 1.0)
     assert tensor_bernstein_apply(f, 8, (0.2, 0.9)) == pytest.approx(1.0, abs=1e-13)
 
 

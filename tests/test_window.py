@@ -11,13 +11,14 @@ table, and a value at n = 2^20 allocates far less than one full table.
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from akrvoro import (
-    Function1D,
+    Function,
     akr_apply,
     bernstein_apply,
     build_node_table,
@@ -37,7 +38,7 @@ ABS = 1e-300
 
 RUNGE = lookup("runge-2d").function
 EXP_SUM = lookup("exp-sum").function
-WAVE = Function1D(eval=lambda t: np.cos(7.0 * np.pi * np.asarray(t)))
+WAVE = Function(eval=lambda t: np.cos(7.0 * np.pi * np.asarray(t)))
 
 degrees = st.integers(min_value=2, max_value=4096)
 points = st.one_of(
@@ -91,12 +92,13 @@ def test_window_matches_full_sum_2d(n, x, y):
     classical = full_reduce(RUNGE.eval, uniform, uniform, wx, wy)
     modified = full_reduce(RUNGE.eval, nodes, nodes, wx, wy)
     p = (x, y)
-    assert_close(tensor_bernstein_apply(RUNGE, n, p, use_separability=False), classical)
-    assert_close(tensor_akr_apply(RUNGE, n, 2, p, use_separability=False), modified)
+    assert_close(tensor_bernstein_apply(RUNGE, n, p), classical)
+    assert_close(tensor_akr_apply(RUNGE, n, 2, p), modified)
 
     drift = nodes - uniform
-    e_ref = full_reduce(RUNGE.fx, uniform, uniform, wx * drift, wy)
-    f_ref = full_reduce(RUNGE.fy, uniform, uniform, wx, wy * drift)
+    fx, fy = RUNGE.grad
+    e_ref = full_reduce(fx, uniform, uniform, wx * drift, wy)
+    f_ref = full_reduce(fy, uniform, uniform, wx, wy * drift)
     e_ref, f_ref = (n * e_ref[0], n * e_ref[1]), (n * f_ref[0], n * f_ref[1])
     total = (n * (modified[0] - classical[0]), n * (modified[1] + classical[1]))
     g_ref = (total[0] - e_ref[0] - f_ref[0], total[1] + e_ref[1] + f_ref[1])
@@ -112,13 +114,13 @@ def sliced_window(n, x):
     return slice(lo, hi + 1), np.exp(log_weights(n, x, lo, hi))
 
 
-def sliced_sum(f, nodes, windows, use_separability=True):
+def sliced_sum(f, nodes, windows):
     """The operator's sum, in the operator's order, over slices of the full
     node table ``nodes``."""
     if len(windows) == 1:
         ((s, w),) = windows
         return comp_dot(eval_on(f.eval, nodes[s]), w)
-    if use_separability and f.factors is not None:
+    if f.factors is not None:
         return math.prod(
             sliced_sum(g, nodes, (window,)) for g, window in zip(f.factors, windows)
         )
@@ -145,19 +147,18 @@ def test_window_nodes_give_the_sliced_full_table_sums_bit_for_bit(n, j, x, y):
     # runge-2d has no factors: its double sum at n = 65536 is slow
     functions = (EXP_SUM,) if n > 8192 else (EXP_SUM, RUNGE)
     for f in functions:
-        for sep in (True, False):
-            got = tensor_akr_apply(f, n, j, p, use_separability=sep)
-            assert got == sliced_sum(f, nodes, wins, sep)
-            got = tensor_bernstein_apply(f, n, p, use_separability=sep)
-            assert got == sliced_sum(f, uniform, wins, sep)
+        for g in (f, replace(f, factors=None)):
+            assert tensor_akr_apply(g, n, j, p) == sliced_sum(g, nodes, wins)
+            assert tensor_bernstein_apply(g, n, p) == sliced_sum(g, uniform, wins)
 
     nodes = build_node_table(n, 2).nodes
     drift = nodes - uniform
     (sx, wx), (sy, wy) = wins
     s, t = uniform[sx], uniform[sy]
     for f in functions:
-        e_ref = n * tensor_reduce(f.fx, s, t, wx * drift[sx], wy)
-        f_ref = n * tensor_reduce(f.fy, s, t, wx, wy * drift[sy])
+        fx, fy = f.grad
+        e_ref = n * tensor_reduce(fx, s, t, wx * drift[sx], wy)
+        f_ref = n * tensor_reduce(fy, s, t, wx, wy * drift[sy])
         total = n * (sliced_sum(f, nodes, wins) - sliced_sum(f, uniform, wins))
         d = decomposition(f, n, p)
         assert (d.e_term, d.f_term, d.total) == (e_ref, f_ref, total)
