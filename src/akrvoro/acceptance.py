@@ -11,7 +11,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .akr import build_node_table, fixed_point_error, remainder
+from ._kernels import CACHE_BLOCK_ELEMENTS
+from .akr import (
+    _node_formula,
+    _remainder_formula,
+    build_node_table,
+    fixed_point_error,
+    remainder,
+)
 from .asymptotics import (
     KINDS,
     ConvergenceSeries,
@@ -64,31 +71,91 @@ def criterion_1():
     return worst <= 1e-12, f"max grid error {worst:.3e} (<= 1e-12)"
 
 
+def _remainder_sweep(last):
+    """(first, n, k, r, nodes) over the degrees 2..last in blocks of whole
+    degrees: n the column of degrees first, first + 1, ..., k the row
+    0..max(n), and r and nodes the j = 2 remainder and nodes at every cell,
+    from the formulas that ``remainder`` and ``build_node_table`` evaluate.
+    A block has at most CACHE_BLOCK_ELEMENTS cells; the cells with k > n,
+    all in the columns after the first degree, are padding."""
+    grid = np.arange(last + 1, dtype=np.float64)
+    first = 2
+    while first <= last:
+        # the largest row count with rows * (first + rows) cells in the cap
+        rows = (math.isqrt(first * first + 4 * CACHE_BLOCK_ELEMENTS) - first) // 2
+        end = min(last + 1, first + max(1, rows))
+        k, n = grid[:end], grid[first:end, None]
+        yield first, n, k, _remainder_formula(k, n), _node_formula(k, n, 2)
+        first = end
+
+
+def _reduce_valid(ufunc, x, tail):
+    """ufunc.reduce over the cells k <= n of a sweep block x: the columns
+    before the last tail.shape[1] hold no padding, and those are masked by
+    tail."""
+    split = x.shape[1] - tail.shape[1]
+    head = ufunc.reduce(x[:, :split], axis=None)
+    return float(ufunc.reduce(x[:, split:], axis=None, where=tail, initial=head))
+
+
+# degrees at which criterion 2 checks its sweep against the public functions
+_CHECKED_DEGREES = (2, 2048, 4096)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def _sweep_mismatches(first, r, nodes):
+    """The degrees of _CHECKED_DEGREES in a sweep block whose rows differ
+    from ``remainder`` or ``build_node_table`` in any bit."""
+    bad = []
+    for degree in _CHECKED_DEGREES:
+        row = degree - first
+        if 0 <= row < r.shape[0] and not (
+            _same_bits(r[row, : degree + 1], remainder(degree, np.arange(degree + 1)))
+            and _same_bits(nodes[row, : degree + 1], build_node_table(degree, 2).nodes)
+        ):
+            bad.append(str(degree))
+    return bad
+
+
 def criterion_2():
-    """Remainder sign/endpoint properties and node drift bounds, n <= 4096."""
-    worst_r0 = 0.0
+    """Remainder sign/endpoint properties and node drift bounds, n <= 4096.
+
+    The sweep's rows at _CHECKED_DEGREES must equal ``remainder`` and
+    ``build_node_table`` bit for bit."""
+    last = 4096
+    r0 = np.empty(last - 1)  # R(n, 0) for n = 2..last
     min_r = math.inf
     min_drift = math.inf
     max_excess = -math.inf
-    for n in range(2, 4097):
-        k = np.arange(n + 1)
-        r = remainder(n, k)
-        expected = -1.0 / (2.0 * n)
-        worst_r0 = max(worst_r0, abs(r[0] - expected) / np.spacing(abs(expected)))
-        min_r = min(min_r, float(r[1:].min()))
-        drift = k / n - build_node_table(n, 2).nodes
-        min_drift = min(min_drift, float(drift.min()))
-        max_excess = max(max_excess, float((drift - 1.0 / n).max()))
+    mismatched = []
+    for first, n, k, r, nodes in _remainder_sweep(last):
+        mismatched += _sweep_mismatches(first, r, nodes)
+        r0[first - 2 : first - 2 + n.shape[0]] = r[:, 0]
+        tail = k[first + 1 :] <= n
+        min_r = min(min_r, _reduce_valid(np.minimum, r[:, 1:], tail))
+        drift = np.subtract(k / n, nodes, out=nodes)
+        min_drift = min(min_drift, _reduce_valid(np.minimum, drift, tail))
+        drift -= 1.0 / n
+        max_excess = max(max_excess, _reduce_valid(np.maximum, drift, tail))
+    expected = -1.0 / (2.0 * np.arange(2, last + 1))
+    worst_r0 = float((np.abs(r0 - expected) / np.spacing(np.abs(expected))).max())
     ok = (
-        worst_r0 <= 1.0
+        not mismatched
+        and worst_r0 <= 1.0
         and min_r >= -1e-15
         and min_drift >= -1e-15
         and max_excess <= 1e-15
     )
-    return ok, (
+    detail = (
         f"R(n,0) off by {worst_r0:.2f} ulp; min R(k>=1) {min_r:.2e}; "
         f"drift in [{min_drift:.2e}, 1/n + {max_excess:.2e}]"
     )
+    if mismatched:
+        detail += f"; sweep differs from remainder/nodes at n = {', '.join(mismatched)}"
+    return ok, detail
 
 
 def criterion_3():

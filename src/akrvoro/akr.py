@@ -62,22 +62,26 @@ def _check_window(n, lo, hi):
     return lo, hi
 
 
+def _node_formula(k, n, j):
+    """t(n,k,j) elementwise over broadcast float arrays k and n, n >= j.
+
+    Below j a factor k - i is clamped to 0, so its log is -inf and the node
+    exp(-inf) = 0 exactly; at k = n every log ratio is 0 and the node is
+    exactly 1.  ``build_node_table`` and criterion 2 both call it."""
+    with np.errstate(divide="ignore"):
+        acc = np.log(k) - np.log(n)
+        for i in range(1, j):
+            acc += np.log(np.maximum(k - i, 0.0)) - np.log(n - i)
+        return np.exp(acc / j)
+
+
 def build_node_table(n, j=2, lo=0, hi=None):
     """Nodes for degree n and order j at k = lo..hi (default all n+1) as an
     immutable table.  Each node is computed from k alone, so a window holds
     the full table's values bit for bit."""
     n, j = _check_nj(n, j)
     lo, hi = _check_window(n, lo, hi)
-    nodes = np.zeros(hi - lo + 1)
-    k0, k1 = max(lo, j), min(hi, n - 1)
-    if k0 <= k1:
-        k = np.arange(k0, k1 + 1, dtype=np.float64)
-        acc = np.zeros_like(k)
-        for i in range(j):
-            acc += np.log(k - i) - np.log(float(n - i))
-        nodes[k0 - lo : k1 - lo + 1] = np.exp(acc / j)
-    if hi == n:
-        nodes[-1] = 1.0
+    nodes = _node_formula(np.arange(lo, hi + 1, dtype=np.float64), float(n), j)
     nodes.flags.writeable = False
     return NodeTable(n=n, j=j, nodes=nodes, lo=lo)
 
@@ -92,6 +96,17 @@ def node_values(n, j, lo=0, hi=None):
     return build_node_table(n, j, lo, hi).nodes
 
 
+def _remainder_formula(k, n):
+    """The j = 2 node correction term elementwise over broadcast float
+    arrays k and n; ``remainder`` and criterion 2 both call it."""
+    return (
+        k / n
+        - np.sqrt(k * (k - 1.0) / (n * (n - 1.0)))
+        - 1.0 / (2.0 * n)
+        + k / (2.0 * n * n)
+    )
+
+
 def remainder(n, k):
     """Node correction term for j = 2:
 
@@ -104,13 +119,7 @@ def remainder(n, k):
     k = np.asarray(k)
     if np.any(k < 0) or np.any(k > n):
         raise DomainError(f"index must lie in [0, {n}]")
-    kf = k.astype(np.float64)
-    value = (
-        kf / n
-        - np.sqrt(kf * (kf - 1.0) / (n * (n - 1.0)))
-        - 1.0 / (2.0 * n)
-        + kf / (2.0 * n * n)
-    )
+    value = _remainder_formula(k.astype(np.float64), float(n))
     return float(value) if value.ndim == 0 else value
 
 

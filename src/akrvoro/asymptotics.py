@@ -137,13 +137,20 @@ def lemma_sum(n, x):
 
 def _partials(f, d, order, needed_by="the limit"):
     """The exact pure partials of f of this order on [0, 1]^d, one callable
-    per axis: ``grad[i]``, or the diagonal ``hess[i][i]``."""
-    if order == 1:
-        fns = None if f.grad is None else [f.grad[i] for i in range(d)]
+    per axis: ``grad[i]``, or the diagonal ``hess[i][i]``.  A DomainError
+    when f has partials in fewer than d coordinates."""
+    table = f.grad if order == 1 else f.hess
+    kind = "first" if order == 1 else "second"
+    if table is not None and len(table) < d:
+        raise DomainError(
+            f"{needed_by} at a point of {d} coordinates needs {kind} partials "
+            f"in each; f has them in {len(table)}"
+        )
+    if table is None:
+        fns = None
     else:
-        fns = None if f.hess is None else [f.hess[i][i] for i in range(d)]
+        fns = [table[i] if order == 1 else table[i][i] for i in range(d)]
     if fns is None or any(fn is None for fn in fns):
-        kind = "first" if order == 1 else "second"
         raise CapabilityError(f"{needed_by} requires exact {kind} partials")
     return fns
 

@@ -43,14 +43,16 @@ def _monomial_1d(p):
     if p == 0:
         return Function(eval=_ones, grad=(_zeros,), hess=((_zeros,),))
 
-    def ev(t, p=p):
+    # p is closed over, not a keyword default: a call with two coordinates
+    # must raise, not read the second one as the exponent
+    def ev(t):
         return np.asarray(t, dtype=np.float64) ** p
 
-    def d1(t, p=p):
+    def d1(t):
         t = np.asarray(t, dtype=np.float64)
         return p * t ** (p - 1) if p >= 1 else np.zeros_like(t)
 
-    def d2(t, p=p):
+    def d2(t):
         t = np.asarray(t, dtype=np.float64)
         if p < 2:
             return np.zeros_like(t)

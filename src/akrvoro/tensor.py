@@ -17,7 +17,14 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from ._kernels import bilinear_accumulate, check_degree, comp_dot, log_weights, support
+from ._kernels import (
+    CACHE_BLOCK_ELEMENTS,
+    bilinear_accumulate,
+    check_degree,
+    comp_dot,
+    log_weights,
+    support,
+)
 from .akr import _check_nj, node_values
 from .basis import eval_on
 from .errors import DomainError
@@ -31,7 +38,10 @@ __all__ = [
     "tensor_akr_apply",
 ]
 
-# rows per evaluation block; keeps peak memory ~33 MB at n = 8192
+# Grid values per block handed to the bilinear reduction.  It binds only
+# when both windows hold 2048 nodes or more, from n of about 45000 away
+# from the edges.  BLAS row sums depend on a block's row count, so the
+# grid's values are tiled inside eval_grid_block instead.
 _BLOCK_ELEMENTS = 1 << 22
 
 
@@ -52,8 +62,9 @@ class SupBounds:
 class Function:
     """A real function on [0, 1]^d with optional exact partials.
 
-    Every callable takes the d coordinates and must broadcast over numpy
-    arrays; operators evaluate them on whole node vectors and grids.
+    Every callable takes the d coordinates and must be elementwise over
+    broadcast numpy arrays: a value depends only on its own coordinates.
+    Operators evaluate them on whole node vectors and on grids in row tiles.
     ``grad[i]`` is the partial in coordinate i and ``hess[i][l]`` the second
     partial in coordinates i and l.  ``factors`` declares f(x_1, ..., x_d) =
     g_1(x_1) ... g_d(x_d), each g_i a Function of one coordinate; the
@@ -78,11 +89,17 @@ class Function:
 
 
 def eval_grid_block(func, s_nodes, t_nodes):
-    """Evaluate func on the outer grid s_nodes x t_nodes as a float block."""
-    out = np.asarray(func(s_nodes[:, None], t_nodes[None, :]), dtype=np.float64)
-    shape = (s_nodes.shape[0], t_nodes.shape[0])
-    if out.shape != shape:
-        out = np.broadcast_to(out, shape)
+    """Evaluate func on the outer grid s_nodes x t_nodes as a float block.
+
+    func is evaluated in tiles of whole rows of about CACHE_BLOCK_ELEMENTS
+    values, so its temporaries stay cache-sized; an elementwise func gives
+    the one-shot values bit for bit."""
+    rows, cols = s_nodes.shape[0], t_nodes.shape[0]
+    out = np.empty((rows, cols))
+    step = max(1, CACHE_BLOCK_ELEMENTS // cols)
+    t = t_nodes[None, :]
+    for i in range(0, rows, step):
+        out[i : i + step] = func(s_nodes[i : i + step, None], t)
     return out
 
 

@@ -19,8 +19,6 @@ from akrvoro import (
 )
 from akrvoro.akr import node_values
 
-mp.mp.dps = 50
-
 
 def akr_node(n, k, j):
     return build_node_table(n, j).nodes[k]
@@ -31,7 +29,9 @@ def test_akr_node_frozen_values():
     assert akr_node(5, 5, 2) == 1.0
     assert akr_node(4, 2, 2) == pytest.approx(math.sqrt(1.0 / 6.0), rel=1e-15)
     # j = 3: (3*2*1 / (6*5*4))^(1/3)
-    assert akr_node(6, 3, 3) == pytest.approx(float(mp.cbrt(mp.mpf(6) / 120)), rel=1e-14)
+    with mp.workdps(50):
+        exact = float(mp.cbrt(mp.mpf(6) / 120))
+    assert akr_node(6, 3, 3) == pytest.approx(exact, rel=1e-14)
 
 
 def test_akr_node_domain_errors():
@@ -61,8 +61,9 @@ def test_node_table_invariants(n, j):
     assert np.all(np.diff(nodes) >= 0.0)
     assert np.all((nodes >= 0.0) & (nodes <= 1.0))
     k = n // 2
-    exact = mp.root(mp.fprod(mp.mpf(k - i) / (n - i) for i in range(j)), j)
-    assert nodes[k] == pytest.approx(float(exact), rel=1e-14, abs=0.0)
+    with mp.workdps(50):
+        exact = float(mp.root(mp.fprod(mp.mpf(k - i) / (n - i) for i in range(j)), j))
+    assert nodes[k] == pytest.approx(exact, rel=1e-14, abs=0.0)
 
 
 @functools.lru_cache(maxsize=8)
@@ -195,15 +196,18 @@ def test_akr_apply_domain_errors():
 def test_akr_apply_against_high_precision_brute_force(n):
     e1 = lookup("e1").function
     for x in (0.1, 0.37, 0.5, 0.9):
-        xm = mp.mpf(x)
-        exact = mp.fsum(
-            mp.binomial(n, k)
-            * xm**k
-            * (1 - xm) ** (n - k)
-            * mp.sqrt(mp.mpf(k * (k - 1)) / (n * (n - 1)))
-            for k in range(n + 1)
-        )
-        assert akr_apply(e1, n, 2, x) == pytest.approx(float(exact), abs=1e-13)
+        with mp.workdps(50):
+            xm = mp.mpf(x)
+            exact = float(
+                mp.fsum(
+                    mp.binomial(n, k)
+                    * xm**k
+                    * (1 - xm) ** (n - k)
+                    * mp.sqrt(mp.mpf(k * (k - 1)) / (n * (n - 1)))
+                    for k in range(n + 1)
+                )
+            )
+        assert akr_apply(e1, n, 2, x) == pytest.approx(exact, abs=1e-13)
 
 
 def test_akr_apply_equals_bernstein_apply_of_node_values():

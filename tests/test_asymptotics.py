@@ -145,6 +145,20 @@ def test_limits_require_exact_partials(limit, f, point):
         limit(f, point)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda f: voronovskaja_rhs_2d(f, (0.5, 0.5)),
+        lambda f: classical_rhs_2d(f, (0.5, 0.5)),
+        lambda f: drift_rhs_2d(f, (0.5, 0.5)),
+        lambda f: decomposition(f, 64, (0.5, 0.5)),
+    ],
+)
+def test_a_1d_function_at_a_point_of_the_square_is_a_domain_error(call):
+    with pytest.raises(DomainError, match="2 coordinates"):
+        call(lookup("e3").function)
+
+
 def test_limits_read_only_the_partials_they_need():
     # the classical limits have no drift terms and need no first partials;
     # the drift limit has no diffusion terms and needs no second partials

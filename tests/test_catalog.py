@@ -4,7 +4,13 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from akrvoro import UnknownFunctionError, catalog_names, lookup
+from akrvoro import (
+    UnknownFunctionError,
+    catalog_names,
+    lookup,
+    tensor_akr_apply,
+    tensor_bernstein_apply,
+)
 
 
 def test_documented_names_resolve():
@@ -110,6 +116,21 @@ def test_hessian_is_symmetric(name):
     s = np.linspace(0.0, 1.0, 41)
     S, T = s[:, None], s[None, :]
     np.testing.assert_array_equal(f.hess[0][1](S, T), f.hess[1][0](S, T))
+
+
+@pytest.mark.parametrize("name", ("const1", "e1", "e2", "e3"))
+def test_a_1d_entry_refuses_a_second_coordinate(name):
+    # a keyword default for the exponent once took the second coordinate,
+    # so the operators on the square returned a sum of s**t
+    f = lookup(name).function
+    s = np.array([0.5])
+    for fn in (f.eval, f.grad[0], f.hess[0][0]):
+        with pytest.raises(TypeError):
+            fn(s, s)
+    with pytest.raises(TypeError):
+        tensor_akr_apply(f, 64, 2, (0.5, 0.5))
+    with pytest.raises(TypeError):
+        tensor_bernstein_apply(f, 64, (0.5, 0.5))
 
 
 @pytest.mark.parametrize("name", ("const1", "e3") + _NAMES_2D)

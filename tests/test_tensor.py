@@ -14,7 +14,8 @@ from akrvoro import (
     tensor_akr_apply,
     tensor_bernstein_apply,
 )
-from akrvoro.tensor import _coords
+from akrvoro._kernels import CACHE_BLOCK_ELEMENTS
+from akrvoro.tensor import _coords, eval_grid_block
 
 
 def test_coords_accepts_any_sequence_and_a_bare_number_in_1d():
@@ -169,6 +170,39 @@ def test_blocked_reduction_matches_direct_double_sum():
     assert got == pytest.approx(oracle, rel=1e-13)
 
 
+def _assert_same_bits(a, b):
+    assert a.shape == b.shape
+    np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
+
+
+_COLS = 100
+_TILE = CACHE_BLOCK_ELEMENTS // _COLS  # rows per tile at _COLS columns
+
+
+@pytest.mark.parametrize("name", ["runge-2d", "exp-sum", "sinpix-cospiy", "monomial(2,3)"])
+@pytest.mark.parametrize(
+    "rows, cols",
+    [(r, _COLS) for r in (1, _TILE - 1, _TILE, _TILE + 1, 3 * _TILE + 7)]
+    # rows wider than a tile are evaluated one at a time
+    + [(3, CACHE_BLOCK_ELEMENTS + 5)],
+)
+def test_tiled_grid_equals_the_one_shot_grid_bit_for_bit(name, rows, cols):
+    func = lookup(name).function.eval
+    rng = np.random.default_rng(rows)
+    s, t = rng.random(rows), rng.random(cols)
+    got = eval_grid_block(func, s, t)
+    assert got.flags.c_contiguous and got.dtype == np.float64
+    _assert_same_bits(got, np.asarray(func(s[:, None], t[None, :]), dtype=np.float64))
+
+
+def test_scalar_valued_grid_is_a_contiguous_block():
+    # the one-shot block was a zero-stride broadcast view of the scalar; the
+    # values are the same, but BLAS now reads a contiguous block
+    got = eval_grid_block(lambda s, t: 2.5, np.linspace(0, 1, 7), np.linspace(0, 1, 9))
+    assert got.flags.c_contiguous and got.flags.writeable
+    _assert_same_bits(got, np.broadcast_to(np.float64(2.5), (7, 9)).copy())
+
+
 def test_nonvectorized_constant_return_is_broadcast():
     f = Function(eval=lambda s, t: 1.0)
     assert tensor_bernstein_apply(f, 8, (0.2, 0.9)) == pytest.approx(1.0, abs=1e-13)
@@ -177,7 +211,6 @@ def test_nonvectorized_constant_return_is_broadcast():
 def test_general_path_against_high_precision_oracle():
     import mpmath as mp
 
-    mp.mp.dps = 40
     n = 24
     x, y = mp.mpf(0.3), mp.mpf(0.7)
 
@@ -191,17 +224,22 @@ def test_general_path_against_high_precision_oracle():
         return 1 / (1 + 25 * (s - mp.mpf(0.5)) ** 2 + 25 * (t - mp.mpf(0.5)) ** 2)
 
     f = lookup("runge-2d").function
-    exact_akr = mp.fsum(
-        w(k, x) * w(l, y) * runge(node(k), node(l))
-        for k in range(n + 1)
-        for l in range(n + 1)
-    )
+    with mp.workdps(40):
+        exact_akr = float(
+            mp.fsum(
+                w(k, x) * w(l, y) * runge(node(k), node(l))
+                for k in range(n + 1)
+                for l in range(n + 1)
+            )
+        )
+        exact_bern = float(
+            mp.fsum(
+                w(k, x) * w(l, y) * runge(mp.mpf(k) / n, mp.mpf(l) / n)
+                for k in range(n + 1)
+                for l in range(n + 1)
+            )
+        )
     got = tensor_akr_apply(f, n, 2, (0.3, 0.7))
-    assert got == pytest.approx(float(exact_akr), rel=1e-14)
-    exact_bern = mp.fsum(
-        w(k, x) * w(l, y) * runge(mp.mpf(k) / n, mp.mpf(l) / n)
-        for k in range(n + 1)
-        for l in range(n + 1)
-    )
+    assert got == pytest.approx(exact_akr, rel=1e-14)
     got = tensor_bernstein_apply(f, n, (0.3, 0.7))
-    assert got == pytest.approx(float(exact_bern), rel=1e-14)
+    assert got == pytest.approx(exact_bern, rel=1e-14)
