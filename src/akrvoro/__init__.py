@@ -11,15 +11,11 @@ from .asymptotics import (
     ConvergenceSeries,
     Decomposition,
     ExtrapolationResult,
-    classical_rhs_1d,
-    classical_rhs_2d,
     decomposition,
-    drift_rhs_2d,
     extrapolate,
     lemma_sum,
+    limit,
     residual_series,
-    voronovskaja_rhs_1d,
-    voronovskaja_rhs_2d,
 )
 from .basis import (
     basis_weight,
@@ -27,22 +23,13 @@ from .basis import (
 )
 from .catalog import CatalogEntry, catalog_names, lookup
 from .errors import CapabilityError, DomainError, UnknownFunctionError
-from .tensor import (
-    Function,
-    SupBounds,
-    akr_apply,
-    bernstein_apply,
-    tensor_akr_apply,
-    tensor_bernstein_apply,
-)
+from .tensor import Function, SupBounds, apply
 
 __version__ = "0.1.0"
 
 __all__ = [
     "backend",
     "NodeTable",
-    "akr_apply",
-    "bernstein_apply",
     "build_node_table",
     "fixed_point_error",
     "remainder",
@@ -50,15 +37,11 @@ __all__ = [
     "ConvergenceSeries",
     "Decomposition",
     "ExtrapolationResult",
-    "classical_rhs_1d",
-    "classical_rhs_2d",
     "decomposition",
-    "drift_rhs_2d",
     "extrapolate",
     "lemma_sum",
+    "limit",
     "residual_series",
-    "voronovskaja_rhs_1d",
-    "voronovskaja_rhs_2d",
     "basis_weight",
     "weight_vector",
     "CatalogEntry",
@@ -69,6 +52,5 @@ __all__ = [
     "UnknownFunctionError",
     "Function",
     "SupBounds",
-    "tensor_akr_apply",
-    "tensor_bernstein_apply",
+    "apply",
 ]

@@ -9,6 +9,7 @@ saddle-point split below with vectorized numpy.  Reduction order is fixed
 
 import functools
 import math
+import operator
 
 import numpy as np
 
@@ -17,6 +18,7 @@ from .errors import DomainError
 __all__ = [
     "backend",
     "check_degree",
+    "check_integral",
     "comp_dot",
     "bilinear_accumulate",
     "log_weights",
@@ -221,9 +223,30 @@ MAX_DEGREE = 2**20
 CACHE_BLOCK_ELEMENTS = 1 << 14
 
 
+def check_integral(value, name):
+    """value as an int, or as an array when it is one: ints, numpy integers
+    and finite integral floats such as 8.0 pass; anything else (8.5, nan,
+    "a", None) is a DomainError naming ``name``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        pass
+    try:
+        array = np.asarray(value)
+    except ValueError:
+        array = None
+    if array is not None and (
+        array.dtype.kind in "biu"
+        or array.dtype.kind == "f"
+        and np.all(np.isfinite(array) & (array == np.trunc(array)))
+    ):
+        return int(array) if array.ndim == 0 else array
+    raise DomainError(f"{name} must be integral, got {value!r}")
+
+
 def check_degree(n, least=1):
     """n as an int, refused with DomainError unless least <= n <= MAX_DEGREE."""
-    n = int(n)
+    n = check_integral(n, "degree")
     if n < least:
         raise DomainError(f"degree must be >= {least}, got {n}")
     if n > MAX_DEGREE:

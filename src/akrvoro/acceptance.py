@@ -28,7 +28,7 @@ from .asymptotics import (
 )
 from .catalog import lookup
 from .errors import DomainError
-from .tensor import tensor_akr_apply, tensor_bernstein_apply
+from .tensor import apply
 
 __all__ = ["CriterionResult", "CRITERIA", "relative_ok", "run_all", "run_criterion"]
 
@@ -235,8 +235,7 @@ def criterion_7():
         for point in ((0.5, 0.5), (0.7, 0.3)):
             d = decomposition(f, n, point)
             recomputed = n * (
-                tensor_akr_apply(double_sum, n, 2, point)
-                - tensor_bernstein_apply(double_sum, n, point)
+                apply(double_sum, n, 2, point) - apply(double_sum, n, 1, point)
             )
             mismatch = abs(recomputed - (d.e_term + d.f_term + d.g_residual))
             g_bound = bound_const / (2.0 * n)

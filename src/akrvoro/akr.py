@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import check_degree, comp_dot, log_weights
+from ._kernels import check_degree, check_integral, comp_dot, log_weights
 from .errors import DomainError
 
 __all__ = [
@@ -41,10 +41,16 @@ class NodeTable:
     lo: int = 0
 
 
+def _check_order(j, least=2):
+    """The order j as an int, refused with DomainError below ``least``."""
+    j = check_integral(j, "order j")
+    if j < least:
+        raise DomainError(f"order j must be >= {least}, got {j}")
+    return j
+
+
 def _check_nj(n, j):
-    j = int(j)
-    if j < 2:
-        raise DomainError(f"order j must be >= 2, got {j}")
+    j = _check_order(j)
     return check_degree(n, j), j
 
 
@@ -116,7 +122,7 @@ def remainder(n, k):
     two computations can be cross-checked.  ``k`` may be an array.
     """
     n = check_degree(n, 2)
-    k = np.asarray(k)
+    k = np.asarray(check_integral(k, "index"))
     if np.any(k < 0) or np.any(k > n):
         raise DomainError(f"index must lie in [0, {n}]")
     value = _remainder_formula(k.astype(np.float64), float(n))
@@ -129,7 +135,7 @@ def fixed_point_error(n, j, grid_size):
     Returns max over a uniform grid of |B(1) - 1| and |B(t^j) - x^j|.
     """
     n, j = _check_nj(n, j)
-    grid_size = int(grid_size)
+    grid_size = check_integral(grid_size, "grid size")
     if grid_size < 2:
         raise DomainError(f"grid size must be >= 2, got {grid_size}")
     ones = np.ones(n + 1)

@@ -14,17 +14,15 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from ._kernels import check_degree, comp_dot, log_weights, support
-from .akr import node_values, remainder
+from ._kernels import check_degree, check_integral, comp_dot, log_weights, support
+from .akr import _check_order, node_values, remainder
 from .errors import CapabilityError, DomainError
 from .tensor import (
+    _ARITIES,
+    _apply,
     _axis_windows,
     _coords,
     _window_apply,
-    akr_apply,
-    bernstein_apply,
-    tensor_akr_apply,
-    tensor_bernstein_apply,
     tensor_reduce,
 )
 
@@ -36,11 +34,7 @@ __all__ = [
     "ExtrapolationResult",
     "Decomposition",
     "lemma_sum",
-    "voronovskaja_rhs_1d",
-    "classical_rhs_1d",
-    "voronovskaja_rhs_2d",
-    "classical_rhs_2d",
-    "drift_rhs_2d",
+    "limit",
     "decomposition",
     "residual_series",
     "rate_estimates",
@@ -119,7 +113,10 @@ _EPS = float(np.finfo(np.float64).eps)
 
 
 def _check_positive_x(x, name="x"):
-    x = float(x)
+    try:
+        x = float(x)
+    except (TypeError, ValueError):
+        raise DomainError(f"{name} must lie in (0, 1], got {x!r}") from None
     if not 0.0 < x <= 1.0:
         raise DomainError(f"{name} must lie in (0, 1], got {x}")
     return x
@@ -138,10 +135,10 @@ def lemma_sum(n, x):
 def _partials(f, d, order, needed_by="the limit"):
     """The exact pure partials of f of this order on [0, 1]^d, one callable
     per axis: ``grad[i]``, or the diagonal ``hess[i][i]``.  A DomainError
-    when f has partials in fewer than d coordinates."""
+    when f has partials in another number of coordinates."""
     table = f.grad if order == 1 else f.hess
     kind = "first" if order == 1 else "second"
-    if table is not None and len(table) < d:
+    if table is not None and len(table) != d:
         raise DomainError(
             f"{needed_by} at a point of {d} coordinates needs {kind} partials "
             f"in each; f has them in {len(table)}"
@@ -188,32 +185,12 @@ def _limit(f, coords, j, diffusion=True):
     return value
 
 
-def voronovskaja_rhs_1d(f, x):
-    """x(1-x)/2 f'' - (1-x)/2 f', the 1-d modified-node saturation limit."""
-    return _limit(f, _coords(x, 1), 2)
-
-
-def classical_rhs_1d(f, x):
-    """x(1-x)/2 f'', the classical 1-d saturation limit."""
-    return _limit(f, _coords(x, 1), 1)
-
-
-def voronovskaja_rhs_2d(f, p):
-    """Square-domain saturation limit of the modified-node tensor operator."""
-    return _limit(f, _coords(p, 2), 2)
-
-
-def classical_rhs_2d(f, p):
-    """x(1-x)/2 fxx + y(1-y)/2 fyy, the classical tensor saturation limit."""
-    return _limit(f, _coords(p, 2), 1)
-
-
-def drift_rhs_2d(f, p):
-    """-(1-x)/2 fx - (1-y)/2 fy, the first-order node-drift limit.
-
-    Equals voronovskaja_rhs_2d - classical_rhs_2d.
-    """
-    return _limit(f, _coords(p, 2), 2, diffusion=False)
+def limit(f, point, j):
+    """The limit of n (Op_n f - f) for the order-j operator ``tensor.apply``
+    at a point of [0, 1]^d: x(1-x)/2 f'' - (j-1)(1-x)/2 f' on [0, 1] (the
+    classical x(1-x)/2 f'' at j = 1), summed over the axes on the square.
+    The point's arity is d, as for ``apply``."""
+    return _limit(f, _coords(point), _check_order(j, 1))
 
 
 # --------------------------------------------------------------------------
@@ -258,63 +235,58 @@ def decomposition(f, n, p):
 class SeriesKind:
     """How one kind of scaled series is computed and what it converges to.
 
-    ``value(f, n, j, point)`` is the series at degree n and ``limit(f, point,
-    j)`` its limit; a kind that ignores j (``uses_j`` False) is of order 1
-    and has the Bernstein limit at every j.  A kind that uses j is of order
-    j >= 2: j is its least n0 and its point must have strictly positive
-    coordinates.  ``operator(f, n, j, point)`` is the operator value for
-    kinds whose series is n (Op_n f - f) at the point.  The point is the
-    tuple of its ``arity`` coordinates; ``operator`` and ``limit`` also take
-    any point that ``tensor._coords`` accepts.  ``uses_f`` is False for a
-    series that does not depend on f.
+    A kind of ``order`` 1 (Bernstein) runs at j = 1 whatever j is asked
+    for.  A kind of order None runs at the order j >= 2 asked for: j is its
+    least n0 and its point must have strictly positive coordinates.  At the
+    order j it runs at, ``value(f, n, j, coords)`` is the series at degree n
+    and ``target(f, coords, j)`` its limit, at the point with these
+    ``arity`` coordinates.  ``uses_f`` is False for a series that does not
+    depend on f.
     """
 
     arity: int
+    order: Optional[int]
     value: Callable
-    limit: Callable
-    operator: Optional[Callable] = None
+    target: Callable
     uses_f: bool = True
-    uses_j: bool = True
+
+    def limit(self, f, point, j):
+        """The series' limit at any point that ``tensor._coords`` accepts
+        at this kind's arity, when it is asked for order j."""
+        return self.target(f, _coords(point, self.arity), self.order or j)
 
 
-def _limit_of(arity, order=None, diffusion=True):
-    """limit(f, point, j) at the given order, or at j when order is None."""
-    return lambda f, point, j: _limit(f, _coords(point, arity), order or j, diffusion)
+def _operator_value(f, n, j, coords):
+    return n * (_apply(f, n, j, coords) - float(f.eval(*coords)))
 
 
-def _operator_kind(arity, operator, order=None):
-    """The kind n (Op_n f - f); a fixed order (1 for Bernstein) ignores j."""
-
-    def value(f, n, j, point):
-        return n * (operator(f, n, j, point) - float(f.eval(*point)))
-
-    limit = _limit_of(arity, order)
-    return SeriesKind(arity, value, limit, operator, uses_j=order is None)
+def _drift_value(f, n, j, coords):
+    return n * (_apply(f, n, j, coords) - _apply(f, n, 1, coords))
 
 
-def _drift_value(f, n, j, p):
-    return n * (tensor_akr_apply(f, n, j, p) - tensor_bernstein_apply(f, n, p))
-
-
-def _lemma_value(f, n, j, point):
+def _lemma_value(f, n, j, coords):
     if j != 2:
         raise DomainError("the remainder sum is defined for j = 2 only")
-    return lemma_sum(n, *point)
+    return lemma_sum(n, *coords)
 
 
+# The operator series n (Op_n f - f) of each order (1, or j) and arity,
+# then the difference of the two operators and the remainder sum.
 KINDS = {
-    "bernstein-1d": _operator_kind(
-        1, lambda f, n, j, x: bernstein_apply(f, n, x), order=1
-    ),
-    "akr-1d": _operator_kind(1, akr_apply),
-    "bernstein-2d": _operator_kind(
-        2, lambda f, n, j, p: tensor_bernstein_apply(f, n, p), order=1
-    ),
-    "akr-2d": _operator_kind(2, tensor_akr_apply),
+    **{
+        f"{name}-{arity}d": SeriesKind(arity, order, _operator_value, _limit)
+        for arity in _ARITIES
+        for name, order in (("bernstein", 1), ("akr", None))
+    },
     "akr-minus-bernstein-2d": SeriesKind(
-        2, _drift_value, _limit_of(2, diffusion=False)
+        2,
+        None,
+        _drift_value,
+        lambda f, coords, j: _limit(f, coords, j, diffusion=False),
     ),
-    "lemma-sum": SeriesKind(1, _lemma_value, lambda f, point, j: 0.0, uses_f=False),
+    "lemma-sum": SeriesKind(
+        1, None, _lemma_value, lambda f, coords, j: 0.0, uses_f=False
+    ),
 }
 
 SERIES_KINDS = tuple(KINDS)
@@ -325,34 +297,34 @@ def residual_series(kind, f, point, n0=64, doublings=7, j=2):
 
     ``f`` is a Function of the kind's arity and is ignored for kind
     'lemma-sum'.  ``point`` is a sequence of that many coordinates, or a
-    bare number for a kind on [0, 1]; the series carries it as a tuple.  A
-    kind that uses j (order j >= 2) needs strictly positive coordinates and
-    n0 of at least j; every kind needs n0 of at least 2.  The whole
-    schedule is checked against MAX_DEGREE before any operator runs.
+    bare number for a kind on [0, 1]; the series carries it as a tuple.  j
+    must be >= 2; a kind of order None runs at j and needs strictly positive
+    coordinates and n0 of at least j; every kind needs n0 of at least 2.
+    The whole schedule is checked against MAX_DEGREE before any operator
+    runs.
     """
     if kind not in KINDS:
         raise DomainError(
             f"unknown series kind {kind!r}; expected one of {', '.join(SERIES_KINDS)}"
         )
     spec = KINDS[kind]
-    n0 = int(n0)
-    doublings = int(doublings)
-    j = int(j)
-    if j < 2:
-        raise DomainError(f"order j must be >= 2, got {j}")
+    n0 = check_integral(n0, "n0")
+    doublings = check_integral(doublings, "doublings")
+    j = _check_order(j)
+    order = spec.order or j
     if doublings < 2:
         raise DomainError(f"schedule too short to extrapolate: doublings={doublings}")
-    least = max(2, j) if spec.uses_j else 2
+    least = max(2, order)
     if n0 < least:
         raise DomainError(f"n0 must be >= {least}, got {n0}")
     check_degree(n0 * 2**doublings)
 
     coords = _coords(point, spec.arity)
-    if spec.uses_j and 0.0 in coords:
+    if spec.order is None and 0.0 in coords:
         raise DomainError(f"kind {kind!r} requires strictly positive coordinates")
 
     ns = [n0 * 2**m for m in range(doublings + 1)]
-    entries = tuple((n, float(spec.value(f, n, j, coords))) for n in ns)
+    entries = tuple((n, float(spec.value(f, n, order, coords))) for n in ns)
     return ConvergenceSeries(entries=entries, operator_kind=kind, point=coords)
 
 

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from ._kernels import check_degree, log_weights
+from ._kernels import check_degree, check_integral, log_weights
 from .errors import DomainError
 
 __all__ = [
@@ -14,7 +14,10 @@ __all__ = [
 
 
 def _check_x(x):
-    x = float(x)
+    try:
+        x = float(x)
+    except (TypeError, ValueError):
+        raise DomainError(f"point must lie in [0, 1], got {x!r}") from None
     if not 0.0 <= x <= 1.0:
         raise DomainError(f"point must lie in [0, 1], got {x}")
     return x
@@ -27,7 +30,7 @@ def basis_weight(n, k, x):
     the result is non-negative by construction.
     """
     n = check_degree(n)
-    k = int(k)
+    k = check_integral(k, "index")
     if not 0 <= k <= n:
         raise DomainError(f"index must lie in [0, {n}], got {k}")
     x = _check_x(x)

@@ -17,9 +17,10 @@ from typing import List, Optional
 
 from ._kernels import check_degree
 from .acceptance import relative_ok, run_all
-from .akr import build_node_table
+from .akr import _check_order, build_node_table
 from .asymptotics import (
     KINDS,
+    _operator_value,
     decomposition,
     extrapolate,
     rate_estimates,
@@ -27,6 +28,7 @@ from .asymptotics import (
 )
 from .catalog import lookup
 from .errors import CapabilityError, DomainError, UnknownFunctionError
+from .tensor import _coords, apply
 
 DEFAULT_TOLERANCE = 1e-2
 
@@ -76,7 +78,9 @@ def build_parser():
     p = sub.add_parser("eval", help="evaluate one operator value")
     p.add_argument(
         "--kind",
-        choices=[name for name, kind in KINDS.items() if kind.operator],
+        choices=[
+            name for name, kind in KINDS.items() if kind.value is _operator_value
+        ],
         required=True,
     )
     p.add_argument("--fn", dest="fn_name", required=True)
@@ -187,7 +191,9 @@ def _cmd_nodes(cfg):
 def _cmd_eval(cfg):
     kind = KINDS[cfg.kind]
     entry = _entry_for(cfg, kind.arity)
-    value = float(kind.operator(entry.function, cfg.n, cfg.j, cfg.point))
+    j = kind.order or _check_order(cfg.j)
+    coords = _coords(cfg.point, kind.arity)
+    value = float(apply(entry.function, cfg.n, j, coords))
     return [{"n": cfg.n, "value": value}], {"value": value}, 0
 
 

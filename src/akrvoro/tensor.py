@@ -1,6 +1,6 @@
-"""The function type and the operators on [0, 1] and on the unit square.
+"""The function type and the operator on [0, 1] and on the unit square.
 
-Every operator applies the same one-dimensional rule of order j in each
+``apply`` applies the same one-dimensional rule of order j in each
 coordinate (j = 1 is Bernstein, j >= 2 the modified-node operator): f is
 sampled on the nodes of the weights' support window in each axis and
 contracted against the windowed weight vectors.  The nodes are built only
@@ -25,17 +25,14 @@ from ._kernels import (
     log_weights,
     support,
 )
-from .akr import _check_nj, node_values
+from .akr import _check_order, node_values
 from .basis import eval_on
 from .errors import DomainError
 
 __all__ = [
     "SupBounds",
     "Function",
-    "bernstein_apply",
-    "akr_apply",
-    "tensor_bernstein_apply",
-    "tensor_akr_apply",
+    "apply",
 ]
 
 # Grid values per block handed to the bilinear reduction.  It binds only
@@ -145,23 +142,29 @@ def _window_apply(f, nodes, windows):
     return tensor_reduce(f.eval, nodes[sx], nodes[sy], wx, wy)
 
 
-def _coords(point, arity):
-    """The coordinates of a point of [0, 1]^arity as a tuple of floats.
+# The arities, d, of the points of [0, 1]^d that the operators take.
+_ARITIES = (1, 2)
 
-    The one point validator: a point is a sequence of ``arity`` numbers, and
-    a point of [0, 1] may also be a bare number.  A point of another shape,
-    a non-numeric coordinate or one outside [0, 1] is a DomainError.
+
+def _coords(point, arity=None):
+    """The coordinates of a point of [0, 1]^d as a tuple of floats.
+
+    The one point validator: a point is a sequence of d numbers, and a point
+    of [0, 1] may also be a bare number.  d is ``arity``, or any of _ARITIES
+    when that is None.  A point of another shape, a non-numeric coordinate
+    or one outside [0, 1] is a DomainError.
     """
     try:
-        bare = arity == 1 and np.ndim(point) == 0
-        coords = tuple(map(float, (point,) if bare else point))
+        coords = tuple(map(float, (point,) if np.ndim(point) == 0 else point))
     except (TypeError, ValueError):
         coords = None
-    if coords is None or len(coords) != arity:
-        msg = f"point must have {arity} numeric coordinate(s), got {point!r}"
+    if coords is None or len(coords) not in ((arity,) if arity else _ARITIES):
+        count = arity or " or ".join(map(str, _ARITIES))
+        msg = f"point must have {count} numeric coordinate(s), got {point!r}"
         raise DomainError(msg)
     if not all(0.0 <= x <= 1.0 for x in coords):
-        cube = "[0, 1]" if arity == 1 else f"[0, 1]^{arity}"
+        d = len(coords)
+        cube = "[0, 1]" if d == 1 else f"[0, 1]^{d}"
         raise DomainError(f"point must lie in {cube}, got {point}")
     return coords
 
@@ -173,23 +176,13 @@ def _apply(f, n, j, coords):
     return _window_apply(f, node_values(n, j, lo, hi), windows)
 
 
-def bernstein_apply(f, n, x):
-    """Evaluate the degree-n Bernstein operator of f at x (order 1)."""
-    return _apply(f, check_degree(n), 1, _coords(x, 1))
+def apply(f, n, j, point):
+    """The degree-n operator of order j >= 1 of f at a point of [0, 1]^d.
 
-
-def akr_apply(f, n, j, x):
-    """Evaluate the modified-node operator of order j >= 2 of f at x."""
-    n, j = _check_nj(n, j)
-    return _apply(f, n, j, _coords(x, 1))
-
-
-def tensor_bernstein_apply(f, n, p):
-    """Tensor-product Bernstein operator of f at p, degree n in each axis."""
-    return _apply(f, check_degree(n), 1, _coords(p, 2))
-
-
-def tensor_akr_apply(f, n, j, p):
-    """Tensor-product modified-node operator of order j >= 2 of f at p."""
-    n, j = _check_nj(n, j)
-    return _apply(f, n, j, _coords(p, 2))
+    j = 1 is the Bernstein operator and j >= 2 the modified-node operator,
+    applied in each coordinate; n must be at least j.  d is the point's
+    arity: a bare number or one coordinate is a point of [0, 1], two are a
+    point of the square.  f must take d coordinates.
+    """
+    j = _check_order(j, 1)
+    return _apply(f, check_degree(n, j), j, _coords(point))

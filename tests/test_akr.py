@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 from akrvoro import (
     DomainError,
     Function,
-    akr_apply,
-    bernstein_apply,
+    apply,
     build_node_table,
     fixed_point_error,
     lookup,
@@ -169,31 +168,31 @@ def test_node_and_remainder_paths_are_consistent():
         assert np.max(np.abs(nodes - reconstructed)) <= 1e-14
 
 
-def test_akr_apply_frozen_values():
+def test_akr_frozen_values():
     const1 = lookup("const1").function
     e1 = lookup("e1").function
     e2 = lookup("e2").function
-    assert akr_apply(const1, 8, 2, 0.3) == pytest.approx(1.0, abs=1e-14)
-    assert akr_apply(e1, 2, 2, 0.5) == 0.25
-    assert akr_apply(e2, 16, 2, 0.4) == pytest.approx(0.16, abs=1e-12)
+    assert apply(const1, 8, 2, 0.3) == pytest.approx(1.0, abs=1e-14)
+    assert apply(e1, 2, 2, 0.5) == 0.25
+    assert apply(e2, 16, 2, 0.4) == pytest.approx(0.16, abs=1e-12)
 
 
-def test_akr_apply_fixes_cube_for_j3():
+def test_akr_fixes_cube_for_j3():
     e3 = lookup("e3").function
     for x in (0.1, 0.5, 0.95):
-        assert akr_apply(e3, 20, 3, x) == pytest.approx(x**3, abs=1e-13)
+        assert apply(e3, 20, 3, x) == pytest.approx(x**3, abs=1e-13)
 
 
-def test_akr_apply_domain_errors():
+def test_akr_domain_errors():
     e1 = lookup("e1").function
     with pytest.raises(DomainError):
-        akr_apply(e1, 1, 2, 0.5)
+        apply(e1, 1, 2, 0.5)
     with pytest.raises(DomainError):
-        akr_apply(e1, 8, 2, -0.5)
+        apply(e1, 8, 2, -0.5)
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 8, 13, 21, 32])
-def test_akr_apply_against_high_precision_brute_force(n):
+def test_akr_against_high_precision_brute_force(n):
     e1 = lookup("e1").function
     for x in (0.1, 0.37, 0.5, 0.9):
         with mp.workdps(50):
@@ -207,10 +206,10 @@ def test_akr_apply_against_high_precision_brute_force(n):
                     for k in range(n + 1)
                 )
             )
-        assert akr_apply(e1, n, 2, x) == pytest.approx(exact, abs=1e-13)
+        assert apply(e1, n, 2, x) == pytest.approx(exact, abs=1e-13)
 
 
-def test_akr_apply_equals_bernstein_apply_of_node_values():
+def test_akr_equals_bernstein_of_node_values():
     # sampling t at k/n reproduces the node table, so the two operators
     # must coincide on the identity
     for n in (4, 9, 32):
@@ -223,9 +222,7 @@ def test_akr_apply_equals_bernstein_apply_of_node_values():
         f = Function(eval=node_lookup)
         for x in (0.2, 0.55, 0.9):
             e1 = lookup("e1").function
-            assert akr_apply(e1, n, 2, x) == pytest.approx(
-                bernstein_apply(f, n, x), abs=1e-13
-            )
+            assert apply(e1, n, 2, x) == pytest.approx(apply(f, n, 1, x), abs=1e-13)
 
 
 def test_fixed_point_error_values():

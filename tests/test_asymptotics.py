@@ -9,23 +9,20 @@ from akrvoro import (
     ConvergenceSeries,
     DomainError,
     Function,
-    akr_apply,
-    bernstein_apply,
-    classical_rhs_1d,
-    classical_rhs_2d,
+    apply,
     decomposition,
-    drift_rhs_2d,
     extrapolate,
     lemma_sum,
+    limit,
     lookup,
     residual_series,
-    tensor_akr_apply,
-    tensor_bernstein_apply,
-    voronovskaja_rhs_1d,
-    voronovskaja_rhs_2d,
 )
 from akrvoro.acceptance import relative_ok
 from akrvoro.asymptotics import KINDS
+
+
+def drift_limit(f, point):
+    return KINDS["akr-minus-bernstein-2d"].limit(f, point, 2)
 
 
 # --------------------------------------------------------------------------
@@ -64,48 +61,50 @@ def test_lemma_sum_domain_errors():
         lemma_sum(16, 1.5)
 
 
+@pytest.mark.parametrize("x", ["a", "", None, object(), [0.3, 0.4]])
+def test_lemma_sum_refuses_a_non_numeric_point(x):
+    with pytest.raises(DomainError, match=r"^x must lie in \(0, 1\], got "):
+        lemma_sum(64, x)
+
+
 # --------------------------------------------------------------------------
 # limit expressions
 # --------------------------------------------------------------------------
 
 
-def test_voronovskaja_rhs_1d_values():
+def test_limit_1d_values():
     const1 = lookup("const1").function
-    assert voronovskaja_rhs_1d(const1, 0.37) == 0.0
+    assert limit(const1, 0.37, 2) == 0.0
     e1 = lookup("e1").function
-    assert voronovskaja_rhs_1d(e1, 0.5) == -0.25
+    assert limit(e1, 0.5, 2) == -0.25
     f = Function(eval=np.exp, grad=(np.exp,), hess=((np.exp,),))
-    assert voronovskaja_rhs_1d(f, 0.5) == pytest.approx(
-        -0.125 * math.exp(0.5), rel=1e-15
-    )
+    assert limit(f, 0.5, 2) == pytest.approx(-0.125 * math.exp(0.5), rel=1e-15)
     with pytest.raises(DomainError):
-        voronovskaja_rhs_1d(e1, 0.0)
+        limit(e1, 0.0, 2)
 
 
-def test_classical_rhs_1d_value():
+def test_classical_limit_1d_value():
     e2 = lookup("e2").function
-    assert classical_rhs_1d(e2, 0.5) == pytest.approx(0.25, rel=1e-15)
+    assert limit(e2, 0.5, 1) == pytest.approx(0.25, rel=1e-15)
 
 
-def test_voronovskaja_rhs_2d_values():
+def test_limit_2d_values():
     const = lookup("monomial(0,0)").function
-    assert voronovskaja_rhs_2d(const, (0.3, 0.9)) == 0.0
+    assert limit(const, (0.3, 0.9), 2) == 0.0
     es = lookup("exp-sum").function
-    assert voronovskaja_rhs_2d(es, (0.5, 0.5)) == pytest.approx(
-        -0.25 * math.e, rel=1e-14
-    )
+    assert limit(es, (0.5, 0.5), 2) == pytest.approx(-0.25 * math.e, rel=1e-14)
     s = lookup("monomial(1,0)").function
     for x, y in ((0.25, 0.6), (0.9, 0.9)):
-        assert voronovskaja_rhs_2d(s, (x, y)) == pytest.approx(
+        assert limit(s, (x, y), 2) == pytest.approx(
             -(1.0 - x) / 2.0, rel=1e-14, abs=1e-16
         )
     with pytest.raises(DomainError):
-        voronovskaja_rhs_2d(es, (0.0, 0.5))
+        limit(es, (0.0, 0.5), 2)
 
 
-def test_classical_rhs_2d_values():
+def test_classical_limit_2d_values():
     const = lookup("monomial(0,0)").function
-    assert classical_rhs_2d(const, (0.2, 0.8)) == 0.0
+    assert limit(const, (0.2, 0.8), 1) == 0.0
     zero = lambda s, t: 0.0 * s * t
     two = lambda s, t: 2.0 + 0.0 * s * t
     s2t2 = Function(
@@ -113,17 +112,17 @@ def test_classical_rhs_2d_values():
         grad=(lambda s, t: 2.0 * s + 0.0 * t, lambda s, t: 2.0 * t + 0.0 * s),
         hess=((two, zero), (zero, two)),
     )
-    assert classical_rhs_2d(s2t2, (0.5, 0.5)) == pytest.approx(0.5, rel=1e-15)
+    assert limit(s2t2, (0.5, 0.5), 1) == pytest.approx(0.5, rel=1e-15)
     es = lookup("exp-sum").function
-    assert classical_rhs_2d(es, (0.5, 0.5)) == pytest.approx(0.25 * math.e, rel=1e-14)
+    assert limit(es, (0.5, 0.5), 1) == pytest.approx(0.25 * math.e, rel=1e-14)
 
 
-def test_drift_rhs_equals_difference_of_limits():
+def test_drift_limit_equals_difference_of_limits():
     for name in ("exp-sum", "sinpix-cospiy", "runge-2d"):
         f = lookup(name).function
         for p in ((0.5, 0.5), (0.7, 0.3), (1.0, 0.4)):
-            expected = voronovskaja_rhs_2d(f, p) - classical_rhs_2d(f, p)
-            assert drift_rhs_2d(f, p) == pytest.approx(expected, rel=1e-12, abs=1e-13)
+            expected = limit(f, p, 2) - limit(f, p, 1)
+            assert drift_limit(f, p) == pytest.approx(expected, rel=1e-12, abs=1e-13)
 
 
 _EVAL_ONLY_1D = Function(eval=np.exp)
@@ -131,26 +130,26 @@ _EVAL_ONLY_2D = Function(eval=lambda s, t: np.exp(s + t))
 
 
 @pytest.mark.parametrize(
-    "limit, f, point",
+    "target, f, point",
     [
-        (voronovskaja_rhs_1d, _EVAL_ONLY_1D, 0.5),
-        (classical_rhs_1d, _EVAL_ONLY_1D, 0.5),
-        (voronovskaja_rhs_2d, _EVAL_ONLY_2D, (0.5, 0.5)),
-        (classical_rhs_2d, _EVAL_ONLY_2D, (0.5, 0.5)),
-        (drift_rhs_2d, _EVAL_ONLY_2D, (0.5, 0.5)),
+        (lambda f, p: limit(f, p, 2), _EVAL_ONLY_1D, 0.5),
+        (lambda f, p: limit(f, p, 1), _EVAL_ONLY_1D, 0.5),
+        (lambda f, p: limit(f, p, 2), _EVAL_ONLY_2D, (0.5, 0.5)),
+        (lambda f, p: limit(f, p, 1), _EVAL_ONLY_2D, (0.5, 0.5)),
+        (drift_limit, _EVAL_ONLY_2D, (0.5, 0.5)),
     ],
 )
-def test_limits_require_exact_partials(limit, f, point):
+def test_limits_require_exact_partials(target, f, point):
     with pytest.raises(CapabilityError):
-        limit(f, point)
+        target(f, point)
 
 
 @pytest.mark.parametrize(
     "call",
     [
-        lambda f: voronovskaja_rhs_2d(f, (0.5, 0.5)),
-        lambda f: classical_rhs_2d(f, (0.5, 0.5)),
-        lambda f: drift_rhs_2d(f, (0.5, 0.5)),
+        lambda f: limit(f, (0.5, 0.5), 2),
+        lambda f: limit(f, (0.5, 0.5), 1),
+        lambda f: drift_limit(f, (0.5, 0.5)),
         lambda f: decomposition(f, 64, (0.5, 0.5)),
     ],
 )
@@ -163,14 +162,14 @@ def test_limits_read_only_the_partials_they_need():
     # the classical limits have no drift terms and need no first partials;
     # the drift limit has no diffusion terms and needs no second partials
     f1 = Function(eval=np.exp, hess=((np.exp,),))
-    assert classical_rhs_1d(f1, 0.5) == 0.125 * math.exp(0.5)
+    assert limit(f1, 0.5, 1) == 0.125 * math.exp(0.5)
     with pytest.raises(CapabilityError):
-        voronovskaja_rhs_1d(f1, 0.5)
+        limit(f1, 0.5, 2)
     ev = lambda s, t: np.exp(s + t)
     second_only = Function(eval=ev, hess=((ev, None), (None, ev)))
-    assert classical_rhs_2d(second_only, (0.5, 0.5)) == 0.25 * math.e
+    assert limit(second_only, (0.5, 0.5), 1) == 0.25 * math.e
     first_only = Function(eval=ev, grad=(ev, ev))
-    assert drift_rhs_2d(first_only, (0.5, 0.5)) == -0.5 * math.e
+    assert drift_limit(first_only, (0.5, 0.5)) == -0.5 * math.e
 
 
 def _monomial_limit(p, j, x):
@@ -208,7 +207,7 @@ def test_limit_keeps_a_small_value_that_is_not_rounding():
         grad=(lambda t: np.ones_like(t),),
         hess=((lambda t: np.full_like(t, 2.0 * (1.0 + 2.0**-42)),),),
     )
-    assert voronovskaja_rhs_1d(f, 0.5) == 2.0**-44
+    assert limit(f, 0.5, 2) == 2.0**-44
 
 
 _ORDER_J_CASES = [
@@ -234,7 +233,7 @@ def test_order_j_limit_matches_the_extrapolated_series(kind, name, point, j):
 def test_drift_limit_scales_with_order():
     f = lookup("runge-2d").function
     base = KINDS["akr-minus-bernstein-2d"].limit(f, (0.7, 0.3), 2)
-    assert base == drift_rhs_2d(f, (0.7, 0.3))
+    assert base == drift_limit(f, (0.7, 0.3))
     for j in (3, 4, 5):
         got = KINDS["akr-minus-bernstein-2d"].limit(f, (0.7, 0.3), j)
         assert got == pytest.approx((j - 1) * base, rel=1e-14)
@@ -273,8 +272,8 @@ def test_decomposition_identity_and_remainder_bound():
         assert abs(d.g_residual) <= bound_const / (2.0 * n)
         # the identity survives recomputing the total through the general path
         recomputed = n * (
-            tensor_akr_apply(double_sum, n, 2, (0.5, 0.5))
-            - tensor_bernstein_apply(double_sum, n, (0.5, 0.5))
+            apply(double_sum, n, 2, (0.5, 0.5))
+            - apply(double_sum, n, 1, (0.5, 0.5))
         )
         assert recomputed == pytest.approx(d.total, abs=1e-10)
 
@@ -364,10 +363,10 @@ E3 = lookup("e3").function
 RUNGE = lookup("runge-2d").function
 
 _POINT_CALLS_1D = {
-    "bernstein_apply": lambda p: bernstein_apply(E3, 16, p),
-    "akr_apply": lambda p: akr_apply(E3, 16, 2, p),
-    "voronovskaja_rhs_1d": lambda p: voronovskaja_rhs_1d(E3, p),
-    "classical_rhs_1d": lambda p: classical_rhs_1d(E3, p),
+    "apply j=1 1d": lambda p: apply(E3, 16, 1, p),
+    "apply j=2 1d": lambda p: apply(E3, 16, 2, p),
+    "limit j=2 1d": lambda p: limit(E3, p, 2),
+    "limit j=1 1d": lambda p: limit(E3, p, 1),
     **{
         f"residual_series {kind}": (
             lambda p, kind=kind: residual_series(kind, E3, p, n0=8, doublings=2)
@@ -376,11 +375,11 @@ _POINT_CALLS_1D = {
     },
 }
 _POINT_CALLS_2D = {
-    "tensor_bernstein_apply": lambda p: tensor_bernstein_apply(RUNGE, 16, p),
-    "tensor_akr_apply": lambda p: tensor_akr_apply(RUNGE, 16, 2, p),
-    "voronovskaja_rhs_2d": lambda p: voronovskaja_rhs_2d(RUNGE, p),
-    "classical_rhs_2d": lambda p: classical_rhs_2d(RUNGE, p),
-    "drift_rhs_2d": lambda p: drift_rhs_2d(RUNGE, p),
+    "apply j=1 2d": lambda p: apply(RUNGE, 16, 1, p),
+    "apply j=2 2d": lambda p: apply(RUNGE, 16, 2, p),
+    "limit j=2 2d": lambda p: limit(RUNGE, p, 2),
+    "limit j=1 2d": lambda p: limit(RUNGE, p, 1),
+    "drift limit": lambda p: drift_limit(RUNGE, p),
     "decomposition": lambda p: decomposition(RUNGE, 16, p),
     **{
         f"residual_series {kind}": (
@@ -391,6 +390,9 @@ _POINT_CALLS_2D = {
 }
 _BAD_POINTS_1D = ((0.3, 0.4), (), "x", None, 1.5, (1.5,), math.nan)
 _BAD_POINTS_2D = ((0.5,), (0.5, 0.5, 0.5), 0.5, ("a", 0.5), (0.5, 1.1), (-0.1, 0.5))
+# ``apply`` takes its arity from the point, so these points of the other
+# arity reach f, which refuses them in its own call
+_POINTS_OF_THE_OTHER_ARITY = ((0.3, 0.4), (0.5,), 0.5)
 
 
 @pytest.mark.parametrize(
@@ -400,7 +402,23 @@ _BAD_POINTS_2D = ((0.5,), (0.5, 0.5, 0.5), 0.5, ("a", 0.5), (0.5, 1.1), (-0.1, 0
 )
 def test_a_point_of_the_wrong_shape_or_range_is_a_domain_error(name, point):
     call = _POINT_CALLS_1D.get(name) or _POINT_CALLS_2D[name]
-    with pytest.raises(DomainError):
+    other_arity = name.startswith("apply") and point in _POINTS_OF_THE_OTHER_ARITY
+    with pytest.raises(TypeError if other_arity else DomainError):
+        call(point)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda p: apply(RUNGE, 16, 1, p),
+        lambda p: apply(RUNGE, 16, 2, p),
+        lambda p: limit(RUNGE, p, 1),
+        lambda p: limit(RUNGE, p, 2),
+    ],
+)
+@pytest.mark.parametrize("point", [(0.5, 0.5, 0.5), (0.1, 0.2, 0.3, 0.4), ()])
+def test_apply_and_limit_name_the_arities_they_take(call, point):
+    with pytest.raises(DomainError, match=r"must have 1 or 2 numeric coordinate"):
         call(point)
 
 
@@ -475,7 +493,7 @@ def test_drift_series_extrapolates_to_drift_limit():
         "akr-minus-bernstein-2d", es, (0.5, 0.5), n0=64, doublings=5
     )
     limit = extrapolate(series).limit_estimate
-    assert limit == pytest.approx(drift_rhs_2d(es, (0.5, 0.5)), rel=1e-3)
+    assert limit == pytest.approx(drift_limit(es, (0.5, 0.5)), rel=1e-3)
 
 
 def test_lemma_kind_matches_lemma_sum():

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from akrvoro import (
     DomainError,
     Function,
+    apply,
     basis_weight,
-    bernstein_apply,
     lookup,
     weight_vector,
 )
@@ -27,6 +27,14 @@ def test_context_rejects_bad_degree():
         basis_weight(0, 0, 0.5)
     with pytest.raises(DomainError):
         weight_vector(0, 0.5)
+
+
+@pytest.mark.parametrize("x", ["a", "", None, object(), [0.3, 0.4]])
+def test_weights_refuse_a_non_numeric_point(x):
+    with pytest.raises(DomainError, match=r"^point must lie in \[0, 1\], got "):
+        weight_vector(8, x)
+    with pytest.raises(DomainError, match=r"^point must lie in \[0, 1\], got "):
+        basis_weight(8, 2, x)
 
 
 @pytest.mark.parametrize(
@@ -98,27 +106,27 @@ def test_partition_of_unity_property(n, x):
     assert abs(weight_vector(n, x).sum() - 1.0) <= 1e-13
 
 
-def test_bernstein_apply_partition_and_linear_precision():
+def test_bernstein_partition_and_linear_precision():
     const1 = lookup("const1").function
     e1 = lookup("e1").function
     for n in (1, 2, 7, 64, 511):
         for x in np.linspace(0.0, 1.0, 11):
-            assert bernstein_apply(const1, n, x) == pytest.approx(1.0, abs=1e-13)
-            assert bernstein_apply(e1, n, x) == pytest.approx(x, abs=1e-13)
+            assert apply(const1, n, 1, x) == pytest.approx(1.0, abs=1e-13)
+            assert apply(e1, n, 1, x) == pytest.approx(x, abs=1e-13)
 
 
-def test_bernstein_apply_square_frozen_value():
+def test_bernstein_square_frozen_value():
     e2 = lookup("e2").function
-    assert bernstein_apply(e2, 2, 0.5) == pytest.approx(0.375, abs=1e-15)
+    assert apply(e2, 2, 1, 0.5) == pytest.approx(0.375, abs=1e-15)
     # closed form x^2 + x(1-x)/n for the square
     for n in (3, 10, 100):
         for x in (0.2, 0.9):
-            assert bernstein_apply(e2, n, x) == pytest.approx(
+            assert apply(e2, n, 1, x) == pytest.approx(
                 x * x + x * (1 - x) / n, abs=1e-13
             )
 
 
-def test_bernstein_apply_against_rational_brute_force():
+def test_bernstein_against_rational_brute_force():
     n, x = 7, 0.37
     oracle = float(
         sum(
@@ -130,28 +138,28 @@ def test_bernstein_apply_against_rational_brute_force():
         )
     )
     e2 = lookup("e2").function
-    assert bernstein_apply(e2, n, x) == pytest.approx(oracle, rel=1e-13)
+    assert apply(e2, n, 1, x) == pytest.approx(oracle, rel=1e-13)
 
 
-def test_bernstein_apply_monotone_in_the_integrand():
+def test_bernstein_monotone_in_the_integrand():
     # t^2 <= t on [0,1], so the operator values must be ordered too
     e1 = lookup("e1").function
     e2 = lookup("e2").function
     for n in (1, 2, 5, 31, 256):
         for x in np.linspace(0.0, 1.0, 9):
-            assert bernstein_apply(e2, n, x) <= bernstein_apply(e1, n, x) + 1e-13
+            assert apply(e2, n, 1, x) <= apply(e1, n, 1, x) + 1e-13
 
 
-def test_bernstein_apply_interpolates_endpoints_exactly():
+def test_bernstein_interpolates_endpoints_exactly():
     f = Function(eval=np.exp)
     for n in (1, 4, 33):
-        assert bernstein_apply(f, n, 0.0) == 1.0
-        assert bernstein_apply(f, n, 1.0) == float(np.exp(1.0))
+        assert apply(f, n, 1, 0.0) == 1.0
+        assert apply(f, n, 1, 1.0) == float(np.exp(1.0))
 
 
-def test_bernstein_apply_domain_errors():
+def test_bernstein_domain_errors():
     f = lookup("e1").function
     with pytest.raises(DomainError):
-        bernstein_apply(f, 0, 0.5)
+        apply(f, 0, 1, 0.5)
     with pytest.raises(DomainError):
-        bernstein_apply(f, 4, 1.5)
+        apply(f, 4, 1, 1.5)

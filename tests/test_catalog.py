@@ -6,10 +6,9 @@ import pytest
 
 from akrvoro import (
     UnknownFunctionError,
+    apply,
     catalog_names,
     lookup,
-    tensor_akr_apply,
-    tensor_bernstein_apply,
 )
 
 
@@ -128,9 +127,9 @@ def test_a_1d_entry_refuses_a_second_coordinate(name):
         with pytest.raises(TypeError):
             fn(s, s)
     with pytest.raises(TypeError):
-        tensor_akr_apply(f, 64, 2, (0.5, 0.5))
+        apply(f, 64, 2, (0.5, 0.5))
     with pytest.raises(TypeError):
-        tensor_bernstein_apply(f, 64, (0.5, 0.5))
+        apply(f, 64, 1, (0.5, 0.5))
 
 
 @pytest.mark.parametrize("name", ("const1", "e3") + _NAMES_2D)

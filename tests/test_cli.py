@@ -171,6 +171,35 @@ def test_eval_rejects_wrong_arity(capsys):
     assert "arity" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["eval", "--kind", "akr-1d", "--fn", "e3", "--n", "8", "--j", "1",
+          "--point", "0.3"], "order j must be >= 2, got 1"),
+        (["residual", "--kind", "akr-1d", "--fn", "e3", "--point", "0.3",
+          "--j", "1"], "order j must be >= 2, got 1"),
+        (["eval", "--kind", "akr-2d", "--fn", "runge-2d", "--n", "8",
+          "--point", "0.3"], "point must have 2 numeric coordinate(s)"),
+    ],
+)
+def test_eval_and_residual_refuse_an_order_or_point_the_kind_cannot_take(
+    argv, message, capsys
+):
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "")
+    assert message in err
+
+
+def test_bernstein_eval_ignores_j(capsys):
+    code, out, _ = run_cli(
+        capsys,
+        ["eval", "--kind", "bernstein-1d", "--fn", "e3", "--n", "64",
+         "--point", "0.3", "--j", "0"],
+    )
+    assert code == 0
+    assert out == (GOLDEN / "eval_bernstein_1d.csv").read_text()
+
+
 def test_residual_verdict_passes_for_known_limit(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -334,6 +334,9 @@ def test_import_leaves_out_scipy_and_numba():
     for gone in ("Function1D", "Function2D", "SquarePoint"):
         assert gone not in akrvoro.__all__
         assert not hasattr(akrvoro, gone)
+    # one operator and one limit for every arity, and no per-arity names
+    assert {"apply", "limit"} <= set(akrvoro.__all__)
+    assert not [n for n in akrvoro.__all__ if n.endswith("_apply") or "_rhs" in n]
 
 
 def test_check_degree_bounds():
@@ -343,6 +346,41 @@ def test_check_degree_bounds():
     for n, least in ((0, 1), (1, 2), (_kernels.MAX_DEGREE + 1, 1), (10**15, 1)):
         with pytest.raises(akrvoro.DomainError):
             _kernels.check_degree(n, least)
+
+
+_E3 = akrvoro.lookup("e3").function
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda v: akrvoro.apply(_E3, v, 2, 0.3),
+        lambda v: akrvoro.apply(_E3, 8, v, 0.3),
+        lambda v: akrvoro.build_node_table(v, 2).nodes.tolist(),
+        lambda v: akrvoro.build_node_table(8, v).nodes.tolist(),
+        lambda v: akrvoro.remainder(v, 2),
+        lambda v: akrvoro.remainder(4, v),
+        lambda v: akrvoro.remainder(4, [1, v]).tolist(),
+        lambda v: akrvoro.basis_weight(v, 2, 0.3),
+        lambda v: akrvoro.basis_weight(8, v, 0.3),
+        lambda v: akrvoro.weight_vector(v, 0.3).tolist(),
+        lambda v: akrvoro.fixed_point_error(8, 2, v),
+        *(
+            lambda v, kw=kw: akrvoro.residual_series(
+                "akr-1d", _E3, 0.3, **{"n0": 4, "doublings": 2, **{kw: v}}
+            ).entries
+            for kw in ("n0", "doublings", "j")
+        ),
+    ],
+)
+@pytest.mark.parametrize(
+    "good, bad", [(2, 2.5), (2, 2.7), (3, 3.5), (4, "a"), (3, None), (2, math.nan)]
+)
+def test_integral_arguments_are_checked_not_truncated(call, good, bad):
+    with pytest.raises(akrvoro.DomainError, match="must be integral"):
+        call(bad)
+    for same in (np.int64(good), float(good), np.float64(good)):
+        assert call(same) == call(good)
 
 
 _TOO_BIG = 10**15
@@ -356,13 +394,13 @@ _ONES_2D = akrvoro.Function(eval=lambda s, t: 1.0,
     [
         lambda: akrvoro.basis_weight(_TOO_BIG, 0, 0.5),
         lambda: akrvoro.weight_vector(_TOO_BIG, 0.5),
-        lambda: akrvoro.bernstein_apply(_ONES_1D, _TOO_BIG, 0.5),
-        lambda: akrvoro.akr_apply(_ONES_1D, _TOO_BIG, 2, 0.5),
+        lambda: akrvoro.apply(_ONES_1D, _TOO_BIG, 1, 0.5),
+        lambda: akrvoro.apply(_ONES_1D, _TOO_BIG, 2, 0.5),
         lambda: akrvoro.build_node_table(_TOO_BIG, 2),
         lambda: akrvoro.fixed_point_error(_TOO_BIG, 2, 3),
         lambda: akrvoro.remainder(_TOO_BIG, 0),
-        lambda: akrvoro.tensor_bernstein_apply(_ONES_2D, _TOO_BIG, (0.5, 0.5)),
-        lambda: akrvoro.tensor_akr_apply(_ONES_2D, _TOO_BIG, 2, (0.5, 0.5)),
+        lambda: akrvoro.apply(_ONES_2D, _TOO_BIG, 1, (0.5, 0.5)),
+        lambda: akrvoro.apply(_ONES_2D, _TOO_BIG, 2, (0.5, 0.5)),
         lambda: akrvoro.lemma_sum(_TOO_BIG, 0.5),
         lambda: akrvoro.decomposition(_ONES_2D, _TOO_BIG, (0.5, 0.5)),
     ],

@@ -8,11 +8,8 @@ import pytest
 from akrvoro import (
     DomainError,
     Function,
-    akr_apply,
-    bernstein_apply,
+    apply,
     lookup,
-    tensor_akr_apply,
-    tensor_bernstein_apply,
 )
 from akrvoro._kernels import CACHE_BLOCK_ELEMENTS
 from akrvoro.tensor import _coords, eval_grid_block
@@ -25,6 +22,16 @@ def test_coords_accepts_any_sequence_and_a_bare_number_in_1d():
     for p in (0.3, np.float64(0.3), np.array(0.3), (0.3,), [0.3]):
         got = _coords(p, 1)
         assert got == (0.3,) and all(type(x) is float for x in got)
+
+
+def test_coords_takes_the_arity_from_the_point():
+    assert _coords(0.3) == _coords([0.3]) == (0.3,)
+    assert _coords((0.25, 0.75)) == _coords(np.array([0.25, 0.75])) == (0.25, 0.75)
+    for point in ((), (0.1, 0.2, 0.3), "x", None):
+        with pytest.raises(DomainError, match=r"must have 1 or 2 numeric"):
+            _coords(point)
+    with pytest.raises(DomainError, match=r"must lie in \[0, 1\]\^2"):
+        _coords((0.5, 1.5))
 
 
 @pytest.mark.parametrize(
@@ -55,14 +62,12 @@ def test_coords_refuses_a_point_of_the_wrong_shape_or_range(point, arity):
 
 def test_tensor_bernstein_frozen_values():
     const = lookup("monomial(0,0)").function
-    assert tensor_bernstein_apply(const, 16, (0.3, 0.7)) == pytest.approx(
-        1.0, abs=1e-13
-    )
+    assert apply(const, 16, 1, (0.3, 0.7)) == pytest.approx(1.0, abs=1e-13)
     st = lookup("monomial(1,1)").function
-    assert tensor_bernstein_apply(st, 8, (0.4, 0.6)) == pytest.approx(0.24, abs=1e-13)
+    assert apply(st, 8, 1, (0.4, 0.6)) == pytest.approx(0.24, abs=1e-13)
     s2 = lookup("monomial(2,0)").function
-    assert tensor_bernstein_apply(
-        replace(s2, factors=None), 2, (0.5, 0.5)
+    assert apply(
+        replace(s2, factors=None), 2, 1, (0.5, 0.5)
     ) == pytest.approx(0.375, abs=1e-14)
 
 
@@ -77,19 +82,19 @@ def test_tensor_bernstein_square_against_rational_brute_force():
         for l in range(3)
     )
     s2 = replace(lookup("monomial(2,0)").function, factors=None)
-    got = tensor_bernstein_apply(s2, 2, (0.5, 0.5))
+    got = apply(s2, 2, 1, (0.5, 0.5))
     assert got == pytest.approx(float(oracle), abs=1e-14)
 
 
 def test_tensor_akr_frozen_values():
     const = lookup("monomial(0,0)").function
-    assert tensor_akr_apply(const, 8, 2, (0.3, 0.9)) == pytest.approx(1.0, abs=1e-13)
+    assert apply(const, 8, 2, (0.3, 0.9)) == pytest.approx(1.0, abs=1e-13)
     s2 = lookup("monomial(2,0)").function
-    assert tensor_akr_apply(s2, 32, 2, (0.4, 0.9)) == pytest.approx(0.16, abs=1e-12)
+    assert apply(s2, 32, 2, (0.4, 0.9)) == pytest.approx(0.16, abs=1e-12)
     st = lookup("monomial(1,1)").function
-    assert tensor_akr_apply(st, 2, 2, (0.5, 0.5)) == pytest.approx(0.0625, abs=1e-15)
+    assert apply(st, 2, 2, (0.5, 0.5)) == pytest.approx(0.0625, abs=1e-15)
     # general path must agree with the product fast path
-    assert tensor_akr_apply(
+    assert apply(
         replace(st, factors=None), 2, 2, (0.5, 0.5)
     ) == pytest.approx(0.0625, abs=1e-14)
 
@@ -97,11 +102,11 @@ def test_tensor_akr_frozen_values():
 def test_domain_errors():
     f = lookup("monomial(1,1)").function
     with pytest.raises(DomainError):
-        tensor_bernstein_apply(f, 0, (0.5, 0.5))
+        apply(f, 0, 1, (0.5, 0.5))
     with pytest.raises(DomainError):
-        tensor_akr_apply(f, 1, 2, (0.5, 0.5))
+        apply(f, 1, 2, (0.5, 0.5))
     with pytest.raises(DomainError):
-        tensor_akr_apply(f, 8, 2, (1.5, 0.5))
+        apply(f, 8, 2, (1.5, 0.5))
 
 
 @pytest.mark.parametrize("name", ["exp-sum", "sinpix-cospiy", "monomial(2,3)"])
@@ -112,10 +117,10 @@ def test_separable_fast_path_matches_general_sum(name, n):
     double_sum = replace(f, factors=None)
     for point in ((0.21, 0.83), (0.5, 0.5), (1.0, 0.35)):
         for fast, general in (
-            (tensor_bernstein_apply(f, n, point),
-             tensor_bernstein_apply(double_sum, n, point)),
-            (tensor_akr_apply(f, n, 2, point),
-             tensor_akr_apply(double_sum, n, 2, point)),
+            (apply(f, n, 1, point),
+             apply(double_sum, n, 1, point)),
+            (apply(f, n, 2, point),
+             apply(double_sum, n, 2, point)),
         ):
             assert general == pytest.approx(fast, rel=1e-12, abs=1e-12)
 
@@ -123,20 +128,20 @@ def test_separable_fast_path_matches_general_sum(name, n):
 def test_separable_fast_path_is_the_1d_product():
     f = lookup("exp-sum").function
     g, h = f.factors
-    got = tensor_akr_apply(f, 16, 2, (0.3, 0.8))
-    assert got == akr_apply(g, 16, 2, 0.3) * akr_apply(h, 16, 2, 0.8)
-    got = tensor_bernstein_apply(f, 16, (0.3, 0.8))
-    assert got == bernstein_apply(g, 16, 0.3) * bernstein_apply(h, 16, 0.8)
+    got = apply(f, 16, 2, (0.3, 0.8))
+    assert got == apply(g, 16, 2, 0.3) * apply(h, 16, 2, 0.8)
+    got = apply(f, 16, 1, (0.3, 0.8))
+    assert got == apply(g, 16, 1, 0.3) * apply(h, 16, 1, 0.8)
 
 
 @pytest.mark.parametrize("n", [1, 2, 16, 128, 1024])
 def test_partition_of_unity_on_square(n):
     const = replace(lookup("monomial(0,0)").function, factors=None)
     for point in ((0.5, 0.5), (0.05, 0.93)):
-        got = tensor_bernstein_apply(const, n, point)
+        got = apply(const, n, 1, point)
         assert got == pytest.approx(1.0, abs=1e-12)
         if n >= 2:
-            got = tensor_akr_apply(const, n, 2, point)
+            got = apply(const, n, 2, point)
             assert got == pytest.approx(1.0, abs=1e-12)
 
 
@@ -152,14 +157,14 @@ def test_akr_tensor_fixed_point_set(n):
     for name, target in cases.items():
         f = replace(lookup(name).function, factors=None)
         for point in ((0.3, 0.7), (1.0, 0.2)):
-            got = tensor_akr_apply(f, n, 2, point)
+            got = apply(f, n, 2, point)
             assert got == pytest.approx(target(*point), abs=1e-12)
 
 
 def test_blocked_reduction_matches_direct_double_sum():
     f = lookup("runge-2d").function
     n = 100
-    got = tensor_bernstein_apply(f, n, (0.41, 0.77))
+    got = apply(f, n, 1, (0.41, 0.77))
     u = np.arange(n + 1) / n
     from akrvoro.basis import weight_vector
 
@@ -205,7 +210,7 @@ def test_scalar_valued_grid_is_a_contiguous_block():
 
 def test_nonvectorized_constant_return_is_broadcast():
     f = Function(eval=lambda s, t: 1.0)
-    assert tensor_bernstein_apply(f, 8, (0.2, 0.9)) == pytest.approx(1.0, abs=1e-13)
+    assert apply(f, 8, 1, (0.2, 0.9)) == pytest.approx(1.0, abs=1e-13)
 
 
 def test_general_path_against_high_precision_oracle():
@@ -239,7 +244,7 @@ def test_general_path_against_high_precision_oracle():
                 for l in range(n + 1)
             )
         )
-    got = tensor_akr_apply(f, n, 2, (0.3, 0.7))
+    got = apply(f, n, 2, (0.3, 0.7))
     assert got == pytest.approx(exact_akr, rel=1e-14)
-    got = tensor_bernstein_apply(f, n, (0.3, 0.7))
+    got = apply(f, n, 1, (0.3, 0.7))
     assert got == pytest.approx(exact_bern, rel=1e-14)

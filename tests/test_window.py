@@ -19,15 +19,12 @@ from hypothesis import strategies as st
 
 from akrvoro import (
     Function,
-    akr_apply,
-    bernstein_apply,
+    apply,
     build_node_table,
     decomposition,
     lemma_sum,
     lookup,
     remainder,
-    tensor_akr_apply,
-    tensor_bernstein_apply,
 )
 from akrvoro._kernels import comp_dot, log_weights, support
 from akrvoro.basis import eval_on
@@ -75,8 +72,8 @@ def test_window_matches_full_sum_1d(n, x):
     w = full_weights(n, x)
     uniform = np.arange(n + 1, dtype=np.float64) / n
     nodes = build_node_table(n, 2).nodes
-    assert_close(bernstein_apply(WAVE, n, x), full_dot(WAVE.eval(uniform), w))
-    assert_close(akr_apply(WAVE, n, 2, x), full_dot(WAVE.eval(nodes), w))
+    assert_close(apply(WAVE, n, 1, x), full_dot(WAVE.eval(uniform), w))
+    assert_close(apply(WAVE, n, 2, x), full_dot(WAVE.eval(nodes), w))
     if x > 0.0:
         r = remainder(n, np.arange(1, n + 1))
         value, scale = full_dot(r, w[1:])
@@ -92,8 +89,8 @@ def test_window_matches_full_sum_2d(n, x, y):
     classical = full_reduce(RUNGE.eval, uniform, uniform, wx, wy)
     modified = full_reduce(RUNGE.eval, nodes, nodes, wx, wy)
     p = (x, y)
-    assert_close(tensor_bernstein_apply(RUNGE, n, p), classical)
-    assert_close(tensor_akr_apply(RUNGE, n, 2, p), modified)
+    assert_close(apply(RUNGE, n, 1, p), classical)
+    assert_close(apply(RUNGE, n, 2, p), modified)
 
     drift = nodes - uniform
     fx, fy = RUNGE.grad
@@ -141,15 +138,15 @@ def test_window_nodes_give_the_sliced_full_table_sums_bit_for_bit(n, j, x, y):
     uniform = np.arange(n + 1, dtype=np.float64) / n
     nodes = build_node_table(n, j).nodes
     wins = (sliced_window(n, x), sliced_window(n, y))
-    assert akr_apply(WAVE, n, j, x) == sliced_sum(WAVE, nodes, wins[:1])
-    assert bernstein_apply(WAVE, n, x) == sliced_sum(WAVE, uniform, wins[:1])
+    assert apply(WAVE, n, j, x) == sliced_sum(WAVE, nodes, wins[:1])
+    assert apply(WAVE, n, 1, x) == sliced_sum(WAVE, uniform, wins[:1])
     p = (x, y)
     # runge-2d has no factors: its double sum at n = 65536 is slow
     functions = (EXP_SUM,) if n > 8192 else (EXP_SUM, RUNGE)
     for f in functions:
         for g in (f, replace(f, factors=None)):
-            assert tensor_akr_apply(g, n, j, p) == sliced_sum(g, nodes, wins)
-            assert tensor_bernstein_apply(g, n, p) == sliced_sum(g, uniform, wins)
+            assert apply(g, n, j, p) == sliced_sum(g, nodes, wins)
+            assert apply(g, n, 1, p) == sliced_sum(g, uniform, wins)
 
     nodes = build_node_table(n, 2).nodes
     drift = nodes - uniform
@@ -170,10 +167,10 @@ def test_an_operator_value_allocates_far_less_than_a_full_table():
     # 10^4 nodes
     e3 = lookup("e3").function
     n = 2**20
-    akr_apply(e3, n, 2, 0.5)
+    apply(e3, n, 2, 0.5)
     tracemalloc.start()
     try:
-        akr_apply(e3, n, 2, 0.5)
+        apply(e3, n, 2, 0.5)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
