@@ -76,13 +76,6 @@ _S3 = 1.0 / 1680.0
 _S4 = 1.0 / 1188.0
 
 
-def _stirlerr_py(m):
-    if m < 16.0:
-        return _STIRLERR_TABLE[int(m)]
-    m2 = m * m
-    return (_S0 - (_S1 - (_S2 - (_S3 - _S4 / m2) / m2) / m2) / m2) / m
-
-
 # Degrees up to this keep their x-independent terms in a cache: at most
 # _TERMS_CACHE_SIZE entries of 2 (n - 1) doubles each, about 2 MB at the
 # worst.  Larger degrees compute them on the requested window only.
@@ -92,7 +85,8 @@ _TERMS_CACHE_SIZE = 16
 
 def _degree_terms(n, k):
     """head = s(n) - s(k) - s(n-k) and tail = 0.5 ln(n / (2 pi k (n-k)))."""
-    head = _stirlerr_py(float(n)) - _stirlerr_np(k) - _stirlerr_np(n - k)
+    s = _stirlerr_np(np.concatenate(([n], k, n - k)))
+    head = s[0] - s[1 : k.size + 1] - s[k.size + 1 :]
     tail = 0.5 * np.log(n / (2.0 * math.pi * k * (n - k)))
     return head, tail
 

@@ -22,6 +22,7 @@ from .akr import (
 from .asymptotics import (
     KINDS,
     ConvergenceSeries,
+    ExtrapolationResult,
     decomposition,
     extrapolate,
     residual_series,
@@ -30,7 +31,10 @@ from .catalog import lookup
 from .errors import DomainError
 from .tensor import apply
 
-__all__ = ["CriterionResult", "CRITERIA", "relative_ok", "run_all", "run_criterion"]
+__all__ = [
+    "CriterionResult", "CRITERIA", "LimitCheck", "check_limit", "relative_ok",
+    "run_all", "run_criterion",
+]
 
 
 @dataclass(frozen=True)
@@ -60,6 +64,29 @@ def relative_ok(limit, target, tol):
         return abs(limit) <= tol, abs(limit)
     err = abs(limit - target) / abs(target)
     return err <= tol, err
+
+
+@dataclass(frozen=True)
+class LimitCheck:
+    """A residual series, its extrapolation, the limit it should reach and
+    ``relative_ok``'s error and verdict of the estimate against it."""
+
+    series: ConvergenceSeries
+    result: ExtrapolationResult
+    target: float
+    error: float
+    passed: bool
+
+
+def check_limit(kind, f, point, tolerance, n0=64, doublings=7, j=2):
+    """The one limit verdict: the ``residual_series`` of ``kind`` (same
+    arguments), extrapolated and held against the kind's limit at order j
+    by ``relative_ok`` at ``tolerance``."""
+    series = residual_series(kind, f, point, n0=n0, doublings=doublings, j=j)
+    result = extrapolate(series)
+    target = KINDS[kind].limit(f, series.point, j)
+    passed, error = relative_ok(result.limit_estimate, target, tolerance)
+    return LimitCheck(series, result, target, error, passed)
 
 
 def criterion_1():
@@ -163,33 +190,14 @@ def criterion_3():
     detail = []
     ok = True
     for x in (0.1, 0.25, 0.5, 0.75, 1.0):
-        series = residual_series("lemma-sum", None, x, n0=64, doublings=7)
-        values = series.values
-        if values.min() < -1e-13:
-            ok = False
+        check = check_limit("lemma-sum", None, x, 1e-2)
+        values = check.series.values
+        ok = ok and check.passed and values.min() >= -1e-13
         if x == 1.0:
-            if not np.all(values == 0.0):
-                ok = False
+            ok = ok and np.all(values == 0.0)
             detail.append("x=1: all zero")
-            continue
-        limit = extrapolate(series).limit_estimate
-        if abs(limit) > 1e-2:
-            ok = False
-        detail.append(f"x={x}: limit {limit:.1e}")
-    return ok, "; ".join(detail)
-
-
-def criterion_4():
-    """1-d residual series for the identity extrapolates to -(1-x)/2."""
-    e1 = lookup("e1").function
-    ok = True
-    detail = []
-    for x in (0.3, 0.5, 0.9):
-        series = residual_series("akr-1d", e1, x, n0=64, doublings=7)
-        limit = extrapolate(series).limit_estimate
-        good, err = relative_ok(limit, KINDS["akr-1d"].limit(e1, x, 2), 1e-2)
-        ok = ok and good
-        detail.append(f"x={x}: rel err {err:.1e}")
+        else:
+            detail.append(f"x={x}: limit {check.result.limit_estimate:.1e}")
     return ok, "; ".join(detail)
 
 
@@ -200,28 +208,36 @@ _LIMIT_CASES = tuple(
 )
 
 
-def _square_limits(kind):
-    """Residual series of ``kind`` at _LIMIT_CASES against its limit, to 2e-2."""
-    ok = True
-    detail = []
-    for fn_name, point in _LIMIT_CASES:
-        f = lookup(fn_name).function
-        series = residual_series(kind, f, point, n0=64, doublings=7)
-        limit = extrapolate(series).limit_estimate
-        good, err = relative_ok(limit, KINDS[kind].limit(f, point, 2), 2e-2)
-        ok = ok and good
-        detail.append(f"{fn_name}@{point}: err {err:.1e}")
-    return ok, "; ".join(detail)
+def _limit_checks(
+    kind, cases=_LIMIT_CASES, tolerance=2e-2, label="{fn}@{point}: err {err:.1e}"
+):
+    """check_limit of ``kind`` at each (function name, point) case: whether
+    all passed, and each case's ``label`` formatted with fn, point and err.
+    The defaults are the square criteria's: _LIMIT_CASES to 2e-2."""
+    checks = [
+        check_limit(kind, lookup(fn).function, point, tolerance) for fn, point in cases
+    ]
+    detail = "; ".join(
+        label.format(fn=fn, point=point, err=check.error)
+        for (fn, point), check in zip(cases, checks)
+    )
+    return all(check.passed for check in checks), detail
+
+
+def criterion_4():
+    """1-d residual series for the identity extrapolates to -(1-x)/2."""
+    cases = [("e1", x) for x in (0.3, 0.5, 0.9)]
+    return _limit_checks("akr-1d", cases, 1e-2, "x={point}: rel err {err:.1e}")
 
 
 def criterion_5():
     """Square-domain residual series match the saturation limit to 2e-2."""
-    return _square_limits("akr-2d")
+    return _limit_checks("akr-2d")
 
 
 def criterion_6():
     """Operator-difference series match the first-order drift to 2e-2."""
-    return _square_limits("akr-minus-bernstein-2d")
+    return _limit_checks("akr-minus-bernstein-2d")
 
 
 def criterion_7():

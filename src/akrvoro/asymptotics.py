@@ -172,8 +172,10 @@ def _limit(f, coords, j, diffusion=True):
     if j != 1:
         first = [float(fn(*coords)) for fn in _partials(f, len(coords), 1)]
         terms += [-(0.5 * (j - 1) * (1.0 - x) * fi) for x, fi in zip(coords, first)]
-    value = terms[0]
-    for term in terms[1:]:
+    # 0.0 + t is t for every nonzero t; with no terms (the drift at j = 1)
+    # the limit is exactly 0
+    value = 0.0
+    for term in terms:
         value += term
     # Each term carries a relative error of a few eps/2 (its partial and up
     # to four roundings), and the left-to-right sum adds at most

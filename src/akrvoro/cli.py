@@ -16,16 +16,9 @@ from dataclasses import asdict, dataclass, fields
 from typing import List, Optional
 
 from ._kernels import check_degree
-from .acceptance import relative_ok, run_all
+from .acceptance import check_limit, run_all
 from .akr import _check_order, build_node_table
-from .asymptotics import (
-    KINDS,
-    _operator_value,
-    decomposition,
-    extrapolate,
-    rate_estimates,
-    residual_series,
-)
+from .asymptotics import KINDS, _operator_value, decomposition, rate_estimates
 from .catalog import lookup
 from .errors import CapabilityError, DomainError, UnknownFunctionError
 from .tensor import _coords, apply
@@ -197,50 +190,43 @@ def _cmd_eval(cfg):
     return [{"n": cfg.n, "value": value}], {"value": value}, 0
 
 
+def _verdict(check, summary):
+    """The series rows, ``summary`` closed by the check's target and
+    verdict, and the exit code: 0 on PASS, 1 on FAIL."""
+    summary.update(target=check.target, verdict="PASS" if check.passed else "FAIL")
+    return _series_rows(check.series), summary, 0 if check.passed else 1
+
+
 def _cmd_residual(cfg):
-    kind = KINDS[cfg.kind]
-    entry = _entry_for(cfg, kind.arity)
-    series = residual_series(
+    entry = _entry_for(cfg, KINDS[cfg.kind].arity)
+    check = check_limit(
         cfg.kind,
         entry.function,
         cfg.point,
+        cfg.tolerance,
         n0=cfg.n0,
         doublings=cfg.doublings,
         j=cfg.j,
     )
-    result = extrapolate(series)
-    target = kind.limit(entry.function, series.point, cfg.j)
-    passed, _ = relative_ok(result.limit_estimate, target, cfg.tolerance)
-    verdict = "PASS" if passed else "FAIL"
     summary = {
-        "limit_estimate": result.limit_estimate,
-        "rate_estimate": result.rate_estimate,
-        "residual_tail": result.residual_tail,
-        "monotone_tail": result.monotone_tail,
-        "target": target,
-        "verdict": verdict,
+        "limit_estimate": check.result.limit_estimate,
+        "rate_estimate": check.result.rate_estimate,
+        "residual_tail": check.result.residual_tail,
+        "monotone_tail": check.result.monotone_tail,
     }
-    return _series_rows(series), summary, 1 if verdict == "FAIL" else 0
+    return _verdict(check, summary)
 
 
 def _cmd_lemma(cfg):
-    series = residual_series(
-        "lemma-sum",
-        None,
-        cfg.x,
-        n0=cfg.n0,
-        doublings=cfg.doublings,
+    check = check_limit(
+        "lemma-sum", None, cfg.x, cfg.tolerance, n0=cfg.n0, doublings=cfg.doublings
     )
-    result = extrapolate(series)
-    verdict = "PASS" if abs(result.limit_estimate) <= cfg.tolerance else "FAIL"
     summary = {
-        "limit_estimate": result.limit_estimate,
-        "rate_estimate": result.rate_estimate,
-        "min_value": float(series.values.min()),
-        "target": 0.0,
-        "verdict": verdict,
+        "limit_estimate": check.result.limit_estimate,
+        "rate_estimate": check.result.rate_estimate,
+        "min_value": float(check.series.values.min()),
     }
-    return _series_rows(series), summary, 1 if verdict == "FAIL" else 0
+    return _verdict(check, summary)
 
 
 def _cmd_decompose(cfg):
@@ -262,7 +248,7 @@ def _cmd_decompose(cfg):
                 "f_term": d.f_term,
                 "g_residual": d.g_residual,
                 "total": d.total,
-                "g_bound": bound_const / (2.0 * n) if bound_const else None,
+                "g_bound": None if bound_const is None else bound_const / (2.0 * n),
             }
         )
     return rows, {}, 0

@@ -7,9 +7,19 @@ message) to see the per-criterion details.
 import numpy as np
 import pytest
 
-from akrvoro import acceptance, akr, build_node_table, remainder
+from akrvoro import (
+    acceptance,
+    akr,
+    build_node_table,
+    cli,
+    extrapolate,
+    lookup,
+    remainder,
+    residual_series,
+)
 from akrvoro._kernels import CACHE_BLOCK_ELEMENTS
-from akrvoro.acceptance import CRITERIA, run_criterion
+from akrvoro.acceptance import CRITERIA, check_limit, relative_ok, run_criterion
+from akrvoro.asymptotics import KINDS
 
 
 @pytest.mark.parametrize("number", [num for num, *_ in CRITERIA])
@@ -76,3 +86,44 @@ def test_criterion_2_fails_when_the_sweep_and_the_public_functions_differ(monkey
     passed, detail = acceptance.criterion_2()
     assert not passed
     assert detail.endswith("; sweep differs from remainder/nodes at n = 2, 2048, 4096")
+
+
+# --------------------------------------------------------------------------
+# The one limit verdict.
+# --------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "kind, name, point, j",
+    [
+        ("akr-1d", "e1", 0.3, 2),
+        ("akr-2d", "runge-2d", (0.7, 0.3), 3),
+        ("akr-minus-bernstein-2d", "exp-sum", (0.5, 0.5), 2),
+        ("bernstein-2d", "exp-sum", (0.7, 0.3), 4),
+        ("lemma-sum", None, 0.25, 2),
+    ],
+)
+def test_check_limit_is_the_series_extrapolation_and_relative_ok(kind, name, point, j):
+    f = lookup(name).function if name else None
+    check = check_limit(kind, f, point, 1e-3, n0=16, doublings=4, j=j)
+    series = residual_series(kind, f, point, n0=16, doublings=4, j=j)
+    result = extrapolate(series)
+    target = KINDS[kind].limit(f, point, j)
+    assert (check.series, check.result, check.target) == (series, result, target)
+    assert (check.passed, check.error) == relative_ok(
+        result.limit_estimate, target, 1e-3
+    )
+
+
+def test_every_limit_verdict_goes_through_relative_ok(monkeypatch, capsys):
+    monkeypatch.setattr(
+        acceptance, "relative_ok", lambda limit, target, tol: (False, 0.0)
+    )
+    for number in (3, 4, 5, 6):
+        assert run_criterion(number).status == "FAIL", number
+    for argv in (
+        ["residual", "--kind", "akr-1d", "--fn", "e1", "--point", "0.5"],
+        ["lemma", "--x", "0.5"],
+    ):
+        assert cli.main(argv) == 1, argv
+        assert "# verdict=FAIL\n" in capsys.readouterr().out

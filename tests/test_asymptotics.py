@@ -17,7 +17,7 @@ from akrvoro import (
     lookup,
     residual_series,
 )
-from akrvoro.acceptance import relative_ok
+from akrvoro.acceptance import check_limit
 from akrvoro.asymptotics import KINDS
 
 
@@ -223,11 +223,8 @@ _ORDER_J_CASES = [
 @pytest.mark.parametrize("j", [3, 4, 5])
 @pytest.mark.parametrize("kind, name, point", _ORDER_J_CASES)
 def test_order_j_limit_matches_the_extrapolated_series(kind, name, point, j):
-    f = lookup(name).function
-    series = residual_series(kind, f, point, n0=64, doublings=7, j=j)
-    estimate = extrapolate(series).limit_estimate
-    passed, err = relative_ok(estimate, KINDS[kind].limit(f, point, j), 2e-3)
-    assert passed, err
+    check = check_limit(kind, lookup(name).function, point, 2e-3, j=j)
+    assert check.passed, check.error
 
 
 def test_drift_limit_scales_with_order():
@@ -237,6 +234,14 @@ def test_drift_limit_scales_with_order():
     for j in (3, 4, 5):
         got = KINDS["akr-minus-bernstein-2d"].limit(f, (0.7, 0.3), j)
         assert got == pytest.approx((j - 1) * base, rel=1e-14)
+
+
+@pytest.mark.parametrize("point", [(0.7, 0.3), (1.0, 0.5)])
+@pytest.mark.parametrize("name", ["runge-2d", "exp-sum", "monomial(0,0)"])
+def test_drift_limit_at_order_one_is_exactly_zero(name, point):
+    # the order-1 operator is Bernstein, so the difference has no drift
+    got = KINDS["akr-minus-bernstein-2d"].limit(lookup(name).function, point, 1)
+    assert repr(got) == "0.0"
 
 
 # --------------------------------------------------------------------------

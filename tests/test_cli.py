@@ -463,6 +463,17 @@ def test_decompose_rows_and_bound_column(capsys):
         assert abs(float(r["g_residual"])) <= float(r["g_bound"])
 
 
+def test_decompose_prints_a_zero_bound_for_a_zero_taylor_constant(capsys):
+    # f = x is linear, so its Taylor constant and every bound are exactly 0
+    code, out, _ = run_cli(
+        capsys, ["decompose", "--fn", "monomial(1,0)", "--point", "0.5", "0.5"]
+    )
+    assert code == 0
+    rows, _ = parse_csv(out)
+    assert len(rows) == 5
+    assert [r["g_bound"] for r in rows] == ["0"] * 5
+
+
 def test_output_file_writing(tmp_path, capsys):
     out_path = tmp_path / "nodes.csv"
     code, out, _ = run_cli(
