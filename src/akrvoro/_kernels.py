@@ -120,23 +120,48 @@ def log_weights(n, x, lo=0, hi=None):
     if k1 < k0:
         return lw
     k = np.arange(float(k0), float(k1 + 1))
-    if n <= _TERMS_MAX_DEGREE:
-        head, tail = _cached_degree_terms(n)
-        head, tail = head[k0 - 1 : k1], tail[k0 - 1 : k1]
-    else:
-        head, tail = _degree_terms(n, k)
     # bd0 is elementwise, so one call serves k against n x and n - k
     # against n (1 - x)
     size = k.size
     bd0 = _bd0_np(
         np.concatenate((k, n - k)), np.array((n * x, n * (1.0 - x))).repeat(size)
     )
-    # in place, in the order s(n) - s(k) - s(n-k) - bd0 - bd0 + tail
-    inner = lw[k0 - lo : k1 - lo + 1]
-    np.subtract(head, bd0[:size], out=inner)
-    inner -= bd0[size:]
-    inner += tail
+    _combine_terms(n, k0, k, bd0[:size], bd0[size:], lw[k0 - lo : k1 - lo + 1])
     return lw
+
+
+def _log_weights_rows(n, xs):
+    """log_weights(n, x) for each point x of the 1-d array xs, all strictly
+    inside (0, 1), as the rows of one array: each row equals the scalar call
+    bit for bit.  The end weights are taken per point with ``math``, as the
+    scalar call takes them, and the interior of every row through one bd0
+    call."""
+    lw = np.empty((xs.size, n + 1))
+    points = xs.tolist()
+    lw[:, 0] = [n * math.log1p(-x) for x in points]
+    lw[:, -1] = [n * math.log(x) for x in points]
+    if n > 1:
+        k = np.arange(1.0, float(n))
+        size = k.size
+        m = np.column_stack((n * xs, n * (1.0 - xs))).repeat(size, axis=1)
+        bd0 = _bd0_np(np.broadcast_to(np.concatenate((k, n - k)), m.shape), m)
+        _combine_terms(n, 1, k, bd0[:, :size], bd0[:, size:], lw[:, 1:-1])
+    return lw
+
+
+def _combine_terms(n, k0, k, bd0_k, bd0_rest, out):
+    """ln w for the indices k = k0, k0 + 1, ... (a float range in 1..n-1)
+    into out, from bd0(k, n x) and bd0(n - k, n (1 - x))."""
+    if n <= _TERMS_MAX_DEGREE:
+        head, tail = _cached_degree_terms(n)
+        end = k0 - 1 + k.size
+        head, tail = head[k0 - 1 : end], tail[k0 - 1 : end]
+    else:
+        head, tail = _degree_terms(n, k)
+    # in place, in the order s(n) - s(k) - s(n-k) - bd0 - bd0 + tail
+    np.subtract(head, bd0_k, out=out)
+    out -= bd0_rest
+    out += tail
 
 
 def _stirlerr_np(m):
@@ -153,7 +178,9 @@ def _stirlerr_np(m):
 # of the one before it, and the first term left out after `terms` of them is
 # below v2_max^terms times the sum.  With v2_max^terms <= 2^-60 every term
 # left out is far below half an ulp of the sum, so a fixed number of terms
-# gives the same bits as summing until the sum stops changing.
+# gives the same bits as summing until the sum stops changing, and so does
+# any larger number: a call over many points runs as many terms as its
+# largest v2 asks for, and each point gets the bits of its own call.
 _SERIES_LOG_EPS = -60.0 * math.log(2.0)
 
 
@@ -248,11 +275,29 @@ def check_degree(n, least=1):
     return n
 
 
+def _window(n, x, c):
+    """Inclusive index window [floor(n x - r), ceil(n x + r)] with
+    r = sqrt(c n), clipped to [0, n]."""
+    r = math.sqrt(n * c)
+    return max(0, math.floor(n * x - r)), min(n, math.ceil(n * x + r))
+
+
 def support(n, x):
     """Inclusive index window (lo, hi) outside which the degree-n weights at
     x hold at most SUPPORT_DELTA of their mass."""
-    r = math.sqrt(n * _SUPPORT_LOG)
-    return max(0, math.floor(n * x - r)), min(n, math.ceil(n * x + r))
+    return _window(n, x, _SUPPORT_LOG)
+
+
+# A single weight obeys the one-sided bound too: ln w_k <= -2 (k - n x)^2 / n.
+# Outside r = sqrt(375 n) that is below -750, and exp of a double below about
+# -745.14 is exactly 0.0, so outside this window every weight is 0.0.
+_UNDERFLOW_C = 375.0
+
+
+def nonzero_window(n, x):
+    """Inclusive index window (lo, hi) outside which every degree-n weight
+    at x is exactly 0.0 in double precision."""
+    return _window(n, x, _UNDERFLOW_C)
 
 
 # --------------------------------------------------------------------------
@@ -264,7 +309,9 @@ def support(n, x):
 
 def comp_dot(a, b):
     """Compensated sum of elementwise products, ascending index order."""
-    return math.fsum(np.multiply(a, b))
+    # fsum reads a list of Python floats faster than it iterates an array,
+    # and they hold the same doubles
+    return math.fsum(np.multiply(a, b).tolist())
 
 
 def bilinear_accumulate(block, wx_block, wy, state):

@@ -13,10 +13,10 @@ import numpy as np
 
 from ._kernels import CACHE_BLOCK_ELEMENTS
 from .akr import (
+    _fixed_point_errors,
     _node_formula,
     _remainder_formula,
     build_node_table,
-    fixed_point_error,
     remainder,
 )
 from .asymptotics import (
@@ -91,28 +91,36 @@ def check_limit(kind, f, point, tolerance, n0=64, doublings=7, j=2):
 
 def criterion_1():
     """Fixed-point reproduction of 1 and t^j on a 101-point grid."""
-    worst = 0.0
-    for j in (2, 3):
-        for n in (16, 64, 256):
-            worst = max(worst, fixed_point_error(n, j, 101))
+    # each degree's weights serve both orders
+    worst = max(max(_fixed_point_errors(n, (2, 3), 101)) for n in (16, 64, 256))
     return worst <= 1e-12, f"max grid error {worst:.3e} (<= 1e-12)"
 
 
 def _remainder_sweep(last):
-    """(first, n, k, r, nodes) over the degrees 2..last in blocks of whole
-    degrees: n the column of degrees first, first + 1, ..., k the row
-    0..max(n), and r and nodes the j = 2 remainder and nodes at every cell,
-    from the formulas that ``remainder`` and ``build_node_table`` evaluate.
-    A block has at most CACHE_BLOCK_ELEMENTS cells; the cells with k > n,
-    all in the columns after the first degree, are padding."""
+    """(first, n, k, ratio, r, nodes) over the degrees 2..last in blocks of
+    whole degrees: n the column of degrees first, first + 1, ..., k the row
+    0..max(n), and ratio, r and nodes the term k/n, the j = 2 remainder and
+    the nodes at every cell, from the formulas that ``remainder`` and
+    ``build_node_table`` evaluate.  A block has at most CACHE_BLOCK_ELEMENTS
+    cells; the cells with k > n, all in the columns after the first degree,
+    are padding.  The blocks share buffers allocated once, so a block is
+    valid only until the next one is yielded."""
     grid = np.arange(last + 1, dtype=np.float64)
+    size = max(CACHE_BLOCK_ELEMENTS, last + 1)
+    buffers = np.empty((4, size))
     first = 2
     while first <= last:
         # the largest row count with rows * (first + rows) cells in the cap
         rows = (math.isqrt(first * first + 4 * CACHE_BLOCK_ELEMENTS) - first) // 2
         end = min(last + 1, first + max(1, rows))
         k, n = grid[:end], grid[first:end, None]
-        yield first, n, k, _remainder_formula(k, n), _node_formula(k, n, 2)
+        cells = (end - first) * end
+        ratio, r, nodes, scratch = (
+            b[:cells].reshape(end - first, end) for b in buffers
+        )
+        r = _remainder_formula(k, n, out=r, ratio=ratio, scratch=scratch)
+        nodes = _node_formula(k, n, 2, out=nodes, scratch=scratch)
+        yield first, n, k, ratio, r, nodes
         first = end
 
 
@@ -158,12 +166,12 @@ def criterion_2():
     min_drift = math.inf
     max_excess = -math.inf
     mismatched = []
-    for first, n, k, r, nodes in _remainder_sweep(last):
+    for first, n, k, ratio, r, nodes in _remainder_sweep(last):
         mismatched += _sweep_mismatches(first, r, nodes)
         r0[first - 2 : first - 2 + n.shape[0]] = r[:, 0]
         tail = k[first + 1 :] <= n
         min_r = min(min_r, _reduce_valid(np.minimum, r[:, 1:], tail))
-        drift = np.subtract(k / n, nodes, out=nodes)
+        drift = np.subtract(ratio, nodes, out=nodes)
         min_drift = min(min_drift, _reduce_valid(np.minimum, drift, tail))
         drift -= 1.0 / n
         max_excess = max(max_excess, _reduce_valid(np.maximum, drift, tail))

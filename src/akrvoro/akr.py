@@ -14,7 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import check_degree, check_integral, comp_dot, log_weights
+from ._kernels import (
+    CACHE_BLOCK_ELEMENTS,
+    _log_weights_rows,
+    check_degree,
+    check_integral,
+    comp_dot,
+    log_weights,
+)
 from .errors import DomainError
 
 __all__ = [
@@ -68,17 +75,21 @@ def _check_window(n, lo, hi):
     return lo, hi
 
 
-def _node_formula(k, n, j):
+def _node_formula(k, n, j, out=None, scratch=None):
     """t(n,k,j) elementwise over broadcast float arrays k and n, n >= j.
 
     Below j a factor k - i is clamped to 0, so its log is -inf and the node
     exp(-inf) = 0 exactly; at k = n every log ratio is 0 and the node is
-    exactly 1.  ``build_node_table`` and criterion 2 both call it."""
+    exactly 1.  ``build_node_table`` and criterion 2 both call it; the
+    criterion passes ``out`` for the result and ``scratch`` for a term, both
+    of the broadcast shape."""
     with np.errstate(divide="ignore"):
-        acc = np.log(k) - np.log(n)
+        acc = np.subtract(np.log(k), np.log(n), out=out)
         for i in range(1, j):
-            acc += np.log(np.maximum(k - i, 0.0)) - np.log(n - i)
-        return np.exp(acc / j)
+            term = np.log(np.maximum(k - i, 0.0))
+            acc += np.subtract(term, np.log(n - i), out=scratch)
+        acc /= j
+        return np.exp(acc, out=out)
 
 
 def build_node_table(n, j=2, lo=0, hi=None):
@@ -102,15 +113,17 @@ def node_values(n, j, lo=0, hi=None):
     return build_node_table(n, j, lo, hi).nodes
 
 
-def _remainder_formula(k, n):
+def _remainder_formula(k, n, out=None, ratio=None, scratch=None):
     """The j = 2 node correction term elementwise over broadcast float
-    arrays k and n; ``remainder`` and criterion 2 both call it."""
-    return (
-        k / n
-        - np.sqrt(k * (k - 1.0) / (n * (n - 1.0)))
-        - 1.0 / (2.0 * n)
-        + k / (2.0 * n * n)
-    )
+    arrays k and n; ``remainder`` and criterion 2 both call it.  The
+    criterion passes ``out`` for the result, ``ratio`` to keep the term k/n
+    and ``scratch`` for the others, all of the broadcast shape."""
+    ratio = np.divide(k, n, out=ratio)
+    root = np.sqrt(np.divide(k * (k - 1.0), n * (n - 1.0), out=scratch), out=scratch)
+    r = np.subtract(ratio, root, out=out)
+    r -= 1.0 / (2.0 * n)
+    r += np.divide(k, 2.0 * n * n, out=scratch)
+    return r
 
 
 def remainder(n, k):
@@ -138,11 +151,33 @@ def fixed_point_error(n, j, grid_size):
     grid_size = check_integral(grid_size, "grid size")
     if grid_size < 2:
         raise DomainError(f"grid size must be >= 2, got {grid_size}")
+    return _fixed_point_errors(n, (j,), grid_size)[0]
+
+
+def _fixed_point_errors(n, orders, grid_size):
+    """fixed_point_error(n, j, grid_size) for each j of ``orders`` (checked
+    by the caller), from one pass over the grid's weights.
+
+    The endpoints come from ``log_weights``; the interior points come as
+    rows of ``_log_weights_rows``, equal to single-point calls bit for bit,
+    in blocks of at most CACHE_BLOCK_ELEMENTS cells (one row at least), and
+    each block is reduced before the next is built."""
     ones = np.ones(n + 1)
-    powers = node_values(n, j) ** j
-    worst = 0.0
-    for x in np.linspace(0.0, 1.0, grid_size):
-        w = np.exp(log_weights(n, x))
-        worst = max(worst, abs(comp_dot(ones, w) - 1.0))
-        worst = max(worst, abs(comp_dot(powers, w) - x**j))
+    powers = [node_values(n, j) ** j for j in orders]
+    worst = [0.0] * len(orders)
+
+    def record(x, w):
+        one = abs(comp_dot(ones, w) - 1.0)
+        for i, j in enumerate(orders):
+            worst[i] = max(worst[i], one, abs(comp_dot(powers[i], w) - x**j))
+
+    grid = np.linspace(0.0, 1.0, grid_size)
+    for x in (grid[0], grid[-1]):
+        record(x, np.exp(log_weights(n, x)))
+    interior = grid[1:-1]
+    rows = max(1, CACHE_BLOCK_ELEMENTS // (n + 1))
+    for start in range(0, interior.size, rows):
+        xs = interior[start : start + rows]
+        for x, w in zip(xs, np.exp(_log_weights_rows(n, xs))):
+            record(x, w)
     return worst

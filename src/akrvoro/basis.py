@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from ._kernels import check_degree, check_integral, log_weights
+from ._kernels import check_degree, check_integral, log_weights, nonzero_window
 from .errors import DomainError
 
 __all__ = [
@@ -38,10 +38,18 @@ def basis_weight(n, k, x):
 
 
 def weight_vector(n, x):
-    """All n+1 basis weights at x as a vector (the per-point hot path)."""
+    """All n+1 basis weights at x as a vector (the per-point hot path).
+
+    Log weights are computed only where a weight can be nonzero: outside
+    ``nonzero_window`` (|k - n x| > sqrt(375 n), so ln w_k < -750 by
+    Hoeffding) the exponential is exactly 0.0, and the vector is the same
+    bit for bit as ``np.exp(log_weights(n, x))``."""
     n = check_degree(n)
     x = _check_x(x)
-    return np.exp(log_weights(n, x))
+    lo, hi = nonzero_window(n, x)
+    w = np.zeros(n + 1)
+    np.exp(log_weights(n, x, lo, hi), out=w[lo : hi + 1])
+    return w
 
 
 def eval_on(func, nodes):

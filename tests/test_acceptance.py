@@ -41,9 +41,10 @@ def _assert_same_bits(a, b):
 
 def test_sweep_rows_equal_the_public_functions_bit_for_bit():
     degrees = []
-    for first, n, k, r, nodes in acceptance._remainder_sweep(4096):
+    for first, n, k, ratio, r, nodes in acceptance._remainder_sweep(4096):
         rows = n.shape[0]
-        assert r.shape == nodes.shape == (rows, k.shape[0])
+        assert ratio.shape == r.shape == nodes.shape == (rows, k.shape[0])
+        _assert_same_bits(ratio, k / n)
         assert rows == 1 or r.size <= CACHE_BLOCK_ELEMENTS
         for degree in range(first, first + rows):
             cells = slice(0, degree + 1)
@@ -54,12 +55,13 @@ def test_sweep_rows_equal_the_public_functions_bit_for_bit():
     assert degrees == list(range(2, 4097))
 
 
+# the wrong formulas pass the sweep's buffers on and return a new array
 def _scaled_nodes(formula):
-    return lambda k, n, j: formula(k, n, j) * (1.0 + 1e-12)
+    return lambda k, n, j, **buffers: formula(k, n, j, **buffers) * (1.0 + 1e-12)
 
 
 def _shifted_remainder(formula):
-    return lambda k, n: formula(k, n) - 1e-14
+    return lambda k, n, **buffers: formula(k, n, **buffers) - 1e-14
 
 
 @pytest.mark.parametrize(

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from akrvoro import (
     DomainError,
     Function,
+    _kernels,
+    akr,
     apply,
     build_node_table,
     fixed_point_error,
@@ -231,6 +233,45 @@ def test_fixed_point_error_values():
     assert fixed_point_error(64, 3, 101) <= 1e-12
     with pytest.raises(DomainError):
         fixed_point_error(4, 2, 1)
+
+
+def _frozen_fixed_point_error(n, j, grid_size):
+    """fixed_point_error as a loop of single-point weight vectors and
+    math.fsum sums, before the grid's weights came in batched rows."""
+    ones = np.ones(n + 1)
+    powers = node_values(n, j) ** j
+    worst = 0.0
+    for x in np.linspace(0.0, 1.0, grid_size):
+        w = np.exp(_kernels.log_weights(n, x))
+        worst = max(worst, abs(math.fsum(np.multiply(ones, w)) - 1.0))
+        worst = max(worst, abs(math.fsum(np.multiply(powers, w)) - x**j))
+    return worst
+
+
+@pytest.mark.parametrize("n", [2, 16, 64, 256, 1024])
+@pytest.mark.parametrize("j", [2, 3])
+@pytest.mark.parametrize("grid_size", [2, 11, 101])
+def test_fixed_point_error_equals_the_single_point_loop(n, j, grid_size):
+    if n < j:
+        with pytest.raises(DomainError, match="degree must be >= 3"):
+            fixed_point_error(n, j, grid_size)
+        return
+    assert fixed_point_error(n, j, grid_size) == _frozen_fixed_point_error(
+        n, j, grid_size
+    )
+
+
+def test_fixed_point_error_passes_log_weights_scalar_points(monkeypatch):
+    # the batched rows serve the interior; only the endpoints call the kernel
+    seen = []
+
+    def spy(n, x, *args):
+        seen.append((n, float(x)))
+        return _kernels.log_weights(n, x, *args)
+
+    monkeypatch.setattr(akr, "log_weights", spy)
+    fixed_point_error(64, 2, 101)
+    assert seen == [(64, 0.0), (64, 1.0)]
 
 
 @given(
