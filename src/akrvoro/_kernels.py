@@ -7,6 +7,7 @@ saddle-point split below with vectorized numpy.  Reduction order is fixed
 (ascending index, rows outer), so results are deterministic.
 """
 
+import contextlib
 import functools
 import math
 import operator
@@ -242,6 +243,29 @@ MAX_DEGREE = 2**20
 # a runge-2d operator at n = 4096 took 1463 minor page faults per call when
 # its whole grid was evaluated at once, and takes 19 in tiles.
 CACHE_BLOCK_ELEMENTS = 1 << 14
+
+
+# Elements of numpy's ufunc buffer inside those loops.  Their ops broadcast a
+# column against a row, and under numpy's default buffer of 8192 elements
+# such an op ran about 3x slower per cell whenever a row was shorter than
+# 4096 (numpy 2.4): `log k - log n` on 26 x 621 cells took 1.29 ns a cell,
+# and 0.43 ns with this buffer.  Buffering copies operands without changing
+# their dtype, so every elementwise result and every min/max is the same
+# bit for bit.
+SMALL_UFUNC_BUFFER = 128
+
+
+@contextlib.contextmanager
+def small_ufunc_buffer():
+    """Run the body with numpy's ufunc buffer at SMALL_UFUNC_BUFFER elements,
+    and give the caller back its own size however the body ends."""
+    # numpy 1.x's errstate does not restore the buffer size, so this does
+    old = np.getbufsize()
+    np.setbufsize(SMALL_UFUNC_BUFFER)
+    try:
+        yield
+    finally:
+        np.setbufsize(old)
 
 
 def check_integral(value, name):

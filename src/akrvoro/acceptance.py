@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._kernels import CACHE_BLOCK_ELEMENTS
+from ._kernels import CACHE_BLOCK_ELEMENTS, small_ufunc_buffer
 from .akr import (
     _fixed_point_errors,
     _node_formula,
@@ -166,15 +166,18 @@ def criterion_2():
     min_drift = math.inf
     max_excess = -math.inf
     mismatched = []
-    for first, n, k, ratio, r, nodes in _remainder_sweep(last):
-        mismatched += _sweep_mismatches(first, r, nodes)
-        r0[first - 2 : first - 2 + n.shape[0]] = r[:, 0]
-        tail = k[first + 1 :] <= n
-        min_r = min(min_r, _reduce_valid(np.minimum, r[:, 1:], tail))
-        drift = np.subtract(ratio, nodes, out=nodes)
-        min_drift = min(min_drift, _reduce_valid(np.minimum, drift, tail))
-        drift -= 1.0 / n
-        max_excess = max(max_excess, _reduce_valid(np.maximum, drift, tail))
+    # entered here, not in the generator, whose caller would run under the
+    # small buffer between its yields
+    with small_ufunc_buffer():
+        for first, n, k, ratio, r, nodes in _remainder_sweep(last):
+            mismatched += _sweep_mismatches(first, r, nodes)
+            r0[first - 2 : first - 2 + n.shape[0]] = r[:, 0]
+            tail = k[first + 1 :] <= n
+            min_r = min(min_r, _reduce_valid(np.minimum, r[:, 1:], tail))
+            drift = np.subtract(ratio, nodes, out=nodes)
+            min_drift = min(min_drift, _reduce_valid(np.minimum, drift, tail))
+            drift -= 1.0 / n
+            max_excess = max(max_excess, _reduce_valid(np.maximum, drift, tail))
     expected = -1.0 / (2.0 * np.arange(2, last + 1))
     worst_r0 = float((np.abs(r0 - expected) / np.spacing(np.abs(expected))).max())
     ok = (

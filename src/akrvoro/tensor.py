@@ -23,6 +23,7 @@ from ._kernels import (
     check_degree,
     comp_dot,
     log_weights,
+    small_ufunc_buffer,
     support,
 )
 from .akr import _check_order, node_values
@@ -89,14 +90,15 @@ def eval_grid_block(func, s_nodes, t_nodes):
     """Evaluate func on the outer grid s_nodes x t_nodes as a float block.
 
     func is evaluated in tiles of whole rows of about CACHE_BLOCK_ELEMENTS
-    values, so its temporaries stay cache-sized; an elementwise func gives
-    the one-shot values bit for bit."""
+    values, so its temporaries stay cache-sized, under a small ufunc buffer;
+    an elementwise func gives the one-shot values bit for bit."""
     rows, cols = s_nodes.shape[0], t_nodes.shape[0]
     out = np.empty((rows, cols))
     step = max(1, CACHE_BLOCK_ELEMENTS // cols)
     t = t_nodes[None, :]
-    for i in range(0, rows, step):
-        out[i : i + step] = func(s_nodes[i : i + step, None], t)
+    with small_ufunc_buffer():
+        for i in range(0, rows, step):
+            out[i : i + step] = func(s_nodes[i : i + step, None], t)
     return out
 
 

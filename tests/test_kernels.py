@@ -1,3 +1,4 @@
+import contextlib
 import importlib
 import math
 import os
@@ -13,7 +14,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import akrvoro
-from akrvoro import _kernels
+from akrvoro import _kernels, acceptance, tensor
+from akrvoro.akr import _node_formula
+from akrvoro.catalog import lookup
 
 
 def comp_sum(values):
@@ -453,3 +456,128 @@ _ONES_2D = akrvoro.Function(eval=lambda s, t: 1.0,
 def test_every_operator_refuses_a_degree_past_the_cap(call):
     with pytest.raises(akrvoro.DomainError, match="degree must be <="):
         call()
+
+
+# --------------------------------------------------------------------------
+# The small ufunc buffer of the outer-broadcast loops.
+# --------------------------------------------------------------------------
+
+
+def test_small_ufunc_buffer_gives_back_the_callers_size():
+    before = np.getbufsize()
+    assert before != _kernels.SMALL_UFUNC_BUFFER
+    with _kernels.small_ufunc_buffer():
+        assert np.getbufsize() == _kernels.SMALL_UFUNC_BUFFER
+    assert np.getbufsize() == before
+    # a size the caller set itself comes back too
+    np.setbufsize(4096)
+    try:
+        with _kernels.small_ufunc_buffer():
+            assert np.getbufsize() == _kernels.SMALL_UFUNC_BUFFER
+        assert np.getbufsize() == 4096
+    finally:
+        np.setbufsize(before)
+
+
+def test_small_ufunc_buffer_is_given_back_when_the_operator_raises():
+    seen = []
+
+    def failing(s, t):
+        seen.append(np.getbufsize())
+        raise RuntimeError("f failed")
+
+    before = np.getbufsize()
+    with pytest.raises(RuntimeError, match="f failed"):
+        akrvoro.apply(akrvoro.Function(eval=failing), 64, 2, (0.3, 0.6))
+    assert seen == [_kernels.SMALL_UFUNC_BUFFER]
+    assert np.getbufsize() == before
+
+
+def test_a_nested_errstate_keeps_the_small_buffer():
+    err = np.geterr()
+    with _kernels.small_ufunc_buffer():
+        # as akr._node_formula takes the log of k = 0
+        with np.errstate(divide="ignore"):
+            assert np.getbufsize() == _kernels.SMALL_UFUNC_BUFFER
+            assert np.log(np.zeros(3))[0] == -np.inf
+        assert np.getbufsize() == _kernels.SMALL_UFUNC_BUFFER
+        assert np.geterr() == err
+
+
+def test_criterion_2_sweeps_under_the_small_buffer(monkeypatch):
+    seen = set()
+
+    def node_formula(k, n, j, **buffers):
+        seen.add(np.getbufsize())
+        return _node_formula(k, n, j, **buffers)
+
+    monkeypatch.setattr(acceptance, "_node_formula", node_formula)
+    passed, _ = acceptance.criterion_2()
+    assert passed
+    assert seen == {_kernels.SMALL_UFUNC_BUFFER}
+
+
+def _kept_sweep_blocks():
+    """Copies of (ratio, r, nodes) of the first block of criterion 2's sweep,
+    the block that holds degree 2048 and the last block."""
+    kept = {}
+    for first, n, k, ratio, r, nodes in acceptance._remainder_sweep(4096):
+        block = tuple(a.copy() for a in (ratio, r, nodes))
+        if first == 2 or first <= 2048 < first + n.shape[0]:
+            kept[first] = block
+        kept["last"] = block
+    assert len(kept) == 3
+    return kept
+
+
+def _assert_same_bits(a, b):
+    assert a.shape == b.shape
+    np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def test_sweep_blocks_are_the_same_under_the_default_and_the_small_buffer():
+    assert np.getbufsize() != _kernels.SMALL_UFUNC_BUFFER
+    default = _kept_sweep_blocks()
+    with _kernels.small_ufunc_buffer():
+        small = _kept_sweep_blocks()
+    assert default.keys() == small.keys()
+    for key in default:
+        for a, b in zip(default[key], small[key]):
+            _assert_same_bits(a, b)
+
+
+_GRID_COLS = 128
+_GRID_TILE = _kernels.CACHE_BLOCK_ELEMENTS // _GRID_COLS  # rows per tile
+
+
+@pytest.mark.parametrize("partial", ["eval", "grad[0]"])
+# one tile, four whole tiles, and three tiles and a part
+@pytest.mark.parametrize("rows", [_GRID_TILE // 2, 4 * _GRID_TILE, 3 * _GRID_TILE + 7])
+def test_grid_reduction_is_the_same_under_the_default_and_the_small_buffer(
+    monkeypatch, partial, rows
+):
+    f = lookup("runge-2d").function
+    func = f.eval if partial == "eval" else f.grad[0]
+    rng = np.random.default_rng(rows)
+    s, t = np.sort(rng.random(rows)), np.sort(rng.random(_GRID_COLS))
+    wx, wy = rng.random(rows), rng.random(_GRID_COLS)
+    seen = set()
+
+    def recorded(s, t):
+        seen.add(np.getbufsize())
+        return func(s, t)
+
+    def reduce_and_grid():
+        return (
+            np.array([tensor.tensor_reduce(recorded, s, t, wx, wy)]),
+            tensor.eval_grid_block(recorded, s, t),
+        )
+
+    small = reduce_and_grid()
+    assert seen == {_kernels.SMALL_UFUNC_BUFFER}
+    seen.clear()
+    monkeypatch.setattr(tensor, "small_ufunc_buffer", contextlib.nullcontext)
+    default = reduce_and_grid()
+    assert seen == {np.getbufsize()} != {_kernels.SMALL_UFUNC_BUFFER}
+    for a, b in zip(default, small):
+        _assert_same_bits(a, b)
