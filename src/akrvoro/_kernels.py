@@ -1,10 +1,10 @@
 """Numeric kernels: compensated reductions and stable log binomial weights.
 
 There is one numpy path.  ``comp_dot`` sums its products with ``math.fsum``
-(exact summation); ``bilinear_accumulate`` lets BLAS form each row product
-and carries Kahan compensation across rows; ``log_weights`` evaluates the
-saddle-point split below with vectorized numpy.  Reduction order is fixed
-(ascending index, rows outer), so results are deterministic.
+(exact summation, so no order enters); ``bilinear_accumulate`` lets BLAS
+form each row product and carries Kahan compensation across the rows in
+ascending order; ``log_weights`` evaluates the saddle-point split below with
+vectorized numpy.  All three are deterministic.
 """
 
 import contextlib
@@ -237,12 +237,15 @@ MAX_DEGREE = 2**20
 
 
 # Doubles per array in a hot loop's working block: the 2-d evaluation tiles
-# and the degree blocks of criterion 2.  A handful of such arrays (128 KiB
-# each) stay in a core's L2 cache and are reused from the malloc heap.
-# Temporaries of megabytes are mapped and faulted in afresh on every call:
-# a runge-2d operator at n = 4096 took 1463 minor page faults per call when
-# its whole grid was evaluated at once, and takes 19 in tiles.
-CACHE_BLOCK_ELEMENTS = 1 << 14
+# and the degree blocks of criterion 2.  The sweep's four buffers (256 KiB
+# each) are allocated once per sweep, so a core's L2 (2 MiB on the Xeon VM of
+# README "Benchmark") is their only bound; a tile's temporaries are
+# allocated per tile and reused from the malloc heap.  Temporaries of
+# megabytes are mapped and faulted in afresh on every call: a runge-2d
+# operator at n = 4096 took 1463 minor page faults per call when its whole
+# grid was evaluated at once, and takes none in tiles once warm.  On both
+# loops 2^14 was slower and 2^16 no faster.
+CACHE_BLOCK_ELEMENTS = 1 << 15
 
 
 # Elements of numpy's ufunc buffer inside those loops.  Their ops broadcast a
@@ -332,7 +335,8 @@ def nonzero_window(n, x):
 
 
 def comp_dot(a, b):
-    """Compensated sum of elementwise products, ascending index order."""
+    """Sum of the elementwise products, correctly rounded: math.fsum sums
+    them exactly, so the result does not depend on their order."""
     # fsum reads a list of Python floats faster than it iterates an array,
     # and they hold the same doubles
     return math.fsum(np.multiply(a, b).tolist())
@@ -340,17 +344,17 @@ def comp_dot(a, b):
 
 def bilinear_accumulate(block, wx_block, wy, state):
     """Add sum_i wx_block[i] * sum_l block[i,l]*wy[l] into Kahan state."""
-    # Python floats run the same IEEE double arithmetic as numpy scalars,
-    # at a fraction of the cost per operation
-    s = float(state[0])
-    c = float(state[1])
-    for w, row in zip(wx_block.tolist(), (block @ wy).tolist()):
-        v = w * row
-        t = s + v
-        c += (s - t) + v
-        s = t
-    state[0] = s
-    state[1] = c
+    # The Kahan recurrence s' = s + v, c' = c + ((s - s') + v) over the rows,
+    # as two scans: add.accumulate runs strictly left to right (unlike
+    # add.reduce, which sums pairwise), so these are the same IEEE
+    # operations in the same order as a loop over the rows
+    v = wx_block * (block @ wy)
+    s = np.add.accumulate(np.concatenate((state[:1], v)))
+    e = s[:-1] - s[1:]
+    e += v
+    c = np.add.accumulate(np.concatenate((state[1:], e)))
+    state[0] = s[-1]
+    state[1] = c[-1]
 
 
 def warmup():

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 
 import akrvoro
 from akrvoro import _kernels, acceptance, tensor
@@ -75,24 +74,56 @@ def _frozen_bilinear_accumulate(block, wx_block, wy, state):
     state[1] = c
 
 
-_MODERATE = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+def _block_data(rng, mixed, shape):
+    """Doubles of either sign: uniform in [-1e6, 1e6], or, when mixed, of
+    magnitudes 1e-100..1e100 (so a row's weighted sum spans about 1e-300 to
+    1e300) with about a fifth of them zeros of either sign."""
+    if not mixed:
+        return rng.uniform(-1e6, 1e6, shape)
+    sign = rng.choice((-1.0, 1.0), shape)
+    values = sign * 10.0 ** rng.uniform(-100.0, 100.0, shape)
+    return np.where(rng.random(shape) < 0.2, sign * 0.0, values)
 
 
-@given(st.data())
+@given(
+    rows=st.integers(min_value=0, max_value=1000),
+    cols=st.integers(min_value=1, max_value=12),
+    blocks=st.integers(min_value=1, max_value=3),
+    mixed=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
 @settings(max_examples=200, deadline=None)
-def test_bilinear_accumulate_equals_the_numpy_scalar_loop(data):
-    rows = data.draw(st.integers(min_value=0, max_value=40))
-    cols = data.draw(st.integers(min_value=1, max_value=12))
-    block = data.draw(hnp.arrays(np.float64, (rows, cols), elements=_MODERATE))
-    wx = data.draw(hnp.arrays(np.float64, rows, elements=_MODERATE))
-    wy = data.draw(hnp.arrays(np.float64, cols, elements=_MODERATE))
-    got = data.draw(hnp.arrays(np.float64, 2, elements=_MODERATE))
+def test_bilinear_accumulate_equals_the_numpy_scalar_loop(
+    rows, cols, blocks, mixed, seed
+):
+    rng = np.random.default_rng(seed)
+    block = _block_data(rng, mixed, (rows, cols))
+    wx = _block_data(rng, mixed, rows)
+    wy = _block_data(rng, mixed, cols)
+    got = _block_data(rng, mixed, 2)
     frozen = got.copy()
-    for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+    for _ in range(blocks):
         # the state carries over from block to block
         _kernels.bilinear_accumulate(block, wx, wy, got)
         _frozen_bilinear_accumulate(block, wx, wy, frozen)
     np.testing.assert_array_equal(got.view(np.int64), frozen.view(np.int64))
+
+
+def test_add_accumulate_sums_left_to_right():
+    # bilinear_accumulate relies on np.add.accumulate being a strictly
+    # sequential scan; np.add.reduce sums pairwise, and on these values
+    # its bits differ from the left-to-right sum
+    rng = np.random.default_rng(5)
+    values = rng.standard_normal(1000) * 10.0 ** rng.uniform(-8.0, 8.0, 1000)
+    running = []
+    total = 0.0
+    for v in values.tolist():
+        total += v
+        running.append(total)
+    assert float(np.add.reduce(values)) != total
+    np.testing.assert_array_equal(
+        np.add.accumulate(values).view(np.int64), np.array(running).view(np.int64)
+    )
 
 
 def test_bilinear_accumulate_carries_state_across_blocks():
