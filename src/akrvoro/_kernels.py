@@ -5,6 +5,9 @@ There is one numpy path.  ``comp_dot`` sums its products with ``math.fsum``
 form each row product and carries Kahan compensation across the rows in
 ascending order; ``log_weights`` evaluates the saddle-point split below with
 vectorized numpy.  All three are deterministic.
+
+The argument rules live here too, one ``check_*`` function each, so every
+module refuses a bad input with the same message.
 """
 
 import contextlib
@@ -17,14 +20,9 @@ import numpy as np
 from .errors import DomainError
 
 __all__ = [
-    "backend",
-    "check_degree",
-    "check_integral",
-    "comp_dot",
-    "bilinear_accumulate",
-    "log_weights",
-    "support",
-    "warmup",
+    "ARITIES", "backend", "check_at_least", "check_degree", "check_index",
+    "check_integral", "check_order", "check_point", "check_positive", "comp_dot",
+    "bilinear_accumulate", "log_weights", "support", "warmup",
 ]
 
 
@@ -292,14 +290,78 @@ def check_integral(value, name):
     raise DomainError(f"{name} must be integral, got {value!r}")
 
 
+def check_at_least(value, least, name):
+    """value as an int, refused with DomainError naming ``name`` unless it
+    is integral and at least ``least``."""
+    value = check_integral(value, name)
+    if value < least:
+        raise DomainError(f"{name} must be >= {least}, got {value}")
+    return value
+
+
 def check_degree(n, least=1):
     """n as an int, refused with DomainError unless least <= n <= MAX_DEGREE."""
-    n = check_integral(n, "degree")
-    if n < least:
-        raise DomainError(f"degree must be >= {least}, got {n}")
+    n = check_at_least(n, least, "degree")
     if n > MAX_DEGREE:
         raise DomainError(f"degree must be <= {MAX_DEGREE}, got {n}")
     return n
+
+
+def check_order(j, least=2):
+    """The order j as an int, refused with DomainError below ``least``."""
+    return check_at_least(j, least, "order j")
+
+
+def check_index(k, n, name="index"):
+    """k as an int, or as an integral array when it is one, refused with
+    DomainError unless every entry lies in [0, n]; the message names the
+    first entry outside."""
+    k = check_integral(k, name)
+    outside = np.asarray(k)[(k < 0) | (k > n)]
+    if outside.size:
+        raise DomainError(f"{name} must lie in [0, {n}], got {outside[0]}")
+    return k
+
+
+# The arities, d, of the points of [0, 1]^d that the operators take.
+ARITIES = (1, 2)
+
+
+def check_point(point, arity=None):
+    """The coordinates of a point of [0, 1]^d as a tuple of floats.
+
+    A point is a sequence of d numbers, and a point of [0, 1] may also be a
+    bare number.  d is ``arity``, or any of ARITIES when that is None.  A
+    point of another shape, a non-numeric coordinate or one outside [0, 1]
+    is a DomainError.
+    """
+    # a float as a point of [0, 1], the per-weight-vector case, without the
+    # numpy calls below; a numpy float64 compares faster once converted
+    if isinstance(point, float) and arity in (None, 1):
+        if 0.0 <= (x := float(point)) <= 1.0:
+            return (x,)
+    try:
+        coords = tuple(map(float, (point,) if np.ndim(point) == 0 else point))
+    except (TypeError, ValueError):
+        coords = None
+    if coords is None or len(coords) not in ((arity,) if arity else ARITIES):
+        count = arity or " or ".join(map(str, ARITIES))
+        msg = f"point must have {count} numeric coordinate(s), got {point!r}"
+        raise DomainError(msg)
+    if not all(0.0 <= x <= 1.0 for x in coords):
+        d = len(coords)
+        cube = "[0, 1]" if d == 1 else f"[0, 1]^{d}"
+        raise DomainError(f"point must lie in {cube}, got {point}")
+    return coords
+
+
+def check_positive(coords):
+    """The coordinates that ``check_point`` returned, refused with
+    DomainError when one is 0: the limit of order j >= 2 holds only at
+    positive coordinates."""
+    if 0.0 in coords:
+        raise DomainError(f"order j >= 2 needs positive coordinates, got {coords}")
+    return coords
 
 
 def _window(n, x, c):

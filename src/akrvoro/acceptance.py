@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._kernels import CACHE_BLOCK_ELEMENTS, small_ufunc_buffer
+from ._kernels import CACHE_BLOCK_ELEMENTS, check_integral, small_ufunc_buffer
 from .akr import (
     _fixed_point_errors,
     _node_formula,
@@ -23,6 +23,7 @@ from .asymptotics import (
     KINDS,
     ConvergenceSeries,
     ExtrapolationResult,
+    _check_entries,
     decomposition,
     extrapolate,
     residual_series,
@@ -81,7 +82,9 @@ class LimitCheck:
 def check_limit(kind, f, point, tolerance, n0=64, doublings=7, j=2):
     """The one limit verdict: the ``residual_series`` of ``kind`` (same
     arguments), extrapolated and held against the kind's limit at order j
-    by ``relative_ok`` at ``tolerance``."""
+    by ``relative_ok`` at ``tolerance``.  A schedule too short to
+    extrapolate is refused before any operator runs."""
+    _check_entries(check_integral(doublings, "doublings") + 1)
     series = residual_series(kind, f, point, n0=n0, doublings=doublings, j=j)
     result = extrapolate(series)
     target = KINDS[kind].limit(f, series.point, j)

@@ -9,18 +9,13 @@ Bernstein operator is the order-1 case; the operators themselves live in
 the operator's first-order asymptotics.
 """
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._kernels import (
-    CACHE_BLOCK_ELEMENTS,
-    _log_weights_rows,
-    check_degree,
-    check_integral,
-    comp_dot,
-    log_weights,
+    CACHE_BLOCK_ELEMENTS, _log_weights_rows, check_at_least, check_degree, check_index,
+    check_order, comp_dot, log_weights,
 )
 from .errors import DomainError
 
@@ -48,29 +43,12 @@ class NodeTable:
     lo: int = 0
 
 
-def _check_order(j, least=2):
-    """The order j as an int, refused with DomainError below ``least``."""
-    j = check_integral(j, "order j")
-    if j < least:
-        raise DomainError(f"order j must be >= {least}, got {j}")
-    return j
-
-
-def _check_nj(n, j):
-    j = _check_order(j)
-    return check_degree(n, j), j
-
-
 def _check_window(n, lo, hi):
     """The inclusive index window (lo, hi) as ints, hi = n when None;
-    refused with DomainError unless 0 <= lo <= hi <= n."""
-    hi = n if hi is None else hi
-    try:
-        lo, hi = operator.index(lo), operator.index(hi)
-    except TypeError:
-        msg = f"window bounds must be integers, got ({lo!r}, {hi!r})"
-        raise DomainError(msg) from None
-    if not 0 <= lo <= hi <= n:
+    refused with DomainError unless both are indices in [0, n] (one int
+    each, not an array) and lo <= hi."""
+    lo, hi = (check_index(b, n, "window bound") for b in (lo, n if hi is None else hi))
+    if not (isinstance(lo, int) and isinstance(hi, int) and lo <= hi):
         raise DomainError(f"window must satisfy 0 <= lo <= hi <= {n}, got ({lo}, {hi})")
     return lo, hi
 
@@ -96,7 +74,8 @@ def build_node_table(n, j=2, lo=0, hi=None):
     """Nodes for degree n and order j at k = lo..hi (default all n+1) as an
     immutable table.  Each node is computed from k alone, so a window holds
     the full table's values bit for bit."""
-    n, j = _check_nj(n, j)
+    j = check_order(j)
+    n = check_degree(n, j)
     lo, hi = _check_window(n, lo, hi)
     nodes = _node_formula(np.arange(lo, hi + 1, dtype=np.float64), float(n), j)
     nodes.flags.writeable = False
@@ -135,9 +114,7 @@ def remainder(n, k):
     two computations can be cross-checked.  ``k`` may be an array.
     """
     n = check_degree(n, 2)
-    k = np.asarray(check_integral(k, "index"))
-    if np.any(k < 0) or np.any(k > n):
-        raise DomainError(f"index must lie in [0, {n}]")
+    k = np.asarray(check_index(k, n))
     value = _remainder_formula(k.astype(np.float64), float(n))
     return float(value) if value.ndim == 0 else value
 
@@ -147,10 +124,9 @@ def fixed_point_error(n, j, grid_size):
 
     Returns max over a uniform grid of |B(1) - 1| and |B(t^j) - x^j|.
     """
-    n, j = _check_nj(n, j)
-    grid_size = check_integral(grid_size, "grid size")
-    if grid_size < 2:
-        raise DomainError(f"grid size must be >= 2, got {grid_size}")
+    j = check_order(j)
+    n = check_degree(n, j)
+    grid_size = check_at_least(grid_size, 2, "grid size")
     return _fixed_point_errors(n, (j,), grid_size)[0]
 
 

@@ -14,17 +14,13 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from ._kernels import check_degree, check_integral, comp_dot, log_weights, support
-from .akr import _check_order, node_values, remainder
-from .errors import CapabilityError, DomainError
-from .tensor import (
-    _ARITIES,
-    _apply,
-    _axis_windows,
-    _coords,
-    _window_apply,
-    tensor_reduce,
+from ._kernels import (
+    ARITIES, check_at_least, check_degree, check_integral, check_order, check_point,
+    check_positive, comp_dot, log_weights, support,
 )
+from .akr import node_values, remainder
+from .errors import CapabilityError, DomainError
+from .tensor import _apply, _axis_windows, _window_apply, tensor_reduce
 
 __all__ = [
     "SERIES_KINDS",
@@ -112,20 +108,10 @@ class Decomposition:
 _EPS = float(np.finfo(np.float64).eps)
 
 
-def _check_positive_x(x, name="x"):
-    try:
-        x = float(x)
-    except (TypeError, ValueError):
-        raise DomainError(f"{name} must lie in (0, 1], got {x!r}") from None
-    if not 0.0 < x <= 1.0:
-        raise DomainError(f"{name} must lie in (0, 1], got {x}")
-    return x
-
-
 def lemma_sum(n, x):
     """n * sum_{k>=1} p(n,k,x) remainder(n,k); non-negative, vanishing in n."""
     n = check_degree(n, 2)
-    x = _check_positive_x(x)
+    (x,) = check_positive(check_point(x, 1))
     lo, hi = support(n, x)
     lo = max(lo, 1)
     w = np.exp(log_weights(n, x, lo, hi))
@@ -163,8 +149,7 @@ def _limit(f, coords, j, diffusion=True):
     j >= 2 needs strictly positive coordinates.
     """
     if j != 1:
-        for i, x in enumerate(coords):
-            _check_positive_x(x, "xy"[i])
+        check_positive(coords)
     terms = []
     if diffusion:
         second = [float(fn(*coords)) for fn in _partials(f, len(coords), 2)]
@@ -192,7 +177,7 @@ def limit(f, point, j):
     at a point of [0, 1]^d: x(1-x)/2 f'' - (j-1)(1-x)/2 f' on [0, 1] (the
     classical x(1-x)/2 f'' at j = 1), summed over the axes on the square.
     The point's arity is d, as for ``apply``."""
-    return _limit(f, _coords(point), _check_order(j, 1))
+    return _limit(f, check_point(point), check_order(j, 1))
 
 
 # --------------------------------------------------------------------------
@@ -208,7 +193,7 @@ def decomposition(f, n, p):
     difference total - e_term - f_term.  Requires exact first partials.
     """
     n = check_degree(n, 2)
-    coords = _coords(p, 2)
+    coords = check_point(p, 2)
     fx, fy = _partials(f, 2, 1, "decomposition")
     lo, hi, windows = _axis_windows(n, coords)
     uniform = node_values(n, 1, lo, hi)
@@ -253,9 +238,9 @@ class SeriesKind:
     uses_f: bool = True
 
     def limit(self, f, point, j):
-        """The series' limit at any point that ``tensor._coords`` accepts
-        at this kind's arity, when it is asked for order j."""
-        return self.target(f, _coords(point, self.arity), self.order or j)
+        """The series' limit at any point that ``check_point`` accepts at
+        this kind's arity, when it is asked for order j."""
+        return self.target(f, check_point(point, self.arity), self.order or j)
 
 
 def _operator_value(f, n, j, coords):
@@ -277,7 +262,7 @@ def _lemma_value(f, n, j, coords):
 KINDS = {
     **{
         f"{name}-{arity}d": SeriesKind(arity, order, _operator_value, _limit)
-        for arity in _ARITIES
+        for arity in ARITIES
         for name, order in (("bernstein", 1), ("akr", None))
     },
     "akr-minus-bernstein-2d": SeriesKind(
@@ -301,33 +286,40 @@ def residual_series(kind, f, point, n0=64, doublings=7, j=2):
     'lemma-sum'.  ``point`` is a sequence of that many coordinates, or a
     bare number for a kind on [0, 1]; the series carries it as a tuple.  j
     must be >= 2; a kind of order None runs at j and needs strictly positive
-    coordinates and n0 of at least j; every kind needs n0 of at least 2.
-    The whole schedule is checked against MAX_DEGREE before any operator
-    runs.
+    coordinates and n0 of at least j; every kind needs n0 of at least 2 and
+    3 entries, doublings >= 2.  The whole schedule is checked against
+    MAX_DEGREE before any operator runs.
     """
     if kind not in KINDS:
         raise DomainError(
             f"unknown series kind {kind!r}; expected one of {', '.join(SERIES_KINDS)}"
         )
     spec = KINDS[kind]
-    n0 = check_integral(n0, "n0")
     doublings = check_integral(doublings, "doublings")
-    j = _check_order(j)
+    j = check_order(j)
     order = spec.order or j
-    if doublings < 2:
-        raise DomainError(f"schedule too short to extrapolate: doublings={doublings}")
-    least = max(2, order)
-    if n0 < least:
-        raise DomainError(f"n0 must be >= {least}, got {n0}")
+    _check_entries(doublings + 1, 3, "residual_series")
+    n0 = check_at_least(n0, max(2, order), "n0")
     check_degree(n0 * 2**doublings)
 
-    coords = _coords(point, spec.arity)
-    if spec.order is None and 0.0 in coords:
-        raise DomainError(f"kind {kind!r} requires strictly positive coordinates")
+    coords = check_point(point, spec.arity)
+    if spec.order is None:
+        check_positive(coords)
 
     ns = [n0 * 2**m for m in range(doublings + 1)]
     entries = tuple((n, float(spec.value(f, n, order, coords))) for n in ns)
     return ConvergenceSeries(entries=entries, operator_kind=kind, point=coords)
+
+
+def _check_entries(entries, least=4, needed_by="extrapolation"):
+    """Refuse with DomainError a doubling schedule of fewer than ``least``
+    entries, which ``needed_by`` needs; by default the 4 of ``extrapolate``,
+    whose tail check reads the last three differences."""
+    if entries < least:
+        raise DomainError(
+            f"{needed_by} needs at least {least} series entries "
+            f"(doublings >= {least - 1}), got {entries}"
+        )
 
 
 def rate_estimates(values):
@@ -356,8 +348,7 @@ def extrapolate(series):
     last value is reported unrefined.
     """
     values = series.values
-    if values.shape[0] < 4:
-        raise DomainError("extrapolation needs at least 4 series entries")
+    _check_entries(values.shape[0])
     rates = [r for r in rate_estimates(values) if r is not None]
     d = np.diff(values)
     tail = d[-3:]

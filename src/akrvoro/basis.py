@@ -4,23 +4,14 @@ import math
 
 import numpy as np
 
-from ._kernels import check_degree, check_integral, log_weights, nonzero_window
-from .errors import DomainError
+from ._kernels import (
+    check_degree, check_index, check_point, log_weights, nonzero_window,
+)
 
 __all__ = [
     "basis_weight",
     "weight_vector",
 ]
-
-
-def _check_x(x):
-    try:
-        x = float(x)
-    except (TypeError, ValueError):
-        raise DomainError(f"point must lie in [0, 1], got {x!r}") from None
-    if not 0.0 <= x <= 1.0:
-        raise DomainError(f"point must lie in [0, 1], got {x}")
-    return x
 
 
 def basis_weight(n, k, x):
@@ -30,10 +21,8 @@ def basis_weight(n, k, x):
     the result is non-negative by construction.
     """
     n = check_degree(n)
-    k = check_integral(k, "index")
-    if not 0 <= k <= n:
-        raise DomainError(f"index must lie in [0, {n}], got {k}")
-    x = _check_x(x)
+    k = check_index(k, n)
+    (x,) = check_point(x, 1)
     return math.exp(log_weights(n, x, k, k)[0])
 
 
@@ -45,7 +34,7 @@ def weight_vector(n, x):
     Hoeffding) the exponential is exactly 0.0, and the vector is the same
     bit for bit as ``np.exp(log_weights(n, x))``."""
     n = check_degree(n)
-    x = _check_x(x)
+    (x,) = check_point(x, 1)
     lo, hi = nonzero_window(n, x)
     w = np.zeros(n + 1)
     np.exp(log_weights(n, x, lo, hi), out=w[lo : hi + 1])

@@ -3,25 +3,27 @@
 Subcommands: nodes, eval, residual, lemma, decompose, verify.  Output is
 CSV (default) or JSON via --format; --out redirects to a file.  Exit codes:
 0 success / all verdicts pass, 1 a verification verdict failed, 2 invalid
-arguments or domain errors, with a structured error object on stderr in
-JSON mode.
+arguments (a command line the parser cannot read, a domain error, an --out
+that cannot be written), with one ``error: ...`` line on stderr, or one
+JSON error object in JSON mode.
 """
 
 import argparse
 import csv
+import io
 import json
 import math
 import sys
 from dataclasses import asdict, dataclass, fields
 from typing import List, Optional
 
-from ._kernels import check_degree
+from ._kernels import check_degree, check_order, check_point
 from .acceptance import check_limit, run_all
-from .akr import _check_order, build_node_table
+from .akr import build_node_table
 from .asymptotics import KINDS, _operator_value, decomposition, rate_estimates
 from .catalog import lookup
 from .errors import CapabilityError, DomainError, UnknownFunctionError
-from .tensor import _coords, apply
+from .tensor import apply
 
 DEFAULT_TOLERANCE = 1e-2
 
@@ -44,8 +46,19 @@ class RunConfig:
     criteria: Optional[List[int]] = None
 
 
+class UsageError(ValueError):
+    """A command line that the parser cannot read."""
+
+
+class _Parser(argparse.ArgumentParser):
+    # argparse prints its usage and exits on a bad command line; raising
+    # instead lets main report it as it reports every other bad argument
+    def error(self, message):
+        raise UsageError(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="akrvoro",
         description=(
             "Bernstein and modified-node operators on [0,1] and the unit "
@@ -184,8 +197,8 @@ def _cmd_nodes(cfg):
 def _cmd_eval(cfg):
     kind = KINDS[cfg.kind]
     entry = _entry_for(cfg, kind.arity)
-    j = kind.order or _check_order(cfg.j)
-    coords = _coords(cfg.point, kind.arity)
+    j = kind.order or check_order(cfg.j)
+    coords = check_point(cfg.point, kind.arity)
     value = float(apply(entry.function, cfg.n, j, coords))
     return [{"n": cfg.n, "value": value}], {"value": value}, 0
 
@@ -302,7 +315,16 @@ def _fmt_cell(value):
     return str(value)
 
 
-def _write_csv(stream, rows, summary):
+def _json_text(payload):
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def _render(cfg, rows, summary):
+    """The command's rows and summary as text in cfg's format."""
+    if cfg.format == "json":
+        payload = {"command": cfg.command, "config": asdict(cfg)}
+        return _json_text({**payload, "rows": rows, "summary": summary})
+    stream = io.StringIO()
     writer = csv.writer(stream, lineterminator="\n")
     if rows:
         header = list(rows[0].keys())
@@ -311,32 +333,18 @@ def _write_csv(stream, rows, summary):
             writer.writerow([_fmt_cell(row[key]) for key in header])
     for key, value in summary.items():
         stream.write(f"# {key}={_fmt_cell(value)}\n")
+    return stream.getvalue()
 
 
-def _write_json(stream, command, cfg, rows, summary):
-    payload = {
-        "command": command,
-        "config": asdict(cfg),
-        "rows": rows,
-        "summary": summary,
-    }
-    json.dump(payload, stream, indent=2)
-    stream.write("\n")
-
-
-def _emit(cfg, rows, summary):
-    if cfg.output_path:
-        with open(cfg.output_path, "w", encoding="utf-8") as stream:
-            _render(stream, cfg, rows, summary)
+def _emit(path, text):
+    """Write text to the file at path, or to stdout when there is none: the
+    one place --out is opened.  ``main`` reports an OSError from here, such
+    as a missing directory or a directory given as the file, with exit 2."""
+    if path:
+        with open(path, "w", encoding="utf-8") as stream:
+            stream.write(text)
     else:
-        _render(sys.stdout, cfg, rows, summary)
-
-
-def _render(stream, cfg, rows, summary):
-    if cfg.format == "json":
-        _write_json(stream, cfg.command, cfg, rows, summary)
-    else:
-        _write_csv(stream, rows, summary)
+        sys.stdout.write(text)
 
 
 def _emit_error(fmt, exc):
@@ -349,23 +357,25 @@ def _emit_error(fmt, exc):
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # read before parsing, so that a command line the parser refuses gets
+    # its error in the format it asks for too
+    asked = "--format=json" in argv or ("--format", "json") in zip(argv, argv[1:])
+    fmt = "json" if asked else "csv"
     try:
+        args = build_parser().parse_args(argv)
+        fmt = args.format
         cfg = _config_from_args(args)
         if cfg.dry_run:
-            if cfg.output_path:
-                with open(cfg.output_path, "w", encoding="utf-8") as stream:
-                    json.dump(asdict(cfg), stream, indent=2)
-                    stream.write("\n")
-            else:
-                json.dump(asdict(cfg), sys.stdout, indent=2)
-                sys.stdout.write("\n")
-            return 0
-        rows, summary, code = _HANDLERS[cfg.command](cfg)
-        _emit(cfg, rows, summary)
+            text, code = _json_text(asdict(cfg)), 0
+        else:
+            rows, summary, code = _HANDLERS[cfg.command](cfg)
+            text = _render(cfg, rows, summary)
+        _emit(cfg.output_path, text)
         return code
-    except (DomainError, UnknownFunctionError, CapabilityError) as exc:
-        _emit_error(args.format, exc)
+    except (UsageError, DomainError, UnknownFunctionError, CapabilityError,
+            OSError) as exc:
+        _emit_error(fmt, exc)
         return 2
 
 

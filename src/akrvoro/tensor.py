@@ -18,17 +18,11 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from ._kernels import (
-    CACHE_BLOCK_ELEMENTS,
-    bilinear_accumulate,
-    check_degree,
-    comp_dot,
-    log_weights,
-    small_ufunc_buffer,
-    support,
+    CACHE_BLOCK_ELEMENTS, bilinear_accumulate, check_degree, check_order, check_point,
+    comp_dot, log_weights, small_ufunc_buffer, support,
 )
-from .akr import _check_order, node_values
+from .akr import node_values
 from .basis import eval_on
-from .errors import DomainError
 
 __all__ = [
     "SupBounds",
@@ -144,33 +138,6 @@ def _window_apply(f, nodes, windows):
     return tensor_reduce(f.eval, nodes[sx], nodes[sy], wx, wy)
 
 
-# The arities, d, of the points of [0, 1]^d that the operators take.
-_ARITIES = (1, 2)
-
-
-def _coords(point, arity=None):
-    """The coordinates of a point of [0, 1]^d as a tuple of floats.
-
-    The one point validator: a point is a sequence of d numbers, and a point
-    of [0, 1] may also be a bare number.  d is ``arity``, or any of _ARITIES
-    when that is None.  A point of another shape, a non-numeric coordinate
-    or one outside [0, 1] is a DomainError.
-    """
-    try:
-        coords = tuple(map(float, (point,) if np.ndim(point) == 0 else point))
-    except (TypeError, ValueError):
-        coords = None
-    if coords is None or len(coords) not in ((arity,) if arity else _ARITIES):
-        count = arity or " or ".join(map(str, _ARITIES))
-        msg = f"point must have {count} numeric coordinate(s), got {point!r}"
-        raise DomainError(msg)
-    if not all(0.0 <= x <= 1.0 for x in coords):
-        d = len(coords)
-        cube = "[0, 1]" if d == 1 else f"[0, 1]^{d}"
-        raise DomainError(f"point must lie in {cube}, got {point}")
-    return coords
-
-
 def _apply(f, n, j, coords):
     """Operator of order j of f at the point with these coordinates; one node
     array over the hull of the axes' windows serves every axis."""
@@ -186,5 +153,5 @@ def apply(f, n, j, point):
     arity: a bare number or one coordinate is a point of [0, 1], two are a
     point of the square.  f must take d coordinates.
     """
-    j = _check_order(j, 1)
-    return _apply(f, check_degree(n, j), j, _coords(point))
+    j = check_order(j, 1)
+    return _apply(f, check_degree(n, j), j, check_point(point))

@@ -110,13 +110,26 @@ def test_windowed_nodes_equal_the_full_table_bit_for_bit(window):
 
 
 @pytest.mark.parametrize(
-    "lo, hi", [(-1, 4), (0, 9), (5, 4), (9, 9), (0.5, 4), (0, 4.0), ("0", 4)]
+    "lo, hi", [(-1, 4), (0, 9), (5, 4), (9, 9), (0.5, 4), ("0", 4), (None, 4)]
 )
 def test_bad_node_window_is_a_domain_error(lo, hi):
     with pytest.raises(DomainError, match="window"):
         build_node_table(8, 2, lo, hi)
     with pytest.raises(DomainError, match="window"):
         node_values(8, 1, lo, hi)
+
+
+@pytest.mark.parametrize(
+    "lo, hi", [(0.0, 4.0), (np.int64(0), np.float64(4.0)), (2.0, None)]
+)
+def test_integral_window_bounds_pass_as_the_degree_does(lo, hi):
+    # the rule of check_integral: 4.0 is the index 4, as 8.0 is the degree 8
+    ints = (int(lo), None if hi is None else int(hi))
+    table = build_node_table(8.0, 2.0, lo, hi)
+    assert (table.n, table.j, table.lo) == (8, 2, ints[0])
+    assert type(table.lo) is int
+    np.testing.assert_array_equal(table.nodes, build_node_table(8, 2, *ints).nodes)
+    np.testing.assert_array_equal(node_values(8, 1, lo, hi), node_values(8, 1, *ints))
 
 
 def test_node_drift_bounds_small_degrees():

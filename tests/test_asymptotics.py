@@ -63,7 +63,8 @@ def test_lemma_sum_domain_errors():
 
 @pytest.mark.parametrize("x", ["a", "", None, object(), [0.3, 0.4]])
 def test_lemma_sum_refuses_a_non_numeric_point(x):
-    with pytest.raises(DomainError, match=r"^x must lie in \(0, 1\], got "):
+    message = r"^point must have 1 numeric coordinate\(s\), got "
+    with pytest.raises(DomainError, match=message):
         lemma_sum(64, x)
 
 

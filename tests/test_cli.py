@@ -171,25 +171,6 @@ def test_eval_rejects_wrong_arity(capsys):
     assert "arity" in err
 
 
-@pytest.mark.parametrize(
-    "argv, message",
-    [
-        (["eval", "--kind", "akr-1d", "--fn", "e3", "--n", "8", "--j", "1",
-          "--point", "0.3"], "order j must be >= 2, got 1"),
-        (["residual", "--kind", "akr-1d", "--fn", "e3", "--point", "0.3",
-          "--j", "1"], "order j must be >= 2, got 1"),
-        (["eval", "--kind", "akr-2d", "--fn", "runge-2d", "--n", "8",
-          "--point", "0.3"], "point must have 2 numeric coordinate(s)"),
-    ],
-)
-def test_eval_and_residual_refuse_an_order_or_point_the_kind_cannot_take(
-    argv, message, capsys
-):
-    code, out, err = run_cli(capsys, argv)
-    assert (code, out) == (2, "")
-    assert message in err
-
-
 def test_bernstein_eval_ignores_j(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -250,27 +231,6 @@ def test_residual_fail_verdict_gives_exit_one(capsys):
     assert code == 1
     _, summary = parse_csv(out)
     assert summary["verdict"] == "FAIL"
-
-
-def test_residual_schedule_too_short_to_extrapolate(capsys):
-    code, _, err = run_cli(
-        capsys,
-        [
-            "residual",
-            "--kind",
-            "akr-1d",
-            "--fn",
-            "e1",
-            "--point",
-            "0.5",
-            "--n0",
-            "8",
-            "--doublings",
-            "2",
-        ],
-    )
-    assert code == 2
-    assert "at least 4" in err
 
 
 @pytest.mark.parametrize(
@@ -372,7 +332,7 @@ def test_positivity_requirement_is_enforced(capsys):
             "--n0",
             "4",
             "--doublings",
-            "2",
+            "3",
         ],
     )
     assert code == 2
@@ -429,12 +389,6 @@ def test_degree_past_the_cap_is_a_structured_error(argv, capsys):
 )
 def test_bad_doublings_and_tolerance_are_structured_errors(argv, capsys):
     assert_structured_error(capsys, argv)
-
-
-def test_argparse_rejects_bad_usage():
-    with pytest.raises(SystemExit) as exc:
-        main(["residual", "--kind", "bogus-kind", "--fn", "e1", "--point", "0.5"])
-    assert exc.value.code == 2
 
 
 def test_decompose_rows_and_bound_column(capsys):
@@ -520,3 +474,135 @@ def test_verify_rejects_unknown_criteria_before_running(criteria, capsys, monkey
     error = json.loads(err)["error"]
     assert error["type"] == "DomainError"
     assert criteria.split(",")[-1] in error["message"]
+
+
+# --------------------------------------------------------------------------
+# Bad input: every subcommand against every rule it takes
+# --------------------------------------------------------------------------
+
+_EVAL = ["eval", "--kind", "akr-1d", "--fn", "e3", "--n", "8"]
+_EVAL_2D = ["eval", "--kind", "akr-2d", "--fn", "runge-2d", "--n", "8"]
+_RESIDUAL = ["residual", "--kind", "akr-1d", "--fn", "e1", "--n0", "8"]
+_RESIDUAL_2D = ["residual", "--kind", "akr-2d", "--fn", "exp-sum", "--n0", "8"]
+_DRIFT = ["residual", "--kind", "akr-minus-bernstein-2d", "--fn", "exp-sum"]
+_LEMMA = ["lemma", "--n0", "8"]
+_DECOMPOSE = ["decompose", "--fn", "exp-sum", "--n0", "8", "--doublings", "1"]
+
+# (argv, a fragment of the one error message); MISSING and DIRECTORY stand
+# for an --out under a directory that does not exist and for a directory
+_BAD_INPUT = {
+    "nodes: non-integral degree": (["nodes", "--n", "8.5"], "invalid int value: '8.5'"),
+    "nodes: non-integral order": (["nodes", "--n", "8", "--j", "2.5"], "'2.5'"),
+    "nodes: order below 2": (["nodes", "--n", "8", "--j", "1"], "order j must be >= 2"),
+    "nodes: degree below the order": (["nodes", "--n", "1"], "degree must be >= 2"),
+    "eval: non-numeric point": ([*_EVAL, "--point", "a"], "invalid float value: 'a'"),
+    "eval: point above 1": ([*_EVAL, "--point", "1.5"], "point must lie in [0, 1]"),
+    "eval: point below 0": ([*_EVAL, "--point", "-0.1"], "point must lie in [0, 1]"),
+    "eval: nan point": ([*_EVAL, "--point", "nan"], "point must lie in [0, 1]"),
+    "eval: point of the square": (
+        [*_EVAL_2D, "--point", "1.5", "0.5"], "point must lie in [0, 1]^2"),
+    "eval: point of the wrong arity": (
+        [*_EVAL_2D, "--point", "0.3"], "point must have 2 numeric coordinate(s)"),
+    "eval: non-integral degree": (
+        ["eval", "--kind", "akr-1d", "--fn", "e3", "--n", "8.5", "--point", "0.3"],
+        "invalid int value: '8.5'"),
+    "eval: non-integral order": ([*_EVAL, "--j", "2.5", "--point", "0.3"], "'2.5'"),
+    "eval: order below 2": (
+        [*_EVAL, "--j", "1", "--point", "0.3"], "order j must be >= 2, got 1"),
+    "residual: non-numeric point": ([*_RESIDUAL, "--point", "a"], "'a'"),
+    "residual: point above 1": (
+        [*_RESIDUAL, "--point", "1.5"], "point must lie in [0, 1]"),
+    "residual: zero coordinate in 1-d": (
+        [*_RESIDUAL, "--point", "0"], "order j >= 2 needs positive coordinates"),
+    "residual: zero coordinate in 2-d": (
+        [*_RESIDUAL_2D, "--point", "0.5", "0"], "needs positive coordinates"),
+    "residual: zero coordinate of the drift": (
+        [*_DRIFT, "--point", "0", "0.5"], "needs positive coordinates"),
+    "residual: zero coordinate at order 3": (
+        [*_RESIDUAL, "--j", "3", "--point", "0"], "needs positive coordinates"),
+    "residual: non-integral n0": (
+        [*_RESIDUAL, "--point", "0.5", "--n0", "8.5"], "invalid int value: '8.5'"),
+    "residual: non-integral doublings": (
+        [*_RESIDUAL, "--point", "0.5", "--doublings", "3.5"], "'3.5'"),
+    "residual: non-integral order": (
+        [*_RESIDUAL, "--point", "0.5", "--j", "2.5"], "'2.5'"),
+    "residual: order below 2": (
+        [*_RESIDUAL, "--point", "0.3", "--j", "1"], "order j must be >= 2, got 1"),
+    "residual: short schedule": (
+        [*_RESIDUAL, "--point", "0.5", "--doublings", "2"],
+        "extrapolation needs at least 4 series entries (doublings >= 3), got 3"),
+    "residual: unknown kind": (
+        ["residual", "--kind", "bogus-kind", "--fn", "e1", "--point", "0.5"],
+        "invalid choice: 'bogus-kind'"),
+    "lemma: non-numeric point": ([*_LEMMA, "--x", "a"], "invalid float value: 'a'"),
+    "lemma: point above 1": ([*_LEMMA, "--x", "1.5"], "point must lie in [0, 1]"),
+    "lemma: zero coordinate": ([*_LEMMA, "--x", "0"], "needs positive coordinates"),
+    "lemma: non-integral n0": ([*_LEMMA, "--x", "0.5", "--n0", "8.5"], "'8.5'"),
+    "lemma: short schedule": (
+        [*_LEMMA, "--x", "0.5", "--doublings", "0"], "at least 4 series entries"),
+    "decompose: non-numeric point": ([*_DECOMPOSE, "--point", "a", "0.5"], "'a'"),
+    "decompose: point above 1": (
+        [*_DECOMPOSE, "--point", "0.5", "1.5"], "point must lie in [0, 1]^2"),
+    "decompose: one coordinate": (
+        [*_DECOMPOSE, "--point", "0.5"], "argument --point: expected 2 arguments"),
+    "decompose: non-integral n0": (
+        [*_DECOMPOSE, "--point", "0.5", "0.5", "--n0", "8.5"], "'8.5'"),
+    "verify: non-integral criterion": (["verify", "--criteria", "1.5"], "'1.5'"),
+    "verify: unknown criterion": (
+        ["verify", "--criteria", "9"], "no criterion numbered 9"),
+    "no subcommand": ([], "command"),
+    **{
+        f"{command}{dry}: --out {kind}": (
+            [*argv, "--out", kind, *dry.split()], kind)
+        for command, argv in (
+            ("nodes", ["nodes", "--n", "4"]),
+            ("eval", [*_EVAL, "--point", "0.3"]),
+            ("residual", [*_RESIDUAL, "--point", "0.5", "--doublings", "3"]),
+            ("lemma", [*_LEMMA, "--x", "0.5", "--doublings", "3"]),
+            ("decompose", [*_DECOMPOSE, "--point", "0.5", "0.5"]),
+            ("verify", ["verify", "--criteria", "8"]),
+        )
+        for dry in ("", " --dry-run")
+        for kind in ("MISSING", "DIRECTORY")
+    },
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("case", list(_BAD_INPUT))
+def test_bad_input_exits_2_with_one_structured_error(case, fmt, capsys, tmp_path):
+    argv, fragment = _BAD_INPUT[case]
+    paths = {"MISSING": str(tmp_path / "missing" / "out"), "DIRECTORY": str(tmp_path)}
+    # csv is the default format, so it is not asked for
+    argv = [paths.get(a, a) for a in argv] + (["--format", "json"] * (fmt == "json"))
+    fragment = paths.get(fragment, fragment)
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "")
+    assert "Traceback" not in err and err.count("\n") == 1
+    if fmt == "json":
+        (error,) = json.loads(err).values()
+        assert set(error) == {"type", "message"}
+        message = error["message"]
+    else:
+        assert err.startswith("error: ")
+        message = err[len("error: "):]
+    assert fragment in message
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [*_RESIDUAL, "--point", "0.5", "--doublings", "2"],
+        [*_RESIDUAL_2D, "--point", "0.5", "0.5", "--doublings", "0"],
+        [*_LEMMA, "--x", "0.5", "--doublings", "2"],
+    ],
+)
+def test_short_schedule_is_refused_before_the_series_runs(argv, capsys, monkeypatch):
+    def no_series(*args, **kwargs):
+        raise AssertionError("residual_series ran")
+
+    monkeypatch.setattr("akrvoro.acceptance.residual_series", no_series)
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "")
+    assert "at least 4 series entries" in err

@@ -2,6 +2,7 @@ import contextlib
 import importlib
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -460,6 +461,23 @@ def test_integral_arguments_are_checked_not_truncated(call, good, bad):
         call(bad)
     for same in (np.int64(good), float(good), np.float64(good)):
         assert call(same) == call(good)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: akrvoro.weight_vector(0, 0.3), "degree must be >= 1, got 0"),
+        (lambda: akrvoro.remainder(1, 0), "degree must be >= 2, got 1"),
+        (lambda: akrvoro.apply(_E3, 8, 0, 0.3), "order j must be >= 1, got 0"),
+        (lambda: akrvoro.build_node_table(8, 1), "order j must be >= 2, got 1"),
+        (lambda: akrvoro.fixed_point_error(8, 2, 1), "grid size must be >= 2, got 1"),
+        (lambda: akrvoro.residual_series("akr-1d", _E3, 0.3, n0=2, doublings=2, j=3),
+         "n0 must be >= 3, got 2"),
+    ],
+)
+def test_lower_bounds_share_one_rule_and_message(call, message):
+    with pytest.raises(akrvoro.DomainError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 _TOO_BIG = 10**15

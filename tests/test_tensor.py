@@ -11,27 +11,29 @@ from akrvoro import (
     apply,
     lookup,
 )
-from akrvoro._kernels import CACHE_BLOCK_ELEMENTS
-from akrvoro.tensor import _coords, eval_grid_block
+from akrvoro import tensor
+from akrvoro._kernels import CACHE_BLOCK_ELEMENTS, bilinear_accumulate, check_point
+from akrvoro.tensor import eval_grid_block
 
 
 def test_coords_accepts_any_sequence_and_a_bare_number_in_1d():
-    assert _coords((0.0, 1.0), 2) == (0.0, 1.0)
-    assert _coords([0.25, np.float64(0.75)], 2) == (0.25, 0.75)
-    assert _coords(np.array([0.25, 0.75]), 2) == (0.25, 0.75)
+    assert check_point((0.0, 1.0), 2) == (0.0, 1.0)
+    assert check_point([0.25, np.float64(0.75)], 2) == (0.25, 0.75)
+    assert check_point(np.array([0.25, 0.75]), 2) == (0.25, 0.75)
     for p in (0.3, np.float64(0.3), np.array(0.3), (0.3,), [0.3]):
-        got = _coords(p, 1)
+        got = check_point(p, 1)
         assert got == (0.3,) and all(type(x) is float for x in got)
 
 
 def test_coords_takes_the_arity_from_the_point():
-    assert _coords(0.3) == _coords([0.3]) == (0.3,)
-    assert _coords((0.25, 0.75)) == _coords(np.array([0.25, 0.75])) == (0.25, 0.75)
+    assert check_point(0.3) == check_point([0.3]) == (0.3,)
+    pair = (0.25, 0.75)
+    assert check_point(pair) == check_point(np.array(pair)) == pair
     for point in ((), (0.1, 0.2, 0.3), "x", None):
         with pytest.raises(DomainError, match=r"must have 1 or 2 numeric"):
-            _coords(point)
+            check_point(point)
     with pytest.raises(DomainError, match=r"must lie in \[0, 1\]\^2"):
-        _coords((0.5, 1.5))
+        check_point((0.5, 1.5))
 
 
 @pytest.mark.parametrize(
@@ -57,7 +59,7 @@ def test_coords_takes_the_arity_from_the_point():
 )
 def test_coords_refuses_a_point_of_the_wrong_shape_or_range(point, arity):
     with pytest.raises(DomainError):
-        _coords(point, arity)
+        check_point(point, arity)
 
 
 def test_tensor_bernstein_frozen_values():
@@ -198,6 +200,48 @@ def test_tiled_grid_equals_the_one_shot_grid_bit_for_bit(name, rows, cols):
     got = eval_grid_block(func, s, t)
     assert got.flags.c_contiguous and got.dtype == np.float64
     _assert_same_bits(got, np.asarray(func(s[:, None], t[None, :]), dtype=np.float64))
+
+
+_REDUCE_ROWS, _REDUCE_COLS = 50, 37
+
+
+@pytest.mark.parametrize("name", ["runge-2d", "exp-sum", "sinpix-cospiy"])
+@pytest.mark.parametrize(
+    "block_elements, block_rows",
+    [
+        # below one row, and exactly one row: blocks of one row each
+        (1, [1] * 50),
+        (_REDUCE_COLS, [1] * 50),
+        (2 * _REDUCE_COLS, [2] * 25),
+        # uneven last blocks
+        (7 * _REDUCE_COLS, [7] * 7 + [1]),
+        (13 * _REDUCE_COLS + 5, [13] * 3 + [11]),
+    ],
+)
+def test_multi_block_reduction_matches_an_fsum_reference(
+    name, block_elements, block_rows, monkeypatch
+):
+    # tensor_reduce carries its Kahan state from block to block; the default
+    # blocks of 2^22 cells bind only from n of about 45000 on the square
+    func = lookup(name).function.eval
+    rng = np.random.default_rng(block_elements)
+    s, t = rng.random(_REDUCE_ROWS), rng.random(_REDUCE_COLS)
+    wx, wy = rng.random(_REDUCE_ROWS), rng.standard_normal(_REDUCE_COLS)
+    terms = (func(s[:, None], t[None, :]) * wx[:, None] * wy[None, :]).ravel()
+    value, scale = math.fsum(terms.tolist()), math.fsum(np.abs(terms).tolist())
+    rows = []
+
+    def spy(block, wx_block, wy, state):
+        rows.append(block.shape[0])
+        bilinear_accumulate(block, wx_block, wy, state)
+
+    monkeypatch.setattr(tensor, "_BLOCK_ELEMENTS", block_elements)
+    monkeypatch.setattr(tensor, "bilinear_accumulate", spy)
+    got = tensor.tensor_reduce(func, s, t, wx, wy)
+    assert rows == block_rows
+    # as in tests/test_window.py: BLAS row sums depend on a block's row
+    # count, so the bound is relative to sum |terms|, not the one-block bits
+    assert abs(got - value) <= 1e-14 * scale, (got, value, scale)
 
 
 def test_scalar_valued_grid_is_a_contiguous_block():
