@@ -21,8 +21,9 @@ from .errors import DomainError
 
 __all__ = [
     "ARITIES", "backend", "check_at_least", "check_degree", "check_index",
-    "check_integral", "check_order", "check_point", "check_positive", "comp_dot",
-    "bilinear_accumulate", "log_weights", "support", "warmup",
+    "check_integral", "check_order", "check_point", "check_positive",
+    "check_schedule", "comp_dot", "bilinear_accumulate", "log_weights", "support",
+    "warmup",
 ]
 
 
@@ -295,16 +296,39 @@ def check_at_least(value, least, name):
     is integral and at least ``least``."""
     value = check_integral(value, name)
     if value < least:
-        raise DomainError(f"{name} must be >= {least}, got {value}")
+        raise DomainError(f"{name} must be >= {least}, got {_shown(value)}")
     return value
+
+
+def _shown(value):
+    """An int for a message, as a power of ten past 20 digits: str() refuses
+    an int of more than 4300 digits."""
+    if abs(value) < 10**20:
+        return str(value)
+    return f"{'-' * (value < 0)}10^{math.log10(abs(value)):.1f}"
 
 
 def check_degree(n, least=1):
     """n as an int, refused with DomainError unless least <= n <= MAX_DEGREE."""
     n = check_at_least(n, least, "degree")
     if n > MAX_DEGREE:
-        raise DomainError(f"degree must be <= {MAX_DEGREE}, got {n}")
+        raise DomainError(f"degree must be <= {MAX_DEGREE}, got {_shown(n)}")
     return n
+
+
+def check_schedule(n0, doublings, least=2):
+    """The degrees n0, 2 n0, ..., n0 * 2^doublings as a list, refused with
+    DomainError unless doublings >= 0, n0 >= least >= 1 and the last degree
+    is at most MAX_DEGREE, which is checked before that degree is computed."""
+    doublings = check_at_least(doublings, 0, "doublings")
+    n0 = check_at_least(n0, least, "n0")
+    # n0 >= 1, so MAX_DEGREE.bit_length() doublings or more pass the cap
+    if doublings >= MAX_DEGREE.bit_length() or n0 << doublings > MAX_DEGREE:
+        raise DomainError(
+            f"schedule's last degree must be <= {MAX_DEGREE}, got n0 * "
+            f"2^doublings with n0 = {_shown(n0)}, doublings = {_shown(doublings)}"
+        )
+    return [n0 << m for m in range(doublings + 1)]
 
 
 def check_order(j, least=2):

@@ -82,8 +82,11 @@ class LimitCheck:
 def check_limit(kind, f, point, tolerance, n0=64, doublings=7, j=2):
     """The one limit verdict: the ``residual_series`` of ``kind`` (same
     arguments), extrapolated and held against the kind's limit at order j
-    by ``relative_ok`` at ``tolerance``.  A schedule too short to
-    extrapolate is refused before any operator runs."""
+    by ``relative_ok`` at ``tolerance``.  A tolerance that is negative or
+    not finite, and a schedule too short to extrapolate, are refused before
+    any operator runs."""
+    if not (math.isfinite(tolerance) and tolerance >= 0.0):
+        raise DomainError(f"tolerance must be finite and >= 0, got {tolerance}")
     _check_entries(check_integral(doublings, "doublings") + 1)
     series = residual_series(kind, f, point, n0=n0, doublings=doublings, j=j)
     result = extrapolate(series)
@@ -320,17 +323,22 @@ _NUMBERS = tuple(num for num, *_ in CRITERIA)
 
 
 def _check_numbers(numbers):
-    unknown = [num for num in numbers if num not in _NUMBERS]
+    """The criterion numbers as a list of ints, refused with DomainError
+    unless there is one at least and each is integral and numbers a
+    criterion."""
+    numbers = [check_integral(num, "criterion number") for num in numbers]
+    unknown = ", ".join(str(num) for num in numbers if num not in _NUMBERS)
+    valid = f"valid numbers: {', '.join(map(str, _NUMBERS))}"
+    if not numbers:
+        raise DomainError(f"no criterion selected; {valid}")
     if unknown:
-        raise DomainError(
-            f"no criterion numbered {', '.join(map(str, unknown))}; "
-            f"valid numbers: {', '.join(map(str, _NUMBERS))}"
-        )
+        raise DomainError(f"no criterion numbered {unknown}; {valid}")
+    return numbers
 
 
 def run_criterion(number):
     """Run one numbered criterion."""
-    _check_numbers([number])
+    (number,) = _check_numbers([number])
     num, name, fn, limit = CRITERIA[_NUMBERS.index(number)]
     start = time.perf_counter()
     passed, detail = fn()
@@ -342,8 +350,8 @@ def run_criterion(number):
 
 
 def run_all(numbers=None):
-    """Run the requested criteria (all by default) in order; every number
-    is checked before any criterion runs."""
-    wanted = tuple(numbers) if numbers else _NUMBERS
-    _check_numbers(wanted)
+    """Run the requested criteria (all when ``numbers`` is None) in order;
+    every number is checked before any criterion runs, and an empty
+    selection is refused."""
+    wanted = _NUMBERS if numbers is None else _check_numbers(numbers)
     return [run_criterion(num) for num in wanted]

@@ -15,8 +15,8 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from ._kernels import (
-    ARITIES, check_at_least, check_degree, check_integral, check_order, check_point,
-    check_positive, comp_dot, log_weights, support,
+    ARITIES, _shown, check_degree, check_order, check_point, check_positive,
+    check_schedule, comp_dot, log_weights, support,
 )
 from .akr import node_values, remainder
 from .errors import CapabilityError, DomainError
@@ -295,18 +295,15 @@ def residual_series(kind, f, point, n0=64, doublings=7, j=2):
             f"unknown series kind {kind!r}; expected one of {', '.join(SERIES_KINDS)}"
         )
     spec = KINDS[kind]
-    doublings = check_integral(doublings, "doublings")
     j = check_order(j)
     order = spec.order or j
-    _check_entries(doublings + 1, 3, "residual_series")
-    n0 = check_at_least(n0, max(2, order), "n0")
-    check_degree(n0 * 2**doublings)
+    ns = check_schedule(n0, doublings, max(2, order))
+    _check_entries(len(ns), 3, "residual_series")
 
     coords = check_point(point, spec.arity)
     if spec.order is None:
         check_positive(coords)
 
-    ns = [n0 * 2**m for m in range(doublings + 1)]
     entries = tuple((n, float(spec.value(f, n, order, coords))) for n in ns)
     return ConvergenceSeries(entries=entries, operator_kind=kind, point=coords)
 
@@ -318,7 +315,7 @@ def _check_entries(entries, least=4, needed_by="extrapolation"):
     if entries < least:
         raise DomainError(
             f"{needed_by} needs at least {least} series entries "
-            f"(doublings >= {least - 1}), got {entries}"
+            f"(doublings >= {least - 1}), got {_shown(entries)}"
         )
 
 

@@ -12,12 +12,10 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
-from dataclasses import asdict, dataclass, fields
-from typing import List, Optional
+from dataclasses import asdict
 
-from ._kernels import check_degree, check_order, check_point
+from ._kernels import check_integral, check_order, check_point, check_schedule
 from .acceptance import check_limit, run_all
 from .akr import build_node_table
 from .asymptotics import KINDS, _operator_value, decomposition, rate_estimates
@@ -27,23 +25,12 @@ from .tensor import apply
 
 DEFAULT_TOLERANCE = 1e-2
 
-
-@dataclass
-class RunConfig:
-    command: str
-    format: str = "csv"
-    output_path: Optional[str] = None
-    dry_run: bool = False
-    n: Optional[int] = None
-    n0: Optional[int] = None
-    doublings: Optional[int] = None
-    j: Optional[int] = None
-    kind: Optional[str] = None
-    fn_name: Optional[str] = None
-    point: Optional[List[float]] = None
-    x: Optional[float] = None
-    tolerance: Optional[float] = None
-    criteria: Optional[List[int]] = None
+# The keys of the JSON config, in a fixed order; a key that the subcommand
+# does not take prints as null.
+_CONFIG_KEYS = (
+    "command", "format", "output_path", "dry_run", "n", "n0", "doublings", "j",
+    "kind", "fn_name", "point", "x", "tolerance", "criteria",
+)
 
 
 class UsageError(ValueError):
@@ -57,6 +44,34 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _integral(text, name):
+    """The text of an integer flag as an int, under the library's integral
+    rule: read as an int before a float, so that a large integer keeps every
+    digit, then ``check_integral``, whose DomainError names the flag."""
+    try:
+        value = int(text)
+    except ValueError:
+        try:
+            value = float(text)
+        except ValueError:
+            value = text
+    return check_integral(value, name)
+
+
+# An integer flag, and a comma-separated list of them with empty items
+# skipped.  argparse puts its own message in place of a ValueError from a
+# flag's type, but lets an action's error through: the library's DomainError.
+class _Integral(argparse.Action):
+    def __call__(self, parser, namespace, text, option_string=None):
+        setattr(namespace, self.dest, _integral(text, option_string))
+
+
+class _Integers(argparse.Action):
+    def __call__(self, parser, namespace, text, option_string=None):
+        values = [_integral(v, option_string) for v in text.split(",") if v.strip()]
+        setattr(namespace, self.dest, values)
+
+
 def build_parser():
     parser = _Parser(
         prog="akrvoro",
@@ -66,8 +81,11 @@ def build_parser():
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    operators = [name for name, kind in KINDS.items() if kind.value is _operator_value]
+    series = [name for name, kind in KINDS.items() if kind.uses_f]
 
-    def common(p):
+    def common(p, handler):
+        p.set_defaults(handler=handler)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", dest="output_path", default=None, metavar="PATH")
         p.add_argument(
@@ -77,91 +95,63 @@ def build_parser():
         )
 
     p = sub.add_parser("nodes", help="emit the sampling-node table for (n, j)")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--j", type=int, default=2)
-    common(p)
+    p.add_argument("--n", action=_Integral, required=True)
+    p.add_argument("--j", action=_Integral, default=2)
+    common(p, _cmd_nodes)
 
     p = sub.add_parser("eval", help="evaluate one operator value")
-    p.add_argument(
-        "--kind",
-        choices=[
-            name for name, kind in KINDS.items() if kind.value is _operator_value
-        ],
-        required=True,
-    )
+    p.add_argument("--kind", choices=operators, required=True)
     p.add_argument("--fn", dest="fn_name", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--j", type=int, default=2)
+    p.add_argument("--n", action=_Integral, required=True)
+    p.add_argument("--j", action=_Integral, default=2)
     p.add_argument("--point", type=float, nargs="+", required=True)
-    common(p)
+    common(p, _cmd_eval)
 
     p = sub.add_parser(
         "residual", help="scaled residual series plus extrapolated limit"
     )
-    p.add_argument(
-        "--kind",
-        choices=[name for name, kind in KINDS.items() if kind.uses_f],
-        required=True,
-    )
+    p.add_argument("--kind", choices=series, required=True)
     p.add_argument("--fn", dest="fn_name", required=True)
     p.add_argument("--point", type=float, nargs="+", required=True)
-    p.add_argument("--n0", type=int, default=64)
-    p.add_argument("--doublings", type=int, default=7)
-    p.add_argument("--j", type=int, default=2)
+    p.add_argument("--n0", action=_Integral, default=64)
+    p.add_argument("--doublings", action=_Integral, default=7)
+    p.add_argument("--j", action=_Integral, default=2)
     p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
-    common(p)
+    common(p, _cmd_residual)
 
     p = sub.add_parser(
         "lemma", help="scaled remainder-sum series and vanishing-limit verdict"
     )
     p.add_argument("--x", type=float, required=True)
-    p.add_argument("--n0", type=int, default=64)
-    p.add_argument("--doublings", type=int, default=7)
+    p.add_argument("--n0", action=_Integral, default=64)
+    p.add_argument("--doublings", action=_Integral, default=7)
     p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
-    common(p)
+    common(p, _cmd_lemma)
 
     p = sub.add_parser(
         "decompose", help="drift decomposition rows over a doubling schedule"
     )
     p.add_argument("--fn", dest="fn_name", required=True)
     p.add_argument("--point", type=float, nargs=2, required=True)
-    p.add_argument("--n0", type=int, default=64)
-    p.add_argument("--doublings", type=int, default=4)
-    common(p)
+    p.add_argument("--n0", action=_Integral, default=64)
+    p.add_argument("--doublings", action=_Integral, default=4)
+    common(p, _cmd_decompose)
 
     p = sub.add_parser("verify", help="run the acceptance criteria")
     p.add_argument(
         "--criteria",
+        action=_Integers,
         default=None,
         metavar="LIST",
         help="comma-separated criterion numbers (default: all)",
     )
-    common(p)
+    common(p, _cmd_verify)
 
     return parser
 
 
-def _parse_criteria(raw):
-    try:
-        return [int(v) for v in raw.split(",") if v.strip()]
-    except ValueError:
-        raise DomainError(
-            f"--criteria must be comma-separated integers, got {raw!r}"
-        ) from None
-
-
-def _config_from_args(args):
-    values = {
-        f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)
-    }
-    if values.get("criteria") is not None:
-        values["criteria"] = _parse_criteria(values["criteria"])
-    if values.get("doublings") is not None and values["doublings"] < 0:
-        raise DomainError(f"--doublings must be >= 0, got {values['doublings']}")
-    tolerance = values.get("tolerance")
-    if tolerance is not None and not (math.isfinite(tolerance) and tolerance >= 0.0):
-        raise DomainError(f"--tolerance must be finite and >= 0, got {tolerance}")
-    return RunConfig(**values)
+def _config(args):
+    return {key: getattr(args, key, None) for key in _CONFIG_KEYS}
 
 
 # --------------------------------------------------------------------------
@@ -169,8 +159,8 @@ def _config_from_args(args):
 # --------------------------------------------------------------------------
 
 
-def _entry_for(cfg, arity):
-    entry = lookup(cfg.fn_name)
+def _entry_for(args, arity):
+    entry = lookup(args.fn_name)
     if entry.arity != arity:
         raise DomainError(
             f"function {entry.name!r} has arity {entry.arity}, "
@@ -188,19 +178,19 @@ def _series_rows(series):
     ]
 
 
-def _cmd_nodes(cfg):
-    table = build_node_table(cfg.n, cfg.j)
+def _cmd_nodes(args):
+    table = build_node_table(args.n, args.j)
     rows = [{"k": k, "t": float(t)} for k, t in enumerate(table.nodes)]
     return rows, {}, 0
 
 
-def _cmd_eval(cfg):
-    kind = KINDS[cfg.kind]
-    entry = _entry_for(cfg, kind.arity)
-    j = kind.order or check_order(cfg.j)
-    coords = check_point(cfg.point, kind.arity)
-    value = float(apply(entry.function, cfg.n, j, coords))
-    return [{"n": cfg.n, "value": value}], {"value": value}, 0
+def _cmd_eval(args):
+    kind = KINDS[args.kind]
+    entry = _entry_for(args, kind.arity)
+    j = kind.order or check_order(args.j)
+    coords = check_point(args.point, kind.arity)
+    value = float(apply(entry.function, args.n, j, coords))
+    return [{"n": args.n, "value": value}], {"value": value}, 0
 
 
 def _verdict(check, summary):
@@ -210,16 +200,16 @@ def _verdict(check, summary):
     return _series_rows(check.series), summary, 0 if check.passed else 1
 
 
-def _cmd_residual(cfg):
-    entry = _entry_for(cfg, KINDS[cfg.kind].arity)
+def _cmd_residual(args):
+    entry = _entry_for(args, KINDS[args.kind].arity)
     check = check_limit(
-        cfg.kind,
+        args.kind,
         entry.function,
-        cfg.point,
-        cfg.tolerance,
-        n0=cfg.n0,
-        doublings=cfg.doublings,
-        j=cfg.j,
+        args.point,
+        args.tolerance,
+        n0=args.n0,
+        doublings=args.doublings,
+        j=args.j,
     )
     summary = {
         "limit_estimate": check.result.limit_estimate,
@@ -230,9 +220,9 @@ def _cmd_residual(cfg):
     return _verdict(check, summary)
 
 
-def _cmd_lemma(cfg):
+def _cmd_lemma(args):
     check = check_limit(
-        "lemma-sum", None, cfg.x, cfg.tolerance, n0=cfg.n0, doublings=cfg.doublings
+        "lemma-sum", None, args.x, args.tolerance, n0=args.n0, doublings=args.doublings
     )
     summary = {
         "limit_estimate": check.result.limit_estimate,
@@ -242,33 +232,24 @@ def _cmd_lemma(cfg):
     return _verdict(check, summary)
 
 
-def _cmd_decompose(cfg):
-    entry = _entry_for(cfg, 2)
-    f = entry.function
-    # refuse the last degree of the schedule before computing any row
-    check_degree(cfg.n0 * 2**cfg.doublings, 2)
-    bound_const = (
-        f.sup_bounds.taylor_constant() if f.sup_bounds is not None else None
-    )
-    rows = []
-    for m in range(cfg.doublings + 1):
-        n = cfg.n0 * 2**m
-        d = decomposition(f, n, cfg.point)
-        rows.append(
-            {
-                "n": n,
-                "e_term": d.e_term,
-                "f_term": d.f_term,
-                "g_residual": d.g_residual,
-                "total": d.total,
-                "g_bound": None if bound_const is None else bound_const / (2.0 * n),
-            }
-        )
+def _cmd_decompose(args):
+    f = _entry_for(args, 2).function
+    # the whole schedule is refused before any row is computed
+    ns = check_schedule(args.n0, args.doublings)
+    bound_const = f.sup_bounds and f.sup_bounds.taylor_constant()
+    rows = [
+        {
+            "n": n,
+            **asdict(decomposition(f, n, args.point)),
+            "g_bound": None if bound_const is None else bound_const / (2.0 * n),
+        }
+        for n in ns
+    ]
     return rows, {}, 0
 
 
-def _cmd_verify(cfg):
-    results = run_all(cfg.criteria)
+def _cmd_verify(args):
+    results = run_all(args.criteria)
     rows = [
         {
             "criterion": r.number,
@@ -282,22 +263,8 @@ def _cmd_verify(cfg):
     ]
     passed = sum(r.passed for r in results)
     verdict = "PASS" if passed == len(results) else "FAIL"
-    summary = {
-        "passed": passed,
-        "failed": len(results) - passed,
-        "verdict": verdict,
-    }
+    summary = {"passed": passed, "failed": len(results) - passed, "verdict": verdict}
     return rows, summary, 0 if verdict == "PASS" else 1
-
-
-_HANDLERS = {
-    "nodes": _cmd_nodes,
-    "eval": _cmd_eval,
-    "residual": _cmd_residual,
-    "lemma": _cmd_lemma,
-    "decompose": _cmd_decompose,
-    "verify": _cmd_verify,
-}
 
 
 # --------------------------------------------------------------------------
@@ -319,10 +286,10 @@ def _json_text(payload):
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _render(cfg, rows, summary):
-    """The command's rows and summary as text in cfg's format."""
-    if cfg.format == "json":
-        payload = {"command": cfg.command, "config": asdict(cfg)}
+def _render(args, rows, summary):
+    """The command's rows and summary as text in the format args ask for."""
+    if args.format == "json":
+        payload = {"command": args.command, "config": _config(args)}
         return _json_text({**payload, "rows": rows, "summary": summary})
     stream = io.StringIO()
     writer = csv.writer(stream, lineterminator="\n")
@@ -365,13 +332,12 @@ def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
         fmt = args.format
-        cfg = _config_from_args(args)
-        if cfg.dry_run:
-            text, code = _json_text(asdict(cfg)), 0
+        if args.dry_run:
+            text, code = _json_text(_config(args)), 0
         else:
-            rows, summary, code = _HANDLERS[cfg.command](cfg)
-            text = _render(cfg, rows, summary)
-        _emit(cfg.output_path, text)
+            rows, summary, code = args.handler(args)
+            text = _render(args, rows, summary)
+        _emit(args.output_path, text)
         return code
     except (UsageError, DomainError, UnknownFunctionError, CapabilityError,
             OSError) as exc:

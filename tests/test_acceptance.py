@@ -4,10 +4,13 @@ Each test prints one pass/fail line; run with -s (or check the failure
 message) to see the per-criterion details.
 """
 
+import math
+
 import numpy as np
 import pytest
 
 from akrvoro import (
+    DomainError,
     acceptance,
     akr,
     build_node_table,
@@ -18,7 +21,9 @@ from akrvoro import (
     residual_series,
 )
 from akrvoro._kernels import CACHE_BLOCK_ELEMENTS
-from akrvoro.acceptance import CRITERIA, check_limit, relative_ok, run_criterion
+from akrvoro.acceptance import (
+    CRITERIA, check_limit, relative_ok, run_all, run_criterion,
+)
 from akrvoro.asymptotics import KINDS
 
 
@@ -129,3 +134,33 @@ def test_every_limit_verdict_goes_through_relative_ok(monkeypatch, capsys):
     ):
         assert cli.main(argv) == 1, argv
         assert "# verdict=FAIL\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("tolerance", [-1.0, math.nan, math.inf])
+def test_check_limit_refuses_a_bad_tolerance_before_the_series_runs(
+    tolerance, monkeypatch
+):
+    def no_series(*args, **kwargs):
+        raise AssertionError("residual_series ran")
+
+    monkeypatch.setattr(acceptance, "residual_series", no_series)
+    with pytest.raises(DomainError, match="tolerance must be finite and >= 0"):
+        check_limit("lemma-sum", None, 0.5, tolerance)
+
+
+def test_criterion_numbers_follow_the_integral_rule(monkeypatch):
+    monkeypatch.setattr(
+        acceptance, "CRITERIA", ((1, "stub", lambda: (True, "ok"), 1.0), *CRITERIA[1:])
+    )
+    (result,) = run_all([1.0])
+    assert (result.number, result.detail) == (1, "ok")
+    assert [r.number for r in run_all([np.int64(1)])] == [1]
+    for numbers, message in (
+        (["1"], "criterion number must be integral, got '1'"),
+        ([1.5], "criterion number must be integral, got 1.5"),
+        ([9], "no criterion numbered 9"),
+        # an empty selection is refused; None selects every criterion
+        ([], "no criterion selected"),
+    ):
+        with pytest.raises(DomainError, match=message):
+            run_all(numbers)

@@ -360,9 +360,10 @@ def test_residual_series_refuses_a_schedule_past_the_degree_cap(kind):
 
     f = Function(eval=never)
     point = 0.5 if kind != "bernstein-2d" else (0.5, 0.5)
-    # 64 * 2^15 = 2 MAX_DEGREE
-    with pytest.raises(DomainError, match="degree must be <="):
-        residual_series(kind, f, point, n0=64, doublings=15)
+    # 64 * 2^15 = 2 MAX_DEGREE; 2^(10^30) is never computed
+    for doublings in (15, 20000, 10**30):
+        with pytest.raises(DomainError, match="degree must be <="):
+            residual_series(kind, f, point, n0=64, doublings=doublings)
 
 
 E3 = lookup("e3").function

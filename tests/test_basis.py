@@ -69,6 +69,11 @@ def test_basis_weight_domain_errors():
         basis_weight(4, 2, -0.01)
     with pytest.raises(DomainError):
         basis_weight(4, 2, 1.01)
+    # one weight takes one index, though remainder takes an array of them
+    for k in (np.array([2, 3]), [2], np.array([2])):
+        with pytest.raises(DomainError, match="basis_weight takes one index"):
+            basis_weight(8, k, 0.3)
+    assert basis_weight(8, np.array(2), 0.3) == basis_weight(8, 2, 0.3)
 
 
 def test_scalar_weight_agrees_with_vector():

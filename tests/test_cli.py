@@ -87,6 +87,30 @@ def test_dry_run_round_trips_the_config(capsys):
     assert cfg["dry_run"] is True
 
 
+def test_integer_flags_follow_the_library_integral_rule(capsys):
+    # 8.0 is the degree 8, in the table and in the printed config
+    outputs = [
+        run_cli(capsys, ["nodes", "--n", n, *extra])
+        for extra in ([], ["--dry-run", "--format", "json"])
+        for n in ("8", "8.0", "8e0")
+    ]
+    assert all(code == 0 for code, _, _ in outputs)
+    assert len({out for _, out, _ in outputs[:3]}) == 1
+    assert len({out for _, out, _ in outputs[3:]}) == 1
+    assert json.loads(outputs[3][1])["n"] == 8
+    # the text is read as an int first, so a large integer keeps every digit
+    big = "123456789012345678901234567890"
+    code, out, _ = run_cli(capsys, ["lemma", "--x", "0.5", "--n0", big, "--dry-run"])
+    assert code == 0 and json.loads(out)["n0"] == int(big)
+
+
+def test_verify_takes_an_integral_float_criterion(capsys):
+    code, out, _ = run_cli(capsys, ["verify", "--criteria", "1.0,8"])
+    assert code == 0
+    rows, _ = parse_csv(out)
+    assert [r["criterion"] for r in rows] == ["1", "8"]
+
+
 def test_lemma_at_one_passes_with_zero_series(capsys):
     code, out, _ = run_cli(
         capsys, ["lemma", "--x", "1.0", "--n0", "64", "--doublings", "4"]
@@ -491,8 +515,9 @@ _DECOMPOSE = ["decompose", "--fn", "exp-sum", "--n0", "8", "--doublings", "1"]
 # (argv, a fragment of the one error message); MISSING and DIRECTORY stand
 # for an --out under a directory that does not exist and for a directory
 _BAD_INPUT = {
-    "nodes: non-integral degree": (["nodes", "--n", "8.5"], "invalid int value: '8.5'"),
-    "nodes: non-integral order": (["nodes", "--n", "8", "--j", "2.5"], "'2.5'"),
+    "nodes: non-integral degree": (
+        ["nodes", "--n", "8.5"], "--n must be integral, got 8.5"),
+    "nodes: non-integral order": (["nodes", "--n", "8", "--j", "2.5"], "got 2.5"),
     "nodes: order below 2": (["nodes", "--n", "8", "--j", "1"], "order j must be >= 2"),
     "nodes: degree below the order": (["nodes", "--n", "1"], "degree must be >= 2"),
     "eval: non-numeric point": ([*_EVAL, "--point", "a"], "invalid float value: 'a'"),
@@ -505,8 +530,8 @@ _BAD_INPUT = {
         [*_EVAL_2D, "--point", "0.3"], "point must have 2 numeric coordinate(s)"),
     "eval: non-integral degree": (
         ["eval", "--kind", "akr-1d", "--fn", "e3", "--n", "8.5", "--point", "0.3"],
-        "invalid int value: '8.5'"),
-    "eval: non-integral order": ([*_EVAL, "--j", "2.5", "--point", "0.3"], "'2.5'"),
+        "--n must be integral, got 8.5"),
+    "eval: non-integral order": ([*_EVAL, "--j", "2.5", "--point", "0.3"], "got 2.5"),
     "eval: order below 2": (
         [*_EVAL, "--j", "1", "--point", "0.3"], "order j must be >= 2, got 1"),
     "residual: non-numeric point": ([*_RESIDUAL, "--point", "a"], "'a'"),
@@ -521,11 +546,12 @@ _BAD_INPUT = {
     "residual: zero coordinate at order 3": (
         [*_RESIDUAL, "--j", "3", "--point", "0"], "needs positive coordinates"),
     "residual: non-integral n0": (
-        [*_RESIDUAL, "--point", "0.5", "--n0", "8.5"], "invalid int value: '8.5'"),
+        [*_RESIDUAL, "--point", "0.5", "--n0", "8.5"],
+        "--n0 must be integral, got 8.5"),
     "residual: non-integral doublings": (
-        [*_RESIDUAL, "--point", "0.5", "--doublings", "3.5"], "'3.5'"),
+        [*_RESIDUAL, "--point", "0.5", "--doublings", "3.5"], "got 3.5"),
     "residual: non-integral order": (
-        [*_RESIDUAL, "--point", "0.5", "--j", "2.5"], "'2.5'"),
+        [*_RESIDUAL, "--point", "0.5", "--j", "2.5"], "--j must be integral, got 2.5"),
     "residual: order below 2": (
         [*_RESIDUAL, "--point", "0.3", "--j", "1"], "order j must be >= 2, got 1"),
     "residual: short schedule": (
@@ -537,7 +563,7 @@ _BAD_INPUT = {
     "lemma: non-numeric point": ([*_LEMMA, "--x", "a"], "invalid float value: 'a'"),
     "lemma: point above 1": ([*_LEMMA, "--x", "1.5"], "point must lie in [0, 1]"),
     "lemma: zero coordinate": ([*_LEMMA, "--x", "0"], "needs positive coordinates"),
-    "lemma: non-integral n0": ([*_LEMMA, "--x", "0.5", "--n0", "8.5"], "'8.5'"),
+    "lemma: non-integral n0": ([*_LEMMA, "--x", "0.5", "--n0", "8.5"], "got 8.5"),
     "lemma: short schedule": (
         [*_LEMMA, "--x", "0.5", "--doublings", "0"], "at least 4 series entries"),
     "decompose: non-numeric point": ([*_DECOMPOSE, "--point", "a", "0.5"], "'a'"),
@@ -546,10 +572,35 @@ _BAD_INPUT = {
     "decompose: one coordinate": (
         [*_DECOMPOSE, "--point", "0.5"], "argument --point: expected 2 arguments"),
     "decompose: non-integral n0": (
-        [*_DECOMPOSE, "--point", "0.5", "0.5", "--n0", "8.5"], "'8.5'"),
-    "verify: non-integral criterion": (["verify", "--criteria", "1.5"], "'1.5'"),
+        [*_DECOMPOSE, "--point", "0.5", "0.5", "--n0", "8.5"], "got 8.5"),
+    "decompose: negative n0": (
+        [*_DECOMPOSE, "--point", "0.5", "0.5", "--n0", "-1"],
+        "n0 must be >= 2, got -1"),
+    "decompose: negative doublings": (
+        [*_DECOMPOSE, "--point", "0.5", "0.5", "--doublings", "-1"],
+        "doublings must be >= 0, got -1"),
+    **{
+        f"{argv[0]}: {doublings} doublings": (
+            [*argv, "--doublings", doublings],
+            f"schedule's last degree must be <= 1048576, got n0 * 2^doublings with "
+            f"n0 = 8, doublings = {shown}")
+        for argv in (
+            [*_RESIDUAL, "--point", "0.5"],
+            [*_LEMMA, "--x", "0.5"],
+            [*_DECOMPOSE, "--point", "0.5", "0.5"],
+        )
+        for doublings, shown in (("20000", "20000"), ("1e300", "10^300.0"))
+    },
+    "nodes: degree of 301 digits": (
+        ["nodes", "--n", "1e300"], "degree must be <= 1048576, got 10^300.0"),
+    "residual: nan tolerance": (
+        [*_RESIDUAL, "--point", "0.5", "--tolerance", "nan"],
+        "tolerance must be finite and >= 0, got nan"),
+    "verify: non-integral criterion": (
+        ["verify", "--criteria", "1.5"], "--criteria must be integral, got 1.5"),
     "verify: unknown criterion": (
         ["verify", "--criteria", "9"], "no criterion numbered 9"),
+    "verify: no criterion": (["verify", "--criteria", ","], "no criterion selected"),
     "no subcommand": ([], "command"),
     **{
         f"{command}{dry}: --out {kind}": (

@@ -3,7 +3,8 @@
 Each file under ``tests/golden/`` holds the exact stdout of one command,
 captured before the kernels were reduced to a single numpy path (the three
 Bernstein and runge-2d drift ``residual`` runs and the ``verify`` columns
-before Bernstein became the order-1 node set).  A change that moves any
+before Bernstein became the order-1 node set; the ``dry_run_*`` configs
+while the CLI still built them from a dataclass).  A change that moves any
 printed digit fails here.
 """
 
@@ -93,6 +94,21 @@ CASES = {
          "--n0", "16", "--doublings", "4", "--j", "3"],
         1,
     ),
+    # the JSON config of every subcommand, as --dry-run echoes it: every key
+    # in a fixed order, null where the subcommand has no such flag
+    **{
+        f"dry_run_{argv[0]}.json": ([*argv, "--dry-run", "--format", "json"], 0)
+        for argv in (
+            ["nodes", "--n", "4", "--j", "2"],
+            ["eval", "--kind", "akr-1d", "--fn", "e2", "--n", "16", "--point", "0.4"],
+            ["residual", "--kind", "akr-2d", "--fn", "exp-sum", "--point", "0.5",
+             "0.5", "--n0", "64", "--doublings", "7"],
+            ["lemma", "--x", "0.5", "--n0", "64", "--doublings", "7"],
+            ["decompose", "--fn", "exp-sum", "--point", "0.5", "0.5", "--n0", "64",
+             "--doublings", "4"],
+            ["verify", "--criteria", "1,8"],
+        )
+    },
 }
 
 

@@ -507,6 +507,58 @@ def test_every_operator_refuses_a_degree_past_the_cap(call):
         call()
 
 
+# more digits than str() converts (4300), so the message must not print it
+_HUGE = 10**5000
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: akrvoro.build_node_table(_HUGE, 2),
+         "degree must be <= 1048576, got 10^5000.0"),
+        (lambda: akrvoro.weight_vector(_HUGE, 0.5),
+         "degree must be <= 1048576, got 10^5000.0"),
+        (lambda: akrvoro.weight_vector(-_HUGE, 0.5),
+         "degree must be >= 1, got -10^5000.0"),
+        (lambda: akrvoro.residual_series("akr-1d", _E3, 0.5, n0=_HUGE),
+         "schedule's last degree must be <= 1048576, got n0 * 2^doublings with "
+         "n0 = 10^5000.0, doublings = 7"),
+        (lambda: acceptance.check_limit("lemma-sum", None, 0.5, 0.01, doublings=-_HUGE),
+         "extrapolation needs at least 4 series entries (doublings >= 3), got "
+         "-10^5000.0"),
+    ],
+)
+def test_a_huge_integer_is_refused_with_a_bounded_message(call, message):
+    with pytest.raises(akrvoro.DomainError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_check_schedule_returns_the_doubling_degrees():
+    assert _kernels.check_schedule(64, 3) == [64, 128, 256, 512]
+    assert _kernels.check_schedule(8.0, np.int64(0)) == [8]
+    assert _kernels.check_schedule(1, 20, least=1)[-1] == _kernels.MAX_DEGREE
+    assert all(type(n) is int for n in _kernels.check_schedule(np.int64(3), 2))
+
+
+@pytest.mark.parametrize(
+    "n0, doublings, message",
+    [
+        (64, 15, "got n0 * 2^doublings with n0 = 64, doublings = 15"),
+        (2, 20, "got n0 * 2^doublings with n0 = 2, doublings = 20"),
+        (2, 21, "got n0 * 2^doublings with n0 = 2, doublings = 21"),
+        (2, 20000, "got n0 * 2^doublings with n0 = 2, doublings = 20000"),
+        # 2^doublings would take more memory than there is: refused before
+        (2, 10**30, "got n0 * 2^doublings with n0 = 2, doublings = 10^30.0"),
+        (2, -1, "doublings must be >= 0, got -1"),
+        (-1, 1, "n0 must be >= 2, got -1"),
+        (2, 1.5, "doublings must be integral, got 1.5"),
+    ],
+)
+def test_check_schedule_names_n0_and_doublings(n0, doublings, message):
+    with pytest.raises(akrvoro.DomainError, match=re.escape(message)):
+        _kernels.check_schedule(n0, doublings)
+
+
 # --------------------------------------------------------------------------
 # The small ufunc buffer of the outer-broadcast loops.
 # --------------------------------------------------------------------------

@@ -1,10 +1,14 @@
-"""The README's quick start runs, and its commented values hold."""
+"""The README's quick start runs, and its commented values hold; each
+command of its CLI block runs and exits 0."""
 
 import math
 import re
+import shlex
 from pathlib import Path
 
 import pytest
+
+from akrvoro.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -26,3 +30,23 @@ def test_quick_start_runs_and_its_comments_hold():
     assert av.limit(f, (0.5, 0.5), 2) == pytest.approx(-0.25 * math.e, rel=1e-14)
     d = ns["d"]
     assert d.e_term + d.f_term + d.g_residual == pytest.approx(d.total, abs=1e-12)
+
+
+def cli_commands():
+    """The argv of each line of the README's CLI block, the first ``sh``
+    block after the "## CLI" heading."""
+    text = README.read_text().split("\n## CLI\n", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", text, re.S).group(1)
+    return [shlex.split(line)[1:] for line in block.splitlines()]
+
+
+def test_cli_block_lists_every_subcommand():
+    assert [argv[0] for argv in cli_commands()] == [
+        "nodes", "eval", "residual", "lemma", "decompose", "verify",
+    ]
+
+
+@pytest.mark.parametrize("argv", cli_commands(), ids=lambda argv: argv[0])
+def test_cli_block_commands_exit_0(argv, capsys):
+    assert main(argv) == 0
+    assert capsys.readouterr().out
