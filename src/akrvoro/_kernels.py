@@ -271,23 +271,17 @@ def small_ufunc_buffer():
 
 
 def check_integral(value, name):
-    """value as an int, or as an array when it is one: ints, numpy integers
-    and finite integral floats such as 8.0 pass; anything else (8.5, nan,
-    "a", None) is a DomainError naming ``name``."""
+    """value as one int: an int, a numpy integer or a finite integral float
+    such as 8.0, bare or as a 0-d array, passes; anything else (8.5, nan,
+    "a", None, an array of several values) is a DomainError naming ``name``."""
+    zero_d = isinstance(value, np.ndarray) and value.ndim == 0
+    number = value.item() if zero_d else value
     try:
-        return operator.index(value)
+        return operator.index(number)
     except TypeError:
         pass
-    try:
-        array = np.asarray(value)
-    except ValueError:
-        array = None
-    if array is not None and (
-        array.dtype.kind in "biu"
-        or array.dtype.kind == "f"
-        and np.all(np.isfinite(array) & (array == np.trunc(array)))
-    ):
-        return int(array) if array.ndim == 0 else array
+    if isinstance(number, (float, np.floating)) and float(number).is_integer():
+        return int(number)
     raise DomainError(f"{name} must be integral, got {value!r}")
 
 
@@ -331,19 +325,17 @@ def check_schedule(n0, doublings, least=2):
     return [n0 << m for m in range(doublings + 1)]
 
 
-def check_order(j, least=2):
-    """The order j as an int, refused with DomainError below ``least``."""
-    return check_at_least(j, least, "order j")
+def check_order(j):
+    """The order j as an int, refused with DomainError below 1: order 1 is
+    the Bernstein operator."""
+    return check_at_least(j, 1, "order j")
 
 
 def check_index(k, n, name="index"):
-    """k as an int, or as an integral array when it is one, refused with
-    DomainError unless every entry lies in [0, n]; the message names the
-    first entry outside."""
+    """k as an int, refused with DomainError unless it lies in [0, n]."""
     k = check_integral(k, name)
-    outside = np.asarray(k)[(k < 0) | (k > n)]
-    if outside.size:
-        raise DomainError(f"{name} must lie in [0, {n}], got {outside[0]}")
+    if not 0 <= k <= n:
+        raise DomainError(f"{name} must lie in [0, {n}], got {_shown(k)}")
     return k
 
 

@@ -22,7 +22,6 @@ from .errors import DomainError
 __all__ = [
     "NodeTable",
     "build_node_table",
-    "node_values",
     "remainder",
     "fixed_point_error",
 ]
@@ -45,10 +44,9 @@ class NodeTable:
 
 def _check_window(n, lo, hi):
     """The inclusive index window (lo, hi) as ints, hi = n when None;
-    refused with DomainError unless both are indices in [0, n] (one int
-    each, not an array) and lo <= hi."""
+    refused with DomainError unless both are indices and lo <= hi."""
     lo, hi = (check_index(b, n, "window bound") for b in (lo, n if hi is None else hi))
-    if not (isinstance(lo, int) and isinstance(hi, int) and lo <= hi):
+    if lo > hi:
         raise DomainError(f"window must satisfy 0 <= lo <= hi <= {n}, got ({lo}, {hi})")
     return lo, hi
 
@@ -56,11 +54,14 @@ def _check_window(n, lo, hi):
 def _node_formula(k, n, j, out=None, scratch=None):
     """t(n,k,j) elementwise over broadcast float arrays k and n, n >= j.
 
-    Below j a factor k - i is clamped to 0, so its log is -inf and the node
-    exp(-inf) = 0 exactly; at k = n every log ratio is 0 and the node is
-    exactly 1.  ``build_node_table`` and criterion 2 both call it; the
-    criterion passes ``out`` for the result and ``scratch`` for a term, both
-    of the broadcast shape."""
+    At j = 1 the node is k/n, one division.  Above it, below j a factor
+    k - i is clamped to 0, so its log is -inf and the node exp(-inf) = 0
+    exactly; at k = n every log ratio is 0 and the node is exactly 1.
+    ``build_node_table`` and criterion 2 both call it; the criterion passes
+    ``out`` for the result and ``scratch`` for a term, both of the broadcast
+    shape."""
+    if j == 1:
+        return np.divide(k, n, out=out)
     with np.errstate(divide="ignore"):
         acc = np.subtract(np.log(k), np.log(n), out=out)
         for i in range(1, j):
@@ -82,16 +83,6 @@ def build_node_table(n, j=2, lo=0, hi=None):
     return NodeTable(n=n, j=j, nodes=nodes, lo=lo)
 
 
-def node_values(n, j, lo=0, hi=None):
-    """Sampling nodes for k = lo..hi (default 0..n) of the order-j operator:
-    k/n for j = 1 (Bernstein), the node table for j >= 2.  Callers check n
-    and j."""
-    if j == 1:
-        lo, hi = _check_window(n, lo, hi)
-        return np.arange(lo, hi + 1, dtype=np.float64) / n
-    return build_node_table(n, j, lo, hi).nodes
-
-
 def _remainder_formula(k, n, out=None, ratio=None, scratch=None):
     """The j = 2 node correction term elementwise over broadcast float
     arrays k and n; ``remainder`` and criterion 2 both call it.  The
@@ -111,10 +102,15 @@ def remainder(n, k):
         k/n - sqrt(k(k-1)/(n(n-1))) - 1/(2n) + k/(2 n^2)
 
     evaluated directly from the four terms (not via the node table) so the
-    two computations can be cross-checked.  ``k`` may be an array.
+    two computations can be cross-checked.  ``k`` may be an array of
+    indices, each held to ``check_index``.
     """
     n = check_degree(n, 2)
-    k = np.asarray(check_index(k, n))
+    # an integer array in [0, n] passes at once, any other k entry by entry
+    ints = isinstance(k, np.ndarray) and k.dtype.kind in "iu"
+    if not (ints and np.all((k >= 0) & (k <= n))):
+        entries = np.asarray(k, dtype=object)
+        k = np.reshape([check_index(v, n) for v in entries.flat], entries.shape)
     value = _remainder_formula(k.astype(np.float64), float(n))
     return float(value) if value.ndim == 0 else value
 
@@ -139,7 +135,7 @@ def _fixed_point_errors(n, orders, grid_size):
     in blocks of at most CACHE_BLOCK_ELEMENTS cells (one row at least), and
     each block is reduced before the next is built."""
     ones = np.ones(n + 1)
-    powers = [node_values(n, j) ** j for j in orders]
+    powers = [build_node_table(n, j).nodes ** j for j in orders]
     worst = [0.0] * len(orders)
 
     def record(x, w):

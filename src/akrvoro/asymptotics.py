@@ -18,7 +18,7 @@ from ._kernels import (
     ARITIES, _shown, check_degree, check_order, check_point, check_positive,
     check_schedule, comp_dot, log_weights, support,
 )
-from .akr import node_values, remainder
+from .akr import build_node_table, remainder
 from .errors import CapabilityError, DomainError
 from .tensor import _apply, _axis_windows, _window_apply, tensor_reduce
 
@@ -177,7 +177,7 @@ def limit(f, point, j):
     at a point of [0, 1]^d: x(1-x)/2 f'' - (j-1)(1-x)/2 f' on [0, 1] (the
     classical x(1-x)/2 f'' at j = 1), summed over the axes on the square.
     The point's arity is d, as for ``apply``."""
-    return _limit(f, check_point(point), check_order(j, 1))
+    return _limit(f, check_point(point), check_order(j))
 
 
 # --------------------------------------------------------------------------
@@ -196,8 +196,8 @@ def decomposition(f, n, p):
     coords = check_point(p, 2)
     fx, fy = _partials(f, 2, 1, "decomposition")
     lo, hi, windows = _axis_windows(n, coords)
-    uniform = node_values(n, 1, lo, hi)
-    nodes = node_values(n, 2, lo, hi)
+    uniform = build_node_table(n, 1, lo, hi).nodes
+    nodes = build_node_table(n, 2, lo, hi).nodes
     drift = nodes - uniform
     (sx, wx), (sy, wy) = windows
     e_term = n * tensor_reduce(fx, uniform[sx], uniform[sy], wx * drift[sx], wy)
@@ -223,10 +223,10 @@ class SeriesKind:
     """How one kind of scaled series is computed and what it converges to.
 
     A kind of ``order`` 1 (Bernstein) runs at j = 1 whatever j is asked
-    for.  A kind of order None runs at the order j >= 2 asked for: j is its
-    least n0 and its point must have strictly positive coordinates.  At the
-    order j it runs at, ``value(f, n, j, coords)`` is the series at degree n
-    and ``target(f, coords, j)`` its limit, at the point with these
+    for.  A kind of order None runs at the order j asked for: above 1, j is
+    its least n0 and its point must have strictly positive coordinates.  At
+    the order j it runs at, ``value(f, n, j, coords)`` is the series at
+    degree n and ``target(f, coords, j)`` its limit, at the point with these
     ``arity`` coordinates.  ``uses_f`` is False for a series that does not
     depend on f.
     """
@@ -285,10 +285,10 @@ def residual_series(kind, f, point, n0=64, doublings=7, j=2):
     ``f`` is a Function of the kind's arity and is ignored for kind
     'lemma-sum'.  ``point`` is a sequence of that many coordinates, or a
     bare number for a kind on [0, 1]; the series carries it as a tuple.  j
-    must be >= 2; a kind of order None runs at j and needs strictly positive
-    coordinates and n0 of at least j; every kind needs n0 of at least 2 and
-    3 entries, doublings >= 2.  The whole schedule is checked against
-    MAX_DEGREE before any operator runs.
+    must be >= 1; a kind of order None runs at j, and at j >= 2 needs
+    strictly positive coordinates and n0 of at least j; every kind needs n0
+    of at least 2.  The whole schedule is checked against MAX_DEGREE before
+    any operator runs.
     """
     if kind not in KINDS:
         raise DomainError(
@@ -298,24 +298,23 @@ def residual_series(kind, f, point, n0=64, doublings=7, j=2):
     j = check_order(j)
     order = spec.order or j
     ns = check_schedule(n0, doublings, max(2, order))
-    _check_entries(len(ns), 3, "residual_series")
 
     coords = check_point(point, spec.arity)
-    if spec.order is None:
+    if order != 1:
         check_positive(coords)
 
     entries = tuple((n, float(spec.value(f, n, order, coords))) for n in ns)
     return ConvergenceSeries(entries=entries, operator_kind=kind, point=coords)
 
 
-def _check_entries(entries, least=4, needed_by="extrapolation"):
-    """Refuse with DomainError a doubling schedule of fewer than ``least``
-    entries, which ``needed_by`` needs; by default the 4 of ``extrapolate``,
-    whose tail check reads the last three differences."""
-    if entries < least:
+def _check_entries(entries):
+    """Refuse with DomainError a doubling schedule of fewer than the 4
+    entries that ``extrapolate`` needs: its tail check reads the last three
+    differences."""
+    if entries < 4:
         raise DomainError(
-            f"{needed_by} needs at least {least} series entries "
-            f"(doublings >= {least - 1}), got {_shown(entries)}"
+            "extrapolation needs at least 4 series entries (doublings >= 3), "
+            f"got {_shown(entries)}"
         )
 
 

@@ -7,7 +7,6 @@ import numpy as np
 from ._kernels import (
     check_degree, check_index, check_point, log_weights, nonzero_window,
 )
-from .errors import DomainError
 
 __all__ = [
     "basis_weight",
@@ -22,9 +21,6 @@ def basis_weight(n, k, x):
     the result is non-negative by construction.
     """
     n = check_degree(n)
-    # check_index takes an array of indices too, for remainder
-    if np.ndim(k):
-        raise DomainError(f"basis_weight takes one index, got {k!r}")
     k = check_index(k, n)
     (x,) = check_point(x, 1)
     return math.exp(log_weights(n, x, k, k)[0])

@@ -10,8 +10,10 @@ JSON error object in JSON mode.
 
 import argparse
 import csv
+import errno
 import io
 import json
+import os
 import sys
 from dataclasses import asdict
 
@@ -187,9 +189,9 @@ def _cmd_nodes(args):
 def _cmd_eval(args):
     kind = KINDS[args.kind]
     entry = _entry_for(args, kind.arity)
-    j = kind.order or check_order(args.j)
+    check_order(args.j)
     coords = check_point(args.point, kind.arity)
-    value = float(apply(entry.function, args.n, j, coords))
+    value = float(apply(entry.function, args.n, kind.order or args.j, coords))
     return [{"n": args.n, "value": value}], {"value": value}, 0
 
 
@@ -303,10 +305,21 @@ def _render(args, rows, summary):
     return stream.getvalue()
 
 
+def _check_out(path):
+    """Raise, without opening or creating anything, the OSError that
+    ``_emit`` would meet opening ``path``: that of a directory given as the
+    file, or of a parent directory that does not exist.  A command whose
+    --out cannot be written is refused before it computes."""
+    if os.path.isdir(path):
+        raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise OSError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+
+
 def _emit(path, text):
     """Write text to the file at path, or to stdout when there is none: the
     one place --out is opened.  ``main`` reports an OSError from here, such
-    as a missing directory or a directory given as the file, with exit 2."""
+    as a file it may not write, with exit 2."""
     if path:
         with open(path, "w", encoding="utf-8") as stream:
             stream.write(text)
@@ -332,6 +345,8 @@ def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
         fmt = args.format
+        if args.output_path:
+            _check_out(args.output_path)
         if args.dry_run:
             text, code = _json_text(_config(args)), 0
         else:

@@ -21,7 +21,7 @@ from ._kernels import (
     CACHE_BLOCK_ELEMENTS, bilinear_accumulate, check_degree, check_order, check_point,
     comp_dot, log_weights, small_ufunc_buffer, support,
 )
-from .akr import node_values
+from .akr import build_node_table
 from .basis import eval_on
 
 __all__ = [
@@ -142,7 +142,7 @@ def _apply(f, n, j, coords):
     """Operator of order j of f at the point with these coordinates; one node
     array over the hull of the axes' windows serves every axis."""
     lo, hi, windows = _axis_windows(n, coords)
-    return _window_apply(f, node_values(n, j, lo, hi), windows)
+    return _window_apply(f, build_node_table(n, j, lo, hi).nodes, windows)
 
 
 def apply(f, n, j, point):
@@ -153,5 +153,5 @@ def apply(f, n, j, point):
     arity: a bare number or one coordinate is a point of [0, 1], two are a
     point of the square.  f must take d coordinates.
     """
-    j = check_order(j, 1)
+    j = check_order(j)
     return _apply(f, check_degree(n, j), j, check_point(point))

@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -18,7 +19,6 @@ from akrvoro import (
     lookup,
     remainder,
 )
-from akrvoro.akr import node_values
 
 
 def akr_node(n, k, j):
@@ -39,7 +39,7 @@ def test_akr_node_domain_errors():
     with pytest.raises(DomainError):
         build_node_table(1, 2)
     with pytest.raises(DomainError):
-        build_node_table(4, 1)
+        build_node_table(4, 0)
 
 
 def test_build_node_table_frozen_values():
@@ -69,7 +69,7 @@ def test_node_table_invariants(n, j):
 
 @functools.lru_cache(maxsize=8)
 def full_nodes(n, j):
-    return node_values(n, j)
+    return build_node_table(n, j).nodes
 
 
 @st.composite
@@ -101,22 +101,28 @@ def node_windows(draw):
 def test_windowed_nodes_equal_the_full_table_bit_for_bit(window):
     n, j, lo, hi = window
     expected = full_nodes(n, j)[lo : hi + 1]
-    np.testing.assert_array_equal(node_values(n, j, lo, hi), expected)
-    if j >= 2:
-        table = build_node_table(n, j, lo, hi)
-        assert (table.n, table.j, table.lo) == (n, j, lo)
-        np.testing.assert_array_equal(table.nodes, expected)
-        assert not table.nodes.flags.writeable
+    table = build_node_table(n, j, lo, hi)
+    assert (table.n, table.j, table.lo) == (n, j, lo)
+    np.testing.assert_array_equal(table.nodes, expected)
+    assert not table.nodes.flags.writeable
+
+
+@pytest.mark.parametrize("n", [1, 3, 8, 1000, 2**20])
+def test_order_one_nodes_are_k_over_n_bit_for_bit(n):
+    # the Bernstein nodes: one IEEE division k / n, on any window
+    for lo, hi in ((0, n), (0, 0), (n // 3, n // 2), (n, n)):
+        nodes = build_node_table(n, 1, lo, hi).nodes
+        expected = np.arange(lo, hi + 1) / n
+        assert np.array_equal(nodes.view(np.int64), expected.view(np.int64))
 
 
 @pytest.mark.parametrize(
     "lo, hi", [(-1, 4), (0, 9), (5, 4), (9, 9), (0.5, 4), ("0", 4), (None, 4)]
 )
 def test_bad_node_window_is_a_domain_error(lo, hi):
-    with pytest.raises(DomainError, match="window"):
-        build_node_table(8, 2, lo, hi)
-    with pytest.raises(DomainError, match="window"):
-        node_values(8, 1, lo, hi)
+    for j in (1, 2):
+        with pytest.raises(DomainError, match="window"):
+            build_node_table(8, j, lo, hi)
 
 
 @pytest.mark.parametrize(
@@ -129,7 +135,9 @@ def test_integral_window_bounds_pass_as_the_degree_does(lo, hi):
     assert (table.n, table.j, table.lo) == (8, 2, ints[0])
     assert type(table.lo) is int
     np.testing.assert_array_equal(table.nodes, build_node_table(8, 2, *ints).nodes)
-    np.testing.assert_array_equal(node_values(8, 1, lo, hi), node_values(8, 1, *ints))
+    np.testing.assert_array_equal(
+        build_node_table(8, 1, lo, hi).nodes, build_node_table(8, 1, *ints).nodes
+    )
 
 
 def test_node_drift_bounds_small_degrees():
@@ -160,6 +168,12 @@ def test_remainder_domain_errors():
         remainder(4, 5)
     with pytest.raises(DomainError):
         remainder(4, -1)
+    # an array of indices: each entry meets the index rule
+    for k, message in (([0, 5], "index must lie in [0, 4], got 5"),
+                       ([2, -1, 7], "index must lie in [0, 4], got -1"),
+                       ([1, 2.5], "index must be integral, got 2.5")):
+        with pytest.raises(DomainError, match=re.escape(message)):
+            remainder(4, np.array(k))
 
 
 def test_remainder_endpoint_and_sign_sweep():
@@ -244,6 +258,9 @@ def test_fixed_point_error_values():
     assert fixed_point_error(2, 2, 11) <= 1e-13
     assert fixed_point_error(64, 2, 101) <= 1e-12
     assert fixed_point_error(64, 3, 101) <= 1e-12
+    # order 1, the Bernstein operator, fixes 1 and t
+    for n in (16, 64, 256):
+        assert fixed_point_error(n, 1, 101) <= 1e-12
     with pytest.raises(DomainError):
         fixed_point_error(4, 2, 1)
 
@@ -252,7 +269,7 @@ def _frozen_fixed_point_error(n, j, grid_size):
     """fixed_point_error as a loop of single-point weight vectors and
     math.fsum sums, before the grid's weights came in batched rows."""
     ones = np.ones(n + 1)
-    powers = node_values(n, j) ** j
+    powers = build_node_table(n, j).nodes ** j
     worst = 0.0
     for x in np.linspace(0.0, 1.0, grid_size):
         w = np.exp(_kernels.log_weights(n, x))
@@ -262,7 +279,7 @@ def _frozen_fixed_point_error(n, j, grid_size):
 
 
 @pytest.mark.parametrize("n", [2, 16, 64, 256, 1024])
-@pytest.mark.parametrize("j", [2, 3])
+@pytest.mark.parametrize("j", [1, 2, 3])
 @pytest.mark.parametrize("grid_size", [2, 11, 101])
 def test_fixed_point_error_equals_the_single_point_loop(n, j, grid_size):
     if n < j:

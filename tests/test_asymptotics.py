@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -333,14 +334,35 @@ def test_residual_series_argument_validation():
     with pytest.raises(DomainError):
         residual_series("akr-1d", e1, 0.0)
     with pytest.raises(DomainError):
-        residual_series("bernstein-1d", e1, 0.5, doublings=1)
-    with pytest.raises(DomainError):
         residual_series("akr-1d", e1, 0.5, n0=2, j=3)
     with pytest.raises(DomainError):
         residual_series("lemma-sum", None, 0.5, j=3)
     es = lookup("exp-sum").function
     with pytest.raises(DomainError):
         residual_series("akr-2d", es, (0.0, 0.5))
+
+
+def test_only_extrapolation_needs_four_entries():
+    e1 = lookup("e1").function
+    for doublings in (0, 1):
+        series = residual_series("bernstein-1d", e1, 0.5, n0=8, doublings=doublings)
+        assert list(series.ns) == [8, 16][: doublings + 1]
+    short = residual_series("bernstein-1d", e1, 0.5, n0=8, doublings=2)
+    message = "extrapolation needs at least 4 series entries (doublings >= 3), got 3"
+    with pytest.raises(DomainError, match=re.escape(message)):
+        extrapolate(short)
+    with pytest.raises(DomainError, match=re.escape(message)):
+        check_limit("bernstein-1d", e1, 0.5, 1e-2, n0=8, doublings=2)
+
+
+def test_order_one_series_takes_a_zero_coordinate():
+    # positivity is the rule of orders above 1 only, as for the limit
+    e2 = lookup("e2").function
+    at_zero = residual_series("akr-1d", e2, 0.0, n0=8, doublings=3, j=1)
+    bernstein = residual_series("bernstein-1d", e2, 0.0, n0=8, doublings=3)
+    assert at_zero.entries == bernstein.entries
+    with pytest.raises(DomainError, match="order j >= 2 needs positive coordinates"):
+        residual_series("akr-1d", e2, 0.0, n0=8, doublings=3, j=2)
 
 
 @pytest.mark.parametrize("kind, point", [("bernstein-1d", 0.3), ("bernstein-2d", (0.3, 0.7))])

@@ -196,10 +196,11 @@ def test_eval_rejects_wrong_arity(capsys):
 
 
 def test_bernstein_eval_ignores_j(capsys):
+    # any order the rule accepts; --j 0 is refused (the bad-input matrix)
     code, out, _ = run_cli(
         capsys,
         ["eval", "--kind", "bernstein-1d", "--fn", "e3", "--n", "64",
-         "--point", "0.3", "--j", "0"],
+         "--point", "0.3", "--j", "5"],
     )
     assert code == 0
     assert out == (GOLDEN / "eval_bernstein_1d.csv").read_text()
@@ -316,6 +317,48 @@ def test_bernstein_residual_accepts_n0_two_at_any_j(capsys):
     assert payload["rows"][0]["n"] == 2
     assert payload["summary"]["target"] == pytest.approx(0.189, rel=1e-12)
     assert payload["summary"]["verdict"] == "PASS"
+
+
+@pytest.mark.parametrize(
+    "golden, argv",
+    [
+        ("residual_bernstein_1d_e3.csv",
+         ["--kind", "akr-1d", "--fn", "e3", "--point", "0.3"]),
+        ("residual_bernstein_2d_runge.csv",
+         ["--kind", "akr-2d", "--fn", "runge-2d", "--point", "0.3", "0.7"]),
+    ],
+)
+def test_akr_residual_at_order_one_is_the_bernstein_residual(golden, argv, capsys):
+    # the order-1 nodes are k/n bit for bit, so the rows, limit and verdict
+    # are the Bernstein kind's byte for byte
+    code, out, _ = run_cli(
+        capsys, ["residual", *argv, "--n0", "16", "--doublings", "4", "--j", "1"]
+    )
+    assert code == 0
+    assert out == (GOLDEN / golden).read_text()
+
+
+def test_akr_eval_and_nodes_at_order_one_are_bernstein(capsys):
+    argv = ["eval", "--fn", "e3", "--n", "64", "--point", "0.3"]
+    code, out, _ = run_cli(capsys, [*argv, "--kind", "akr-1d", "--j", "1"])
+    assert code == 0
+    assert out == (GOLDEN / "eval_bernstein_1d.csv").read_text()
+    code, out, _ = run_cli(capsys, ["nodes", "--n", "8", "--j", "1"])
+    assert code == 0
+    rows, _ = parse_csv(out)
+    assert [float(r["t"]) for r in rows] == [k / 8 for k in range(9)]
+
+
+def test_drift_series_at_order_one_is_zero_and_passes(capsys):
+    code, out, _ = run_cli(
+        capsys,
+        ["residual", "--kind", "akr-minus-bernstein-2d", "--fn", "exp-sum",
+         "--point", "0.3", "0.7", "--n0", "16", "--doublings", "4", "--j", "1"],
+    )
+    assert code == 0
+    rows, summary = parse_csv(out)
+    assert [float(r["value"]) for r in rows] == [0.0] * 5
+    assert (float(summary["target"]), summary["verdict"]) == (0.0, "PASS")
 
 
 def test_unknown_function_is_a_usage_error_with_json_error_object(capsys):
@@ -518,7 +561,8 @@ _BAD_INPUT = {
     "nodes: non-integral degree": (
         ["nodes", "--n", "8.5"], "--n must be integral, got 8.5"),
     "nodes: non-integral order": (["nodes", "--n", "8", "--j", "2.5"], "got 2.5"),
-    "nodes: order below 2": (["nodes", "--n", "8", "--j", "1"], "order j must be >= 2"),
+    "nodes: order below 1": (
+        ["nodes", "--n", "8", "--j", "0"], "order j must be >= 1, got 0"),
     "nodes: degree below the order": (["nodes", "--n", "1"], "degree must be >= 2"),
     "eval: non-numeric point": ([*_EVAL, "--point", "a"], "invalid float value: 'a'"),
     "eval: point above 1": ([*_EVAL, "--point", "1.5"], "point must lie in [0, 1]"),
@@ -532,8 +576,11 @@ _BAD_INPUT = {
         ["eval", "--kind", "akr-1d", "--fn", "e3", "--n", "8.5", "--point", "0.3"],
         "--n must be integral, got 8.5"),
     "eval: non-integral order": ([*_EVAL, "--j", "2.5", "--point", "0.3"], "got 2.5"),
-    "eval: order below 2": (
-        [*_EVAL, "--j", "1", "--point", "0.3"], "order j must be >= 2, got 1"),
+    "eval: order below 1": (
+        [*_EVAL, "--j", "0", "--point", "0.3"], "order j must be >= 1, got 0"),
+    "eval: Bernstein order below 1": (
+        ["eval", "--kind", "bernstein-1d", "--fn", "e3", "--n", "8", "--j", "0",
+         "--point", "0.3"], "order j must be >= 1, got 0"),
     "residual: non-numeric point": ([*_RESIDUAL, "--point", "a"], "'a'"),
     "residual: point above 1": (
         [*_RESIDUAL, "--point", "1.5"], "point must lie in [0, 1]"),
@@ -552,8 +599,8 @@ _BAD_INPUT = {
         [*_RESIDUAL, "--point", "0.5", "--doublings", "3.5"], "got 3.5"),
     "residual: non-integral order": (
         [*_RESIDUAL, "--point", "0.5", "--j", "2.5"], "--j must be integral, got 2.5"),
-    "residual: order below 2": (
-        [*_RESIDUAL, "--point", "0.3", "--j", "1"], "order j must be >= 2, got 1"),
+    "residual: order below 1": (
+        [*_RESIDUAL, "--point", "0.3", "--j", "0"], "order j must be >= 1, got 0"),
     "residual: short schedule": (
         [*_RESIDUAL, "--point", "0.5", "--doublings", "2"],
         "extrapolation needs at least 4 series entries (doublings >= 3), got 3"),
@@ -657,3 +704,34 @@ def test_short_schedule_is_refused_before_the_series_runs(argv, capsys, monkeypa
     code, out, err = run_cli(capsys, argv)
     assert (code, out) == (2, "")
     assert "at least 4 series entries" in err
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+@pytest.mark.parametrize(
+    "command, argv",
+    [("verify", ["verify"]), ("residual", [*_RESIDUAL, "--point", "0.5"])],
+)
+def test_unwritable_out_is_refused_before_the_command_computes(
+    command, argv, kind, fmt, capsys, monkeypatch, tmp_path
+):
+    def no_run(args):
+        raise AssertionError(f"{command} computed")
+
+    monkeypatch.setattr(cli, f"_cmd_{command}", no_run)
+    path = tmp_path / "missing" / "out" if kind == "missing" else tmp_path
+    code, out, err = run_cli(capsys, [*argv, "--out", str(path), "--format", fmt])
+    assert (code, out) == (2, "")
+    reason = ("[Errno 2] No such file or directory" if kind == "missing"
+              else "[Errno 21] Is a directory")
+    assert f"{reason}: {str(path)!r}" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_failing_command_leaves_an_existing_out_file_as_it_was(capsys, tmp_path):
+    path = tmp_path / "out.csv"
+    path.write_text("kept\n")
+    argv = [*_RESIDUAL, "--point", "0.5", "--tolerance", "nan", "--out", str(path)]
+    code, out, _ = run_cli(capsys, argv)
+    assert (code, out) == (2, "")
+    assert path.read_text() == "kept\n"

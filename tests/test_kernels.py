@@ -469,7 +469,7 @@ def test_integral_arguments_are_checked_not_truncated(call, good, bad):
         (lambda: akrvoro.weight_vector(0, 0.3), "degree must be >= 1, got 0"),
         (lambda: akrvoro.remainder(1, 0), "degree must be >= 2, got 1"),
         (lambda: akrvoro.apply(_E3, 8, 0, 0.3), "order j must be >= 1, got 0"),
-        (lambda: akrvoro.build_node_table(8, 1), "order j must be >= 2, got 1"),
+        (lambda: akrvoro.build_node_table(8, 0), "order j must be >= 1, got 0"),
         (lambda: akrvoro.fixed_point_error(8, 2, 1), "grid size must be >= 2, got 1"),
         (lambda: akrvoro.residual_series("akr-1d", _E3, 0.3, n0=2, doublings=2, j=3),
          "n0 must be >= 3, got 2"),
@@ -478,6 +478,48 @@ def test_integral_arguments_are_checked_not_truncated(call, good, bad):
 def test_lower_bounds_share_one_rule_and_message(call, message):
     with pytest.raises(akrvoro.DomainError, match=f"^{re.escape(message)}$"):
         call()
+
+
+_E1 = akrvoro.lookup("e1").function
+
+
+@pytest.mark.parametrize(
+    "call, array",
+    [
+        (lambda a: akrvoro.weight_vector(a, 0.3), [4, 8]),
+        (lambda a: akrvoro.build_node_table(a, 2), [4, 8]),
+        (lambda a: akrvoro.fixed_point_error(16, 2, a), [3, 4]),
+        (lambda a: akrvoro.residual_series("akr-1d", _E1, 0.5, doublings=a), [3, 4]),
+        (lambda a: acceptance.check_limit("akr-1d", _E1, 0.5, 1e-2, doublings=a),
+         [3, 4]),
+        (lambda a: acceptance.run_all([a]), [1, 2]),
+    ],
+    ids=["weight_vector", "build_node_table", "fixed_point_error",
+         "residual_series", "check_limit", "run_all"],
+)
+def test_an_array_where_one_value_is_expected_is_a_domain_error(call, array):
+    with pytest.raises(akrvoro.DomainError, match=r"must be integral, got array\("):
+        call(np.array(array))
+
+
+_ORDER_CALLS = {
+    "apply": lambda j: akrvoro.apply(_E3, 8, j, 0.3),
+    "limit": lambda j: akrvoro.limit(_E3, 0.3, j),
+    "build_node_table": lambda j: akrvoro.build_node_table(8, j),
+    "fixed_point_error": lambda j: akrvoro.fixed_point_error(8, j, 11),
+    "residual_series": lambda j: akrvoro.residual_series(
+        "akr-1d", _E3, 0.3, n0=8, doublings=3, j=j),
+    "check_limit": lambda j: acceptance.check_limit(
+        "akr-1d", _E3, 0.3, 1e-2, n0=8, doublings=3, j=j),
+}
+
+
+@pytest.mark.parametrize("name", list(_ORDER_CALLS))
+def test_every_entry_point_takes_order_one_and_refuses_order_zero(name):
+    # one order rule: j = 1 is the Bernstein operator everywhere
+    _ORDER_CALLS[name](1)
+    with pytest.raises(akrvoro.DomainError, match=r"^order j must be >= 1, got 0$"):
+        _ORDER_CALLS[name](0)
 
 
 _TOO_BIG = 10**15
