@@ -12,13 +12,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._kernels import CACHE_BLOCK_ELEMENTS, check_integral, small_ufunc_buffer
-from .akr import (
-    _fixed_point_errors,
-    _node_formula,
-    _remainder_formula,
-    build_node_table,
-    remainder,
-)
+from .akr import _fixed_point_errors, _remainder_formula, build_node_table, remainder
 from .asymptotics import (
     KINDS,
     ConvergenceSeries,
@@ -26,6 +20,7 @@ from .asymptotics import (
     _check_entries,
     decomposition,
     extrapolate,
+    g_bound,
     residual_series,
 )
 from .catalog import lookup
@@ -106,8 +101,9 @@ def _remainder_sweep(last):
     """(first, n, k, ratio, r, nodes) over the degrees 2..last in blocks of
     whole degrees: n the column of degrees first, first + 1, ..., k the row
     0..max(n), and ratio, r and nodes the term k/n, the j = 2 remainder and
-    the nodes at every cell, from the formulas that ``remainder`` and
-    ``build_node_table`` evaluate.  A block has at most CACHE_BLOCK_ELEMENTS
+    the j = 2 nodes at every cell, from the one formula call that
+    ``remainder`` makes: its root term is the node that
+    ``build_node_table`` gives.  A block has at most CACHE_BLOCK_ELEMENTS
     cells; the cells with k > n, all in the columns after the first degree,
     are padding.  The blocks share buffers allocated once, so a block is
     valid only until the next one is yielded."""
@@ -124,8 +120,7 @@ def _remainder_sweep(last):
         ratio, r, nodes, scratch = (
             b[:cells].reshape(end - first, end) for b in buffers
         )
-        r = _remainder_formula(k, n, out=r, ratio=ratio, scratch=scratch)
-        nodes = _node_formula(k, n, 2, out=nodes, scratch=scratch)
+        r = _remainder_formula(k, n, out=r, ratio=ratio, root=nodes, scratch=scratch)
         yield first, n, k, ratio, r, nodes
         first = end
 
@@ -260,7 +255,6 @@ def criterion_6():
 def criterion_7():
     """Decomposition identity and remainder bound for exp-sum."""
     f = lookup("exp-sum").function
-    bound_const = f.sup_bounds.taylor_constant()
     double_sum = replace(f, factors=None)
     ok = True
     detail = []
@@ -271,12 +265,12 @@ def criterion_7():
                 apply(double_sum, n, 2, point) - apply(double_sum, n, 1, point)
             )
             mismatch = abs(recomputed - (d.e_term + d.f_term + d.g_residual))
-            g_bound = bound_const / (2.0 * n)
-            if mismatch > 1e-10 or abs(d.g_residual) > g_bound:
+            bound = g_bound(f, n, point)
+            if mismatch > 1e-10 or abs(d.g_residual) > bound:
                 ok = False
         detail.append(
             f"n={n}: |total-(E+F+G)| {mismatch:.1e}, |G| {abs(d.g_residual):.2e}"
-            f" <= {g_bound:.2e}"
+            f" <= {bound:.2e}"
         )
     return ok, "; ".join(detail)
 

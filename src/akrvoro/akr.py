@@ -51,22 +51,31 @@ def _check_window(n, lo, hi):
     return lo, hi
 
 
-def _node_formula(k, n, j, out=None, scratch=None):
-    """t(n,k,j) elementwise over broadcast float arrays k and n, n >= j.
+def _node_formula(k, n, j, out=None):
+    """t(n,k,j) elementwise over broadcast float arrays k and n, n >= j,
+    written into ``out`` when it is given (of the broadcast shape).
 
-    At j = 1 the node is k/n, one division.  Above it, below j a factor
-    k - i is clamped to 0, so its log is -inf and the node exp(-inf) = 0
-    exactly; at k = n every log ratio is 0 and the node is exactly 1.
-    ``build_node_table`` and criterion 2 both call it; the criterion passes
-    ``out`` for the result and ``scratch`` for a term, both of the broadcast
-    shape."""
+    At j = 1 the node is k/n, one division.  At j = 2 it is
+    sqrt(k(k-1) / (n(n-1))): both products are exact integers (below 2^40
+    for n <= MAX_DEGREE), and the quotient and the root are correctly
+    rounded IEEE operations.  The quotient's error moves the root by less
+    than half an ulp, so the node is within 1 ulp of the exact one, with
+    the same bits on every IEEE machine.  k - 1 is clamped at 0 so that
+    k = 0 gives +0.0, not -0.0.  From j = 3 the node is
+    exp(sum_i (log(k - i) - log(n - i)) / j): below j a factor k - i is
+    clamped to 0, so its log is -inf and the node exp(-inf) = 0 exactly; at
+    k = n every log ratio is 0 and the node is exactly 1.
+    ``build_node_table`` calls it, and ``_remainder_formula`` takes its root
+    term from it."""
     if j == 1:
         return np.divide(k, n, out=out)
+    if j == 2:
+        root = np.divide(k * np.maximum(k - 1.0, 0.0), n * (n - 1.0), out=out)
+        return np.sqrt(root, out=out)
     with np.errstate(divide="ignore"):
         acc = np.subtract(np.log(k), np.log(n), out=out)
         for i in range(1, j):
-            term = np.log(np.maximum(k - i, 0.0))
-            acc += np.subtract(term, np.log(n - i), out=scratch)
+            acc += np.log(np.maximum(k - i, 0.0)) - np.log(n - i)
         acc /= j
         return np.exp(acc, out=out)
 
@@ -83,13 +92,15 @@ def build_node_table(n, j=2, lo=0, hi=None):
     return NodeTable(n=n, j=j, nodes=nodes, lo=lo)
 
 
-def _remainder_formula(k, n, out=None, ratio=None, scratch=None):
+def _remainder_formula(k, n, out=None, ratio=None, root=None, scratch=None):
     """The j = 2 node correction term elementwise over broadcast float
-    arrays k and n; ``remainder`` and criterion 2 both call it.  The
-    criterion passes ``out`` for the result, ``ratio`` to keep the term k/n
-    and ``scratch`` for the others, all of the broadcast shape."""
+    arrays k and n; ``remainder`` and criterion 2 both call it.  Its root
+    term is the j = 2 node of ``_node_formula``.  The criterion passes
+    ``out`` for the result, ``ratio`` and ``root`` to keep the terms k/n
+    and the node, and ``scratch`` for the last term, all of the broadcast
+    shape."""
     ratio = np.divide(k, n, out=ratio)
-    root = np.sqrt(np.divide(k * (k - 1.0), n * (n - 1.0), out=scratch), out=scratch)
+    root = _node_formula(k, n, 2, out=root)
     r = np.subtract(ratio, root, out=out)
     r -= 1.0 / (2.0 * n)
     r += np.divide(k, 2.0 * n * n, out=scratch)
@@ -101,9 +112,8 @@ def remainder(n, k):
 
         k/n - sqrt(k(k-1)/(n(n-1))) - 1/(2n) + k/(2 n^2)
 
-    evaluated directly from the four terms (not via the node table) so the
-    two computations can be cross-checked.  ``k`` may be an array of
-    indices, each held to ``check_index``.
+    evaluated from the four terms, the root being the j = 2 node.  ``k``
+    may be an array of indices, each held to ``check_index``.
     """
     n = check_degree(n, 2)
     # an integer array in [0, n] passes at once, any other k entry by entry

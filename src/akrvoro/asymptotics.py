@@ -32,6 +32,7 @@ __all__ = [
     "lemma_sum",
     "limit",
     "decomposition",
+    "g_bound",
     "residual_series",
     "rate_estimates",
     "extrapolate",
@@ -211,6 +212,44 @@ def decomposition(f, n, p):
         g_residual=total - e_term - f_term,
         total=total,
     )
+
+
+def g_bound(f, n, p):
+    """A bound on |decomposition(f, n, p).g_residual|: the Taylor bound
+    C/(2n) plus a rounding allowance, or None when f declares no sup bounds.
+
+    Taylor part.  G is n sum_kl w_k w_l (f(s,t) - f(u,v) - fx(u,v)(s-u) -
+    fy(u,v)(t-v)) at the modified nodes (s,t) and the uniform ones (u,v),
+    and each term is at most (fxx xi^2 + 2 fxy |xi eta| + fyy eta^2)/2 with
+    |xi|, |eta| <= 1/n, so |G| <= C/(2n), C = ``taylor_constant()``.  At
+    the computed nodes the drift is within 3u of 1/n (u = 2^-53), and the
+    weights of an axis sum to 1 within 1e-12, which multiplies the bound by
+    at most 1 + 1e-9 for n <= MAX_DEGREE.
+
+    Rounding part.  Taylor's theorem with the same sup bounds bounds f,
+    and |fx| + |fy|, on the square by K = |f(p)| + |fx(p)| + |fy(p)| + C.
+    Each of the four sums that ``decomposition`` forms (the two operators,
+    and E and F before their factor n) is a weighted sum over at most m
+    nodes per axis, m the width of the hull of the support windows.  Its
+    BLAS row sums are off by at most gamma_m ~ m u of the sum of |terms|,
+    and the row products, the Kahan sum over rows, the drift weights and
+    an evaluation of f or a partial to within a few ulp add at most 16 u
+    more (the separable path's products of compensated dots add less).
+    The sum of |terms| is at most K for the operators and K/n for E + F.
+    So n times the operators' difference is off by 2n (m + 16) u K, E + F
+    by (m + 16) u K, and the subtractions that form the total and G add
+    a few u K, within the 16: (2n + 1)(m + 16) u K in all.
+    """
+    n = check_degree(n, 2)
+    coords = check_point(p, 2)
+    if f.sup_bounds is None:
+        return None
+    c = f.sup_bounds.taylor_constant()
+    fx, fy = _partials(f, 2, 1, "the remainder bound")
+    k = c + sum(abs(float(g(*coords))) for g in (f.eval, fx, fy))
+    bounds = [support(n, x) for x in coords]
+    m = max(b for _, b in bounds) - min(a for a, _ in bounds) + 1
+    return (1.0 + 1e-9) * c / (2.0 * n) + (2 * n + 1) * (m + 16) * (_EPS / 2.0) * k
 
 
 # --------------------------------------------------------------------------

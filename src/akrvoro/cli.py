@@ -20,7 +20,7 @@ from dataclasses import asdict
 from ._kernels import check_integral, check_order, check_point, check_schedule
 from .acceptance import check_limit, run_all
 from .akr import build_node_table
-from .asymptotics import KINDS, _operator_value, decomposition, rate_estimates
+from .asymptotics import KINDS, _operator_value, decomposition, g_bound, rate_estimates
 from .catalog import lookup
 from .errors import CapabilityError, DomainError, UnknownFunctionError
 from .tensor import apply
@@ -238,12 +238,11 @@ def _cmd_decompose(args):
     f = _entry_for(args, 2).function
     # the whole schedule is refused before any row is computed
     ns = check_schedule(args.n0, args.doublings)
-    bound_const = f.sup_bounds and f.sup_bounds.taylor_constant()
     rows = [
         {
             "n": n,
             **asdict(decomposition(f, n, args.point)),
-            "g_bound": None if bound_const is None else bound_const / (2.0 * n),
+            "g_bound": g_bound(f, n, args.point),
         }
         for n in ns
     ]

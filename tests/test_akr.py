@@ -1,6 +1,11 @@
 import functools
+import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -8,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import akrvoro
 from akrvoro import (
     DomainError,
     Function,
@@ -114,6 +120,72 @@ def test_order_one_nodes_are_k_over_n_bit_for_bit(n):
         nodes = build_node_table(n, 1, lo, hi).nodes
         expected = np.arange(lo, hi + 1) / n
         assert np.array_equal(nodes.view(np.int64), expected.view(np.int64))
+
+
+def _ulps_from_the_rounded_root(n, lo, nodes):
+    """|nodes[i] - sqrt(k(k-1)/(n(n-1)))| in ulp, k = lo + i, against the
+    correctly rounded root from mpmath at 60 digits."""
+    with mp.workdps(60):
+        exact = np.array(
+            [float(mp.sqrt(mp.mpf(k * (k - 1)) / (n * (n - 1))))
+             for k in range(lo, lo + nodes.size)]
+        )
+    return np.abs(nodes.view(np.int64) - exact.view(np.int64))
+
+
+@pytest.mark.parametrize("n", [*range(2, 65), 257, 4096])
+def test_order_two_nodes_are_within_one_ulp_of_the_rounded_root(n):
+    nodes = build_node_table(n, 2).nodes
+    assert _ulps_from_the_rounded_root(n, 0, nodes).max() <= 1
+    # +0.0 below j, not -0.0, and 1 at k = n
+    assert not np.signbit(nodes[:2]).any() and np.all(nodes[:2] == 0.0)
+    assert nodes[n] == 1.0
+
+
+def test_order_two_nodes_are_within_one_ulp_at_the_largest_degree():
+    n = 2**20
+    for lo, hi in ((0, 200), (n // 2 - 100, n // 2 + 100), (n - 200, n)):
+        nodes = build_node_table(n, 2, lo, hi).nodes
+        assert _ulps_from_the_rounded_root(n, lo, nodes).max() <= 1
+    assert build_node_table(n, 2, n, n).nodes[0] == 1.0
+
+
+# what the order-2 nodes and ``nodes --n 16`` give in a process of their own
+_NODE_BITS_SCRIPT = """
+import contextlib, hashlib, io, json
+from akrvoro import build_node_table
+from akrvoro.cli import main
+bits = {n: hashlib.sha256(build_node_table(n, 2).nodes.tobytes()).hexdigest()
+        for n in (16, 257, 4096, 65536)}
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    main(["nodes", "--n", "16"])
+print(json.dumps({"bits": bits, "nodes_n16": out.getvalue()}))
+"""
+
+# settings read when numpy starts: numpy's SIMD targets without AVX-512 (the
+# AVX2 paths of many x86 machines), and OpenBLAS's AVX kernels
+_CPU_SETTINGS = {
+    "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR",
+    "OPENBLAS_CORETYPE": "Sandybridge",
+}
+
+
+def test_order_two_nodes_do_not_depend_on_the_cpu_paths():
+    src = str(Path(akrvoro.__file__).resolve().parents[1])
+    default = {k: v for k, v in os.environ.items() if k not in _CPU_SETTINGS}
+    default["PYTHONPATH"] = src
+    runs = []
+    for env in (default, *({**default, k: v} for k, v in _CPU_SETTINGS.items())):
+        out = subprocess.run(
+            [sys.executable, "-c", _NODE_BITS_SCRIPT],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        runs.append(json.loads(out.stdout))
+    assert runs[0]["nodes_n16"].startswith("k,t\n0,0\n1,0\n")
+    assert runs[1] == runs[0]
+    assert runs[2] == runs[0]
 
 
 @pytest.mark.parametrize(

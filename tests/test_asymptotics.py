@@ -19,7 +19,7 @@ from akrvoro import (
     residual_series,
 )
 from akrvoro.acceptance import check_limit
-from akrvoro.asymptotics import KINDS
+from akrvoro.asymptotics import KINDS, g_bound
 
 
 def drift_limit(f, point):
@@ -291,6 +291,32 @@ def test_remainder_bound_across_degrees(name, n):
     f = lookup(name).function
     d = decomposition(f, n, (0.3, 0.7))
     assert abs(d.g_residual) <= f.sup_bounds.taylor_constant() / (2.0 * n)
+
+
+@pytest.mark.parametrize("name", ["monomial(1,0)", "monomial(0,1)"])
+@pytest.mark.parametrize("point", [(0.5, 0.5), (0.7, 0.3)])
+def test_g_bound_covers_the_rounding_residue_of_a_linear_f(name, point):
+    # the Taylor constant is 0, so G is rounding alone, and the bound is the
+    # rounding allowance alone
+    f = lookup(name).function
+    residues = []
+    for n in (64, 128, 256, 512):
+        d = decomposition(f, n, point)
+        assert abs(d.g_residual) <= g_bound(f, n, point) < 1e-9
+        residues.append(d.g_residual)
+    assert any(residues)  # a bound of 0 would fail here
+
+
+def test_g_bound_is_the_taylor_bound_plus_a_small_allowance():
+    es = lookup("exp-sum").function
+    taylor = es.sup_bounds.taylor_constant() / (2.0 * 1024)
+    assert taylor < g_bound(es, 1024, (0.7, 0.3)) < taylor * (1.0 + 1e-6)
+    assert g_bound(lookup("runge-2d").function, 64, (0.5, 0.5)) > 0.0
+    assert g_bound(Function(eval=lambda s, t: s * t), 64, (0.5, 0.5)) is None
+    with pytest.raises(DomainError):
+        g_bound(es, 1, (0.5, 0.5))
+    with pytest.raises(DomainError):
+        g_bound(es, 64, (0.5,))
 
 
 def test_decomposition_drift_terms_approach_their_limits():

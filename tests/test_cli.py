@@ -484,15 +484,20 @@ def test_decompose_rows_and_bound_column(capsys):
         assert abs(float(r["g_residual"])) <= float(r["g_bound"])
 
 
-def test_decompose_prints_a_zero_bound_for_a_zero_taylor_constant(capsys):
-    # f = x is linear, so its Taylor constant and every bound are exactly 0
+def test_decompose_bounds_the_rounding_residue_of_a_zero_taylor_constant(capsys):
+    # f = x is linear, so its Taylor constant is 0 and G is rounding alone:
+    # the bound is the rounding allowance, positive and far below 1e-9
     code, out, _ = run_cli(
-        capsys, ["decompose", "--fn", "monomial(1,0)", "--point", "0.5", "0.5"]
+        capsys,
+        ["decompose", "--fn", "monomial(1,0)", "--point", "0.5", "0.5",
+         "--n0", "64", "--doublings", "3"],
     )
     assert code == 0
     rows, _ = parse_csv(out)
-    assert len(rows) == 5
-    assert [r["g_bound"] for r in rows] == ["0"] * 5
+    assert len(rows) == 4
+    assert any(float(r["g_residual"]) != 0.0 for r in rows)
+    for r in rows:
+        assert abs(float(r["g_residual"])) <= float(r["g_bound"]) < 1e-9
 
 
 def test_output_file_writing(tmp_path, capsys):

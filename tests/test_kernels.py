@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import akrvoro
 from akrvoro import _kernels, acceptance, tensor
-from akrvoro.akr import _node_formula
+from akrvoro.akr import _remainder_formula
 from akrvoro.catalog import lookup
 
 
@@ -650,11 +650,12 @@ def test_a_nested_errstate_keeps_the_small_buffer():
 def test_criterion_2_sweeps_under_the_small_buffer(monkeypatch):
     seen = set()
 
-    def node_formula(k, n, j, **buffers):
+    # the sweep's one formula call per block, which computes its nodes too
+    def remainder_formula(k, n, **buffers):
         seen.add(np.getbufsize())
-        return _node_formula(k, n, j, **buffers)
+        return _remainder_formula(k, n, **buffers)
 
-    monkeypatch.setattr(acceptance, "_node_formula", node_formula)
+    monkeypatch.setattr(acceptance, "_remainder_formula", remainder_formula)
     passed, _ = acceptance.criterion_2()
     assert passed
     assert seen == {_kernels.SMALL_UFUNC_BUFFER}
