@@ -5,7 +5,7 @@ limit extrapolation, and an exact drift decomposition.
 """
 
 from ._kernels import backend
-from .akr import NodeTable, build_node_table, fixed_point_error, remainder
+from .akr import build_node_table, fixed_point_error, remainder
 from .asymptotics import (
     SERIES_KINDS,
     ConvergenceSeries,
@@ -29,7 +29,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "backend",
-    "NodeTable",
     "build_node_table",
     "fixed_point_error",
     "remainder",

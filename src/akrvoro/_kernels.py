@@ -249,11 +249,10 @@ CACHE_BLOCK_ELEMENTS = 1 << 15
 
 # Elements of numpy's ufunc buffer inside those loops.  Their ops broadcast a
 # column against a row, and under numpy's default buffer of 8192 elements
-# such an op ran about 3x slower per cell whenever a row was shorter than
-# 4096 (numpy 2.4): `log k - log n` on 26 x 621 cells took 1.29 ns a cell,
-# and 0.43 ns with this buffer.  Buffering copies operands without changing
-# their dtype, so every elementwise result and every min/max is the same
-# bit for bit.
+# such an op ran up to 2x slower per cell (numpy 2.4): on criterion 2's
+# 31 x 1031 block `k / n` took 1.2-1.3 ns a cell, and 0.8 ns with this
+# buffer.  Buffering copies operands without changing their dtype, so every
+# elementwise result and every min/max is the same bit for bit.
 SMALL_UFUNC_BUFFER = 128
 
 

@@ -20,7 +20,6 @@ from .asymptotics import (
     _check_entries,
     decomposition,
     extrapolate,
-    g_bound,
     residual_series,
 )
 from .catalog import lookup
@@ -150,7 +149,7 @@ def _sweep_mismatches(first, r, nodes):
         row = degree - first
         if 0 <= row < r.shape[0] and not (
             _same_bits(r[row, : degree + 1], remainder(degree, np.arange(degree + 1)))
-            and _same_bits(nodes[row, : degree + 1], build_node_table(degree, 2).nodes)
+            and _same_bits(nodes[row, : degree + 1], build_node_table(degree, 2))
         ):
             bad.append(str(degree))
     return bad
@@ -265,13 +264,12 @@ def criterion_7():
                 apply(double_sum, n, 2, point) - apply(double_sum, n, 1, point)
             )
             mismatch = abs(recomputed - (d.e_term + d.f_term + d.g_residual))
-            bound = g_bound(f, n, point)
-            if mismatch > 1e-10 or abs(d.g_residual) > bound:
+            if mismatch > 1e-10 or abs(d.g_residual) > d.g_bound:
                 ok = False
-        detail.append(
-            f"n={n}: |total-(E+F+G)| {mismatch:.1e}, |G| {abs(d.g_residual):.2e}"
-            f" <= {bound:.2e}"
-        )
+            detail.append(
+                f"n={n} @ {point}: |total-(E+F+G)| {mismatch:.1e}, "
+                f"|G| {abs(d.g_residual):.2e} <= {d.g_bound:.2e}"
+            )
     return ok, "; ".join(detail)
 
 

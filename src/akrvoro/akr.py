@@ -9,8 +9,6 @@ Bernstein operator is the order-1 case; the operators themselves live in
 the operator's first-order asymptotics.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ._kernels import (
@@ -20,26 +18,10 @@ from ._kernels import (
 from .errors import DomainError
 
 __all__ = [
-    "NodeTable",
     "build_node_table",
     "remainder",
     "fixed_point_error",
 ]
-
-
-@dataclass(frozen=True)
-class NodeTable:
-    """Sampling nodes t(n,k,j) for k = lo..hi at fixed degree n and order j.
-
-    nodes[i] is t(n, lo + i, j).  Over the full window (0, n): nodes[k] = 0
-    for k < j (a zero factor in the product), nodes[n] = 1 exactly, and the
-    sequence is non-decreasing.
-    """
-
-    n: int
-    j: int
-    nodes: np.ndarray
-    lo: int = 0
 
 
 def _check_window(n, lo, hi):
@@ -81,15 +63,17 @@ def _node_formula(k, n, j, out=None):
 
 
 def build_node_table(n, j=2, lo=0, hi=None):
-    """Nodes for degree n and order j at k = lo..hi (default all n+1) as an
-    immutable table.  Each node is computed from k alone, so a window holds
-    the full table's values bit for bit."""
+    """The nodes t(n,k,j) for degree n and order j at k = lo..hi (default
+    all n+1) as a read-only array: element i is t(n, lo + i, j).  Over the
+    full window, t = 0 for k < j (a zero factor in the product), t(n,n,j) =
+    1 exactly, and the sequence is non-decreasing.  Each node is computed
+    from k alone, so a window holds the full table's values bit for bit."""
     j = check_order(j)
     n = check_degree(n, j)
     lo, hi = _check_window(n, lo, hi)
     nodes = _node_formula(np.arange(lo, hi + 1, dtype=np.float64), float(n), j)
     nodes.flags.writeable = False
-    return NodeTable(n=n, j=j, nodes=nodes, lo=lo)
+    return nodes
 
 
 def _remainder_formula(k, n, out=None, ratio=None, root=None, scratch=None):
@@ -145,7 +129,7 @@ def _fixed_point_errors(n, orders, grid_size):
     in blocks of at most CACHE_BLOCK_ELEMENTS cells (one row at least), and
     each block is reduced before the next is built."""
     ones = np.ones(n + 1)
-    powers = [build_node_table(n, j).nodes ** j for j in orders]
+    powers = [build_node_table(n, j) ** j for j in orders]
     worst = [0.0] * len(orders)
 
     def record(x, w):

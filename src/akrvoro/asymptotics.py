@@ -32,7 +32,6 @@ __all__ = [
     "lemma_sum",
     "limit",
     "decomposition",
-    "g_bound",
     "residual_series",
     "rate_estimates",
     "extrapolate",
@@ -94,12 +93,15 @@ class Decomposition:
     ``e_term``/``f_term`` are the first-order node-drift terms in x and y;
     ``g_residual`` is defined as total - e_term - f_term, which realizes the
     Taylor remainder without constructing its intermediate points.
+    ``g_bound`` bounds |g_residual|, or is None when f declares no sup
+    bounds.
     """
 
     e_term: float
     f_term: float
     g_residual: float
     total: float
+    g_bound: Optional[float]
 
 
 # --------------------------------------------------------------------------
@@ -192,31 +194,9 @@ def decomposition(f, n, p):
     e_term weights the x drift (node minus k/n) against fx sampled at the
     uniform grid, f_term does the same in y, and g_residual is the exact
     difference total - e_term - f_term.  Requires exact first partials.
-    """
-    n = check_degree(n, 2)
-    coords = check_point(p, 2)
-    fx, fy = _partials(f, 2, 1, "decomposition")
-    lo, hi, windows = _axis_windows(n, coords)
-    uniform = build_node_table(n, 1, lo, hi).nodes
-    nodes = build_node_table(n, 2, lo, hi).nodes
-    drift = nodes - uniform
-    (sx, wx), (sy, wy) = windows
-    e_term = n * tensor_reduce(fx, uniform[sx], uniform[sy], wx * drift[sx], wy)
-    f_term = n * tensor_reduce(fy, uniform[sx], uniform[sy], wx, wy * drift[sy])
-    total = n * (
-        _window_apply(f, nodes, windows) - _window_apply(f, uniform, windows)
-    )
-    return Decomposition(
-        e_term=e_term,
-        f_term=f_term,
-        g_residual=total - e_term - f_term,
-        total=total,
-    )
 
-
-def g_bound(f, n, p):
-    """A bound on |decomposition(f, n, p).g_residual|: the Taylor bound
-    C/(2n) plus a rounding allowance, or None when f declares no sup bounds.
+    g_bound is the Taylor bound C/(2n) on |g_residual| plus a rounding
+    allowance, or None when f declares no sup bounds.
 
     Taylor part.  G is n sum_kl w_k w_l (f(s,t) - f(u,v) - fx(u,v)(s-u) -
     fy(u,v)(t-v)) at the modified nodes (s,t) and the uniform ones (u,v),
@@ -228,28 +208,45 @@ def g_bound(f, n, p):
 
     Rounding part.  Taylor's theorem with the same sup bounds bounds f,
     and |fx| + |fy|, on the square by K = |f(p)| + |fx(p)| + |fy(p)| + C.
-    Each of the four sums that ``decomposition`` forms (the two operators,
-    and E and F before their factor n) is a weighted sum over at most m
-    nodes per axis, m the width of the hull of the support windows.  Its
-    BLAS row sums are off by at most gamma_m ~ m u of the sum of |terms|,
-    and the row products, the Kahan sum over rows, the drift weights and
-    an evaluation of f or a partial to within a few ulp add at most 16 u
-    more (the separable path's products of compensated dots add less).
-    The sum of |terms| is at most K for the operators and K/n for E + F.
-    So n times the operators' difference is off by 2n (m + 16) u K, E + F
-    by (m + 16) u K, and the subtractions that form the total and G add
-    a few u K, within the 16: (2n + 1)(m + 16) u K in all.
+    Each of the four sums formed here (the two operators, and E and F
+    before their factor n) is a weighted sum over at most m nodes per
+    axis, m the width of the hull of the support windows.  Its BLAS row
+    sums are off by at most gamma_m ~ m u of the sum of |terms|, and the
+    row products, the Kahan sum over rows, the drift weights and an
+    evaluation of f or a partial to within a few ulp add at most 16 u more
+    (the separable path's products of compensated dots add less).  The sum
+    of |terms| is at most K for the operators and K/n for E + F.  So n
+    times the operators' difference is off by 2n (m + 16) u K, E + F by
+    (m + 16) u K, and the subtractions that form the total and G add a few
+    u K, within the 16: (2n + 1)(m + 16) u K in all.
     """
     n = check_degree(n, 2)
     coords = check_point(p, 2)
-    if f.sup_bounds is None:
-        return None
-    c = f.sup_bounds.taylor_constant()
-    fx, fy = _partials(f, 2, 1, "the remainder bound")
-    k = c + sum(abs(float(g(*coords))) for g in (f.eval, fx, fy))
-    bounds = [support(n, x) for x in coords]
-    m = max(b for _, b in bounds) - min(a for a, _ in bounds) + 1
-    return (1.0 + 1e-9) * c / (2.0 * n) + (2 * n + 1) * (m + 16) * (_EPS / 2.0) * k
+    fx, fy = _partials(f, 2, 1, "decomposition")
+    lo, hi, windows = _axis_windows(n, coords)
+    uniform = build_node_table(n, 1, lo, hi)
+    nodes = build_node_table(n, 2, lo, hi)
+    drift = nodes - uniform
+    (sx, wx), (sy, wy) = windows
+    e_term = n * tensor_reduce(fx, uniform[sx], uniform[sy], wx * drift[sx], wy)
+    f_term = n * tensor_reduce(fy, uniform[sx], uniform[sy], wx, wy * drift[sy])
+    total = n * (
+        _window_apply(f, nodes, windows) - _window_apply(f, uniform, windows)
+    )
+    bound = None
+    if f.sup_bounds is not None:
+        c = f.sup_bounds.taylor_constant()
+        k = c + sum(abs(float(g(*coords))) for g in (f.eval, fx, fy))
+        m = hi - lo + 1
+        rounding = (2 * n + 1) * (m + 16) * (_EPS / 2.0) * k
+        bound = (1.0 + 1e-9) * c / (2.0 * n) + rounding
+    return Decomposition(
+        e_term=e_term,
+        f_term=f_term,
+        g_residual=total - e_term - f_term,
+        total=total,
+        g_bound=bound,
+    )
 
 
 # --------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from dataclasses import asdict
 from ._kernels import check_integral, check_order, check_point, check_schedule
 from .acceptance import check_limit, run_all
 from .akr import build_node_table
-from .asymptotics import KINDS, _operator_value, decomposition, g_bound, rate_estimates
+from .asymptotics import KINDS, _operator_value, decomposition, rate_estimates
 from .catalog import lookup
 from .errors import CapabilityError, DomainError, UnknownFunctionError
 from .tensor import apply
@@ -181,8 +181,8 @@ def _series_rows(series):
 
 
 def _cmd_nodes(args):
-    table = build_node_table(args.n, args.j)
-    rows = [{"k": k, "t": float(t)} for k, t in enumerate(table.nodes)]
+    nodes = build_node_table(args.n, args.j)
+    rows = [{"k": k, "t": float(t)} for k, t in enumerate(nodes)]
     return rows, {}, 0
 
 
@@ -238,14 +238,7 @@ def _cmd_decompose(args):
     f = _entry_for(args, 2).function
     # the whole schedule is refused before any row is computed
     ns = check_schedule(args.n0, args.doublings)
-    rows = [
-        {
-            "n": n,
-            **asdict(decomposition(f, n, args.point)),
-            "g_bound": g_bound(f, n, args.point),
-        }
-        for n in ns
-    ]
+    rows = [{"n": n, **asdict(decomposition(f, n, args.point))} for n in ns]
     return rows, {}, 0
 
 

@@ -142,7 +142,7 @@ def _apply(f, n, j, coords):
     """Operator of order j of f at the point with these coordinates; one node
     array over the hull of the axes' windows serves every axis."""
     lo, hi, windows = _axis_windows(n, coords)
-    return _window_apply(f, build_node_table(n, j, lo, hi).nodes, windows)
+    return _window_apply(f, build_node_table(n, j, lo, hi), windows)
 
 
 def apply(f, n, j, point):

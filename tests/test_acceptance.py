@@ -5,6 +5,7 @@ message) to see the per-criterion details.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -55,7 +56,7 @@ def test_sweep_rows_equal_the_public_functions_bit_for_bit():
             cells = slice(0, degree + 1)
             row = degree - first
             _assert_same_bits(r[row, cells], remainder(degree, np.arange(degree + 1)))
-            _assert_same_bits(nodes[row, cells], build_node_table(degree, 2).nodes)
+            _assert_same_bits(nodes[row, cells], build_node_table(degree, 2))
             degrees.append(degree)
     assert degrees == list(range(2, 4097))
 
@@ -100,6 +101,42 @@ def test_criterion_2_fails_when_the_sweep_and_the_public_functions_differ(monkey
     passed, detail = acceptance.criterion_2()
     assert not passed
     assert detail.endswith("; sweep differs from remainder/nodes at n = 2, 2048, 4096")
+
+
+# --------------------------------------------------------------------------
+# Criterion 7 and the runtime limit.
+# --------------------------------------------------------------------------
+
+
+def test_criterion_7_reports_every_degree_and_point():
+    passed, detail = acceptance.criterion_7()
+    assert passed
+    assert [entry.split(":")[0] for entry in detail.split("; ")] == [
+        f"n={n} @ {p}" for n in (64, 256, 1024) for p in ((0.5, 0.5), (0.7, 0.3))
+    ]
+
+
+@pytest.mark.parametrize(
+    "wrong",
+    [
+        lambda d: replace(d, g_bound=abs(d.g_residual) / 2.0),
+        lambda d: replace(d, g_residual=d.g_residual + 1e-9),
+    ],
+    ids=["G-above-its-bound", "E+F+G-off-the-total"],
+)
+def test_criterion_7_fails_on_a_broken_decomposition(monkeypatch, wrong):
+    exact = acceptance.decomposition
+    monkeypatch.setattr(acceptance, "decomposition", lambda *a: wrong(exact(*a)))
+    passed, _ = acceptance.criterion_7()
+    assert not passed
+
+
+def test_a_criterion_over_its_runtime_limit_fails(monkeypatch):
+    no_time = tuple((num, name, fn, 0.0) for num, name, fn, _ in CRITERIA)
+    monkeypatch.setattr(acceptance, "CRITERIA", no_time)
+    result = run_criterion(8)
+    assert not result.passed
+    assert result.detail.endswith("exceeded 0s")
 
 
 # --------------------------------------------------------------------------

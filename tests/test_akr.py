@@ -28,7 +28,7 @@ from akrvoro import (
 
 
 def akr_node(n, k, j):
-    return build_node_table(n, j).nodes[k]
+    return build_node_table(n, j)[k]
 
 
 def test_akr_node_frozen_values():
@@ -49,9 +49,9 @@ def test_akr_node_domain_errors():
 
 
 def test_build_node_table_frozen_values():
-    assert list(build_node_table(2, 2).nodes) == [0.0, 0.0, 1.0]
-    assert list(build_node_table(3, 3).nodes) == [0.0, 0.0, 0.0, 1.0]
-    t4 = build_node_table(4, 2).nodes
+    assert list(build_node_table(2, 2)) == [0.0, 0.0, 1.0]
+    assert list(build_node_table(3, 3)) == [0.0, 0.0, 0.0, 1.0]
+    t4 = build_node_table(4, 2)
     expected = [0.0, 0.0, math.sqrt(1.0 / 6.0), math.sqrt(0.5), 1.0]
     np.testing.assert_allclose(t4, expected, rtol=1e-15, atol=0.0)
 
@@ -61,8 +61,7 @@ def test_build_node_table_frozen_values():
 def test_node_table_invariants(n, j):
     if n < j:
         pytest.skip("n < j")
-    table = build_node_table(n, j)
-    nodes = table.nodes
+    nodes = build_node_table(n, j)
     assert np.all(nodes[:j] == 0.0)
     assert nodes[n] == 1.0
     assert np.all(np.diff(nodes) >= 0.0)
@@ -75,7 +74,7 @@ def test_node_table_invariants(n, j):
 
 @functools.lru_cache(maxsize=8)
 def full_nodes(n, j):
-    return build_node_table(n, j).nodes
+    return build_node_table(n, j)
 
 
 @st.composite
@@ -107,17 +106,16 @@ def node_windows(draw):
 def test_windowed_nodes_equal_the_full_table_bit_for_bit(window):
     n, j, lo, hi = window
     expected = full_nodes(n, j)[lo : hi + 1]
-    table = build_node_table(n, j, lo, hi)
-    assert (table.n, table.j, table.lo) == (n, j, lo)
-    np.testing.assert_array_equal(table.nodes, expected)
-    assert not table.nodes.flags.writeable
+    nodes = build_node_table(n, j, lo, hi)
+    np.testing.assert_array_equal(nodes, expected)
+    assert not nodes.flags.writeable
 
 
 @pytest.mark.parametrize("n", [1, 3, 8, 1000, 2**20])
 def test_order_one_nodes_are_k_over_n_bit_for_bit(n):
     # the Bernstein nodes: one IEEE division k / n, on any window
     for lo, hi in ((0, n), (0, 0), (n // 3, n // 2), (n, n)):
-        nodes = build_node_table(n, 1, lo, hi).nodes
+        nodes = build_node_table(n, 1, lo, hi)
         expected = np.arange(lo, hi + 1) / n
         assert np.array_equal(nodes.view(np.int64), expected.view(np.int64))
 
@@ -135,7 +133,7 @@ def _ulps_from_the_rounded_root(n, lo, nodes):
 
 @pytest.mark.parametrize("n", [*range(2, 65), 257, 4096])
 def test_order_two_nodes_are_within_one_ulp_of_the_rounded_root(n):
-    nodes = build_node_table(n, 2).nodes
+    nodes = build_node_table(n, 2)
     assert _ulps_from_the_rounded_root(n, 0, nodes).max() <= 1
     # +0.0 below j, not -0.0, and 1 at k = n
     assert not np.signbit(nodes[:2]).any() and np.all(nodes[:2] == 0.0)
@@ -145,9 +143,9 @@ def test_order_two_nodes_are_within_one_ulp_of_the_rounded_root(n):
 def test_order_two_nodes_are_within_one_ulp_at_the_largest_degree():
     n = 2**20
     for lo, hi in ((0, 200), (n // 2 - 100, n // 2 + 100), (n - 200, n)):
-        nodes = build_node_table(n, 2, lo, hi).nodes
+        nodes = build_node_table(n, 2, lo, hi)
         assert _ulps_from_the_rounded_root(n, lo, nodes).max() <= 1
-    assert build_node_table(n, 2, n, n).nodes[0] == 1.0
+    assert build_node_table(n, 2, n, n)[0] == 1.0
 
 
 # what the order-2 nodes and ``nodes --n 16`` give in a process of their own
@@ -155,7 +153,7 @@ _NODE_BITS_SCRIPT = """
 import contextlib, hashlib, io, json
 from akrvoro import build_node_table
 from akrvoro.cli import main
-bits = {n: hashlib.sha256(build_node_table(n, 2).nodes.tobytes()).hexdigest()
+bits = {n: hashlib.sha256(build_node_table(n, 2).tobytes()).hexdigest()
         for n in (16, 257, 4096, 65536)}
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
@@ -203,12 +201,11 @@ def test_bad_node_window_is_a_domain_error(lo, hi):
 def test_integral_window_bounds_pass_as_the_degree_does(lo, hi):
     # the rule of check_integral: 4.0 is the index 4, as 8.0 is the degree 8
     ints = (int(lo), None if hi is None else int(hi))
-    table = build_node_table(8.0, 2.0, lo, hi)
-    assert (table.n, table.j, table.lo) == (8, 2, ints[0])
-    assert type(table.lo) is int
-    np.testing.assert_array_equal(table.nodes, build_node_table(8, 2, *ints).nodes)
     np.testing.assert_array_equal(
-        build_node_table(8, 1, lo, hi).nodes, build_node_table(8, 1, *ints).nodes
+        build_node_table(8.0, 2.0, lo, hi), build_node_table(8, 2, *ints)
+    )
+    np.testing.assert_array_equal(
+        build_node_table(8, 1, lo, hi), build_node_table(8, 1, *ints)
     )
 
 
@@ -216,7 +213,7 @@ def test_node_drift_bounds_small_degrees():
     # 0 <= k/n - t <= 1/n for j = 2, checked exhaustively through n = 512
     for n in range(2, 513):
         k = np.arange(n + 1)
-        drift = k / n - build_node_table(n, 2).nodes
+        drift = k / n - build_node_table(n, 2)
         assert drift.min() >= -1e-15
         assert (drift - 1.0 / n).max() <= 1e-15
 
@@ -262,7 +259,7 @@ def test_node_and_remainder_paths_are_consistent():
     # t = k/n - 1/(2n) + k/(2 n^2) - R ties them together
     for n in range(2, 2049):
         k = np.arange(n + 1, dtype=np.float64)
-        nodes = build_node_table(n, 2).nodes
+        nodes = build_node_table(n, 2)
         reconstructed = k / n - 1.0 / (2.0 * n) + k / (2.0 * n * n) - remainder(
             n, np.arange(n + 1)
         )
@@ -314,7 +311,7 @@ def test_akr_equals_bernstein_of_node_values():
     # sampling t at k/n reproduces the node table, so the two operators
     # must coincide on the identity
     for n in (4, 9, 32):
-        nodes = build_node_table(n, 2).nodes
+        nodes = build_node_table(n, 2)
 
         def node_lookup(u, nodes=nodes, n=n):
             idx = np.rint(np.asarray(u) * n).astype(int)
@@ -341,7 +338,7 @@ def _frozen_fixed_point_error(n, j, grid_size):
     """fixed_point_error as a loop of single-point weight vectors and
     math.fsum sums, before the grid's weights came in batched rows."""
     ones = np.ones(n + 1)
-    powers = build_node_table(n, j).nodes ** j
+    powers = build_node_table(n, j) ** j
     worst = 0.0
     for x in np.linspace(0.0, 1.0, grid_size):
         w = np.exp(_kernels.log_weights(n, x))

@@ -19,7 +19,7 @@ from akrvoro import (
     residual_series,
 )
 from akrvoro.acceptance import check_limit
-from akrvoro.asymptotics import KINDS, g_bound
+from akrvoro.asymptotics import KINDS
 
 
 def drift_limit(f, point):
@@ -302,7 +302,7 @@ def test_g_bound_covers_the_rounding_residue_of_a_linear_f(name, point):
     residues = []
     for n in (64, 128, 256, 512):
         d = decomposition(f, n, point)
-        assert abs(d.g_residual) <= g_bound(f, n, point) < 1e-9
+        assert abs(d.g_residual) <= d.g_bound < 1e-9
         residues.append(d.g_residual)
     assert any(residues)  # a bound of 0 would fail here
 
@@ -310,13 +310,15 @@ def test_g_bound_covers_the_rounding_residue_of_a_linear_f(name, point):
 def test_g_bound_is_the_taylor_bound_plus_a_small_allowance():
     es = lookup("exp-sum").function
     taylor = es.sup_bounds.taylor_constant() / (2.0 * 1024)
-    assert taylor < g_bound(es, 1024, (0.7, 0.3)) < taylor * (1.0 + 1e-6)
-    assert g_bound(lookup("runge-2d").function, 64, (0.5, 0.5)) > 0.0
-    assert g_bound(Function(eval=lambda s, t: s * t), 64, (0.5, 0.5)) is None
+    assert taylor < decomposition(es, 1024, (0.7, 0.3)).g_bound < taylor * (1.0 + 1e-6)
+    assert decomposition(lookup("runge-2d").function, 64, (0.5, 0.5)).g_bound > 0.0
+    # exact partials but no sup bounds
+    bare = Function(eval=lambda s, t: s * t, grad=(lambda s, t: t, lambda s, t: s))
+    assert decomposition(bare, 64, (0.5, 0.5)).g_bound is None
     with pytest.raises(DomainError):
-        g_bound(es, 1, (0.5, 0.5))
+        decomposition(es, 1, (0.5, 0.5))
     with pytest.raises(DomainError):
-        g_bound(es, 64, (0.5,))
+        decomposition(es, 64, (0.5,))
 
 
 def test_decomposition_drift_terms_approach_their_limits():
@@ -344,6 +346,8 @@ def test_decomposition_requires_exact_partials():
 
 
 def test_series_validation():
+    with pytest.raises(DomainError, match="at least one entry"):
+        ConvergenceSeries((), "bernstein-1d", (0.5,))
     with pytest.raises(DomainError):
         ConvergenceSeries(((4, 1.0), (9, 0.5)), "bernstein-1d", (0.5,))
     with pytest.raises(DomainError):

@@ -43,7 +43,7 @@ def test_nodes_emits_expected_table(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, ["nodes", "--n", "4", "--j", "2"])
     assert code == 0
     # the command prints the full table, so row k is node k
-    assert [(t.lo, t.nodes.shape) for t in tables] == [(0, (5,))]
+    assert [t.shape for t in tables] == [(5,)]
     rows, _ = parse_csv(out)
     assert [int(r["k"]) for r in rows] == [0, 1, 2, 3, 4]
     values = [float(r["t"]) for r in rows]
@@ -51,7 +51,7 @@ def test_nodes_emits_expected_table(capsys, monkeypatch):
     assert values[2] == pytest.approx(0.4082483, abs=1e-7)
     assert values[3] == pytest.approx(math.sqrt(0.5), rel=1e-15)
     for k in range(5):
-        assert values[k] == build_node_table(4, 2).nodes[k]
+        assert values[k] == build_node_table(4, 2)[k]
 
 
 def test_dry_run_round_trips_the_config(capsys):

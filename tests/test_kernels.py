@@ -2,6 +2,7 @@ import contextlib
 import importlib
 import math
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -417,6 +418,27 @@ def test_import_leaves_out_scipy_and_numba():
     # one operator and one limit for every arity, and no per-arity names
     assert {"apply", "limit"} <= set(akrvoro.__all__)
     assert not [n for n in akrvoro.__all__ if n.endswith("_apply") or "_rhs" in n]
+    # results are plain values: the node array, and the |G| bound a field
+    # of the decomposition
+    for module, gone in ((akrvoro, "NodeTable"), (akrvoro.akr, "NodeTable"),
+                         (akrvoro, "g_bound"), (akrvoro.asymptotics, "g_bound")):
+        assert not hasattr(module, gone)
+
+
+# every module but __main__, which runs the CLI when imported
+MODULES = ["akrvoro"] + [
+    f"akrvoro.{m.name}" for m in pkgutil.iter_modules(akrvoro.__path__)
+    if m.name != "__main__"
+]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_export_lists_resolve(name):
+    # a name in __all__ that the module lacks breaks `import *`
+    namespace = {}
+    exec(f"from {name} import *", namespace)
+    exported = getattr(importlib.import_module(name), "__all__", ())
+    assert [n for n in exported if n not in namespace] == []
 
 
 def test_check_degree_bounds():
@@ -436,8 +458,8 @@ _E3 = akrvoro.lookup("e3").function
     [
         lambda v: akrvoro.apply(_E3, v, 2, 0.3),
         lambda v: akrvoro.apply(_E3, 8, v, 0.3),
-        lambda v: akrvoro.build_node_table(v, 2).nodes.tolist(),
-        lambda v: akrvoro.build_node_table(8, v).nodes.tolist(),
+        lambda v: akrvoro.build_node_table(v, 2).tolist(),
+        lambda v: akrvoro.build_node_table(8, v).tolist(),
         lambda v: akrvoro.remainder(v, 2),
         lambda v: akrvoro.remainder(4, v),
         lambda v: akrvoro.remainder(4, [1, v]).tolist(),

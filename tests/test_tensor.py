@@ -13,6 +13,7 @@ from akrvoro import (
 )
 from akrvoro import tensor
 from akrvoro._kernels import CACHE_BLOCK_ELEMENTS, bilinear_accumulate, check_point
+from akrvoro.basis import eval_on
 from akrvoro.tensor import eval_grid_block
 
 
@@ -252,9 +253,17 @@ def test_scalar_valued_grid_is_a_contiguous_block():
     _assert_same_bits(got, np.broadcast_to(np.float64(2.5), (7, 9)).copy())
 
 
-def test_nonvectorized_constant_return_is_broadcast():
-    f = Function(eval=lambda s, t: 1.0)
-    assert apply(f, 8, 1, (0.2, 0.9)) == pytest.approx(1.0, abs=1e-13)
+@pytest.mark.parametrize("point", [(0.3,), (0.2, 0.9)], ids=["1d", "2d"])
+def test_nonvectorized_constant_return_is_broadcast(point):
+    f = Function(eval=lambda *coords: 1.0)
+    assert apply(f, 8, 1, point) == pytest.approx(1.0, abs=1e-13)
+    # every node gets the value: eval_on on [0, 1], eval_grid_block on the square
+    nodes = np.linspace(0.0, 1.0, 9)
+    if len(point) == 1:
+        got = eval_on(f.eval, nodes)
+    else:
+        got = eval_grid_block(f.eval, nodes, nodes)
+    assert got.shape == (9,) * len(point) and np.all(got == 1.0)
 
 
 def test_general_path_against_high_precision_oracle():

@@ -71,7 +71,7 @@ def full_reduce(func, s, t, wx, wy):
 def test_window_matches_full_sum_1d(n, x):
     w = full_weights(n, x)
     uniform = np.arange(n + 1, dtype=np.float64) / n
-    nodes = build_node_table(n, 2).nodes
+    nodes = build_node_table(n, 2)
     assert_close(apply(WAVE, n, 1, x), full_dot(WAVE.eval(uniform), w))
     assert_close(apply(WAVE, n, 2, x), full_dot(WAVE.eval(nodes), w))
     if x > 0.0:
@@ -85,7 +85,7 @@ def test_window_matches_full_sum_1d(n, x):
 def test_window_matches_full_sum_2d(n, x, y):
     wx, wy = full_weights(n, x), full_weights(n, y)
     uniform = np.arange(n + 1, dtype=np.float64) / n
-    nodes = build_node_table(n, 2).nodes
+    nodes = build_node_table(n, 2)
     classical = full_reduce(RUNGE.eval, uniform, uniform, wx, wy)
     modified = full_reduce(RUNGE.eval, nodes, nodes, wx, wy)
     p = (x, y)
@@ -136,7 +136,7 @@ def test_window_nodes_give_the_sliced_full_table_sums_bit_for_bit(n, j, x, y):
     if n < j:
         n = j
     uniform = np.arange(n + 1, dtype=np.float64) / n
-    nodes = build_node_table(n, j).nodes
+    nodes = build_node_table(n, j)
     wins = (sliced_window(n, x), sliced_window(n, y))
     assert apply(WAVE, n, j, x) == sliced_sum(WAVE, nodes, wins[:1])
     assert apply(WAVE, n, 1, x) == sliced_sum(WAVE, uniform, wins[:1])
@@ -148,7 +148,7 @@ def test_window_nodes_give_the_sliced_full_table_sums_bit_for_bit(n, j, x, y):
             assert apply(g, n, j, p) == sliced_sum(g, nodes, wins)
             assert apply(g, n, 1, p) == sliced_sum(g, uniform, wins)
 
-    nodes = build_node_table(n, 2).nodes
+    nodes = build_node_table(n, 2)
     drift = nodes - uniform
     (sx, wx), (sy, wy) = wins
     s, t = uniform[sx], uniform[sy]
