@@ -234,6 +234,13 @@ _SUPPORT_LOG = math.log(2.0 / SUPPORT_DELTA) / 2.0
 # so an unchecked degree from the command line could exhaust memory.
 MAX_DEGREE = 2**20
 
+# Largest order any operator accepts, by the same rule: 16 times j = 64, the
+# largest order whose series has been measured.  From j = 3 a node sums
+# j - 1 log terms, so a table costs O(nodes x j): the full table at
+# MAX_DEGREE took 6.3 s at j = MAX_ORDER and 0.57 s at j = 64 (on a 2-vCPU
+# Xeon VM), where j = MAX_DEGREE would take hours.
+MAX_ORDER = 2**10
+
 
 # Doubles per array in a hot loop's working block: the 2-d evaluation tiles
 # and the degree blocks of criterion 2.  The sweep's four buffers (256 KiB
@@ -325,9 +332,12 @@ def check_schedule(n0, doublings, least=2):
 
 
 def check_order(j):
-    """The order j as an int, refused with DomainError below 1: order 1 is
-    the Bernstein operator."""
-    return check_at_least(j, 1, "order j")
+    """The order j as an int, refused with DomainError unless 1 <= j <=
+    MAX_ORDER: order 1 is the Bernstein operator."""
+    j = check_at_least(j, 1, "order j")
+    if j > MAX_ORDER:
+        raise DomainError(f"order j must be <= {MAX_ORDER}, got {_shown(j)}")
+    return j
 
 
 def check_index(k, n, name="index"):

@@ -20,7 +20,7 @@ from ._kernels import (
 )
 from .akr import build_node_table, remainder
 from .errors import CapabilityError, DomainError
-from .tensor import _apply, _axis_windows, _window_apply, tensor_reduce
+from .tensor import Function, _apply, _axis_windows, _window_apply
 
 __all__ = [
     "SERIES_KINDS",
@@ -121,22 +121,30 @@ def lemma_sum(n, x):
     return n * comp_dot(w, remainder(n, np.arange(lo, hi + 1)))
 
 
+def _check_shape(table, d, order, what, needed_by):
+    """Refuse with DomainError a table of ``what`` that is not indexed like
+    ``Function.grad`` (order 1: d entries) or ``Function.hess`` (order 2: d
+    rows of d) at a point of d coordinates."""
+    rows = tuple(len(row) for row in table) if order == 2 else ()
+    if len(table) != d or any(r != d for r in rows):
+        want = f"in {d} rows of {d}" if order == 2 else "in each"
+        got = f"{len(table)} rows of lengths {rows}" if order == 2 else len(table)
+        raise DomainError(
+            f"{needed_by} at a point of {d} coordinates needs {what} {want}; "
+            f"f has them in {got}"
+        )
+
+
 def _partials(f, d, order, needed_by="the limit"):
     """The exact pure partials of f of this order on [0, 1]^d, one callable
     per axis: ``grad[i]``, or the diagonal ``hess[i][i]``.  A DomainError
-    when f has partials in another number of coordinates."""
+    when f's partials are not indexed by d coordinates."""
     table = f.grad if order == 1 else f.hess
     kind = "first" if order == 1 else "second"
-    if table is not None and len(table) != d:
-        raise DomainError(
-            f"{needed_by} at a point of {d} coordinates needs {kind} partials "
-            f"in each; f has them in {len(table)}"
-        )
-    if table is None:
-        fns = None
-    else:
+    if table is not None:
+        _check_shape(table, d, order, f"{kind} partials", needed_by)
         fns = [table[i] if order == 1 else table[i][i] for i in range(d)]
-    if fns is None or any(fn is None for fn in fns):
+    if table is None or any(fn is None for fn in fns):
         raise CapabilityError(f"{needed_by} requires exact {kind} partials")
     return fns
 
@@ -153,10 +161,11 @@ def _limit(f, coords, j, diffusion=True):
     """
     if j != 1:
         check_positive(coords)
-    terms = []
+    terms, carried = [], 0.0
     if diffusion:
         second = [float(fn(*coords)) for fn in _partials(f, len(coords), 2)]
         terms += [0.5 * x * (1.0 - x) * fii for x, fii in zip(coords, second)]
+        carried = sum(abs(fii) for fii in second)
     if j != 1:
         first = [float(fn(*coords)) for fn in _partials(f, len(coords), 1)]
         terms += [-(0.5 * (j - 1) * (1.0 - x) * fi) for x, fi in zip(coords, first)]
@@ -170,7 +179,17 @@ def _limit(f, coords, j, diffusion=True):
     # (len(terms) - 1) eps/2 of sum|terms|.  A value within 16 eps sum|terms|
     # is what an exact cancellation leaves, as for e_j at order j, whose
     # limit is 0: in double precision it cannot be told from 0.
-    if abs(value) <= 16.0 * _EPS * sum(abs(t) for t in terms):
+    #   A rounding to a result below 2^-1022 may lose up to u = 2^-1075 more,
+    # absolutely, which that bound does not see (at x = 1e-310 it is below
+    # the least subnormal 2u).  In a diffusion term the losses of 0.5 x and
+    # of its product with 1 - x are carried on by |f_ii|, the last product
+    # loses u, and f_ii's own loss, at most 4u, is carried by x(1 - x)/2 <=
+    # 1/8.  In a drift term 0.5 (j - 1)(1 - x) does not underflow, the last
+    # product loses u, and f_i's own 4u are carried by (j - 1)/2 at most.  A
+    # sum whose result is below 2^-1022 is exact.  So the losses come to at
+    # most 2u (|f_ii| + j + 1) per axis.
+    floor = math.ulp(0.0) * (carried + len(coords) * (j + 1))
+    if abs(value) <= 16.0 * _EPS * sum(abs(t) for t in terms) + floor:
         return 0.0
     return value
 
@@ -191,52 +210,61 @@ def limit(f, point, j):
 def decomposition(f, n, p):
     """Split n*(modified - classical) at p into drift terms and remainder.
 
-    e_term weights the x drift (node minus k/n) against fx sampled at the
-    uniform grid, f_term does the same in y, and g_residual is the exact
-    difference total - e_term - f_term.  Requires exact first partials.
+    e_term weights the x drift (node minus k/n) against the partial f_x
+    sampled at the uniform grid, f_term does the same in y, and g_residual
+    is the exact difference total - e_term - f_term.  Each drift term is
+    the operator body ``tensor._window_apply`` applied to f_i on the
+    uniform nodes, axis i's weights times its drift.  Requires exact first
+    partials.
 
     g_bound is the Taylor bound C/(2n) on |g_residual| plus a rounding
-    allowance, or None when f declares no sup bounds.
+    allowance, or None when f declares no sup bounds; those must be a 2 x
+    2 table.
 
-    Taylor part.  G is n sum_kl w_k w_l (f(s,t) - f(u,v) - fx(u,v)(s-u) -
-    fy(u,v)(t-v)) at the modified nodes (s,t) and the uniform ones (u,v),
-    and each term is at most (fxx xi^2 + 2 fxy |xi eta| + fyy eta^2)/2 with
-    |xi|, |eta| <= 1/n, so |G| <= C/(2n), C = ``taylor_constant()``.  At
-    the computed nodes the drift is within 3u of 1/n (u = 2^-53), and the
-    weights of an axis sum to 1 within 1e-12, which multiplies the bound by
-    at most 1 + 1e-9 for n <= MAX_DEGREE.
+    Taylor part.  G is n sum_kl w_k w_l (f(s) - f(u) - sum_i f_i(u)(s_i -
+    u_i)) at the modified nodes s and the uniform ones u, and
+    ``SupBounds.taylor_constant`` derives |G| <= C/(2n) from |s_i - u_i|
+    <= 1/n.  At the computed nodes the drift is within 3u of 1/n (u =
+    2^-53), and the weights of an axis sum to 1 within 1e-12, which
+    multiplies the bound by at most 1 + 1e-9 for n <= MAX_DEGREE.
 
     Rounding part.  Taylor's theorem with the same sup bounds bounds f,
-    and |fx| + |fy|, on the square by K = |f(p)| + |fx(p)| + |fy(p)| + C.
-    Each of the four sums formed here (the two operators, and E and F
+    and sum_i |f_i|, on [0, 1]^d by K = |f(p)| + sum_i |f_i(p)| + C.  Each
+    of the 2 + d sums formed here (the two operators, and the d drift terms
     before their factor n) is a weighted sum over at most m nodes per
     axis, m the width of the hull of the support windows.  Its BLAS row
     sums are off by at most gamma_m ~ m u of the sum of |terms|, and the
     row products, the Kahan sum over rows, the drift weights and an
     evaluation of f or a partial to within a few ulp add at most 16 u more
     (the separable path's products of compensated dots add less).  The sum
-    of |terms| is at most K for the operators and K/n for E + F.  So n
-    times the operators' difference is off by 2n (m + 16) u K, E + F by
-    (m + 16) u K, and the subtractions that form the total and G add a few
-    u K, within the 16: (2n + 1)(m + 16) u K in all.
+    of |terms| is at most K for the operators and K/n for the drift terms
+    together.  So n times the operators' difference is off by 2n (m + 16)
+    u K, the drift terms by (m + 16) u K, and the subtractions that form
+    the total and G add a few u K, within the 16: (2n + 1)(m + 16) u K in
+    all.
     """
     n = check_degree(n, 2)
     coords = check_point(p, 2)
-    fx, fy = _partials(f, 2, 1, "decomposition")
+    grads = _partials(f, 2, 1, "decomposition")
+    if f.sup_bounds is not None:
+        _check_shape(f.sup_bounds.hess, 2, 2, "sup bounds", "decomposition")
     lo, hi, windows = _axis_windows(n, coords)
     uniform = build_node_table(n, 1, lo, hi)
     nodes = build_node_table(n, 2, lo, hi)
     drift = nodes - uniform
-    (sx, wx), (sy, wy) = windows
-    e_term = n * tensor_reduce(fx, uniform[sx], uniform[sy], wx * drift[sx], wy)
-    f_term = n * tensor_reduce(fy, uniform[sx], uniform[sy], wx, wy * drift[sy])
+    e_term, f_term = (
+        n * _window_apply(Function(eval=g), uniform, [
+            (s, w * drift[s] if axis == i else w) for axis, (s, w) in enumerate(windows)
+        ])
+        for i, g in enumerate(grads)
+    )
     total = n * (
         _window_apply(f, nodes, windows) - _window_apply(f, uniform, windows)
     )
     bound = None
     if f.sup_bounds is not None:
         c = f.sup_bounds.taylor_constant()
-        k = c + sum(abs(float(g(*coords))) for g in (f.eval, fx, fy))
+        k = c + sum(abs(float(g(*coords))) for g in (f.eval, *grads))
         m = hi - lo + 1
         rounding = (2 * n + 1) * (m + 16) * (_EPS / 2.0) * k
         bound = (1.0 + 1e-9) * c / (2.0 * n) + rounding

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnknownFunctionError
+from .errors import DomainError, UnknownFunctionError
 from .tensor import Function, SupBounds
 
 __all__ = ["CatalogEntry", "lookup", "catalog_names"]
@@ -18,6 +18,13 @@ __all__ = ["CatalogEntry", "lookup", "catalog_names"]
 _NAME_PATTERN = ("const1", "e1", "e2", "e3", "monomial(p,q)", "exp-sum",
                  "sinpix-cospiy", "runge-2d")
 _MONOMIAL_RE = re.compile(r"^monomial\((\d+),\s*(\d+)\)$")
+
+# monomial(p,q) has the sup bounds p(p - 1), pq and q(q - 1), all at most
+# max(p, q)^2, and monomial(p,p) has p^2 itself: they are finite doubles for
+# every partner exponent when p^2 is.  That needs p < 2^512, so an exponent
+# of more digits than 2^512 is refused before int() reads it (int() refuses
+# a string of more than 4300 digits).
+_EXPONENT_DIGITS = len(str(2**512))
 
 
 @dataclass(frozen=True)
@@ -79,10 +86,11 @@ def _product(g, h, sup_bounds):
 
 
 def _monomial_2d(p, q):
+    pq = float(p * q)
     return _product(
         _monomial_1d(p),
         _monomial_1d(q),
-        SupBounds(fxx=float(p * (p - 1)), fxy=float(p * q), fyy=float(q * (q - 1))),
+        SupBounds(((float(p * (p - 1)), pq), (pq, float(q * (q - 1))))),
     )
 
 
@@ -96,7 +104,7 @@ def _exp_sum():
     ev = lambda s, t: np.exp(np.asarray(s, dtype=np.float64) + t)
     return Function(
         eval=ev, grad=(ev, ev), hess=((ev, ev), (ev, ev)),
-        sup_bounds=SupBounds(fxx=e2, fxy=e2, fyy=e2),
+        sup_bounds=SupBounds(((e2, e2), (e2, e2))),
         factors=(_exp_1d(), _exp_1d()),
     )
 
@@ -114,7 +122,7 @@ def _sinpix_cospiy():
         hess=((lambda t: -(pi**2) * np.cos(pi * np.asarray(t, dtype=np.float64)),),),
     )
     p2 = float(pi**2)
-    return _product(sin_part, cos_part, SupBounds(fxx=p2, fxy=p2, fyy=p2))
+    return _product(sin_part, cos_part, SupBounds(((p2, p2), (p2, p2))))
 
 
 def _runge_2d():
@@ -151,7 +159,7 @@ def _runge_2d():
     # c = 1/100, just under 14.82
     return Function(
         eval=ev, grad=(fx, fy), hess=((fxx, fxy), (fxy, fyy)),
-        sup_bounds=SupBounds(fxx=50.0, fxy=15.0, fyy=50.0),
+        sup_bounds=SupBounds(((50.0, 15.0), (15.0, 50.0))),
     )
 
 
@@ -166,17 +174,37 @@ _FIXED_ENTRIES = {
 }
 
 
+def _exponent(digits, name):
+    """The monomial exponent written in ``digits`` as an int, refused with a
+    DomainError naming it unless its square is a finite double."""
+    significant = digits.lstrip("0") or "0"
+    if len(significant) <= _EXPONENT_DIGITS:
+        p = int(significant)
+        try:
+            float(p * p)
+        except OverflowError:
+            pass
+        else:
+            return p
+    shown = digits if len(digits) <= 20 else f"a number of {len(digits)} digits"
+    raise DomainError(
+        f"monomial exponent {name} must be small enough that {name}^2 is a finite "
+        f"double, got {shown}"
+    )
+
+
 def catalog_names():
     """The documented name set (monomial shown as its pattern)."""
     return _NAME_PATTERN
 
 
 def lookup(name):
-    """Resolve a documented name to a fully populated entry."""
+    """Resolve a documented name to a fully populated entry.  A monomial
+    exponent whose square is not a finite double is a DomainError."""
     if name in _FIXED_ENTRIES:
         return _FIXED_ENTRIES[name]()
     m = _MONOMIAL_RE.match(name)
     if m:
-        p, q = int(m.group(1)), int(m.group(2))
+        p, q = (_exponent(digits, axis) for digits, axis in zip(m.groups(), "pq"))
         return CatalogEntry(f"monomial({p},{q})", 2, _monomial_2d(p, q))
     raise UnknownFunctionError(name, _NAME_PATTERN)

@@ -134,7 +134,7 @@ def build_parser():
         "decompose", help="drift decomposition rows over a doubling schedule"
     )
     p.add_argument("--fn", dest="fn_name", required=True)
-    p.add_argument("--point", type=float, nargs=2, required=True)
+    p.add_argument("--point", type=float, nargs="+", required=True)
     p.add_argument("--n0", action=_Integral, default=64)
     p.add_argument("--doublings", action=_Integral, default=4)
     common(p, _cmd_decompose)

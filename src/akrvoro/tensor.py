@@ -39,15 +39,24 @@ _BLOCK_ELEMENTS = 1 << 22
 
 @dataclass(frozen=True)
 class SupBounds:
-    """Sup norms of the three second partials on the square."""
+    """Sup norms of the second partials on [0, 1]^d: ``hess[i][l]`` is
+    sup|f_il|, a symmetric d x d table indexed like ``Function.hess``."""
 
-    fxx: float
-    fxy: float
-    fyy: float
+    hess: Tuple[Tuple[float, ...], ...]
 
     def taylor_constant(self):
-        """fxx + 2 fxy + fyy, the constant in the first-order remainder bound."""
-        return self.fxx + 2.0 * self.fxy + self.fyy
+        """C = sum_il hess[i][l], the constant in the first-order remainder
+        bound |G| <= C/(2n).
+
+        Taylor's theorem at u with s - u = xi leaves f(s) - f(u) - sum_i
+        f_i(u) xi_i = sum_il f_il(z) xi_i xi_l / 2 for a z between them, so
+        with |xi_i| <= 1/n it is at most C/(2n^2); G is n times a sum of
+        such terms against weights summing to 1.  Summed over the upper
+        triangle in row order, off-diagonal entries doubled: on the square
+        hess[0][0] + 2 hess[0][1] + hess[1][1]."""
+        h = self.hess
+        return sum((h[i][l] if i == l else 2.0 * h[i][l]) for i in range(len(h))
+                   for l in range(i, len(h)))
 
 
 @dataclass(frozen=True)

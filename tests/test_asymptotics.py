@@ -10,6 +10,7 @@ from akrvoro import (
     ConvergenceSeries,
     DomainError,
     Function,
+    SupBounds,
     apply,
     decomposition,
     extrapolate,
@@ -212,6 +213,19 @@ def test_limit_keeps_a_small_value_that_is_not_rounding():
     assert limit(f, 0.5, 2) == 2.0**-44
 
 
+@pytest.mark.parametrize("x", [5e-324, 1e-310, 2.0**-1023])
+@pytest.mark.parametrize("j", [2, 3])
+def test_the_fixed_point_limit_is_zero_at_a_subnormal_point(j, x):
+    # 0.5 x rounds to a subnormal, and f_jj carries its loss of up to 2^-1075
+    # on: the cancellation leaves 2^-1074, not 0, without the absolute floor
+    assert limit(lookup(f"e{j}").function, x, j) == 0.0
+
+
+def test_the_absolute_floor_keeps_a_subnormal_limit_that_is_not_rounding():
+    # e2 at order 3: x(1-x)/2 * 2 - (1-x) * 2x = -x(1-x), far above 2^-1074
+    assert limit(lookup("e2").function, 1e-310, 3) == pytest.approx(-1e-310, rel=1e-12)
+
+
 _ORDER_J_CASES = [
     ("akr-1d", "e1", 0.3),
     ("akr-1d", "e3", 0.7),
@@ -338,6 +352,25 @@ def test_decomposition_requires_exact_partials():
         decomposition(eval_only, 16, (0.5, 0.5))
     with pytest.raises(DomainError):
         decomposition(lookup("exp-sum").function, 1, (0.5, 0.5))
+
+
+@pytest.mark.parametrize(
+    "hess",
+    [((1.0,),), ((1.0,) * 3,) * 3, ((1.0, 1.0), (1.0,))],
+    ids=["1x1", "3x3", "ragged"],
+)
+def test_decomposition_refuses_sup_bounds_not_of_the_square(hess):
+    f = replace(lookup("exp-sum").function, sup_bounds=SupBounds(hess))
+    with pytest.raises(DomainError, match="needs sup bounds in 2 rows of 2"):
+        decomposition(f, 64, (0.5, 0.5))
+
+
+def test_second_partials_not_of_the_square_are_a_domain_error():
+    ev = lambda s, t: np.exp(s + t)
+    for hess in (((ev, ev), (ev,)), ((ev,) * 3,) * 3):
+        f = Function(eval=ev, grad=(ev, ev), hess=hess)
+        with pytest.raises(DomainError, match="second partials in 2 rows of 2"):
+            limit(f, (0.5, 0.5), 2)
 
 
 # --------------------------------------------------------------------------

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from akrvoro import (
+    DomainError,
+    SupBounds,
     UnknownFunctionError,
     apply,
     catalog_names,
@@ -78,13 +80,53 @@ def test_sup_bounds_hold_on_verification_grid(name):
     s = np.linspace(0.0, 1.0, 201)
     S, T = s[:, None], s[None, :]
     slack = 1.0 + 1e-12
-    for partial, (i, l) in {"fxx": (0, 0), "fxy": (0, 1), "fyy": (1, 1)}.items():
+    for i, l in ((0, 0), (0, 1), (1, 1)):
         sup = np.max(np.abs(np.broadcast_to(f.hess[i][l](S, T), (201, 201))))
-        bound = getattr(bounds, partial)
+        bound = bounds.hess[i][l]
         assert sup <= bound * slack + 1e-300
         # and the bound is the sup, not a loose constant: the grid holds
         # every maximiser but runge-2d's fxy one, which it misses by 1.2%
         assert bound <= 1.02 * sup
+
+
+@pytest.mark.parametrize(
+    "name", ["exp-sum", "sinpix-cospiy", "runge-2d", "monomial(3,2)", "monomial(0,4)"]
+)
+def test_sup_bounds_are_a_symmetric_table_summed_as_on_the_square(name):
+    bounds = lookup(name).function.sup_bounds
+    h = bounds.hess
+    assert [len(row) for row in h] == [2, 2]
+    assert h[0][1] == h[1][0]
+    assert bounds.taylor_constant() == h[0][0] + 2.0 * h[0][1] + h[1][1]
+
+
+def test_taylor_constant_sums_the_whole_table_in_the_square_order():
+    # 1 + 2^-53 rounds to 1, so adding the diagonal first would give 1 + 2^-52
+    tiny = 2.0**-54
+    assert SupBounds(((1.0, tiny), (tiny, 2.0 * tiny))).taylor_constant() == 1.0
+    cube = ((1.0, 2.0, 3.0), (2.0, 4.0, 5.0), (3.0, 5.0, 6.0))
+    assert SupBounds(cube).taylor_constant() == sum(map(sum, cube)) == 31.0
+
+
+@pytest.mark.parametrize(
+    "name, exponent",
+    [("monomial(" + "9" * 400 + ",1)", "p"), ("monomial(1," + "9" * 5000 + ")", "q")],
+    ids=["400 digits", "5000 digits"],
+)
+def test_lookup_refuses_an_exponent_whose_sup_bounds_overflow(name, exponent):
+    # 400 digits overflowed float(p * (p - 1)); 5000 passed int()'s limit
+    with pytest.raises(DomainError, match=f"monomial exponent {exponent} must be"):
+        lookup(name)
+
+
+def test_the_largest_admitted_exponent_has_finite_sup_bounds():
+    # p^2 rounds to a finite double exactly when p^2 < 2^1024 - 2^970
+    p = math.isqrt(2**1024 - 2**970 - 1)
+    hess = lookup(f"monomial({p},{p})").function.sup_bounds.hess
+    assert all(map(math.isfinite, (*hess[0], *hess[1])))
+    with pytest.raises(DomainError, match="exponent q"):
+        lookup(f"monomial(0,{p + 1})")
+    assert lookup("monomial(" + "0" * 5000 + "2,03)").name == "monomial(2,3)"
 
 
 def test_runge_is_not_separable_in_value():

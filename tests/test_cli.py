@@ -258,6 +258,17 @@ def test_residual_fail_verdict_gives_exit_one(capsys):
     assert summary["verdict"] == "FAIL"
 
 
+def test_residual_of_the_fixed_point_passes_at_a_subnormal_point(capsys):
+    code, out, _ = run_cli(
+        capsys,
+        ["residual", "--kind", "akr-1d", "--fn", "e2", "--point", "5e-324",
+         "--n0", "64", "--doublings", "3"],
+    )
+    rows, summary = parse_csv(out)
+    assert [row["value"] for row in rows] == ["0"] * 4
+    assert (summary["target"], summary["verdict"], code) == ("0", "PASS", 0)
+
+
 @pytest.mark.parametrize(
     "kind, point",
     [
@@ -569,6 +580,9 @@ _BAD_INPUT = {
     "nodes: order below 1": (
         ["nodes", "--n", "8", "--j", "0"], "order j must be >= 1, got 0"),
     "nodes: degree below the order": (["nodes", "--n", "1"], "degree must be >= 2"),
+    "nodes: order past the cap": (
+        ["nodes", "--n", "1048576", "--j", "1048576"],
+        "order j must be <= 1024, got 1048576"),
     "eval: non-numeric point": ([*_EVAL, "--point", "a"], "invalid float value: 'a'"),
     "eval: point above 1": ([*_EVAL, "--point", "1.5"], "point must lie in [0, 1]"),
     "eval: point below 0": ([*_EVAL, "--point", "-0.1"], "point must lie in [0, 1]"),
@@ -577,6 +591,15 @@ _BAD_INPUT = {
         [*_EVAL_2D, "--point", "1.5", "0.5"], "point must lie in [0, 1]^2"),
     "eval: point of the wrong arity": (
         [*_EVAL_2D, "--point", "0.3"], "point must have 2 numeric coordinate(s)"),
+    **{
+        f"eval: monomial exponent {axis} of {digits} digits": (
+            ["eval", "--kind", "akr-2d", "--fn", fn, "--n", "8", "--point", "0.5", "0.5"],
+            f"monomial exponent {axis} must be")
+        for axis, digits, fn in (
+            ("p", 400, f"monomial({'9' * 400},1)"),
+            ("q", 5000, f"monomial(1,{'9' * 5000})"),
+        )
+    },
     "eval: non-integral degree": (
         ["eval", "--kind", "akr-1d", "--fn", "e3", "--n", "8.5", "--point", "0.3"],
         "--n must be integral, got 8.5"),
@@ -622,7 +645,7 @@ _BAD_INPUT = {
     "decompose: point above 1": (
         [*_DECOMPOSE, "--point", "0.5", "1.5"], "point must lie in [0, 1]^2"),
     "decompose: one coordinate": (
-        [*_DECOMPOSE, "--point", "0.5"], "argument --point: expected 2 arguments"),
+        [*_DECOMPOSE, "--point", "0.5"], "point must have 2 numeric coordinate(s)"),
     "decompose: non-integral n0": (
         [*_DECOMPOSE, "--point", "0.5", "0.5", "--n0", "8.5"], "got 8.5"),
     "decompose: negative n0": (

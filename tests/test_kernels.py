@@ -450,6 +450,33 @@ def test_check_degree_bounds():
             _kernels.check_degree(n, least)
 
 
+def test_check_order_bounds():
+    assert _kernels.check_order(_kernels.MAX_ORDER) == _kernels.MAX_ORDER
+    assert 64 <= _kernels.MAX_ORDER <= _kernels.MAX_DEGREE
+    with pytest.raises(akrvoro.DomainError, match="order j must be <= 1024, got 1025"):
+        _kernels.check_order(_kernels.MAX_ORDER + 1)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: akrvoro.build_node_table(2**20, 2**20),
+        lambda: akrvoro.apply(akrvoro.lookup("e1").function, 65536, 65536, 0.5),
+        lambda: akrvoro.fixed_point_error(2**20, 2**20, 2),
+        lambda: akrvoro.limit(akrvoro.lookup("e1").function, 0.5, 2**20),
+        lambda: akrvoro.residual_series("akr-1d", akrvoro.lookup("e1").function, 0.5,
+                                        n0=2**16, doublings=3, j=2**16),
+    ],
+)
+def test_an_order_past_the_cap_is_refused_before_any_work(call, monkeypatch):
+    def no_nodes(*args, **kwargs):
+        raise AssertionError("nodes were computed")
+
+    monkeypatch.setattr("akrvoro.akr._node_formula", no_nodes)
+    with pytest.raises(akrvoro.DomainError, match="order j must be <= 1024"):
+        call()
+
+
 _E3 = akrvoro.lookup("e3").function
 
 
