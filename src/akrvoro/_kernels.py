@@ -126,42 +126,17 @@ def log_weights(n, x, lo=0, hi=None):
     bd0 = _bd0_np(
         np.concatenate((k, n - k)), np.array((n * x, n * (1.0 - x))).repeat(size)
     )
-    _combine_terms(n, k0, k, bd0[:size], bd0[size:], lw[k0 - lo : k1 - lo + 1])
-    return lw
-
-
-def _log_weights_rows(n, xs):
-    """log_weights(n, x) for each point x of the 1-d array xs, all strictly
-    inside (0, 1), as the rows of one array: each row equals the scalar call
-    bit for bit.  The end weights are taken per point with ``math``, as the
-    scalar call takes them, and the interior of every row through one bd0
-    call."""
-    lw = np.empty((xs.size, n + 1))
-    points = xs.tolist()
-    lw[:, 0] = [n * math.log1p(-x) for x in points]
-    lw[:, -1] = [n * math.log(x) for x in points]
-    if n > 1:
-        k = np.arange(1.0, float(n))
-        size = k.size
-        m = np.column_stack((n * xs, n * (1.0 - xs))).repeat(size, axis=1)
-        bd0 = _bd0_np(np.broadcast_to(np.concatenate((k, n - k)), m.shape), m)
-        _combine_terms(n, 1, k, bd0[:, :size], bd0[:, size:], lw[:, 1:-1])
-    return lw
-
-
-def _combine_terms(n, k0, k, bd0_k, bd0_rest, out):
-    """ln w for the indices k = k0, k0 + 1, ... (a float range in 1..n-1)
-    into out, from bd0(k, n x) and bd0(n - k, n (1 - x))."""
     if n <= _TERMS_MAX_DEGREE:
         head, tail = _cached_degree_terms(n)
-        end = k0 - 1 + k.size
-        head, tail = head[k0 - 1 : end], tail[k0 - 1 : end]
+        head, tail = head[k0 - 1 : k1], tail[k0 - 1 : k1]
     else:
         head, tail = _degree_terms(n, k)
     # in place, in the order s(n) - s(k) - s(n-k) - bd0 - bd0 + tail
-    np.subtract(head, bd0_k, out=out)
-    out -= bd0_rest
+    out = lw[k0 - lo : k1 - lo + 1]
+    np.subtract(head, bd0[:size], out=out)
+    out -= bd0[size:]
     out += tail
+    return lw
 
 
 def _stirlerr_np(m):
@@ -179,8 +154,7 @@ def _stirlerr_np(m):
 # below v2_max^terms times the sum.  With v2_max^terms <= 2^-60 every term
 # left out is far below half an ulp of the sum, so a fixed number of terms
 # gives the same bits as summing until the sum stops changing, and so does
-# any larger number: a call over many points runs as many terms as its
-# largest v2 asks for, and each point gets the bits of its own call.
+# any larger number: a window's weights have the bits of the full vector's.
 _SERIES_LOG_EPS = -60.0 * math.log(2.0)
 
 

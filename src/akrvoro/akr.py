@@ -12,8 +12,7 @@ the operator's first-order asymptotics.
 import numpy as np
 
 from ._kernels import (
-    CACHE_BLOCK_ELEMENTS, _log_weights_rows, check_at_least, check_degree, check_index,
-    check_order, comp_dot, log_weights,
+    check_at_least, check_degree, check_index, check_order, comp_dot, log_weights, support,
 )
 from .errors import DomainError
 
@@ -124,26 +123,17 @@ def _fixed_point_errors(n, orders, grid_size):
     """fixed_point_error(n, j, grid_size) for each j of ``orders`` (checked
     by the caller), from one pass over the grid's weights.
 
-    The endpoints come from ``log_weights``; the interior points come as
-    rows of ``_log_weights_rows``, equal to single-point calls bit for bit,
-    in blocks of at most CACHE_BLOCK_ELEMENTS cells (one row at least), and
-    each block is reduced before the next is built."""
+    At each point the weights are the ones every operator sums: the
+    ``log_weights`` of the support window."""
     ones = np.ones(n + 1)
     powers = [build_node_table(n, j) ** j for j in orders]
     worst = [0.0] * len(orders)
-
-    def record(x, w):
-        one = abs(comp_dot(ones, w) - 1.0)
+    for x in np.linspace(0.0, 1.0, grid_size).tolist():
+        lo, hi = support(n, x)
+        window = slice(lo, hi + 1)
+        w = np.exp(log_weights(n, x, lo, hi))
+        one = abs(comp_dot(ones[window], w) - 1.0)
         for i, j in enumerate(orders):
-            worst[i] = max(worst[i], one, abs(comp_dot(powers[i], w) - x**j))
-
-    grid = np.linspace(0.0, 1.0, grid_size)
-    for x in (grid[0], grid[-1]):
-        record(x, np.exp(log_weights(n, x)))
-    interior = grid[1:-1]
-    rows = max(1, CACHE_BLOCK_ELEMENTS // (n + 1))
-    for start in range(0, interior.size, rows):
-        xs = interior[start : start + rows]
-        for x, w in zip(xs, np.exp(_log_weights_rows(n, xs))):
-            record(x, w)
+            error = abs(comp_dot(powers[i][window], w) - x**j)
+            worst[i] = max(worst[i], one, error)
     return worst

@@ -38,18 +38,7 @@ class CatalogEntry:
         return self.function.factors is not None
 
 
-def _zeros(t):
-    return np.zeros_like(np.asarray(t, dtype=np.float64))
-
-
-def _ones(t):
-    return np.ones_like(np.asarray(t, dtype=np.float64))
-
-
 def _monomial_1d(p):
-    if p == 0:
-        return Function(eval=_ones, grad=(_zeros,), hess=((_zeros,),))
-
     # p is closed over, not a keyword default: a call with two coordinates
     # must raise, not read the second one as the exponent
     def ev(t):

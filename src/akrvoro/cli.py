@@ -191,7 +191,7 @@ def _cmd_eval(args):
     entry = _entry_for(args, kind.arity)
     check_order(args.j)
     coords = check_point(args.point, kind.arity)
-    value = float(apply(entry.function, args.n, kind.order or args.j, coords))
+    value = apply(entry.function, args.n, kind.order or args.j, coords)
     return [{"n": args.n, "value": value}], {"value": value}, 0
 
 

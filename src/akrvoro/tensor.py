@@ -114,7 +114,7 @@ def tensor_reduce(func, s_nodes, t_nodes, wx, wy):
         k1 = min(n1, k0 + step)
         block = eval_grid_block(func, s_nodes[k0:k1], t_nodes)
         bilinear_accumulate(block, wx[k0:k1], wy, state)
-    return state[0] + state[1]
+    return float(state[0] + state[1])
 
 
 def _axis_windows(n, coords):

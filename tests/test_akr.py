@@ -334,6 +334,11 @@ def test_fixed_point_error_values():
         fixed_point_error(4, 2, 1)
 
 
+@pytest.mark.parametrize("j", [1, 2, 3])
+def test_fixed_point_error_is_a_plain_float(j):
+    assert type(fixed_point_error(64, j, 101)) is float
+
+
 def _frozen_fixed_point_error(n, j, grid_size):
     """fixed_point_error as a loop of single-point weight vectors and
     math.fsum sums, before the grid's weights came in batched rows."""
@@ -347,7 +352,7 @@ def _frozen_fixed_point_error(n, j, grid_size):
     return worst
 
 
-@pytest.mark.parametrize("n", [2, 16, 64, 256, 1024])
+@pytest.mark.parametrize("n", [2, 16, 64, 256, 1024, 8193])
 @pytest.mark.parametrize("j", [1, 2, 3])
 @pytest.mark.parametrize("grid_size", [2, 11, 101])
 def test_fixed_point_error_equals_the_single_point_loop(n, j, grid_size):
@@ -361,16 +366,17 @@ def test_fixed_point_error_equals_the_single_point_loop(n, j, grid_size):
 
 
 def test_fixed_point_error_passes_log_weights_scalar_points(monkeypatch):
-    # the batched rows serve the interior; only the endpoints call the kernel
+    # one kernel call per grid point, over the window every operator sums
     seen = []
 
-    def spy(n, x, *args):
-        seen.append((n, float(x)))
-        return _kernels.log_weights(n, x, *args)
+    def spy(n, x, lo, hi):
+        seen.append((n, x, lo, hi))
+        return _kernels.log_weights(n, x, lo, hi)
 
     monkeypatch.setattr(akr, "log_weights", spy)
     fixed_point_error(64, 2, 101)
-    assert seen == [(64, 0.0), (64, 1.0)]
+    grid = np.linspace(0.0, 1.0, 101).tolist()
+    assert seen == [(64, x, *_kernels.support(64, x)) for x in grid]
 
 
 @given(

@@ -1,6 +1,6 @@
 import math
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -270,6 +270,13 @@ def test_decomposition_constant_vanishes():
     d = decomposition(const, 16, (0.4, 0.8))
     for field in (d.e_term, d.f_term, d.g_residual, d.total):
         assert abs(field) <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["exp-sum", "runge-2d"])
+def test_decomposition_fields_are_plain_floats(name):
+    d = decomposition(lookup(name).function, 64, (0.7, 0.3))
+    for field in fields(d):
+        assert type(getattr(d, field.name)) is float, field.name
 
 
 def test_decomposition_linear_in_x():

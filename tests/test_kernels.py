@@ -312,37 +312,6 @@ def test_log_weights_are_bit_identical_to_the_frozen_reference(n, x, cut):
     )
 
 
-_GRID_101 = np.linspace(0.0, 1.0, 101)[1:-1]
-
-
-@given(
-    st.one_of(
-        st.integers(min_value=1, max_value=4096), st.sampled_from([8193, 65536])
-    ),
-    st.lists(
-        st.one_of(
-            st.sampled_from([5e-324, 1.0 - 2.0**-53, 0.5, 1e-300]),
-            st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
-        ),
-        min_size=1,
-        max_size=8,
-    ),
-    st.booleans(),
-)
-@settings(max_examples=60, deadline=None)
-def test_batched_rows_equal_single_point_calls_bit_for_bit(n, points, grid):
-    # the series runs as long as the point with the largest v2 asks, and the
-    # end weights come from math as in the scalar call: no row may move a bit;
-    # the grid joins the points below n = 4096 only, to keep the rows small
-    xs = np.concatenate((points, _GRID_101 if grid and n <= 4096 else []))
-    rows = _kernels._log_weights_rows(n, xs)
-    assert rows.shape == (xs.size, n + 1)
-    for x, row in zip(xs.tolist(), rows):
-        np.testing.assert_array_equal(
-            row.view(np.int64), _kernels.log_weights(n, x).view(np.int64)
-        )
-
-
 @pytest.mark.parametrize(
     "n", [1, 2, 7, 64, 1499, 1500, 1501, 4096, 8192, 8193, 65536, 2**20]
 )

@@ -102,6 +102,16 @@ def test_tensor_akr_frozen_values():
     ) == pytest.approx(0.0625, abs=1e-14)
 
 
+@pytest.mark.parametrize(
+    "name, point",
+    [("e2", 0.3), ("exp-sum", (0.7, 0.3)), ("runge-2d", (0.7, 0.3))],
+    ids=["1-d", "separable", "double-sum"],
+)
+@pytest.mark.parametrize("j", [1, 2])
+def test_apply_returns_a_plain_float_on_every_path(name, point, j):
+    assert type(apply(lookup(name).function, 64, j, point)) is float
+
+
 def test_domain_errors():
     f = lookup("monomial(1,1)").function
     with pytest.raises(DomainError):
