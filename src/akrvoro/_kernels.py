@@ -274,6 +274,15 @@ def check_at_least(value, least, name):
     return value
 
 
+def _finite_nonnegative(value):
+    """Whether value is a finite number >= 0: False, not a TypeError, when
+    it is not a number, such as text, None or a list."""
+    try:
+        return math.isfinite(value) and value >= 0.0
+    except TypeError:
+        return False
+
+
 def _shown(value):
     """An int for a message, as a power of ten past 20 digits: str() refuses
     an int of more than 4300 digits."""
@@ -339,14 +348,17 @@ def check_point(point, arity=None):
     if isinstance(point, float) and arity in (None, 1):
         if 0.0 <= (x := float(point)) <= 1.0:
             return (x,)
+    # numbers only: float() would read a coordinate given as text
     try:
-        coords = tuple(map(float, (point,) if np.ndim(point) == 0 else point))
-    except (TypeError, ValueError):
-        coords = None
-    if coords is None or len(coords) not in ((arity,) if arity else ARITIES):
+        array = np.asarray(point)
+    except ValueError:  # a ragged sequence, refused as a non-number below
+        array = np.asarray(None)
+    sizes = (arity,) if arity else ARITIES
+    if array.dtype.kind not in "biuf" or array.ndim > 1 or array.size not in sizes:
         count = arity or " or ".join(map(str, ARITIES))
         msg = f"point must have {count} numeric coordinate(s), got {point!r}"
         raise DomainError(msg)
+    coords = tuple(map(float, array.ravel().tolist()))
     if not all(0.0 <= x <= 1.0 for x in coords):
         d = len(coords)
         cube = "[0, 1]" if d == 1 else f"[0, 1]^{d}"

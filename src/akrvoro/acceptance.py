@@ -11,7 +11,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._kernels import CACHE_BLOCK_ELEMENTS, check_integral, small_ufunc_buffer
+from ._kernels import (
+    CACHE_BLOCK_ELEMENTS, _finite_nonnegative, check_integral, small_ufunc_buffer,
+)
 from .akr import _fixed_point_errors, _remainder_formula, build_node_table, remainder
 from .asymptotics import (
     KINDS,
@@ -76,11 +78,11 @@ class LimitCheck:
 def check_limit(kind, f, point, tolerance, n0=64, doublings=7, j=2):
     """The one limit verdict: the ``residual_series`` of ``kind`` (same
     arguments), extrapolated and held against the kind's limit at order j
-    by ``relative_ok`` at ``tolerance``.  A tolerance that is negative or
-    not finite, and a schedule too short to extrapolate, are refused before
+    by ``relative_ok`` at ``tolerance``.  A tolerance that is not a finite
+    number >= 0, and a schedule too short to extrapolate, are refused before
     any operator runs."""
-    if not (math.isfinite(tolerance) and tolerance >= 0.0):
-        raise DomainError(f"tolerance must be finite and >= 0, got {tolerance}")
+    if not _finite_nonnegative(tolerance):
+        raise DomainError(f"tolerance must be finite and >= 0, got {tolerance!r}")
     _check_entries(check_integral(doublings, "doublings") + 1)
     series = residual_series(kind, f, point, n0=n0, doublings=doublings, j=j)
     result = extrapolate(series)
@@ -97,11 +99,11 @@ def criterion_1():
 
 
 def _remainder_sweep(last):
-    """(first, n, k, ratio, r, nodes) over the degrees 2..last in blocks of
+    """(first, n, k, drift, r, nodes) over the degrees 2..last in blocks of
     whole degrees: n the column of degrees first, first + 1, ..., k the row
-    0..max(n), and ratio, r and nodes the term k/n, the j = 2 remainder and
-    the j = 2 nodes at every cell, from the one formula call that
-    ``remainder`` makes: its root term is the node that
+    0..max(n), and drift, r and nodes the node drift k/n - t, the j = 2
+    remainder and the j = 2 nodes t at every cell, from the one formula
+    call that ``remainder`` makes: its root term is the node that
     ``build_node_table`` gives.  A block has at most CACHE_BLOCK_ELEMENTS
     cells; the cells with k > n, all in the columns after the first degree,
     are padding.  The blocks share buffers allocated once, so a block is
@@ -116,11 +118,11 @@ def _remainder_sweep(last):
         end = min(last + 1, first + max(1, rows))
         k, n = grid[:end], grid[first:end, None]
         cells = (end - first) * end
-        ratio, r, nodes, scratch = (
+        drift, r, nodes, scratch = (
             b[:cells].reshape(end - first, end) for b in buffers
         )
-        r = _remainder_formula(k, n, out=r, ratio=ratio, root=nodes, scratch=scratch)
-        yield first, n, k, ratio, r, nodes
+        r = _remainder_formula(k, n, out=r, drift=drift, root=nodes, scratch=scratch)
+        yield first, n, k, drift, r, nodes
         first = end
 
 
@@ -169,12 +171,11 @@ def criterion_2():
     # entered here, not in the generator, whose caller would run under the
     # small buffer between its yields
     with small_ufunc_buffer():
-        for first, n, k, ratio, r, nodes in _remainder_sweep(last):
+        for first, n, k, drift, r, nodes in _remainder_sweep(last):
             mismatched += _sweep_mismatches(first, r, nodes)
             r0[first - 2 : first - 2 + n.shape[0]] = r[:, 0]
             tail = k[first + 1 :] <= n
             min_r = min(min_r, _reduce_valid(np.minimum, r[:, 1:], tail))
-            drift = np.subtract(ratio, nodes, out=nodes)
             min_drift = min(min_drift, _reduce_valid(np.minimum, drift, tail))
             drift -= 1.0 / n
             max_excess = max(max_excess, _reduce_valid(np.maximum, drift, tail))

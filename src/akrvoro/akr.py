@@ -9,6 +9,8 @@ Bernstein operator is the order-1 case; the operators themselves live in
 the operator's first-order asymptotics.
 """
 
+import math
+
 import numpy as np
 
 from ._kernels import (
@@ -75,17 +77,16 @@ def build_node_table(n, j=2, lo=0, hi=None):
     return nodes
 
 
-def _remainder_formula(k, n, out=None, ratio=None, root=None, scratch=None):
+def _remainder_formula(k, n, out=None, drift=None, root=None, scratch=None):
     """The j = 2 node correction term elementwise over broadcast float
-    arrays k and n; ``remainder`` and criterion 2 both call it.  Its root
-    term is the j = 2 node of ``_node_formula``.  The criterion passes
-    ``out`` for the result, ``ratio`` and ``root`` to keep the terms k/n
-    and the node, and ``scratch`` for the last term, all of the broadcast
-    shape."""
-    ratio = np.divide(k, n, out=ratio)
-    root = _node_formula(k, n, 2, out=root)
-    r = np.subtract(ratio, root, out=out)
-    r -= 1.0 / (2.0 * n)
+    arrays k and n; ``remainder`` and criterion 2 both call it.  It forms
+    the node drift k/n - t first, t the j = 2 node of ``_node_formula``,
+    then R = drift - 1/(2n) + k/(2n^2).  The criterion passes ``out`` for
+    the result, ``drift`` and ``root`` to keep the drift and the node, and
+    ``scratch`` for the last term, all of the broadcast shape."""
+    drift = np.divide(k, n, out=drift)
+    drift -= _node_formula(k, n, 2, out=root)
+    r = np.subtract(drift, 1.0 / (2.0 * n), out=out)
     r += np.divide(k, 2.0 * n * n, out=scratch)
     return r
 
@@ -125,14 +126,13 @@ def _fixed_point_errors(n, orders, grid_size):
 
     At each point the weights are the ones every operator sums: the
     ``log_weights`` of the support window."""
-    ones = np.ones(n + 1)
     powers = [build_node_table(n, j) ** j for j in orders]
     worst = [0.0] * len(orders)
     for x in np.linspace(0.0, 1.0, grid_size).tolist():
         lo, hi = support(n, x)
         window = slice(lo, hi + 1)
         w = np.exp(log_weights(n, x, lo, hi))
-        one = abs(comp_dot(ones[window], w) - 1.0)
+        one = abs(math.fsum(w.tolist()) - 1.0)
         for i, j in enumerate(orders):
             error = abs(comp_dot(powers[i][window], w) - x**j)
             worst[i] = max(worst[i], one, error)

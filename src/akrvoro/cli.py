@@ -74,6 +74,22 @@ class _Integers(argparse.Action):
         setattr(namespace, self.dest, values)
 
 
+# Every flag that more than one subcommand takes, with its argparse options,
+# declared once; the last three every subcommand takes.
+_FLAGS = {
+    "--n": dict(action=_Integral, required=True),
+    "--j": dict(action=_Integral, default=2),
+    "--fn": dict(dest="fn_name", required=True),
+    "--point": dict(type=float, nargs="+", required=True),
+    "--n0": dict(action=_Integral, default=64),
+    "--doublings": dict(action=_Integral, default=7),
+    "--tolerance": dict(type=float, default=DEFAULT_TOLERANCE),
+    "--format": dict(choices=("csv", "json"), default="csv"),
+    "--out": dict(dest="output_path", default=None, metavar="PATH"),
+    "--dry-run": dict(action="store_true", help="echo the parsed configuration and exit"),
+}
+
+
 def build_parser():
     parser = _Parser(
         prog="akrvoro",
@@ -86,69 +102,33 @@ def build_parser():
     operators = [name for name, kind in KINDS.items() if kind.value is _operator_value]
     series = [name for name, kind in KINDS.items() if kind.uses_f]
 
-    def common(p, handler):
+    def command(name, handler, help, *flags):
+        """A subcommand with its flags in the order given, each a name of
+        _FLAGS or a (name, options) pair of its own, then the three that
+        every subcommand takes."""
+        p = sub.add_parser(name, help=help)
         p.set_defaults(handler=handler)
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--out", dest="output_path", default=None, metavar="PATH")
-        p.add_argument(
-            "--dry-run",
-            action="store_true",
-            help="echo the parsed configuration and exit",
-        )
+        for flag in (*flags, "--format", "--out", "--dry-run"):
+            flag, options = (flag, _FLAGS[flag]) if isinstance(flag, str) else flag
+            p.add_argument(flag, **options)
 
-    p = sub.add_parser("nodes", help="emit the sampling-node table for (n, j)")
-    p.add_argument("--n", action=_Integral, required=True)
-    p.add_argument("--j", action=_Integral, default=2)
-    common(p, _cmd_nodes)
-
-    p = sub.add_parser("eval", help="evaluate one operator value")
-    p.add_argument("--kind", choices=operators, required=True)
-    p.add_argument("--fn", dest="fn_name", required=True)
-    p.add_argument("--n", action=_Integral, required=True)
-    p.add_argument("--j", action=_Integral, default=2)
-    p.add_argument("--point", type=float, nargs="+", required=True)
-    common(p, _cmd_eval)
-
-    p = sub.add_parser(
-        "residual", help="scaled residual series plus extrapolated limit"
-    )
-    p.add_argument("--kind", choices=series, required=True)
-    p.add_argument("--fn", dest="fn_name", required=True)
-    p.add_argument("--point", type=float, nargs="+", required=True)
-    p.add_argument("--n0", action=_Integral, default=64)
-    p.add_argument("--doublings", action=_Integral, default=7)
-    p.add_argument("--j", action=_Integral, default=2)
-    p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
-    common(p, _cmd_residual)
-
-    p = sub.add_parser(
-        "lemma", help="scaled remainder-sum series and vanishing-limit verdict"
-    )
-    p.add_argument("--x", type=float, required=True)
-    p.add_argument("--n0", action=_Integral, default=64)
-    p.add_argument("--doublings", action=_Integral, default=7)
-    p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
-    common(p, _cmd_lemma)
-
-    p = sub.add_parser(
-        "decompose", help="drift decomposition rows over a doubling schedule"
-    )
-    p.add_argument("--fn", dest="fn_name", required=True)
-    p.add_argument("--point", type=float, nargs="+", required=True)
-    p.add_argument("--n0", action=_Integral, default=64)
-    p.add_argument("--doublings", action=_Integral, default=4)
-    common(p, _cmd_decompose)
-
-    p = sub.add_parser("verify", help="run the acceptance criteria")
-    p.add_argument(
-        "--criteria",
-        action=_Integers,
-        default=None,
-        metavar="LIST",
-        help="comma-separated criterion numbers (default: all)",
-    )
-    common(p, _cmd_verify)
-
+    command("nodes", _cmd_nodes, "emit the sampling-node table for (n, j)",
+            "--n", "--j")
+    command("eval", _cmd_eval, "evaluate one operator value",
+            ("--kind", dict(choices=operators, required=True)),
+            "--fn", "--n", "--j", "--point")
+    command("residual", _cmd_residual, "scaled residual series plus extrapolated limit",
+            ("--kind", dict(choices=series, required=True)),
+            "--fn", "--point", "--n0", "--doublings", "--j", "--tolerance")
+    command("lemma", _cmd_lemma,
+            "scaled remainder-sum series and vanishing-limit verdict",
+            ("--x", dict(type=float, required=True)), "--n0", "--doublings", "--tolerance")
+    command("decompose", _cmd_decompose,
+            "drift decomposition rows over a doubling schedule",
+            "--fn", "--point", "--n0", ("--doublings", dict(action=_Integral, default=4)))
+    command("verify", _cmd_verify, "run the acceptance criteria",
+            ("--criteria", dict(action=_Integers, default=None, metavar="LIST",
+                                help="comma-separated criterion numbers (default: all)")))
     return parser
 
 
@@ -195,10 +175,17 @@ def _cmd_eval(args):
     return [{"n": args.n, "value": value}], {"value": value}, 0
 
 
-def _verdict(check, summary):
-    """The series rows, ``summary`` closed by the check's target and
-    verdict, and the exit code: 0 on PASS, 1 on FAIL."""
-    summary.update(target=check.target, verdict="PASS" if check.passed else "FAIL")
+def _verdict(check, **fields):
+    """The series rows, the summary and the exit code, 0 on PASS and 1 on
+    FAIL.  The summary is the limit and rate estimates, the command's own
+    ``fields``, then the check's target and verdict."""
+    summary = {
+        "limit_estimate": check.result.limit_estimate,
+        "rate_estimate": check.result.rate_estimate,
+        **fields,
+        "target": check.target,
+        "verdict": "PASS" if check.passed else "FAIL",
+    }
     return _series_rows(check.series), summary, 0 if check.passed else 1
 
 
@@ -213,25 +200,18 @@ def _cmd_residual(args):
         doublings=args.doublings,
         j=args.j,
     )
-    summary = {
-        "limit_estimate": check.result.limit_estimate,
-        "rate_estimate": check.result.rate_estimate,
-        "residual_tail": check.result.residual_tail,
-        "monotone_tail": check.result.monotone_tail,
-    }
-    return _verdict(check, summary)
+    return _verdict(
+        check,
+        residual_tail=check.result.residual_tail,
+        monotone_tail=check.result.monotone_tail,
+    )
 
 
 def _cmd_lemma(args):
     check = check_limit(
         "lemma-sum", None, args.x, args.tolerance, n0=args.n0, doublings=args.doublings
     )
-    summary = {
-        "limit_estimate": check.result.limit_estimate,
-        "rate_estimate": check.result.rate_estimate,
-        "min_value": float(check.series.values.min()),
-    }
-    return _verdict(check, summary)
+    return _verdict(check, min_value=float(check.series.values.min()))
 
 
 def _cmd_decompose(args):

@@ -18,11 +18,12 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from ._kernels import (
-    CACHE_BLOCK_ELEMENTS, bilinear_accumulate, check_degree, check_order, check_point,
-    comp_dot, log_weights, small_ufunc_buffer, support,
+    CACHE_BLOCK_ELEMENTS, _finite_nonnegative, bilinear_accumulate, check_degree,
+    check_order, check_point, comp_dot, log_weights, small_ufunc_buffer, support,
 )
 from .akr import build_node_table
 from .basis import eval_on
+from .errors import DomainError
 
 __all__ = [
     "SupBounds",
@@ -40,9 +41,17 @@ _BLOCK_ELEMENTS = 1 << 22
 @dataclass(frozen=True)
 class SupBounds:
     """Sup norms of the second partials on [0, 1]^d: ``hess[i][l]`` is
-    sup|f_il|, a symmetric d x d table indexed like ``Function.hess``."""
+    sup|f_il|, a symmetric d x d table indexed like ``Function.hess``.  An
+    entry that is not a finite number >= 0 is a DomainError."""
 
     hess: Tuple[Tuple[float, ...], ...]
+
+    def __post_init__(self):
+        # a nan or inf bound passes every |G| <= bound check and a negative
+        # one fails it; the table's shape is checked against a point's
+        bad = [b for row in self.hess for b in row if not _finite_nonnegative(b)]
+        if bad:
+            raise DomainError(f"sup bounds must be finite and >= 0, got {bad[0]!r}")
 
     def taylor_constant(self):
         """C = sum_il hess[i][l], the constant in the first-order remainder

@@ -47,10 +47,10 @@ def _assert_same_bits(a, b):
 
 def test_sweep_rows_equal_the_public_functions_bit_for_bit():
     degrees = []
-    for first, n, k, ratio, r, nodes in acceptance._remainder_sweep(4096):
+    for first, n, k, drift, r, nodes in acceptance._remainder_sweep(4096):
         rows = n.shape[0]
-        assert ratio.shape == r.shape == nodes.shape == (rows, k.shape[0])
-        _assert_same_bits(ratio, k / n)
+        assert drift.shape == r.shape == nodes.shape == (rows, k.shape[0])
+        _assert_same_bits(drift, k / n - nodes)
         assert rows == 1 or r.size <= CACHE_BLOCK_ELEMENTS
         for degree in range(first, first + rows):
             cells = slice(0, degree + 1)
@@ -180,7 +180,7 @@ def test_every_limit_verdict_goes_through_relative_ok(monkeypatch, capsys):
         assert "# verdict=FAIL\n" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("tolerance", [-1.0, math.nan, math.inf])
+@pytest.mark.parametrize("tolerance", [-1.0, math.nan, math.inf, "0.1", None, [0.1]])
 def test_check_limit_refuses_a_bad_tolerance_before_the_series_runs(
     tolerance, monkeypatch
 ):

@@ -372,6 +372,14 @@ def test_decomposition_refuses_sup_bounds_not_of_the_square(hess):
         decomposition(f, 64, (0.5, 0.5))
 
 
+@pytest.mark.parametrize("bound", [math.nan, math.inf, -1.0, "1.0", None])
+def test_sup_bounds_refuse_an_entry_not_a_finite_number_at_least_zero(bound):
+    # a nan or inf bound would make decomposition's g_bound nan or inf, which
+    # criterion 7's test abs(G) > g_bound never fails
+    with pytest.raises(DomainError, match="sup bounds must be finite and >= 0"):
+        SupBounds(((bound, 1.0), (1.0, 1.0)))
+
+
 def test_second_partials_not_of_the_square_are_a_domain_error():
     ev = lambda s, t: np.exp(s + t)
     for hess in (((ev, ev), (ev,)), ((ev,) * 3,) * 3):

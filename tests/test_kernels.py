@@ -680,11 +680,11 @@ def test_criterion_2_sweeps_under_the_small_buffer(monkeypatch):
 
 
 def _kept_sweep_blocks():
-    """Copies of (ratio, r, nodes) of the first block of criterion 2's sweep,
+    """Copies of (drift, r, nodes) of the first block of criterion 2's sweep,
     the block that holds degree 2048 and the last block."""
     kept = {}
-    for first, n, k, ratio, r, nodes in acceptance._remainder_sweep(4096):
-        block = tuple(a.copy() for a in (ratio, r, nodes))
+    for first, n, k, drift, r, nodes in acceptance._remainder_sweep(4096):
+        block = tuple(a.copy() for a in (drift, r, nodes))
         if first == 2 or first <= 2048 < first + n.shape[0]:
             kept[first] = block
         kept["last"] = block

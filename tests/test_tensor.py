@@ -56,6 +56,13 @@ def test_coords_takes_the_arity_from_the_point():
         ("x", 1),
         (None, 1),
         ([0.5, [0.1, 0.2]], 1),
+        # text is not a number, even text that float() would read
+        ("0.4", None),
+        (b"0.4", 1),
+        (("0.3",), 1),
+        ((0.3, "0.7"), 2),
+        (np.array(["0.3"]), 1),
+        (np.array("0.3"), None),
     ],
 )
 def test_coords_refuses_a_point_of_the_wrong_shape_or_range(point, arity):
