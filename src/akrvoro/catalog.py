@@ -2,7 +2,8 @@
 
 Names accepted by ``lookup``: const1, e1, e2, e3, monomial(p,q), exp-sum,
 sinpix-cospiy, runge-2d.  The monomial entry is parametric: monomial(2,3)
-is s^2 t^3.  All callables broadcast over numpy arrays.
+is s^2 t^3, its exponents written in ASCII digits.  All callables
+broadcast over numpy arrays.
 """
 
 import re
@@ -17,7 +18,7 @@ __all__ = ["CatalogEntry", "lookup", "catalog_names"]
 
 _NAME_PATTERN = ("const1", "e1", "e2", "e3", "monomial(p,q)", "exp-sum",
                  "sinpix-cospiy", "runge-2d")
-_MONOMIAL_RE = re.compile(r"^monomial\((\d+),\s*(\d+)\)$")
+_MONOMIAL_RE = re.compile(r"monomial\((\d+),\s*(\d+)\)", re.ASCII)
 
 # monomial(p,q) has the sup bounds p(p - 1), pq and q(q - 1), all at most
 # max(p, q)^2, and monomial(p,p) has p^2 itself: they are finite doubles for
@@ -38,37 +39,41 @@ class CatalogEntry:
         return self.function.factors is not None
 
 
+def _float(t):
+    return np.asarray(t, dtype=np.float64)
+
+
+def _one_d(value, first, second):
+    """A Function of one coordinate from its value and its first and second
+    derivatives, each a map of float arrays.  The coordinate is read as a
+    float array, and a call with two coordinates raises."""
+    on_floats = lambda fn: lambda t: fn(_float(t))
+    return Function(eval=on_floats(value), grad=(on_floats(first),),
+                    hess=((on_floats(second),),))
+
+
+def _scaled(c, fn):
+    """t -> c fn(t), exactly 0 where c = 0: a monomial's fn may then be
+    t^-1 or t^-2, infinite at t = 0."""
+    return (lambda t: c * fn(t)) if c else np.zeros_like
+
+
 def _monomial_1d(p):
-    # p is closed over, not a keyword default: a call with two coordinates
-    # must raise, not read the second one as the exponent
-    def ev(t):
-        return np.asarray(t, dtype=np.float64) ** p
-
-    def d1(t):
-        t = np.asarray(t, dtype=np.float64)
-        return p * t ** (p - 1) if p >= 1 else np.zeros_like(t)
-
-    def d2(t):
-        t = np.asarray(t, dtype=np.float64)
-        if p < 2:
-            return np.zeros_like(t)
-        return p * (p - 1) * t ** (p - 2)
-
-    return Function(eval=ev, grad=(d1,), hess=((d2,),))
+    # the derivatives of t^p are p t^(p - 1) and p (p - 1) t^(p - 2)
+    power = lambda q: lambda t: t ** q
+    return _one_d(power(p), _scaled(p, power(p - 1)), _scaled(p * (p - 1), power(p - 2)))
 
 
 def _product(g, h, sup_bounds):
-    """f(s,t) = g(s) h(t) with its partials from those of g and h."""
-    (g1,), ((g2,),) = g.grad, g.hess
-    (h1,), ((h2,),) = h.grad, h.hess
-    fxy = lambda s, t: g1(s) * h1(t)
+    """f(s,t) = g(s) h(t): its partial of order a in s and b in t is
+    g^(a)(s) h^(b)(t)."""
+    dg, dh = ((f.eval, *f.grad, *f.hess[0]) for f in (g, h))
+    part = lambda a, b: lambda s, t: dg[a](s) * dh[b](t)
+    fxy = part(1, 1)
     return Function(
-        eval=lambda s, t: g.eval(s) * h.eval(t),
-        grad=(lambda s, t: g1(s) * h.eval(t), lambda s, t: g.eval(s) * h1(t)),
-        hess=(
-            (lambda s, t: g2(s) * h.eval(t), fxy),
-            (fxy, lambda s, t: g.eval(s) * h2(t)),
-        ),
+        eval=part(0, 0),
+        grad=(part(1, 0), part(0, 1)),
+        hess=((part(2, 0), fxy), (fxy, part(0, 2))),
         sup_bounds=sup_bounds,
         factors=(g, h),
     )
@@ -83,33 +88,24 @@ def _monomial_2d(p, q):
     )
 
 
-def _exp_1d():
-    return Function(eval=np.exp, grad=(np.exp,), hess=((np.exp,),))
-
-
 def _exp_sum():
     e2 = float(np.exp(2.0))  # sup of every second partial, attained at (1,1)
     # exp(s + t), not exp(s) exp(t): the product rounds differently
-    ev = lambda s, t: np.exp(np.asarray(s, dtype=np.float64) + t)
+    ev = lambda s, t: np.exp(_float(s) + t)
+    exp = _one_d(np.exp, np.exp, np.exp)
     return Function(
         eval=ev, grad=(ev, ev), hess=((ev, ev), (ev, ev)),
         sup_bounds=SupBounds(((e2, e2), (e2, e2))),
-        factors=(_exp_1d(), _exp_1d()),
+        factors=(exp, exp),
     )
 
 
 def _sinpix_cospiy():
     pi = np.pi
-    sin_part = Function(
-        eval=lambda t: np.sin(pi * np.asarray(t, dtype=np.float64)),
-        grad=(lambda t: pi * np.cos(pi * np.asarray(t, dtype=np.float64)),),
-        hess=((lambda t: -(pi**2) * np.sin(pi * np.asarray(t, dtype=np.float64)),),),
-    )
-    cos_part = Function(
-        eval=lambda t: np.cos(pi * np.asarray(t, dtype=np.float64)),
-        grad=(lambda t: -pi * np.sin(pi * np.asarray(t, dtype=np.float64)),),
-        hess=((lambda t: -(pi**2) * np.cos(pi * np.asarray(t, dtype=np.float64)),),),
-    )
+    at_pi = lambda fn: lambda t: fn(pi * t)
+    sin, cos = at_pi(np.sin), at_pi(np.cos)
+    sin_part = _one_d(sin, _scaled(pi, cos), _scaled(-(pi**2), sin))
+    cos_part = _one_d(cos, _scaled(-pi, sin), _scaled(-(pi**2), cos))
     p2 = float(pi**2)
     return _product(sin_part, cos_part, SupBounds(((p2, p2), (p2, p2))))
 
@@ -117,22 +113,22 @@ def _sinpix_cospiy():
 def _runge_2d():
     # 1 / (1 + 25 (s-1/2)^2 + 25 (t-1/2)^2); not separable.
     def denom(s, t):
-        a = np.asarray(s, dtype=np.float64) - 0.5
-        b = np.asarray(t, dtype=np.float64) - 0.5
+        a = _float(s) - 0.5
+        b = _float(t) - 0.5
         return 1.0 + 25.0 * a * a + 25.0 * b * b
 
     def ev(s, t):
         return 1.0 / denom(s, t)
 
     def fx(s, t):
-        a = np.asarray(s, dtype=np.float64) - 0.5
+        a = _float(s) - 0.5
         return -50.0 * a / denom(s, t) ** 2
 
     def fy(s, t):
         return fx(t, s)
 
     def fxx(s, t):
-        a = np.asarray(s, dtype=np.float64) - 0.5
+        a = _float(s) - 0.5
         D = denom(s, t)
         return -50.0 / D**2 + 5000.0 * a * a / D**3
 
@@ -140,8 +136,8 @@ def _runge_2d():
         return fxx(t, s)
 
     def fxy(s, t):
-        a = np.asarray(s, dtype=np.float64) - 0.5
-        b = np.asarray(t, dtype=np.float64) - 0.5
+        a = _float(s) - 0.5
+        b = _float(t) - 0.5
         return 5000.0 * a * b / denom(s, t) ** 3
 
     # |fxx| peaks at 50 (center); |fxy| peaks at 5000 c / (1+50c)^3 with
@@ -152,14 +148,15 @@ def _runge_2d():
     )
 
 
+# each fixed name's builder; an entry's arity is its function's
 _FIXED_ENTRIES = {
-    "const1": lambda: CatalogEntry("const1", 1, _monomial_1d(0)),
-    "e1": lambda: CatalogEntry("e1", 1, _monomial_1d(1)),
-    "e2": lambda: CatalogEntry("e2", 1, _monomial_1d(2)),
-    "e3": lambda: CatalogEntry("e3", 1, _monomial_1d(3)),
-    "exp-sum": lambda: CatalogEntry("exp-sum", 2, _exp_sum()),
-    "sinpix-cospiy": lambda: CatalogEntry("sinpix-cospiy", 2, _sinpix_cospiy()),
-    "runge-2d": lambda: CatalogEntry("runge-2d", 2, _runge_2d()),
+    "const1": lambda: _monomial_1d(0),
+    "e1": lambda: _monomial_1d(1),
+    "e2": lambda: _monomial_1d(2),
+    "e3": lambda: _monomial_1d(3),
+    "exp-sum": _exp_sum,
+    "sinpix-cospiy": _sinpix_cospiy,
+    "runge-2d": _runge_2d,
 }
 
 
@@ -191,9 +188,10 @@ def lookup(name):
     """Resolve a documented name to a fully populated entry.  A monomial
     exponent whose square is not a finite double is a DomainError."""
     if name in _FIXED_ENTRIES:
-        return _FIXED_ENTRIES[name]()
-    m = _MONOMIAL_RE.match(name)
-    if m:
+        f = _FIXED_ENTRIES[name]()
+    elif m := _MONOMIAL_RE.fullmatch(name):
         p, q = (_exponent(digits, axis) for digits, axis in zip(m.groups(), "pq"))
-        return CatalogEntry(f"monomial({p},{q})", 2, _monomial_2d(p, q))
-    raise UnknownFunctionError(name, _NAME_PATTERN)
+        name, f = f"monomial({p},{q})", _monomial_2d(p, q)
+    else:
+        raise UnknownFunctionError(name, _NAME_PATTERN)
+    return CatalogEntry(name, len(f.grad), f)

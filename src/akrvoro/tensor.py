@@ -42,7 +42,8 @@ _BLOCK_ELEMENTS = 1 << 22
 class SupBounds:
     """Sup norms of the second partials on [0, 1]^d: ``hess[i][l]`` is
     sup|f_il|, a symmetric d x d table indexed like ``Function.hess``.  An
-    entry that is not a finite number >= 0 is a DomainError."""
+    entry that is not a finite number >= 0, or that differs from its
+    mirror entry, is a DomainError."""
 
     hess: Tuple[Tuple[float, ...], ...]
 
@@ -52,6 +53,15 @@ class SupBounds:
         bad = [b for row in self.hess for b in row if not _finite_nonnegative(b)]
         if bad:
             raise DomainError(f"sup bounds must be finite and >= 0, got {bad[0]!r}")
+        # taylor_constant reads the upper triangle only
+        h = self.hess
+        for i, row in enumerate(h):
+            for l in range(i + 1, min(len(row), len(h))):
+                if i < len(h[l]) and row[l] != h[l][i]:
+                    raise DomainError(
+                        f"sup bounds must be symmetric, got hess[{i}][{l}] = "
+                        f"{row[l]!r} and hess[{l}][{i}] = {h[l][i]!r}"
+                    )
 
     def taylor_constant(self):
         """C = sum_il hess[i][l], the constant in the first-order remainder
@@ -144,7 +154,13 @@ def _window_apply(f, nodes, windows):
     """Operator of f on one node array shared by every axis, summed over the
     per-axis windows returned by ``_axis_windows``: a compensated dot on
     [0, 1]; on the square the product of the factors' sums when f declares
-    them, else the blocked double sum."""
+    them, else the blocked double sum.  Declared factors not one per axis
+    are a DomainError."""
+    if f.factors is not None and len(f.factors) != len(windows):
+        raise DomainError(
+            "factors must be one per coordinate: f declares "
+            f"{len(f.factors)} for a point of {len(windows)}"
+        )
     if len(windows) == 1:
         ((s, w),) = windows
         return comp_dot(eval_on(f.eval, nodes[s]), w)

@@ -27,7 +27,9 @@ def test_unknown_name_lists_valid_names():
     with pytest.raises(UnknownFunctionError) as err:
         lookup("not-a-function")
     assert "runge-2d" in str(err.value)
-    for bad in ("monomial(2)", "monomial(a,b)", "monomial(-1,2)"):
+    # the exponents are ASCII digits and the rule reads the whole name
+    for bad in ("monomial(2)", "monomial(a,b)", "monomial(-1,2)", "monomial(2,3)\n",
+                "monomial(\u0662,3)", "monomial(\uff12,3)"):
         with pytest.raises(UnknownFunctionError):
             lookup(bad)
 
@@ -106,6 +108,17 @@ def test_taylor_constant_sums_the_whole_table_in_the_square_order():
     assert SupBounds(((1.0, tiny), (tiny, 2.0 * tiny))).taylor_constant() == 1.0
     cube = ((1.0, 2.0, 3.0), (2.0, 4.0, 5.0), (3.0, 5.0, 6.0))
     assert SupBounds(cube).taylor_constant() == sum(map(sum, cube)) == 31.0
+
+
+def test_sup_bounds_refuse_an_asymmetric_table():
+    # taylor_constant reads the upper triangle: this table gave C = 100
+    # where its symmetric twin gives 130
+    with pytest.raises(DomainError, match=r"symmetric, got hess\[0\]\[1\] = 0.0 "
+                       r"and hess\[1\]\[0\] = 15.0"):
+        SupBounds(((50.0, 0.0), (15.0, 50.0)))
+    cube = ((1.0, 2.0, 3.0), (2.0, 4.0, 5.0), (3.0, 5.5, 6.0))
+    with pytest.raises(DomainError, match=r"hess\[1\]\[2\] = 5.0"):
+        SupBounds(cube)
 
 
 @pytest.mark.parametrize(

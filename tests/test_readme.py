@@ -1,5 +1,6 @@
 """The README's quick start runs, and its commented values hold; each
-command of its CLI block runs and exits 0."""
+command of its CLI block runs and exits 0; its catalog names are the
+catalog's."""
 
 import math
 import re
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from akrvoro import catalog_names, lookup
 from akrvoro.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -50,3 +52,11 @@ def test_cli_block_lists_every_subcommand():
 def test_cli_block_commands_exit_0(argv, capsys):
     assert main(argv) == 0
     assert capsys.readouterr().out
+
+
+def test_catalog_names_sentence_is_the_catalog():
+    sentence = re.search(r"Catalog names: (.*?)\.\s", README.read_text(), re.S).group(1)
+    names = tuple(re.findall(r"`([^`]+)`", sentence))
+    assert names == catalog_names()
+    for name in names:
+        lookup(name.replace("monomial(p,q)", "monomial(2,3)"))

@@ -154,6 +154,18 @@ def test_separable_fast_path_is_the_1d_product():
     assert got == apply(g, 16, 1, 0.3) * apply(h, 16, 1, 0.8)
 
 
+@pytest.mark.parametrize("count", [1, 3])
+def test_factors_not_one_per_axis_are_a_domain_error(count):
+    # zipped with the axes' windows, one factor dropped the second axis
+    # (2.0123 against 2.7056 here) and a third was cut off
+    f = lookup("exp-sum").function
+    wrong = replace(f, factors=(f.factors * 2)[:count])
+    with pytest.raises(DomainError, match=f"f declares {count} for a point of 2"):
+        apply(wrong, 64, 2, (0.7, 0.3))
+    with pytest.raises(DomainError, match="f declares 2 for a point of 1"):
+        apply(f, 64, 2, 0.7)
+
+
 @pytest.mark.parametrize("n", [1, 2, 16, 128, 1024])
 def test_partition_of_unity_on_square(n):
     const = replace(lookup("monomial(0,0)").function, factors=None)
