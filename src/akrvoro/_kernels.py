@@ -215,6 +215,12 @@ MAX_DEGREE = 2**20
 # Xeon VM), where j = MAX_DEGREE would take hours.
 MAX_ORDER = 2**10
 
+# Largest grid ``fixed_point_error`` accepts, by the same rule: 16 times the
+# 101 points of criterion 1, the largest grid a test or criterion uses.  Each
+# point costs one weight vector, and the grid is built before the first, so
+# an unchecked size of 10^9 would ask for 8 GB.
+MAX_GRID = 16 * 101
+
 
 # Doubles per array in a hot loop's working block: the 2-d evaluation tiles
 # and the degree blocks of criterion 2.  The sweep's four buffers (256 KiB
@@ -265,12 +271,15 @@ def check_integral(value, name):
     raise DomainError(f"{name} must be integral, got {value!r}")
 
 
-def check_at_least(value, least, name):
+def check_at_least(value, least, name, most=None):
     """value as an int, refused with DomainError naming ``name`` unless it
-    is integral and at least ``least``."""
+    is integral, at least ``least`` and, when ``most`` is given, at most
+    ``most``."""
     value = check_integral(value, name)
     if value < least:
         raise DomainError(f"{name} must be >= {least}, got {_shown(value)}")
+    if most is not None and value > most:
+        raise DomainError(f"{name} must be <= {most}, got {_shown(value)}")
     return value
 
 
@@ -293,10 +302,7 @@ def _shown(value):
 
 def check_degree(n, least=1):
     """n as an int, refused with DomainError unless least <= n <= MAX_DEGREE."""
-    n = check_at_least(n, least, "degree")
-    if n > MAX_DEGREE:
-        raise DomainError(f"degree must be <= {MAX_DEGREE}, got {_shown(n)}")
-    return n
+    return check_at_least(n, least, "degree", MAX_DEGREE)
 
 
 def check_schedule(n0, doublings, least=2):
@@ -317,10 +323,7 @@ def check_schedule(n0, doublings, least=2):
 def check_order(j):
     """The order j as an int, refused with DomainError unless 1 <= j <=
     MAX_ORDER: order 1 is the Bernstein operator."""
-    j = check_at_least(j, 1, "order j")
-    if j > MAX_ORDER:
-        raise DomainError(f"order j must be <= {MAX_ORDER}, got {_shown(j)}")
-    return j
+    return check_at_least(j, 1, "order j", MAX_ORDER)
 
 
 def check_index(k, n, name="index"):

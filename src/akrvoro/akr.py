@@ -14,7 +14,8 @@ import math
 import numpy as np
 
 from ._kernels import (
-    check_at_least, check_degree, check_index, check_order, comp_dot, log_weights, support,
+    MAX_GRID, check_at_least, check_degree, check_index, check_order, comp_dot, log_weights,
+    support,
 )
 from .errors import DomainError
 
@@ -112,11 +113,12 @@ def remainder(n, k):
 def fixed_point_error(n, j, grid_size):
     """Worst grid error in reproducing the two fixed points.
 
-    Returns max over a uniform grid of |B(1) - 1| and |B(t^j) - x^j|.
+    Returns max over a uniform grid of |B(1) - 1| and |B(t^j) - x^j|.  The
+    grid has 2 to MAX_GRID points.
     """
     j = check_order(j)
     n = check_degree(n, j)
-    grid_size = check_at_least(grid_size, 2, "grid size")
+    grid_size = check_at_least(grid_size, 2, "grid size", MAX_GRID)
     return _fixed_point_errors(n, (j,), grid_size)[0]
 
 

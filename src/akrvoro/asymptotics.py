@@ -20,7 +20,7 @@ from ._kernels import (
 )
 from .akr import build_node_table, remainder
 from .errors import CapabilityError, DomainError
-from .tensor import Function, _apply, _axis_windows, _window_apply
+from .tensor import Function, _apply, _axis_windows, _check_arity, _window_apply
 
 __all__ = [
     "SERIES_KINDS",
@@ -46,7 +46,8 @@ __all__ = [
 @dataclass(frozen=True)
 class ConvergenceSeries:
     """Scaled residual values along a strictly doubling degree schedule, at
-    the point with coordinates ``point``."""
+    the point with coordinates ``point``.  Each degree is held to
+    ``check_degree``."""
 
     entries: Tuple[Tuple[int, float], ...]
     operator_kind: str
@@ -55,7 +56,7 @@ class ConvergenceSeries:
     def __post_init__(self):
         if len(self.entries) < 1:
             raise DomainError("series must contain at least one entry")
-        ns = [n for n, _ in self.entries]
+        ns = [check_degree(n) for n, _ in self.entries]
         for prev, cur in zip(ns, ns[1:]):
             if cur != 2 * prev:
                 raise DomainError(f"degrees must double: {prev} -> {cur}")
@@ -121,30 +122,15 @@ def lemma_sum(n, x):
     return n * comp_dot(w, remainder(n, np.arange(lo, hi + 1)))
 
 
-def _check_shape(table, d, order, what, needed_by):
-    """Refuse with DomainError a table of ``what`` that is not indexed like
-    ``Function.grad`` (order 1: d entries) or ``Function.hess`` (order 2: d
-    rows of d) at a point of d coordinates."""
-    rows = tuple(len(row) for row in table) if order == 2 else ()
-    if len(table) != d or any(r != d for r in rows):
-        want = f"in {d} rows of {d}" if order == 2 else "in each"
-        got = f"{len(table)} rows of lengths {rows}" if order == 2 else len(table)
-        raise DomainError(
-            f"{needed_by} at a point of {d} coordinates needs {what} {want}; "
-            f"f has them in {got}"
-        )
-
-
 def _partials(f, d, order, needed_by="the limit"):
     """The exact pure partials of f of this order on [0, 1]^d, one callable
-    per axis: ``grad[i]``, or the diagonal ``hess[i][i]``.  A DomainError
-    when f's partials are not indexed by d coordinates."""
+    per axis: ``grad[i]``, or the diagonal ``hess[i][i]``.  An f of another
+    arity than d is a DomainError."""
+    _check_arity(f, d)
     table = f.grad if order == 1 else f.hess
-    kind = "first" if order == 1 else "second"
-    if table is not None:
-        _check_shape(table, d, order, f"{kind} partials", needed_by)
-        fns = [table[i] if order == 1 else table[i][i] for i in range(d)]
-    if table is None or any(fn is None for fn in fns):
+    fns = [g if order == 1 else g[i] for i, g in enumerate(table or ())]
+    if not fns or any(fn is None for fn in fns):
+        kind = "first" if order == 1 else "second"
         raise CapabilityError(f"{needed_by} requires exact {kind} partials")
     return fns
 
@@ -218,8 +204,7 @@ def decomposition(f, n, p):
     partials.
 
     g_bound is the Taylor bound C/(2n) on |g_residual| plus a rounding
-    allowance, or None when f declares no sup bounds; those must be a 2 x
-    2 table.
+    allowance, or None when f declares no sup bounds.
 
     Taylor part.  G is n sum_kl w_k w_l (f(s) - f(u) - sum_i f_i(u)(s_i -
     u_i)) at the modified nodes s and the uniform ones u, and
@@ -246,8 +231,6 @@ def decomposition(f, n, p):
     n = check_degree(n, 2)
     coords = check_point(p, 2)
     grads = _partials(f, 2, 1, "decomposition")
-    if f.sup_bounds is not None:
-        _check_shape(f.sup_bounds.hess, 2, 2, "sup bounds", "decomposition")
     lo, hi, windows = _axis_windows(n, coords)
     uniform = build_node_table(n, 1, lo, hi)
     nodes = build_node_table(n, 2, lo, hi)

@@ -18,7 +18,8 @@ __all__ = ["CatalogEntry", "lookup", "catalog_names"]
 
 _NAME_PATTERN = ("const1", "e1", "e2", "e3", "monomial(p,q)", "exp-sum",
                  "sinpix-cospiy", "runge-2d")
-_MONOMIAL_RE = re.compile(r"monomial\((\d+),\s*(\d+)\)", re.ASCII)
+# ASCII digits, and only ASCII spaces after the comma
+_MONOMIAL_RE = re.compile(r"monomial\((\d+), *(\d+)\)", re.ASCII)
 
 # monomial(p,q) has the sup bounds p(p - 1), pq and q(q - 1), all at most
 # max(p, q)^2, and monomial(p,p) has p^2 itself: they are finite doubles for
@@ -31,8 +32,11 @@ _EXPONENT_DIGITS = len(str(2**512))
 @dataclass(frozen=True)
 class CatalogEntry:
     name: str
-    arity: int
     function: Function
+
+    @property
+    def arity(self):
+        return self.function.arity
 
     @property
     def separable(self):
@@ -194,4 +198,4 @@ def lookup(name):
         name, f = f"monomial({p},{q})", _monomial_2d(p, q)
     else:
         raise UnknownFunctionError(name, _NAME_PATTERN)
-    return CatalogEntry(name, len(f.grad), f)
+    return CatalogEntry(name, f)

@@ -141,16 +141,6 @@ def _config(args):
 # --------------------------------------------------------------------------
 
 
-def _entry_for(args, arity):
-    entry = lookup(args.fn_name)
-    if entry.arity != arity:
-        raise DomainError(
-            f"function {entry.name!r} has arity {entry.arity}, "
-            f"but this command needs arity {arity}"
-        )
-    return entry
-
-
 def _series_rows(series):
     values = series.values
     diffs = [None] + [float(b - a) for a, b in zip(values, values[1:])]
@@ -168,10 +158,10 @@ def _cmd_nodes(args):
 
 def _cmd_eval(args):
     kind = KINDS[args.kind]
-    entry = _entry_for(args, kind.arity)
+    f = lookup(args.fn_name).function
     check_order(args.j)
     coords = check_point(args.point, kind.arity)
-    value = apply(entry.function, args.n, kind.order or args.j, coords)
+    value = apply(f, args.n, kind.order or args.j, coords)
     return [{"n": args.n, "value": value}], {"value": value}, 0
 
 
@@ -190,10 +180,9 @@ def _verdict(check, **fields):
 
 
 def _cmd_residual(args):
-    entry = _entry_for(args, KINDS[args.kind].arity)
     check = check_limit(
         args.kind,
-        entry.function,
+        lookup(args.fn_name).function,
         args.point,
         args.tolerance,
         n0=args.n0,
@@ -215,7 +204,7 @@ def _cmd_lemma(args):
 
 
 def _cmd_decompose(args):
-    f = _entry_for(args, 2).function
+    f = lookup(args.fn_name).function
     # the whole schedule is refused before any row is computed
     ns = check_schedule(args.n0, args.doublings)
     rows = [{"n": n, **asdict(decomposition(f, n, args.point))} for n in ns]

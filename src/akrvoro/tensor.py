@@ -12,7 +12,7 @@ of one-dimensional sums.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -41,23 +41,26 @@ _BLOCK_ELEMENTS = 1 << 22
 @dataclass(frozen=True)
 class SupBounds:
     """Sup norms of the second partials on [0, 1]^d: ``hess[i][l]`` is
-    sup|f_il|, a symmetric d x d table indexed like ``Function.hess``.  An
-    entry that is not a finite number >= 0, or that differs from its
-    mirror entry, is a DomainError."""
+    sup|f_il|, a symmetric d x d table indexed like ``Function.hess``.  A
+    table that is not d rows of d, an entry that is not a finite number >=
+    0, or one that differs from its mirror entry, is a DomainError."""
 
     hess: Tuple[Tuple[float, ...], ...]
 
     def __post_init__(self):
+        h = self.hess
+        rows = tuple(len(row) for row in h)
+        if any(r != len(h) for r in rows):
+            raise DomainError(f"sup bounds must be d rows of d, got rows of lengths {rows}")
         # a nan or inf bound passes every |G| <= bound check and a negative
-        # one fails it; the table's shape is checked against a point's
-        bad = [b for row in self.hess for b in row if not _finite_nonnegative(b)]
+        # one fails it
+        bad = [b for row in h for b in row if not _finite_nonnegative(b)]
         if bad:
             raise DomainError(f"sup bounds must be finite and >= 0, got {bad[0]!r}")
         # taylor_constant reads the upper triangle only
-        h = self.hess
         for i, row in enumerate(h):
-            for l in range(i + 1, min(len(row), len(h))):
-                if i < len(h[l]) and row[l] != h[l][i]:
+            for l in range(i + 1, len(h)):
+                if row[l] != h[l][i]:
                     raise DomainError(
                         f"sup bounds must be symmetric, got hess[{i}][{l}] = "
                         f"{row[l]!r} and hess[{l}][{i}] = {h[l][i]!r}"
@@ -89,6 +92,12 @@ class Function:
     partial in coordinates i and l.  ``factors`` declares f(x_1, ..., x_d) =
     g_1(x_1) ... g_d(x_d), each g_i a Function of one coordinate; the
     operators of such an f are the products of the 1-d operator values.
+
+    ``arity`` is d, read from the tables f declares: ``grad`` and
+    ``factors`` have d entries, ``hess`` and ``sup_bounds.hess`` d rows of
+    d.  It is None when f declares none, and such an f takes a point of any
+    arity.  Tables of different lengths, or a factor of an arity other than
+    1, are a DomainError.
     """
 
     eval: Callable
@@ -96,6 +105,22 @@ class Function:
     hess: Optional[Tuple[Tuple[Callable, ...], ...]] = None
     sup_bounds: Optional[SupBounds] = None
     factors: Optional[Tuple["Function", ...]] = None
+    arity: Optional[int] = field(init=False)
+
+    def __post_init__(self):
+        bounds = self.sup_bounds and self.sup_bounds.hess
+        tables = (("grad", self.grad), ("hess", self.hess), ("factors", self.factors),
+                  ("sup bounds", bounds))
+        sizes = {name: len(t) for name, t in tables if t is not None}
+        sizes.update((f"hess[{i}]", len(row)) for i, row in enumerate(self.hess or ()))
+        if len(set(sizes.values())) > 1:
+            raise DomainError(
+                f"f's tables must agree on its arity d (d entries, or d rows of d), got {sizes}"
+            )
+        arities = [g.arity for g in self.factors or ()]
+        if any(a != 1 for a in arities):
+            raise DomainError(f"factors must each have arity 1, got {arities}")
+        object.__setattr__(self, "arity", next(iter(sizes.values()), None))
 
     # The benchmark's runge-2d reference test reads these two; they go when
     # the benchmark changes (ROADMAP item 4).  The package reads grad/hess.
@@ -106,6 +131,13 @@ class Function:
     @property
     def fyy(self):
         return self.hess[1][1]
+
+
+def _check_arity(f, d):
+    """Refuse with DomainError an f of another arity than d, the point's; an
+    f that declares no table takes any point."""
+    if f.arity not in (None, d):
+        raise DomainError(f"f has arity {f.arity}, but the point has {d} coordinate(s)")
 
 
 def eval_grid_block(func, s_nodes, t_nodes):
@@ -154,13 +186,7 @@ def _window_apply(f, nodes, windows):
     """Operator of f on one node array shared by every axis, summed over the
     per-axis windows returned by ``_axis_windows``: a compensated dot on
     [0, 1]; on the square the product of the factors' sums when f declares
-    them, else the blocked double sum.  Declared factors not one per axis
-    are a DomainError."""
-    if f.factors is not None and len(f.factors) != len(windows):
-        raise DomainError(
-            "factors must be one per coordinate: f declares "
-            f"{len(f.factors)} for a point of {len(windows)}"
-        )
+    them, else the blocked double sum.  f's arity is the caller's check."""
     if len(windows) == 1:
         ((s, w),) = windows
         return comp_dot(eval_on(f.eval, nodes[s]), w)
@@ -174,7 +200,9 @@ def _window_apply(f, nodes, windows):
 
 def _apply(f, n, j, coords):
     """Operator of order j of f at the point with these coordinates; one node
-    array over the hull of the axes' windows serves every axis."""
+    array over the hull of the axes' windows serves every axis.  An f of
+    another arity is refused before any weight is computed."""
+    _check_arity(f, len(coords))
     lo, hi, windows = _axis_windows(n, coords)
     return _window_apply(f, build_node_table(n, j, lo, hi), windows)
 
@@ -185,7 +213,7 @@ def apply(f, n, j, point):
     j = 1 is the Bernstein operator and j >= 2 the modified-node operator,
     applied in each coordinate; n must be at least j.  d is the point's
     arity: a bare number or one coordinate is a point of [0, 1], two are a
-    point of the square.  f must take d coordinates.
+    point of the square.  f's arity must be d, or None.
     """
     j = check_order(j)
     return _apply(f, check_degree(n, j), j, check_point(point))

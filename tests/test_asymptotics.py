@@ -157,7 +157,7 @@ def test_limits_require_exact_partials(target, f, point):
     ],
 )
 def test_a_1d_function_at_a_point_of_the_square_is_a_domain_error(call):
-    with pytest.raises(DomainError, match="2 coordinates"):
+    with pytest.raises(DomainError, match="2 coordinate"):
         call(lookup("e3").function)
 
 
@@ -367,8 +367,10 @@ def test_decomposition_requires_exact_partials():
     ids=["1x1", "3x3", "ragged"],
 )
 def test_decomposition_refuses_sup_bounds_not_of_the_square(hess):
-    f = replace(lookup("exp-sum").function, sup_bounds=SupBounds(hess))
-    with pytest.raises(DomainError, match="needs sup bounds in 2 rows of 2"):
+    # refused where they are declared: SupBounds takes d rows of d only, and
+    # f's tables must agree on its arity
+    with pytest.raises(DomainError, match="sup bounds"):
+        f = replace(lookup("exp-sum").function, sup_bounds=SupBounds(hess))
         decomposition(f, 64, (0.5, 0.5))
 
 
@@ -383,8 +385,8 @@ def test_sup_bounds_refuse_an_entry_not_a_finite_number_at_least_zero(bound):
 def test_second_partials_not_of_the_square_are_a_domain_error():
     ev = lambda s, t: np.exp(s + t)
     for hess in (((ev, ev), (ev,)), ((ev,) * 3,) * 3):
-        f = Function(eval=ev, grad=(ev, ev), hess=hess)
-        with pytest.raises(DomainError, match="second partials in 2 rows of 2"):
+        with pytest.raises(DomainError, match="tables must agree on its arity"):
+            f = Function(eval=ev, grad=(ev, ev), hess=hess)
             limit(f, (0.5, 0.5), 2)
 
 
@@ -400,6 +402,15 @@ def test_series_validation():
         ConvergenceSeries(((4, 1.0), (9, 0.5)), "bernstein-1d", (0.5,))
     with pytest.raises(DomainError):
         ConvergenceSeries(((4, math.inf), (8, 0.5)), "bernstein-1d", (0.5,))
+    # each degree is held to check_degree's rule: 4.5 and 9.0 would read as
+    # [4, 9], and 0 or negative degrees double as well
+    for entries, message in (
+        (((4.5, 1.0), (9.0, 0.5)), "degree must be integral, got 4.5"),
+        (((0, 1.0), (0, 0.5)), "degree must be >= 1, got 0"),
+        (((-4, 1.0), (-8, 0.5)), "degree must be >= 1, got -4"),
+    ):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            ConvergenceSeries(entries, "bernstein-1d", (0.5,))
     series = ConvergenceSeries(((4, 1.0), (8, 0.5)), "bernstein-1d", (0.5,))
     assert list(series.ns) == [4, 8]
     assert list(series.values) == [1.0, 0.5]
@@ -497,9 +508,6 @@ _POINT_CALLS_2D = {
 }
 _BAD_POINTS_1D = ((0.3, 0.4), (), "x", None, 1.5, (1.5,), math.nan)
 _BAD_POINTS_2D = ((0.5,), (0.5, 0.5, 0.5), 0.5, ("a", 0.5), (0.5, 1.1), (-0.1, 0.5))
-# ``apply`` takes its arity from the point, so these points of the other
-# arity reach f, which refuses them in its own call
-_POINTS_OF_THE_OTHER_ARITY = ((0.3, 0.4), (0.5,), 0.5)
 
 
 @pytest.mark.parametrize(
@@ -508,10 +516,48 @@ _POINTS_OF_THE_OTHER_ARITY = ((0.3, 0.4), (0.5,), 0.5)
     + [(name, p) for name in _POINT_CALLS_2D for p in _BAD_POINTS_2D],
 )
 def test_a_point_of_the_wrong_shape_or_range_is_a_domain_error(name, point):
+    # ``apply`` takes its arity from the point, so a point of the other
+    # arity is refused by f's own arity
     call = _POINT_CALLS_1D.get(name) or _POINT_CALLS_2D[name]
-    other_arity = name.startswith("apply") and point in _POINTS_OF_THE_OTHER_ARITY
-    with pytest.raises(TypeError if other_arity else DomainError):
+    with pytest.raises(DomainError):
         call(point)
+
+
+# each entry point that takes f, with the arity d of its point, called with
+# an f of the other arity: the arity rule refuses it before any weight is
+# computed
+_OTHER_ARITY = {1: (RUNGE, 0.3), 2: (E3, (0.3, 0.7))}
+_OTHER_ARITY_CALLS = {
+    **{
+        f"{name} j={j} {d}d": (d, lambda f, p, call=call, j=j: call(f, p, j))
+        for name, call in (("apply", lambda f, p, j: apply(f, 16, j, p)), ("limit", limit))
+        for j in (1, 2)
+        for d in (1, 2)
+    },
+    **{
+        f"{name} {kind}": (spec.arity, lambda f, p, call=call, kind=kind: call(kind, f, p))
+        for kind, spec in KINDS.items()
+        if spec.uses_f
+        for name, call in (
+            ("residual_series", lambda k, f, p: residual_series(k, f, p, n0=8, doublings=3)),
+            ("check_limit", lambda k, f, p: check_limit(k, f, p, 1e-2, n0=8, doublings=3)),
+            ("KINDS limit", lambda k, f, p: KINDS[k].limit(f, p, 2)),
+        )
+    },
+    "decomposition": (2, lambda f, p: decomposition(f, 16, p)),
+}
+
+
+@pytest.mark.parametrize("name", list(_OTHER_ARITY_CALLS))
+def test_an_f_of_the_other_arity_is_refused_before_any_weight(name, monkeypatch):
+    def no_weights(*args):
+        raise AssertionError("weights were computed")
+
+    for module in ("_kernels", "akr", "asymptotics", "basis", "tensor"):
+        monkeypatch.setattr(f"akrvoro.{module}.log_weights", no_weights)
+    d, call = _OTHER_ARITY_CALLS[name]
+    with pytest.raises(DomainError, match=r"^f has arity \d, but the point has \d coordinate"):
+        call(*_OTHER_ARITY[d])
 
 
 @pytest.mark.parametrize(

@@ -666,6 +666,19 @@ _BAD_INPUT = {
         )
         for doublings, shown in (("20000", "20000"), ("1e300", "10^300.0"))
     },
+    **{
+        f"{argv[0]}: --fn of the other arity, {argv[2]}": (argv, "arity")
+        for argv in (
+            ["eval", "--kind", "akr-1d", "--fn", "exp-sum", "--n", "8", "--point", "0.4"],
+            ["eval", "--kind", "bernstein-2d", "--fn", "e3", "--n", "8",
+             "--point", "0.4", "0.6"],
+            ["residual", "--kind", "akr-1d", "--fn", "runge-2d", "--point", "0.4"],
+            ["residual", "--kind", "akr-2d", "--fn", "e3", "--point", "0.4", "0.6"],
+            ["residual", "--kind", "akr-minus-bernstein-2d", "--fn", "e3",
+             "--point", "0.4", "0.6"],
+            ["decompose", "--fn", "e3", "--point", "0.4", "0.6"],
+        )
+    },
     "nodes: degree of 301 digits": (
         ["nodes", "--n", "1e300"], "degree must be <= 1048576, got 10^300.0"),
     "residual: nan tolerance": (

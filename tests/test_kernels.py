@@ -446,6 +446,18 @@ def test_an_order_past_the_cap_is_refused_before_any_work(call, monkeypatch):
         call()
 
 
+def test_a_grid_past_the_cap_is_refused_before_any_weight(monkeypatch):
+    def no_weights(*args):
+        raise AssertionError("weights were computed")
+
+    monkeypatch.setattr("akrvoro.akr.log_weights", no_weights)
+    assert _kernels.MAX_GRID == 16 * 101
+    for size in (_kernels.MAX_GRID + 1, 10**9):
+        message = f"^grid size must be <= 1616, got {size}$"
+        with pytest.raises(akrvoro.DomainError, match=message):
+            akrvoro.fixed_point_error(8, 2, size)
+
+
 _E3 = akrvoro.lookup("e3").function
 
 

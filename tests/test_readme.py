@@ -1,6 +1,6 @@
 """The README's quick start runs, and its commented values hold; each
 command of its CLI block runs and exits 0; its catalog names are the
-catalog's."""
+catalog's; its Layout block names every module of the package."""
 
 import math
 import re
@@ -60,3 +60,11 @@ def test_catalog_names_sentence_is_the_catalog():
     assert names == catalog_names()
     for name in names:
         lookup(name.replace("monomial(p,q)", "monomial(2,3)"))
+
+
+def test_layout_names_every_module():
+    block = re.search(r"\n## Layout\n\n```\n(.*?)```", README.read_text(), re.S).group(1)
+    named = re.findall(r"^  (\S+\.py) ", block, re.M)
+    package = README.parent / "src" / "akrvoro"
+    modules = {p.name for p in package.glob("*.py")} - {"__init__.py", "__main__.py"}
+    assert sorted(named) == sorted(modules)

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import pytest
 from akrvoro import (
     DomainError,
     Function,
+    SupBounds,
     apply,
     lookup,
 )
@@ -159,11 +161,56 @@ def test_factors_not_one_per_axis_are_a_domain_error(count):
     # zipped with the axes' windows, one factor dropped the second axis
     # (2.0123 against 2.7056 here) and a third was cut off
     f = lookup("exp-sum").function
-    wrong = replace(f, factors=(f.factors * 2)[:count])
-    with pytest.raises(DomainError, match=f"f declares {count} for a point of 2"):
+    with pytest.raises(DomainError, match=f"'grad': 2, .*'factors': {count}"):
+        wrong = replace(f, factors=(f.factors * 2)[:count])
         apply(wrong, 64, 2, (0.7, 0.3))
-    with pytest.raises(DomainError, match="f declares 2 for a point of 1"):
+    with pytest.raises(DomainError, match=r"f has arity 2, but the point has 1 coordinate"):
         apply(f, 64, 2, 0.7)
+
+
+_EV = lambda s, t: s + t
+_E3 = lookup("e3").function
+
+
+def test_arity_is_read_from_the_tables_f_declares():
+    assert Function(eval=np.exp).arity is None
+    assert Function(eval=_EV, grad=(_EV, _EV)).arity == 2
+    assert Function(eval=_EV, hess=((_EV,) * 3,) * 3).arity == 3
+    assert Function(eval=_EV, sup_bounds=SupBounds(((1.0,),))).arity == 1
+    assert Function(eval=_EV, factors=(_E3, _E3)).arity == 2
+    f = lookup("exp-sum").function
+    assert replace(f, factors=None).arity == 2
+    with pytest.raises(TypeError):
+        Function(eval=_EV, arity=2)
+
+
+@pytest.mark.parametrize(
+    "tables, message",
+    [
+        (dict(grad=(_EV,), hess=((_EV, _EV), (_EV, _EV))),
+         "got {'grad': 1, 'hess': 2, 'hess[0]': 2, 'hess[1]': 2}"),
+        (dict(grad=(_EV, _EV), hess=((_EV, _EV), (_EV,))),
+         "got {'grad': 2, 'hess': 2, 'hess[0]': 2, 'hess[1]': 1}"),
+        (dict(grad=(_EV, _EV), sup_bounds=SupBounds(((1.0,),))),
+         "got {'grad': 2, 'sup bounds': 1}"),
+        (dict(grad=(_EV, _EV), factors=(_E3,) * 3), "got {'grad': 2, 'factors': 3}"),
+        (dict(factors=(_E3, lookup("runge-2d").function)),
+         "factors must each have arity 1, got [1, 2]"),
+        (dict(factors=(_E3, Function(eval=np.exp))),
+         "factors must each have arity 1, got [1, None]"),
+    ],
+    ids=["grad", "ragged hess", "sup bounds", "factors", "factor of 2", "factor of none"],
+)
+def test_tables_of_different_arities_are_refused_at_construction(tables, message):
+    with pytest.raises(DomainError, match=re.escape(message)):
+        Function(eval=_EV, **tables)
+
+
+@pytest.mark.parametrize("hess", [((1.0, 1.0), (1.0,)), ((1.0, 1.0),), ((1.0,), (1.0,))])
+def test_sup_bounds_not_d_rows_of_d_are_refused_at_construction(hess):
+    # a ragged table once reached taylor_constant, which raised IndexError
+    with pytest.raises(DomainError, match="sup bounds must be d rows of d"):
+        SupBounds(hess).taylor_constant()
 
 
 @pytest.mark.parametrize("n", [1, 2, 16, 128, 1024])
