@@ -7,6 +7,7 @@ command and the test suite both call into this module.
 
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -26,7 +27,7 @@ from .asymptotics import (
 )
 from .catalog import lookup
 from .errors import DomainError
-from .tensor import apply
+from .tensor import apply, memo_scope
 
 __all__ = [
     "CriterionResult", "CRITERIA", "LimitCheck", "check_limit", "relative_ok",
@@ -75,6 +76,7 @@ class LimitCheck:
     passed: bool
 
 
+@memo_scope()
 def check_limit(kind, f, point, tolerance, n0=64, doublings=7, j=2):
     """The one limit verdict: the ``residual_series`` of ``kind`` (same
     arguments), extrapolated and held against the kind's limit at order j
@@ -317,20 +319,27 @@ _NUMBERS = tuple(num for num, *_ in CRITERIA)
 
 def _check_numbers(numbers):
     """The criterion numbers as a list of ints, refused with DomainError
-    unless there is one at least and each is integral and numbers a
-    criterion."""
+    unless there is one at least and each is integral, numbers a criterion
+    and is selected once."""
     numbers = [check_integral(num, "criterion number") for num in numbers]
     unknown = ", ".join(str(num) for num in numbers if num not in _NUMBERS)
+    repeated = sorted(num for num, count in Counter(numbers).items() if count > 1)
     valid = f"valid numbers: {', '.join(map(str, _NUMBERS))}"
     if not numbers:
         raise DomainError(f"no criterion selected; {valid}")
     if unknown:
         raise DomainError(f"no criterion numbered {unknown}; {valid}")
+    if repeated:
+        raise DomainError(
+            f"criterion {', '.join(map(str, repeated))} selected more than once"
+        )
     return numbers
 
 
+@memo_scope()
 def run_criterion(number):
-    """Run one numbered criterion."""
+    """Run one numbered criterion, in a memo scope of its own unless one is
+    open."""
     (number,) = _check_numbers([number])
     num, name, fn, limit = CRITERIA[_NUMBERS.index(number)]
     start = time.perf_counter()
@@ -342,9 +351,12 @@ def run_criterion(number):
     return CriterionResult(num, name, bool(passed), elapsed, limit, detail)
 
 
+@memo_scope()
 def run_all(numbers=None):
-    """Run the requested criteria (all when ``numbers`` is None) in order;
-    every number is checked before any criterion runs, and an empty
-    selection is refused."""
+    """Run the requested criteria (all when ``numbers`` is None) in order,
+    in one memo scope, so that a weight window or an operator value one
+    criterion computed is not computed again by the next; every number is
+    checked before any criterion runs, and an empty or repeated selection
+    is refused."""
     wanted = _NUMBERS if numbers is None else _check_numbers(numbers)
     return [run_criterion(num) for num in wanted]

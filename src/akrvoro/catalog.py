@@ -6,6 +6,7 @@ is s^2 t^3, its exponents written in ASCII digits.  All callables
 broadcast over numpy arrays.
 """
 
+import functools
 import re
 from dataclasses import dataclass
 
@@ -188,9 +189,12 @@ def catalog_names():
     return _NAME_PATTERN
 
 
+@functools.lru_cache(maxsize=64)
 def lookup(name):
     """Resolve a documented name to a fully populated entry.  A monomial
-    exponent whose square is not a finite double is a DomainError."""
+    exponent whose square is not a finite double is a DomainError.  Each
+    name's entry is built once and then shared: an operator value kept in
+    ``tensor.memo_scope`` is found again by its function's identity."""
     if name in _FIXED_ENTRIES:
         f = _FIXED_ENTRIES[name]()
     elif m := _MONOMIAL_RE.fullmatch(name):

@@ -9,8 +9,15 @@ product.  On the square the general path streams the value grid in row
 blocks through a compensated bilinear reduction (k outer, l inner, both
 ascending); functions declared separable take an exact product fast path
 of one-dimensional sums.
+
+Inside ``memo_scope`` the weight windows and operator values computed are
+kept until the outermost scope exits, so one acceptance run computes each
+(n, x) window and each (f, n, j, point) value once.  Outside a scope
+nothing is kept.
 """
 
+import contextlib
+import contextvars
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple
@@ -37,18 +44,40 @@ __all__ = [
 # grid's values are tiled inside eval_grid_block instead.
 _BLOCK_ELEMENTS = 1 << 22
 
+# The memo of the open scope, None outside one: ("w", n, x) -> the
+# read-only weights on the support window at x, and ("op", id(f), n, j,
+# coords) -> (f, value), which holds f so that its id is not reused.
+_MEMO = contextvars.ContextVar("akrvoro_tensor_memo", default=None)
+
+
+@contextlib.contextmanager
+def memo_scope():
+    """Keep weight windows and operator values until the outermost scope
+    exits, on error too; a scope opened inside another shares its memo."""
+    if _MEMO.get() is not None:
+        yield
+        return
+    token = _MEMO.set({})
+    try:
+        yield
+    finally:
+        _MEMO.reset(token)
+
 
 @dataclass(frozen=True)
 class SupBounds:
     """Sup norms of the second partials on [0, 1]^d: ``hess[i][l]`` is
     sup|f_il|, a symmetric d x d table indexed like ``Function.hess``.  A
-    table that is not d rows of d, an entry that is not a finite number >=
-    0, or one that differs from its mirror entry, is a DomainError."""
+    table that is not d rows of d for some d >= 1, an entry that is not a
+    finite number >= 0, or one that differs from its mirror entry, is a
+    DomainError."""
 
     hess: Tuple[Tuple[float, ...], ...]
 
     def __post_init__(self):
         h = self.hess
+        if len(h) == 0:
+            raise DomainError("sup bounds must be d rows of d for some d >= 1, got none")
         rows = tuple(len(row) for row in h)
         if any(r != len(h) for r in rows):
             raise DomainError(f"sup bounds must be d rows of d, got rows of lengths {rows}")
@@ -96,8 +125,8 @@ class Function:
     ``arity`` is d, read from the tables f declares: ``grad`` and
     ``factors`` have d entries, ``hess`` and ``sup_bounds.hess`` d rows of
     d.  It is None when f declares none, and such an f takes a point of any
-    arity.  Tables of different lengths, or a factor of an arity other than
-    1, are a DomainError.
+    arity.  An empty table, tables of different lengths, or a factor of an
+    arity other than 1, are a DomainError.
     """
 
     eval: Callable
@@ -112,6 +141,9 @@ class Function:
         tables = (("grad", self.grad), ("hess", self.hess), ("factors", self.factors),
                   ("sup bounds", bounds))
         sizes = {name: len(t) for name, t in tables if t is not None}
+        empty = [name for name, size in sizes.items() if size == 0]
+        if empty:
+            raise DomainError(f"f's {empty[0]} table is empty; d must be at least 1")
         sizes.update((f"hess[{i}]", len(row)) for i, row in enumerate(self.hess or ()))
         if len(set(sizes.values())) > 1:
             raise DomainError(
@@ -168,6 +200,20 @@ def tensor_reduce(func, s_nodes, t_nodes, wx, wy):
     return float(state[0] + state[1])
 
 
+def _window_weights(n, x, lo, hi):
+    """The degree-n weights at x on their support window lo..hi, taken from
+    the open memo, read-only, when there is one."""
+    memo = _MEMO.get()
+    key = ("w", n, x)
+    if memo is not None and key in memo:
+        return memo[key]
+    w = np.exp(log_weights(n, x, lo, hi))
+    if memo is not None:
+        w.flags.writeable = False
+        memo[key] = w
+    return w
+
+
 def _axis_windows(n, coords):
     """The hull (lo, hi) of the support windows of the degree-n weights at
     these coordinates, and each axis's window as a slice of a node array
@@ -176,7 +222,7 @@ def _axis_windows(n, coords):
     lo = min(a for a, _ in bounds)
     hi = max(b for _, b in bounds)
     windows = tuple(
-        (slice(a - lo, b - lo + 1), np.exp(log_weights(n, x, a, b)))
+        (slice(a - lo, b - lo + 1), _window_weights(n, x, a, b))
         for x, (a, b) in zip(coords, bounds)
     )
     return lo, hi, windows
@@ -201,10 +247,18 @@ def _window_apply(f, nodes, windows):
 def _apply(f, n, j, coords):
     """Operator of order j of f at the point with these coordinates; one node
     array over the hull of the axes' windows serves every axis.  An f of
-    another arity is refused before any weight is computed."""
+    another arity is refused before any weight is computed.  In an open
+    memo the value is kept by f's identity, so f need not be hashable."""
     _check_arity(f, len(coords))
+    memo = _MEMO.get()
+    key = ("op", id(f), n, j, coords)
+    if memo is not None and key in memo:
+        return memo[key][1]
     lo, hi, windows = _axis_windows(n, coords)
-    return _window_apply(f, build_node_table(n, j, lo, hi), windows)
+    value = _window_apply(f, build_node_table(n, j, lo, hi), windows)
+    if memo is not None:
+        memo[key] = (f, value)
+    return value
 
 
 def apply(f, n, j, point):

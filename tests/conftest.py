@@ -1,6 +1,10 @@
+from collections import Counter
+
 import mpmath as mp
 import numpy as np
 import pytest
+
+from akrvoro import tensor
 
 _DPS = mp.mp.dps
 
@@ -23,3 +27,18 @@ def numpy_ufunc_state_is_left_alone():
     yield
     assert np.getbufsize() == bufsize, "the test left numpy's ufunc buffer size changed"
     assert np.geterr() == err, "the test left numpy's error handling changed"
+
+
+@pytest.fixture
+def tensor_log_weights_calls(monkeypatch):
+    """The calls of the log_weights that ``tensor`` binds, counted by (n, x,
+    lo, hi) while the test runs."""
+    calls = Counter()
+    exact = tensor.log_weights
+
+    def counted(n, x, lo=0, hi=None):
+        calls[n, x, lo, hi] += 1
+        return exact(n, x, lo, hi)
+
+    monkeypatch.setattr(tensor, "log_weights", counted)
+    return calls

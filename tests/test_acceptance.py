@@ -14,12 +14,14 @@ from akrvoro import (
     DomainError,
     acceptance,
     akr,
+    apply,
     build_node_table,
     cli,
     extrapolate,
     lookup,
     remainder,
     residual_series,
+    tensor,
 )
 from akrvoro._kernels import CACHE_BLOCK_ELEMENTS
 from akrvoro.acceptance import (
@@ -205,6 +207,72 @@ def test_criterion_numbers_follow_the_integral_rule(monkeypatch):
         ([9], "no criterion numbered 9"),
         # an empty selection is refused; None selects every criterion
         ([], "no criterion selected"),
+        # 1.0 is criterion 1
+        ([1, 8, 1.0], "criterion 1 selected more than once"),
     ):
         with pytest.raises(DomainError, match=message):
             run_all(numbers)
+
+
+def test_a_repeated_criterion_is_refused_before_any_criterion_runs(monkeypatch):
+    def no_run(number):
+        raise AssertionError(f"criterion {number} ran")
+
+    monkeypatch.setattr(acceptance, "run_criterion", no_run)
+    with pytest.raises(DomainError, match="^criterion 8 selected more than once$"):
+        run_all([8, 8])
+    with pytest.raises(DomainError, match="^criterion 2, 8 selected more than once$"):
+        run_all([8, 2, 8, 2])
+
+
+# --------------------------------------------------------------------------
+# One run shares weights and operator values across criteria.
+# --------------------------------------------------------------------------
+
+
+def test_run_all_rows_equal_each_criterion_run_alone():
+    together = run_all()
+    alone = [run_criterion(num) for num, *_ in CRITERIA]
+    assert [replace(r, elapsed=0.0) for r in together] == [
+        replace(r, elapsed=0.0) for r in alone
+    ]
+
+
+def test_one_run_computes_each_weight_window_once(tensor_log_weights_calls):
+    calls = tensor_log_weights_calls
+    run_all()
+    assert calls and max(calls.values()) == 1
+
+
+def test_each_run_pays_for_its_own_work_and_leaves_no_memo_open(
+    tensor_log_weights_calls, monkeypatch
+):
+    calls = tensor_log_weights_calls
+    counts = []
+    for _ in range(2):
+        calls.clear()
+        run_all()
+        counts.append(sum(calls.values()))
+        assert tensor._MEMO.get() is None
+    assert counts[0] == counts[1] > 0
+
+    def raises():
+        apply(lookup("runge-2d").function, 64, 2, (0.7, 0.3))
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(acceptance, "CRITERIA", ((1, "raises", raises, 1.0), *CRITERIA[1:]))
+    with pytest.raises(RuntimeError, match="boom"):
+        run_all([8, 1])
+    assert tensor._MEMO.get() is None
+
+
+def test_check_limit_takes_an_f_whose_tables_cannot_be_hashed():
+    f = lookup("runge-2d").function
+    listed = replace(f, grad=list(f.grad), hess=[list(row) for row in f.hess])
+    with pytest.raises(TypeError):
+        hash(listed)
+    check = check_limit("akr-minus-bernstein-2d", listed, (0.7, 0.3), 2e-2,
+                        n0=16, doublings=4)
+    assert check.passed
+    assert check == check_limit("akr-minus-bernstein-2d", f, (0.7, 0.3), 2e-2,
+                                n0=16, doublings=4)

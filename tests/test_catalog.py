@@ -23,6 +23,12 @@ def test_documented_names_resolve():
     assert "monomial(p,q)" in catalog_names()
 
 
+def test_each_entry_is_built_once():
+    # a memo scope finds an operator value again by its function's identity
+    for name in ("runge-2d", "e3", "monomial(2,3)"):
+        assert lookup(name) is lookup(name)
+
+
 def test_unknown_name_lists_valid_names():
     with pytest.raises(UnknownFunctionError) as err:
         lookup("not-a-function")

@@ -541,7 +541,8 @@ def test_verify_json_summary_counts_are_python_ints(capsys):
     assert [row["status"] for row in payload["rows"]] == ["PASS", "PASS"]
 
 
-@pytest.mark.parametrize("criteria", ["9", "a", "1,9"])
+# a repeated number is refused too: "8,8" ran criterion 8 twice
+@pytest.mark.parametrize("criteria", ["9", "a", "1,9", "8,8"])
 def test_verify_rejects_unknown_criteria_before_running(criteria, capsys, monkeypatch):
     def no_run(number):
         raise AssertionError(f"criterion {number} ran")
@@ -689,6 +690,8 @@ _BAD_INPUT = {
     "verify: unknown criterion": (
         ["verify", "--criteria", "9"], "no criterion numbered 9"),
     "verify: no criterion": (["verify", "--criteria", ","], "no criterion selected"),
+    "verify: repeated criterion": (
+        ["verify", "--criteria", "8,8"], "criterion 8 selected more than once"),
     "no subcommand": ([], "command"),
     **{
         f"{command}{dry}: --out {kind}": (

@@ -1,7 +1,10 @@
 """The README's quick start runs, and its commented values hold; each
 command of its CLI block runs and exits 0; its catalog names are the
-catalog's; its Layout block names every module of the package."""
+catalog's; its Layout block names every module of the package.  Every
+benchmark record that README.md or ROADMAP.md names is committed and
+parses, and every claim a record makes names what the benchmark measures."""
 
+import json
 import math
 import re
 import shlex
@@ -12,7 +15,8 @@ import pytest
 from akrvoro import catalog_names, lookup
 from akrvoro.cli import main
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def quick_start():
@@ -68,3 +72,45 @@ def test_layout_names_every_module():
     package = README.parent / "src" / "akrvoro"
     modules = {p.name for p in package.glob("*.py")} - {"__init__.py", "__main__.py"}
     assert sorted(named) == sorted(modules)
+
+
+def bench_records():
+    return sorted(ROOT.glob("BENCH_*.json"))
+
+
+def test_every_named_bench_record_is_committed_and_parses():
+    named = {
+        name
+        for doc in ("README.md", "ROADMAP.md")
+        for name in re.findall(r"BENCH_\d+\.json", (ROOT / doc).read_text())
+    }
+    assert named
+    for name in sorted(named):
+        json.loads((ROOT / name).read_text())
+
+
+def claims(record):
+    """Every object stored under a "claim" key, at any depth."""
+    if isinstance(record, dict):
+        for key, value in record.items():
+            if key == "claim" and isinstance(value, dict):
+                yield value
+            yield from claims(value)
+    elif isinstance(record, list):
+        for value in record:
+            yield from claims(value)
+
+
+_CLAIM_KEYS = {"metric", "workload", "parent_median", "change_median", "parent_iqr",
+               "change_lower_in", "met"}
+
+
+@pytest.mark.parametrize("path", bench_records(), ids=lambda p: p.name)
+def test_each_claim_names_a_metric_and_a_workload_of_the_benchmark(path):
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    metrics = {m["name"] for group in ("end_to_end", "per_layer") for m in spec[group]}
+    workloads = {w["name"] for w in spec["workloads"]}
+    for claim in claims(json.loads(path.read_text())):
+        assert _CLAIM_KEYS <= set(claim), sorted(_CLAIM_KEYS - set(claim))
+        assert claim["metric"] in metrics
+        assert claim["workload"] in workloads

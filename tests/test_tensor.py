@@ -1,5 +1,6 @@
 import math
 import re
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from akrvoro import (
     SupBounds,
     apply,
     lookup,
+    residual_series,
 )
 from akrvoro import tensor
 from akrvoro._kernels import CACHE_BLOCK_ELEMENTS, bilinear_accumulate, check_point
@@ -213,6 +215,20 @@ def test_sup_bounds_not_d_rows_of_d_are_refused_at_construction(hess):
         SupBounds(hess).taylor_constant()
 
 
+@pytest.mark.parametrize("table", ["grad", "hess", "factors"])
+def test_an_empty_table_is_refused_at_construction(table):
+    # an empty table once gave arity 0, which every point refused
+    with pytest.raises(DomainError, match=f"f's {table} table is empty"):
+        Function(eval=_EV, **{table: ()})
+    assert Function(eval=_EV).arity is None
+
+
+def test_empty_sup_bounds_are_refused_at_construction():
+    # they were accepted, with taylor_constant() 0
+    with pytest.raises(DomainError, match="sup bounds must be d rows of d for some d >= 1"):
+        SupBounds(())
+
+
 @pytest.mark.parametrize("n", [1, 2, 16, 128, 1024])
 def test_partition_of_unity_on_square(n):
     const = replace(lookup("monomial(0,0)").function, factors=None)
@@ -377,3 +393,50 @@ def test_general_path_against_high_precision_oracle():
     assert got == pytest.approx(exact_akr, rel=1e-14)
     got = apply(f, n, 1, (0.3, 0.7))
     assert got == pytest.approx(exact_bern, rel=1e-14)
+
+
+# --------------------------------------------------------------------------
+# The memo of one acceptance run.
+# --------------------------------------------------------------------------
+
+
+def test_a_bare_drift_series_computes_both_weight_vectors_at_every_degree(
+    tensor_log_weights_calls,
+):
+    # outside a memo scope the two operators of each degree share nothing
+    calls = tensor_log_weights_calls
+    residual_series("akr-minus-bernstein-2d", lookup("runge-2d").function, (0.7, 0.3),
+                    n0=16, doublings=3)
+    degrees = Counter((n, x) for n, x, _, _ in calls.elements())
+    assert sorted(degrees) == [(16 * 2**m, x) for m in range(4) for x in (0.3, 0.7)]
+    assert set(degrees.values()) == {2}
+
+
+def test_weights_kept_in_the_memo_are_read_only():
+    with tensor.memo_scope():
+        _, _, windows = tensor._axis_windows(64, (0.5, 0.3))
+        for _, w in windows:
+            assert not w.flags.writeable
+            with pytest.raises(ValueError):
+                w[0] = 0.0
+    _, _, windows = tensor._axis_windows(64, (0.5, 0.3))
+    assert all(w.flags.writeable for _, w in windows)
+
+
+def test_a_memo_scope_shares_its_values_and_is_dropped_on_exit(tensor_log_weights_calls):
+    f = lookup("runge-2d").function
+    calls = tensor_log_weights_calls
+    expected = apply(f, 64, 2, (0.7, 0.3))
+    calls.clear()
+    with pytest.raises(RuntimeError):
+        with tensor.memo_scope():
+            assert apply(f, 64, 2, (0.7, 0.3)) == expected
+            with tensor.memo_scope():  # an inner scope shares the outer memo
+                assert apply(f, 64, 2, (0.7, 0.3)) == expected
+                assert apply(f, 64, 1, (0.7, 0.3)) == apply(f, 64, 1, (0.7, 0.3))
+            assert tensor._MEMO.get() is not None
+            raise RuntimeError("boom")
+    assert sum(calls.values()) == 2
+    assert tensor._MEMO.get() is None
+    apply(f, 64, 2, (0.7, 0.3))
+    assert sum(calls.values()) == 4
