@@ -378,29 +378,12 @@ def check_positive(coords):
     return coords
 
 
-def _window(n, x, c):
-    """Inclusive index window [floor(n x - r), ceil(n x + r)] with
-    r = sqrt(c n), clipped to [0, n]."""
-    r = math.sqrt(n * c)
-    return max(0, math.floor(n * x - r)), min(n, math.ceil(n * x + r))
-
-
 def support(n, x):
-    """Inclusive index window (lo, hi) outside which the degree-n weights at
-    x hold at most SUPPORT_DELTA of their mass."""
-    return _window(n, x, _SUPPORT_LOG)
-
-
-# A single weight obeys the one-sided bound too: ln w_k <= -2 (k - n x)^2 / n.
-# Outside r = sqrt(375 n) that is below -750, and exp of a double below about
-# -745.14 is exactly 0.0, so outside this window every weight is 0.0.
-_UNDERFLOW_C = 375.0
-
-
-def nonzero_window(n, x):
-    """Inclusive index window (lo, hi) outside which every degree-n weight
-    at x is exactly 0.0 in double precision."""
-    return _window(n, x, _UNDERFLOW_C)
+    """Inclusive index window (lo, hi) = [floor(n x - r), ceil(n x + r)]
+    clipped to [0, n], outside which the degree-n weights at x hold at most
+    SUPPORT_DELTA of their mass."""
+    r = math.sqrt(n * _SUPPORT_LOG)
+    return max(0, math.floor(n * x - r)), min(n, math.ceil(n * x + r))
 
 
 # --------------------------------------------------------------------------

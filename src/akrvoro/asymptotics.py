@@ -20,7 +20,9 @@ from ._kernels import (
 )
 from .akr import build_node_table, remainder
 from .errors import CapabilityError, DomainError
-from .tensor import Function, _apply, _axis_windows, _check_arity, _window_apply
+from .tensor import (
+    Function, _apply, _axis_windows, _check_arity, _window_apply, memo_scope,
+)
 
 __all__ = [
     "SERIES_KINDS",
@@ -193,8 +195,14 @@ def limit(f, point, j):
 # --------------------------------------------------------------------------
 
 
+@memo_scope()
 def decomposition(f, n, p):
     """Split n*(modified - classical) at p into drift terms and remainder.
+
+    total is the ``akr-minus-bernstein-2d`` series entry at n, bit for bit:
+    its two operator values go through ``tensor._apply``, so an open memo
+    keeps them, and the scope opened here gives them the drift terms' weight
+    windows.
 
     e_term weights the x drift (node minus k/n) against the partial f_x
     sampled at the uniform grid, f_term does the same in y, and g_residual
@@ -233,17 +241,14 @@ def decomposition(f, n, p):
     grads = _partials(f, 2, 1, "decomposition")
     lo, hi, windows = _axis_windows(n, coords)
     uniform = build_node_table(n, 1, lo, hi)
-    nodes = build_node_table(n, 2, lo, hi)
-    drift = nodes - uniform
+    drift = build_node_table(n, 2, lo, hi) - uniform
     e_term, f_term = (
         n * _window_apply(Function(eval=g), uniform, [
             (s, w * drift[s] if axis == i else w) for axis, (s, w) in enumerate(windows)
         ])
         for i, g in enumerate(grads)
     )
-    total = n * (
-        _window_apply(f, nodes, windows) - _window_apply(f, uniform, windows)
-    )
+    total = _drift_value(f, n, 2, coords)
     bound = None
     if f.sup_bounds is not None:
         c = f.sup_bounds.taylor_constant()

@@ -4,9 +4,7 @@ import math
 
 import numpy as np
 
-from ._kernels import (
-    check_degree, check_index, check_point, log_weights, nonzero_window,
-)
+from ._kernels import check_degree, check_index, check_point, log_weights, support
 
 __all__ = [
     "basis_weight",
@@ -27,15 +25,17 @@ def basis_weight(n, k, x):
 
 
 def weight_vector(n, x):
-    """All n+1 basis weights at x as a vector (the per-point hot path).
+    """The n+1 basis weights at x as a vector: the weights of the support
+    window, the ones every operator sums, and 0.0 outside it.
 
-    Log weights are computed only where a weight can be nonzero: outside
-    ``nonzero_window`` (|k - n x| > sqrt(375 n), so ln w_k < -750 by
-    Hoeffding) the exponential is exactly 0.0, and the vector is the same
-    bit for bit as ``np.exp(log_weights(n, x))``."""
+    Inside ``_kernels.support(n, x)`` the entries are, bit for bit,
+    ``np.exp(log_weights(n, x, lo, hi))``.  Outside it each weight is below
+    SUPPORT_DELTA / 2 by the one-sided Hoeffding bound
+    w_k <= exp(-2 (k - n x)^2 / n), and all of them together below
+    SUPPORT_DELTA, so setting them to 0.0 drops at most that much."""
     n = check_degree(n)
     (x,) = check_point(x, 1)
-    lo, hi = nonzero_window(n, x)
+    lo, hi = support(n, x)
     w = np.zeros(n + 1)
     np.exp(log_weights(n, x, lo, hi), out=w[lo : hi + 1])
     return w

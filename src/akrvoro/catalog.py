@@ -189,17 +189,25 @@ def catalog_names():
     return _NAME_PATTERN
 
 
-@functools.lru_cache(maxsize=64)
 def lookup(name):
-    """Resolve a documented name to a fully populated entry.  A monomial
-    exponent whose square is not a finite double is a DomainError.  Each
-    name's entry is built once and then shared: an operator value kept in
-    ``tensor.memo_scope`` is found again by its function's identity."""
-    if name in _FIXED_ENTRIES:
-        f = _FIXED_ENTRIES[name]()
-    elif m := _MONOMIAL_RE.fullmatch(name):
-        p, q = (_exponent(digits, axis) for digits, axis in zip(m.groups(), "pq"))
-        name, f = f"monomial({p},{q})", _monomial_2d(p, q)
-    else:
-        raise UnknownFunctionError(name, _NAME_PATTERN)
+    """Resolve a documented name to a fully populated entry.  A name that is
+    not a str is an UnknownFunctionError, and a monomial exponent whose
+    square is not a finite double a DomainError.  Each entry is built once
+    per canonical name and then shared, so monomial(2, 3) and monomial(2,3)
+    give the same entry: an operator value kept in ``tensor.memo_scope`` is
+    found again by its function's identity."""
+    if isinstance(name, str):
+        if name in _FIXED_ENTRIES:
+            return _entry(name, None)
+        if m := _MONOMIAL_RE.fullmatch(name):
+            p, q = (_exponent(digits, axis) for digits, axis in zip(m.groups(), "pq"))
+            return _entry(f"monomial({p},{q})", (p, q))
+    raise UnknownFunctionError(name, _NAME_PATTERN)
+
+
+@functools.lru_cache(maxsize=64)
+def _entry(name, exponents):
+    """The entry of a canonical name; ``exponents`` are a monomial's (p, q),
+    None for a fixed name."""
+    f = _monomial_2d(*exponents) if exponents else _FIXED_ENTRIES[name]()
     return CatalogEntry(name, f)

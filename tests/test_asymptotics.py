@@ -306,6 +306,16 @@ def test_decomposition_identity_and_remainder_bound():
         assert recomputed == pytest.approx(d.total, abs=1e-10)
 
 
+@pytest.mark.parametrize("name", ["exp-sum", "runge-2d"])
+def test_decomposition_total_is_the_drift_series_entry(name):
+    # bit for bit, on the separable path and on the double sum
+    f = lookup(name).function
+    point = (0.7, 0.3)
+    series = residual_series("akr-minus-bernstein-2d", f, point, n0=16, doublings=3)
+    for n, value in series.entries:
+        assert decomposition(f, n, point).total.hex() == value.hex()
+
+
 @pytest.mark.parametrize("name", ["exp-sum", "sinpix-cospiy"])
 @pytest.mark.parametrize("n", [16, 64, 256, 1024, 4096])
 def test_remainder_bound_across_degrees(name, n):

@@ -14,6 +14,7 @@ from akrvoro import (
     lookup,
     weight_vector,
 )
+from akrvoro._kernels import SUPPORT_DELTA, support
 
 
 def exact_weight(n, k, x):
@@ -77,14 +78,21 @@ def test_basis_weight_domain_errors():
 
 
 def test_scalar_weight_agrees_with_vector():
+    # the vector holds the support window's weights and 0.0 outside it,
+    # where each weight is below SUPPORT_DELTA / 2
     rng = np.random.default_rng(5)
     for n in (1, 3, 41, 700):
         x = float(rng.uniform(0.0, 1.0))
         w = weight_vector(n, x)
+        lo, hi = support(n, x)
         for k in sorted({0, 1, n // 2, n}):
-            assert basis_weight(n, k, x) == pytest.approx(
-                w[k], rel=1e-13, abs=1e-300
-            )
+            if lo <= k <= hi:
+                assert basis_weight(n, k, x) == pytest.approx(
+                    w[k], rel=1e-13, abs=1e-300
+                )
+            else:
+                assert w[k] == 0.0
+                assert basis_weight(n, k, x) <= SUPPORT_DELTA / 2
 
 
 def test_partition_of_unity_full_sweep():

@@ -24,9 +24,12 @@ def test_documented_names_resolve():
 
 
 def test_each_entry_is_built_once():
-    # a memo scope finds an operator value again by its function's identity
+    # a memo scope finds an operator value again by its function's identity,
+    # so every spelling of a name gives the one entry
     for name in ("runge-2d", "e3", "monomial(2,3)"):
         assert lookup(name) is lookup(name)
+    for spelling in ("monomial(2,  3)", "monomial(02,3)", "monomial(2,003)"):
+        assert lookup(spelling) is lookup("monomial(2,3)")
 
 
 def test_unknown_name_lists_valid_names():
@@ -34,10 +37,10 @@ def test_unknown_name_lists_valid_names():
         lookup("not-a-function")
     assert "runge-2d" in str(err.value)
     # the exponents are ASCII digits, only ASCII spaces may follow the comma,
-    # and the rule reads the whole name
+    # the rule reads the whole name, and a name is a str
     for bad in ("monomial(2)", "monomial(a,b)", "monomial(-1,2)", "monomial(2,3)\n",
                 "monomial(\u0662,3)", "monomial(\uff12,3)", "monomial(2,\n3)",
-                "monomial(2,\t3)"):
+                "monomial(2,\t3)", None, 3, ["e1"], b"e1"):
         with pytest.raises(UnknownFunctionError):
             lookup(bad)
     assert lookup("monomial(2,  3)").name == "monomial(2,3)"

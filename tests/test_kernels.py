@@ -316,14 +316,18 @@ def test_log_weights_are_bit_identical_to_the_frozen_reference(n, x, cut):
     "n", [1, 2, 7, 64, 1499, 1500, 1501, 4096, 8192, 8193, 65536, 2**20]
 )
 @pytest.mark.parametrize("x", [0.0, 1.0, 5e-324, 1.0 - 2.0**-53, 0.5, 0.999999])
-def test_weight_vector_is_the_exp_of_the_full_log_weights(n, x):
-    # outside the nonzero window every exponential underflows to exactly 0.0
+def test_weight_vector_is_the_support_window_of_the_full_weights(n, x):
+    # on the window, the bits of the weights every operator sums; outside
+    # it, 0.0 in place of weights that hold at most SUPPORT_DELTA together
+    w = akrvoro.weight_vector(n, x)
     full = np.exp(_kernels.log_weights(n, x))
-    np.testing.assert_array_equal(
-        akrvoro.weight_vector(n, x).view(np.int64), full.view(np.int64)
-    )
-    lo, hi = _kernels.nonzero_window(n, x)
-    assert not full[:lo].any() and not full[hi + 1 :].any()
+    lo, hi = _kernels.support(n, x)
+    window = np.exp(_kernels.log_weights(n, x, lo, hi))
+    np.testing.assert_array_equal(w[lo : hi + 1].view(np.int64), window.view(np.int64))
+    np.testing.assert_array_equal(window.view(np.int64), full[lo : hi + 1].view(np.int64))
+    assert not w[:lo].any() and not w[hi + 1 :].any()
+    outside = full[:lo].tolist() + full[hi + 1 :].tolist()
+    assert math.fsum(outside) <= _kernels.SUPPORT_DELTA
 
 
 def test_cached_degree_terms_are_read_only():

@@ -1,9 +1,11 @@
 """The README's quick start runs, and its commented values hold; each
 command of its CLI block runs and exits 0; its catalog names are the
-catalog's; its Layout block names every module of the package.  Every
+catalog's; its Layout block names every module of the package, and every
+``<module>.<name>`` it puts in backticks is a name of that module.  Every
 benchmark record that README.md or ROADMAP.md names is committed and
 parses, and every claim a record makes names what the benchmark measures."""
 
+import importlib
 import json
 import math
 import re
@@ -66,12 +68,37 @@ def test_catalog_names_sentence_is_the_catalog():
         lookup(name.replace("monomial(p,q)", "monomial(2,3)"))
 
 
+def package_modules():
+    """The names of the package's modules, without the .py."""
+    package = README.parent / "src" / "akrvoro"
+    return {p.stem for p in package.glob("*.py")} - {"__init__", "__main__"}
+
+
 def test_layout_names_every_module():
     block = re.search(r"\n## Layout\n\n```\n(.*?)```", README.read_text(), re.S).group(1)
     named = re.findall(r"^  (\S+\.py) ", block, re.M)
-    package = README.parent / "src" / "akrvoro"
-    modules = {p.name for p in package.glob("*.py")} - {"__init__.py", "__main__.py"}
-    assert sorted(named) == sorted(modules)
+    assert sorted(named) == sorted(f"{module}.py" for module in package_modules())
+
+
+def module_references():
+    """Each distinct ``<module>.<name>`` inside an inline code span of the
+    README, ``<module>`` one of the package's modules; a file name such as
+    tensor.py is not a reference."""
+    text = re.sub(r"```.*?```", "", README.read_text(), flags=re.S)
+    modules = "|".join(sorted(package_modules()))
+    pattern = re.compile(rf"(?<![\w.])({modules})\.(\w+)")
+    return sorted({
+        ref for span in re.findall(r"`([^`\n]+)`", text)
+        for ref in pattern.findall(span) if ref[1] != "py"
+    })
+
+
+def test_module_references_resolve():
+    refs = module_references()
+    assert refs
+    missing = [f"{module}.{name}" for module, name in refs
+               if not hasattr(importlib.import_module(f"akrvoro.{module}"), name)]
+    assert not missing
 
 
 def bench_records():
