@@ -1,7 +1,8 @@
 """Numeric kernels: compensated reductions and stable log binomial weights.
 
-There is one numpy path.  ``comp_dot`` sums its products with ``math.fsum``
-(exact summation, so no order enters); ``bilinear_accumulate`` lets BLAS
+There is one numpy path.  ``comp_dot`` sums its products with ``exact_sum``,
+which rounds their exact sum correctly (so no order enters): by a cascade
+that a bound certifies, or by ``math.fsum``; ``bilinear_accumulate`` lets BLAS
 form each row product and carries Kahan compensation across the rows in
 ascending order; ``log_weights`` evaluates the saddle-point split below with
 vectorized numpy.  All three are deterministic.
@@ -22,8 +23,8 @@ from .errors import DomainError
 __all__ = [
     "ARITIES", "backend", "check_at_least", "check_degree", "check_index",
     "check_integral", "check_order", "check_point", "check_positive",
-    "check_schedule", "comp_dot", "bilinear_accumulate", "log_weights", "support",
-    "warmup",
+    "check_schedule", "comp_dot", "bilinear_accumulate", "exact_sum", "log_weights",
+    "support", "warmup",
 ]
 
 
@@ -388,17 +389,98 @@ def support(n, x):
 
 # --------------------------------------------------------------------------
 # Compensated reductions.
-# math.fsum is a full-precision compensated sum; the bilinear reduction keeps
-# Kahan compensation across rows and lets BLAS handle each row product.
+# exact_sum rounds the exact sum correctly, by a certified cascade or by
+# math.fsum; the bilinear reduction keeps Kahan compensation across rows and
+# lets BLAS handle each row product.
 # --------------------------------------------------------------------------
+
+# Fewer terms than this go to math.fsum alone.  The cascade costs a fixed
+# 7.1-7.4 us up to 111 terms and 8.2 us at 220; fsum's cost grows with the
+# terms and with the binary exponents they span.  On operator products
+# (weights times t^2 at the j = 2 nodes, x = 0.5, 0.3 and 0.1; best of 7
+# rounds of 20,000 calls on a 2-vCPU Xeon VM) fsum took 2.7 us at 65 terms,
+# 5.6 us at 97, 7.3 us at 111, 8.0 us at 126 and 9.6-13.9 us at 156-157;
+# at x = 0.1, whose windows span fewer exponents, 3.1 us at 104 and 7.9 us
+# at 162.
+_CASCADE_MIN_TERMS = 128
+
+
+def exact_sum(p):
+    """The exact sum of the doubles of the 1-d array p, correctly rounded.
+
+    From _CASCADE_MIN_TERMS terms on, the sum is Sum2 of T. Ogita, S. M.
+    Rump and S. Oishi, "Accurate sum and dot product", SIAM J. Sci.
+    Comput. 26 (2005), in numpy: the running sums s = add.accumulate(p),
+    whose last is hi, and Knuth's TwoSum errors e_i = (s_(i-1) - (s_i -
+    z)) + (p_i - z), z = s_i - s_(i-1), so that s_i + e_i = s_(i-1) + p_i
+    exactly.  The e_i then telescope: the exact sum is S = hi + E, E the
+    exact sum of the m - 1 errors.  r = fl(hi + lo), lo the computed E.
+    r is returned only when a bound proves it is S rounded to nearest;
+    otherwise, and below _CASCADE_MIN_TERMS terms, math.fsum gives the
+    sum.  The correctly rounded sum is unique, so the two agree bit for
+    bit.
+
+    The bound.  With u = 2^-53, lo is a floating sum of the m - 1 errors,
+    in any order, so |E - lo| <= gamma_(m-2) sum|e_i|, gamma_k = k u / (1 -
+    k u); and t, the computed sum of the |e_i|, is at least (1 - (m - 2)
+    u) sum|e_i|.  For m u <= 2^-14 (m below 2^39; an operator sums at
+    most MAX_DEGREE + 1 terms) that makes |E - lo| <= 1.0002 m u t.  The
+    computed b = fl(fl(m 2^-52 t) + 2^-1022) is at least 1.99 m u t: the
+    product loses a relative u, and at most 2^-1075 to underflow, which
+    the 2^-1022 covers.  So |E - lo| <= 0.51 b.  TwoSum of (hi, lo) gives
+    d = hi + lo - r exactly, so S - r = d + (E - lo) lies within 0.51 b
+    of d.  Take r > 0 (for r < 0, flip the signs of r, d and S).  S
+    rounds to r when S - r lies strictly between -g_in and g_out, half
+    the gaps from r to its neighbours toward 0 and away from it; they
+    differ when r is a power of two, such as the 1.0 that the weights at
+    a point sum to.  The computed g_in = (r - nextafter(r, 0)) / 2 and
+    g_out = ulp(r) / 2 are exact from r = 2^-1021 on and rounded down to 0
+    below.  If b < fl(g_out - d), then g_out - d > 0.51 b, since fl(x) <=
+    (1 + u) x for x >= 0 and fl(x) <= 0 < b for x < 0; so S - r < d +
+    0.51 b < g_out.  Likewise b < fl(g_in + d) gives S - r > -g_in.
+
+    The cascade runs only when m max|p_i| < 2^1020, which an inf or a nan
+    among the terms fails.  Then every running sum, every TwoSum quantity
+    and every exact prefix sum stays below 2^1022 in magnitude, so nothing
+    overflows, and neither would fsum, which raises OverflowError when an
+    exact prefix sum nears the largest double.  TwoSum is exact with
+    subnormals too, since a sum that lands below 2^-1022 is exact.  Any
+    other input, and an r of 0, whose sign fsum gives, go to fsum, which
+    returns the value or raises the exception it always has.
+    """
+    m = p.shape[0]
+    # False for an inf or a nan among the terms too
+    if m >= _CASCADE_MIN_TERMS and m * float(np.abs(p).max()) < 2.0**1020:
+        s = np.add.accumulate(p)
+        prev, cur = s[:-1], s[1:]
+        z = cur - prev
+        e = cur - z
+        np.subtract(prev, e, out=e)
+        e += np.subtract(p[1:], z, out=z)
+        lo = float(np.add.reduce(e))
+        t = float(np.add.reduce(np.abs(e, out=e)))
+        hi = float(s[-1])
+        r = hi + lo
+        if r:
+            z = r - hi
+            d = (hi - (r - z)) + (lo - z)
+            if r < 0.0:  # d as seen from |r|
+                d = -d
+            a = abs(r)
+            g_in = (a - math.nextafter(a, 0.0)) * 0.5
+            g_out = math.ulp(a) * 0.5
+            b = t * (m * 2.0**-52) + 2.0**-1022
+            if b < g_out - d and b < g_in + d:
+                return r
+    # fsum reads a list of Python floats faster than it iterates an array,
+    # and they hold the same doubles
+    return math.fsum(p.tolist())
 
 
 def comp_dot(a, b):
-    """Sum of the elementwise products, correctly rounded: math.fsum sums
-    them exactly, so the result does not depend on their order."""
-    # fsum reads a list of Python floats faster than it iterates an array,
-    # and they hold the same doubles
-    return math.fsum(np.multiply(a, b).tolist())
+    """Sum of the elementwise products, correctly rounded: ``exact_sum``
+    sums them exactly, so the result does not depend on their order."""
+    return exact_sum(np.multiply(a, b))
 
 
 def bilinear_accumulate(block, wx_block, wy, state):
@@ -421,5 +503,6 @@ def warmup():
     stay out of timed work."""
     a = np.array([1.0, 2.0, 3.0])
     comp_dot(a, a)
+    exact_sum(np.ones(_CASCADE_MIN_TERMS))
     bilinear_accumulate(np.ones((2, 3)), a[:2], a, np.zeros(2))
     log_weights(4, 0.5)

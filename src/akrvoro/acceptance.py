@@ -137,6 +137,19 @@ def _reduce_valid(ufunc, x, tail):
     return float(ufunc.reduce(x[:, split:], axis=None, where=tail, initial=head))
 
 
+def _max_excess(drift, n, tail):
+    """The largest drift - 1/n over the cells k <= n of a sweep block,
+    masked as in ``_reduce_valid``: each row's largest drift, less 1/n.
+    Rounding is monotone, so fl(max_k drift_k - 1/n) = max_k fl(drift_k -
+    1/n) bit for bit, with one subtraction a row in place of one a cell."""
+    split = drift.shape[1] - tail.shape[1]
+    rows = np.maximum.reduce(drift[:, :split], axis=1)
+    masked = np.maximum.reduce(drift[:, split:], axis=1, where=tail, initial=-np.inf)
+    np.maximum(rows, masked, out=rows)
+    rows -= 1.0 / n[:, 0]
+    return float(rows.max())
+
+
 # degrees at which criterion 2 checks its sweep against the public functions
 _CHECKED_DEGREES = (2, 2048, 4096)
 
@@ -179,8 +192,7 @@ def criterion_2():
             tail = k[first + 1 :] <= n
             min_r = min(min_r, _reduce_valid(np.minimum, r[:, 1:], tail))
             min_drift = min(min_drift, _reduce_valid(np.minimum, drift, tail))
-            drift -= 1.0 / n
-            max_excess = max(max_excess, _reduce_valid(np.maximum, drift, tail))
+            max_excess = max(max_excess, _max_excess(drift, n, tail))
     expected = -1.0 / (2.0 * np.arange(2, last + 1))
     worst_r0 = float((np.abs(r0 - expected) / np.spacing(np.abs(expected))).max())
     ok = (

@@ -9,13 +9,11 @@ Bernstein operator is the order-1 case; the operators themselves live in
 the operator's first-order asymptotics.
 """
 
-import math
-
 import numpy as np
 
 from ._kernels import (
-    MAX_GRID, check_at_least, check_degree, check_index, check_order, comp_dot, log_weights,
-    support,
+    MAX_GRID, check_at_least, check_degree, check_index, check_order, comp_dot, exact_sum,
+    log_weights, support,
 )
 from .errors import DomainError
 
@@ -134,7 +132,7 @@ def _fixed_point_errors(n, orders, grid_size):
         lo, hi = support(n, x)
         window = slice(lo, hi + 1)
         w = np.exp(log_weights(n, x, lo, hi))
-        one = abs(math.fsum(w.tolist()) - 1.0)
+        one = abs(exact_sum(w) - 1.0)
         for i, j in enumerate(orders):
             error = abs(comp_dot(powers[i][window], w) - x**j)
             worst[i] = max(worst[i], one, error)

@@ -18,10 +18,11 @@ from ._kernels import (
     ARITIES, _shown, check_degree, check_order, check_point, check_positive,
     check_schedule, comp_dot, log_weights, support,
 )
-from .akr import build_node_table, remainder
+from .akr import remainder
 from .errors import CapabilityError, DomainError
 from .tensor import (
-    Function, _apply, _axis_windows, _check_arity, _window_apply, memo_scope,
+    Function, _apply, _axis_windows, _check_arity, _window_apply, _window_nodes,
+    memo_scope,
 )
 
 __all__ = [
@@ -202,7 +203,7 @@ def decomposition(f, n, p):
     total is the ``akr-minus-bernstein-2d`` series entry at n, bit for bit:
     its two operator values go through ``tensor._apply``, so an open memo
     keeps them, and the scope opened here gives them the drift terms' weight
-    windows.
+    windows and their order-1 and order-2 node tables.
 
     e_term weights the x drift (node minus k/n) against the partial f_x
     sampled at the uniform grid, f_term does the same in y, and g_residual
@@ -240,8 +241,8 @@ def decomposition(f, n, p):
     coords = check_point(p, 2)
     grads = _partials(f, 2, 1, "decomposition")
     lo, hi, windows = _axis_windows(n, coords)
-    uniform = build_node_table(n, 1, lo, hi)
-    drift = build_node_table(n, 2, lo, hi) - uniform
+    uniform = _window_nodes(n, 1, lo, hi)
+    drift = _window_nodes(n, 2, lo, hi) - uniform
     e_term, f_term = (
         n * _window_apply(Function(eval=g), uniform, [
             (s, w * drift[s] if axis == i else w) for axis, (s, w) in enumerate(windows)

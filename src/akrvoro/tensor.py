@@ -10,10 +10,10 @@ blocks through a compensated bilinear reduction (k outer, l inner, both
 ascending); functions declared separable take an exact product fast path
 of one-dimensional sums.
 
-Inside ``memo_scope`` the weight windows and operator values computed are
-kept until the outermost scope exits, so one acceptance run computes each
-(n, x) window and each (f, n, j, point) value once.  Outside a scope
-nothing is kept.
+Inside ``memo_scope`` the weight windows, node tables and operator values
+computed are kept until the outermost scope exits, so one acceptance run
+computes each (n, x) window, each (n, j) table on a hull and each (f, n, j,
+point) value once.  Outside a scope nothing is kept.
 """
 
 import contextlib
@@ -45,15 +45,17 @@ __all__ = [
 _BLOCK_ELEMENTS = 1 << 22
 
 # The memo of the open scope, None outside one: ("w", n, x) -> the
-# read-only weights on the support window at x, and ("op", id(f), n, j,
+# read-only weights on the support window at x, ("nodes", n, j, lo, hi) ->
+# the read-only nodes of order j at k = lo..hi, and ("op", id(f), n, j,
 # coords) -> (f, value), which holds f so that its id is not reused.
 _MEMO = contextvars.ContextVar("akrvoro_tensor_memo", default=None)
 
 
 @contextlib.contextmanager
 def memo_scope():
-    """Keep weight windows and operator values until the outermost scope
-    exits, on error too; a scope opened inside another shares its memo."""
+    """Keep weight windows, node tables and operator values until the
+    outermost scope exits, on error too; a scope opened inside another
+    shares its memo."""
     if _MEMO.get() is not None:
         yield
         return
@@ -200,18 +202,28 @@ def tensor_reduce(func, s_nodes, t_nodes, wx, wy):
     return float(state[0] + state[1])
 
 
+def _kept(key, make):
+    """make(), kept read-only under key in the open memo when there is one."""
+    memo = _MEMO.get()
+    if memo is None:
+        return make()
+    if key not in memo:
+        value = make()
+        value.flags.writeable = False
+        memo[key] = value
+    return memo[key]
+
+
 def _window_weights(n, x, lo, hi):
     """The degree-n weights at x on their support window lo..hi, taken from
     the open memo, read-only, when there is one."""
-    memo = _MEMO.get()
-    key = ("w", n, x)
-    if memo is not None and key in memo:
-        return memo[key]
-    w = np.exp(log_weights(n, x, lo, hi))
-    if memo is not None:
-        w.flags.writeable = False
-        memo[key] = w
-    return w
+    return _kept(("w", n, x), lambda: np.exp(log_weights(n, x, lo, hi)))
+
+
+def _window_nodes(n, j, lo, hi):
+    """The degree-n nodes of order j at k = lo..hi (read-only), taken from
+    the open memo when there is one."""
+    return _kept(("nodes", n, j, lo, hi), lambda: build_node_table(n, j, lo, hi))
 
 
 def _axis_windows(n, coords):
@@ -255,7 +267,7 @@ def _apply(f, n, j, coords):
     if memo is not None and key in memo:
         return memo[key][1]
     lo, hi, windows = _axis_windows(n, coords)
-    value = _window_apply(f, build_node_table(n, j, lo, hi), windows)
+    value = _window_apply(f, _window_nodes(n, j, lo, hi), windows)
     if memo is not None:
         memo[key] = (f, value)
     return value

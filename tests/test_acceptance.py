@@ -23,7 +23,7 @@ from akrvoro import (
     residual_series,
     tensor,
 )
-from akrvoro._kernels import CACHE_BLOCK_ELEMENTS
+from akrvoro._kernels import CACHE_BLOCK_ELEMENTS, small_ufunc_buffer
 from akrvoro.acceptance import (
     CRITERIA, check_limit, relative_ok, run_all, run_criterion,
 )
@@ -61,6 +61,16 @@ def test_sweep_rows_equal_the_public_functions_bit_for_bit():
             _assert_same_bits(nodes[row, cells], build_node_table(degree, 2))
             degrees.append(degree)
     assert degrees == list(range(2, 4097))
+
+
+def test_max_excess_is_the_full_block_maximum_bit_for_bit():
+    # each row's largest drift less 1/n is the largest drift - 1/n over
+    # the block's cells
+    with small_ufunc_buffer():
+        for first, n, k, drift, _, _ in acceptance._remainder_sweep(4096):
+            tail = k[first + 1 :] <= n
+            full = acceptance._reduce_valid(np.maximum, drift - 1.0 / n, tail)
+            assert acceptance._max_excess(drift, n, tail).hex() == full.hex()
 
 
 # the wrong node formula writes into ``out``, as the sweep's nodes are the

@@ -6,6 +6,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath as mp
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 import akrvoro
 from akrvoro import _kernels, acceptance, tensor
 from akrvoro.akr import _remainder_formula
+from akrvoro.asymptotics import residual_series
 from akrvoro.catalog import lookup
 
 
@@ -44,8 +46,183 @@ def test_comp_dot_matches_fsum_of_products():
     rng = np.random.default_rng(7)
     a = rng.standard_normal(1000)
     b = rng.standard_normal(1000)
-    exact = math.fsum(np.multiply(a, b))
-    assert _kernels.comp_dot(a, b) == pytest.approx(exact, abs=1e-13)
+    assert _kernels.comp_dot(a, b) == math.fsum(np.multiply(a, b))
+
+
+# --------------------------------------------------------------------------
+# exact_sum: the certified cascade and its fsum fallback, against an exact
+# oracle.
+# --------------------------------------------------------------------------
+
+_CROSSOVER = _kernels._CASCADE_MIN_TERMS
+
+
+def _assert_exactly_rounded(a, b=None):
+    """comp_dot(a, b) (b = ones by default), fsum of the products and their
+    exact sum rounded to nearest agree bit for bit.  Fraction sums exactly
+    and float() of it divides two ints, correctly rounded; a zero has no
+    sign there, so fsum's gives it."""
+    a = np.asarray(a, dtype=float)
+    b = np.ones_like(a) if b is None else b
+    p = np.multiply(a, b).tolist()
+    got = _kernels.comp_dot(a, b)
+    assert got.hex() == math.fsum(p).hex()
+    assert got == float(sum(map(Fraction, p), Fraction(0)))
+
+
+# doubles of every binary exponent a sum of a few hundred can hold without
+# overflow, subnormals included
+_TERMS = st.one_of(
+    st.floats(min_value=-1e300, max_value=1e300),
+    st.builds(math.ldexp, st.floats(min_value=-1.0, max_value=1.0),
+              st.integers(min_value=-1074, max_value=990)),
+)
+
+
+# from just below the crossover, so both paths run
+@given(st.lists(_TERMS, min_size=_CROSSOVER - 2, max_size=2 * _CROSSOVER))
+@settings(max_examples=100, deadline=None)
+def test_exact_sum_is_the_rounded_exact_sum(xs):
+    _assert_exactly_rounded(xs)
+
+
+@given(
+    st.lists(_TERMS, min_size=_CROSSOVER // 2, max_size=_CROSSOVER),
+    st.lists(_TERMS, max_size=8),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=100, deadline=None)
+def test_exact_sum_survives_heavy_cancellation(xs, residue, seed):
+    # the terms cancel in pairs, in shuffled order, down to a small residue
+    terms = np.array(xs + [-x for x in xs] + residue)
+    np.random.default_rng(seed).shuffle(terms)
+    _assert_exactly_rounded(terms)
+
+
+_U = 2.0**-53
+
+
+@pytest.mark.parametrize(
+    "head",
+    [
+        [1.0, _U],  # 1 + u, a tie: to even, 1
+        [1.0, 3 * _U],  # 1 + 3u, a tie: to even, 1 + 4u
+        [1.0, -_U / 2],  # 1 - u/2, the tie below the power of two: to 1
+        [1.0, _U, 2.0**-110],  # just past the tie: up
+        [1.0, _U, -(2.0**-110)],  # just short of it: down
+        [1.0, -_U / 2, -(2.0**-110)],
+        [1.0, -_U / 2, 2.0**-110],
+        [-1.0, -_U],
+        [1.0, -_U / 4],  # within the smaller gap below a power of two
+        [1.0, -3 * _U / 4],  # nearer the neighbour below
+        [1.0, _U * 0.75],
+        [2.0**600, -(2.0**546)],
+        [0.75, 0.25],  # exactly a power of two
+        [2.0**-1000, 2.0**-1060, -(2.0**-1074)],
+    ],
+)
+@pytest.mark.parametrize("place", ["first", "last", "spread"])
+@pytest.mark.parametrize("pad", ["zeros", "cancelling pairs"])
+def test_exact_sum_rounds_ties_and_power_of_two_neighbours(head, place, pad):
+    count = _CROSSOVER + 3
+    if pad == "zeros":
+        padding = [0.0] * count
+    else:
+        values = [0.75 * 2.0**e for e in range(-(count // 4), count // 4 + 1)]
+        padding = [v for value in values for v in (value, -value)]
+    if place == "first":
+        terms = head + padding
+    elif place == "last":
+        terms = padding + head
+    else:
+        terms = list(padding)
+        for i, h in enumerate(head):
+            terms.insert((i + 1) * len(padding) // (len(head) + 1), h)
+    assert len(terms) >= _CROSSOVER
+    _assert_exactly_rounded(terms)
+
+
+@pytest.mark.parametrize("size", [_CROSSOVER - 1, _CROSSOVER, 4 * _CROSSOVER])
+def test_exact_sum_of_subnormal_products(size):
+    rng = np.random.default_rng(size)
+    sign = rng.choice((-1.0, 1.0), size)
+    # products near 1e-320, some of them rounded to 0, with and without a
+    # normal term among them
+    a = sign * rng.uniform(0.1, 1.0, size) * 1e-160
+    b = rng.uniform(0.0, 1.0, size) * 1e-160
+    _assert_exactly_rounded(a, b)
+    a[size // 2], b[size // 2] = 1e-150, 1e-150
+    _assert_exactly_rounded(a, b)
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        [0.0] * _CROSSOVER,
+        [-0.0] * _CROSSOVER,
+        [0.0, -0.0] * _CROSSOVER,
+        [1.5, -1.5] * _CROSSOVER,
+        [-(2.0**-1074), 2.0**-1074] * _CROSSOVER,
+        [1e300, 1.0, -1e300, -1.0] * _CROSSOVER,
+    ],
+)
+def test_exact_sum_of_zero_is_fsums_signed_zero(terms):
+    _assert_exactly_rounded(terms)
+    assert _kernels.comp_dot(np.array(terms), np.ones(len(terms))) == 0.0
+
+
+_MAX = sys.float_info.max
+
+
+@pytest.mark.parametrize(
+    "head",
+    [
+        [math.inf],
+        [-math.inf],
+        [math.nan],
+        [math.inf, -math.inf],
+        [math.inf, math.nan],
+        [1e308, 1e308],
+        [1e308, 1e308, -1e308],
+        # an exact prefix sum passes the largest double while the running
+        # sums, rounded, stay finite
+        [_MAX] + [math.ulp(_MAX) / 4] * 3 + [-_MAX],
+        [1e306] * _CROSSOVER,
+    ],
+)
+def test_exact_sum_gives_fsums_value_or_exception_past_the_finite_range(head):
+    terms = np.array(head + [0.5] * _CROSSOVER)
+    try:
+        expected = math.fsum(terms.tolist())
+    except (OverflowError, ValueError) as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            comp_sum(terms)
+    else:
+        assert comp_sum(terms).hex() == expected.hex()
+
+
+@pytest.mark.parametrize("x", [0.1, 0.3, 0.5, 0.9])
+def test_an_akr_1d_series_certifies_every_sum_past_the_crossover(monkeypatch, x):
+    # so that the fast path cannot go dead unnoticed: no comp_dot of at
+    # least _CASCADE_MIN_TERMS products in an e2 series to n = 65536 falls
+    # back to fsum
+    sizes, fallbacks = [], []
+    exact_sum, fsum = _kernels.exact_sum, math.fsum
+
+    def counted(p):
+        sizes.append(p.shape[0])
+        return exact_sum(p)
+
+    def recorded(terms):
+        fallbacks.append(len(terms))
+        return fsum(terms)
+
+    monkeypatch.setattr(_kernels, "exact_sum", counted)
+    monkeypatch.setattr(math, "fsum", recorded)
+    residual_series("akr-1d", lookup("e2").function, x, n0=64, doublings=10)
+    monkeypatch.undo()
+    assert sum(m >= _CROSSOVER for m in sizes) >= 8
+    assert [m for m in fallbacks if m >= _CROSSOVER] == []
 
 
 def test_bilinear_accumulate_matches_brute_force():

@@ -12,10 +12,11 @@ from akrvoro import (
     Function,
     SupBounds,
     apply,
+    decomposition,
     lookup,
     residual_series,
 )
-from akrvoro import tensor
+from akrvoro import akr, asymptotics, tensor
 from akrvoro._kernels import CACHE_BLOCK_ELEMENTS, bilinear_accumulate, check_point
 from akrvoro.basis import eval_on
 from akrvoro.tensor import eval_grid_block
@@ -440,3 +441,26 @@ def test_a_memo_scope_shares_its_values_and_is_dropped_on_exit(tensor_log_weight
     assert tensor._MEMO.get() is None
     apply(f, 64, 2, (0.7, 0.3))
     assert sum(calls.values()) == 4
+
+
+def test_one_decomposition_builds_each_orders_node_table_once(monkeypatch):
+    calls = Counter()
+    build = akr.build_node_table
+
+    def counted(n, j=2, lo=0, hi=None):
+        calls[n, j, lo, hi] += 1
+        return build(n, j, lo, hi)
+
+    # every module that binds it
+    for module in (akr, asymptotics, tensor):
+        if hasattr(module, "build_node_table"):
+            monkeypatch.setattr(module, "build_node_table", counted)
+    f = lookup("runge-2d").function
+    # the drift terms' tables serve the total's two operators
+    decomposition(f, 256, (0.7, 0.3))
+    assert sorted(j for _, j, _, _ in calls) == [1, 2]
+    assert set(calls.values()) == {1}
+    # outside a scope each operator builds its own table
+    calls.clear()
+    assert apply(f, 256, 2, (0.7, 0.3)) == apply(f, 256, 2, (0.7, 0.3))
+    assert list(calls.values()) == [2]
