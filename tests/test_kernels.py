@@ -434,6 +434,65 @@ def _frozen_bd0(a, m):
     return out
 
 
+def _assert_bd0_bits(a, m):
+    expected = _frozen_bd0(a, m)
+    got = _kernels._bd0_np(a, m)
+    np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
+
+
+def test_bd0_is_bit_identical_to_the_frozen_reference_across_the_crossover():
+    # near counts from 1 to 300 take the accumulates below
+    # _SERIES_LOOP_MIN_NEAR and the loop from it on, each with and without
+    # far elements beside them
+    rng = np.random.default_rng(30)
+    assert 1 < _kernels._SERIES_LOOP_MIN_NEAR < 300
+    for count in range(1, 301):
+        m = rng.uniform(1.0, 1e4, count)
+        near_a = m * (1.0 + rng.uniform(-0.18, 0.18, count))
+        far_m = rng.uniform(1.0, 1e4, 5)
+        far_a = far_m * rng.choice([0.25, 0.5, 3.0], 5)
+        _assert_bd0_bits(near_a, m)
+        _assert_bd0_bits(np.concatenate((far_a[:2], near_a, far_a[2:])),
+                         np.concatenate((far_m[:2], m, far_m[2:])))
+
+
+@pytest.mark.parametrize("size", [1, 2, 50, 200, 4954])
+def test_bd0_all_near_and_all_far_arrays_are_bit_identical(size):
+    a = np.arange(1.0, size + 1.0)
+    # all near, with v = 0 at the middle element, and all at v = 0
+    m = a * (1.0 + 0.15 * np.sin(a))
+    m[size // 2] = a[size // 2]
+    _assert_bd0_bits(a, m)
+    _assert_bd0_bits(a, a)
+    # all far, at both sides of m
+    _assert_bd0_bits(a, a * 3.0)
+    _assert_bd0_bits(a, a / 3.0)
+    # m below 2^-1000: a / m overflows to inf, which errstate hides, and
+    # bd0 is inf; a near element beside them takes the series
+    tiny = np.full(size, 2.0**-1074)
+    tiny[0] = 2.0**-1001
+    _assert_bd0_bits(a, tiny)
+    mixed = tiny.copy()
+    mixed[-1] = a[-1] * 1.05
+    _assert_bd0_bits(a, mixed)
+
+
+def test_warmup_takes_the_small_window_series(monkeypatch):
+    # the accumulates have their own first-call costs, which warmup pays
+    seen = []
+    exact = _kernels._bd0_series
+
+    def recorded(a, d, v):
+        seen.append((v.size, float(np.max(v * v, initial=0.0))))
+        return exact(a, d, v)
+
+    monkeypatch.setattr(_kernels, "_bd0_series", recorded)
+    _kernels.warmup()
+    monkeypatch.undo()
+    assert any(0 < size < _kernels._SERIES_LOOP_MIN_NEAR and v2_max > 0.0
+               for size, v2_max in seen)
+
+
 def _frozen_log_weights(n, x, lo=0, hi=None):
     hi = n if hi is None else hi
     lw = np.empty(hi - lo + 1)
@@ -467,7 +526,9 @@ def _frozen_log_weights(n, x, lo=0, hi=None):
 @given(
     st.one_of(
         st.integers(min_value=1, max_value=4096),
-        st.sampled_from([8192, 8193, 65536]),
+        # degrees whose support windows are all near at moderate x, on
+        # both sides of the terms cache's bound of 8192
+        st.sampled_from([8192, 8193, 16384, 32768, 65535, 65536, 65537, 2**20]),
     ),
     st.one_of(
         st.sampled_from([0.0, 1.0, 5e-324, 1e-300, 1.0 - 2.0**-53]),
