@@ -77,27 +77,65 @@ _S3 = 1.0 / 1680.0
 _S4 = 1.0 / 1188.0
 
 
-# Degrees up to this keep their x-independent terms in a cache: at most
-# _TERMS_CACHE_SIZE entries of 2 (n - 1) doubles each, about 2 MB at the
-# worst.  Larger degrees compute them on the requested window only.
+# s(m) for m = 0..size - 1, kept read-only and grown on demand to the next
+# power of two past the largest m asked for.  It is elementwise
+# _stirlerr_np, so a slice of it has the bits of _stirlerr_np on that slice.
+# Degrees below _STIRLERR_CAP read s(k) and s(n - k) from it; from the cap
+# on, s is computed on the requested window only.  The table holds at most
+# _STIRLERR_CAP doubles, 2 MiB, the worst case.  A grown table replaces the
+# old one whole: a caller holding the old one still reads valid entries,
+# and two threads growing it at once only compute it twice.
+_STIRLERR_CAP = 2**18
+_stirlerr_kept = np.empty(0)
+
+
+def _stirlerr_upto(n):
+    """The kept table of s(m), holding at least m = 0..n < _STIRLERR_CAP."""
+    global _stirlerr_kept
+    table = _stirlerr_kept
+    if table.size <= n:
+        grown = np.empty(1 << int(n).bit_length())
+        grown[: table.size] = table
+        grown[table.size :] = _stirlerr_np(np.arange(float(table.size), grown.size))
+        grown.flags.writeable = False
+        _stirlerr_kept = table = grown
+    return table
+
+
+def _degree_terms(n, k0, k1):
+    """Rows k, n - k, head = s(n) - s(k) - s(n-k) and tail = 0.5 ln(n /
+    (2 pi k (n-k))) for k = k0..k1, as one (4, k1 - k0 + 1) block."""
+    terms = np.empty((4, k1 - k0 + 1))
+    k, nk, head, tail = terms
+    k[:] = np.arange(float(k0), float(k1 + 1))
+    np.subtract(n, k, out=nk)
+    if n < _STIRLERR_CAP:
+        s = _stirlerr_upto(n)
+        # s(n - k) for k = k0..k1 runs backwards through the table
+        np.subtract(s[n], s[k0 : k1 + 1], out=head)
+        head -= s[n - k1 : n - k0 + 1][::-1]
+    else:
+        s = _stirlerr_np(terms[:2])
+        np.subtract(_stirlerr_np(np.array([float(n)]))[0], s[0], out=head)
+        head -= s[1]
+    np.log(n / (2.0 * math.pi * k * nk), out=tail)
+    tail *= 0.5
+    return terms
+
+
+# Degrees up to this keep their terms block in a cache: at most
+# _TERMS_CACHE_SIZE blocks of 4 (n - 1) doubles each, 4 MiB at the worst,
+# which with the s table's 2 MiB makes 6 MiB for every kernel cache.
+# Larger degrees build the block on the requested window only.
 _TERMS_MAX_DEGREE = 8192
 _TERMS_CACHE_SIZE = 16
 
 
-def _degree_terms(n, k):
-    """head = s(n) - s(k) - s(n-k) and tail = 0.5 ln(n / (2 pi k (n-k)))."""
-    s = _stirlerr_np(np.concatenate(([n], k, n - k)))
-    head = s[0] - s[1 : k.size + 1] - s[k.size + 1 :]
-    tail = 0.5 * np.log(n / (2.0 * math.pi * k * (n - k)))
-    return head, tail
-
-
 @functools.lru_cache(maxsize=_TERMS_CACHE_SIZE)
 def _cached_degree_terms(n):
-    """Read-only head and tail for k = 1..n-1 (index k - 1)."""
-    terms = _degree_terms(n, np.arange(1.0, float(n)))
-    for t in terms:
-        t.flags.writeable = False
+    """The read-only terms block for k = 1..n-1 (column k - 1)."""
+    terms = _degree_terms(n, 1, n - 1)
+    terms.flags.writeable = False
     return terms
 
 
@@ -120,23 +158,26 @@ def log_weights(n, x, lo=0, hi=None):
     k1 = min(hi, n - 1)
     if k1 < k0:
         return lw
-    k = np.arange(float(k0), float(k1 + 1))
-    # bd0 is elementwise, so one call serves k against n x and n - k
-    # against n (1 - x)
-    size = k.size
-    bd0 = _bd0_np(
-        np.concatenate((k, n - k)), np.array((n * x, n * (1.0 - x))).repeat(size)
-    )
     if n <= _TERMS_MAX_DEGREE:
-        head, tail = _cached_degree_terms(n)
-        head, tail = head[k0 - 1 : k1], tail[k0 - 1 : k1]
+        terms = _cached_degree_terms(n)[:, k0 - 1 : k1]
     else:
-        head, tail = _degree_terms(n, k)
+        terms = _degree_terms(n, k0, k1)
+    # bd0 is elementwise, so one call serves k against n x and n - k
+    # against n (1 - x), both rows in one contiguous array: on a strided
+    # view of the cached rows or a broadcast m, each of bd0's ufuncs costs
+    # about 0.5 us more, far more than the copy and the fill.  a / m stays
+    # finite while m > 2^-1000, since a <= n <= MAX_DEGREE = 2^20.
+    size = k1 - k0 + 1
+    mx, my = n * x, n * (1.0 - x)
+    m = np.empty(2 * size)
+    m[:size] = mx
+    m[size:] = my
+    bd0 = _bd0_np(terms[:2].reshape(-1), m, min(mx, my) <= 2.0**-1000)
     # in place, in the order s(n) - s(k) - s(n-k) - bd0 - bd0 + tail
     out = lw[k0 - lo : k1 - lo + 1]
-    np.subtract(head, bd0[:size], out=out)
+    np.subtract(terms[2], bd0[:size], out=out)
     out -= bd0[size:]
-    out += tail
+    out += terms[3]
     return lw
 
 
@@ -201,32 +242,38 @@ def _bd0_series(a, d, v):
     return s
 
 
-def _bd0_np(a, m):
+def _bd0_np(a, m, small_m=True):
+    """bd0(a, m) elementwise; ``small_m`` says that some m may lie below
+    2^-1000, where a / m can overflow."""
     d = a - m
     t = a + m
     near = np.abs(d) < 0.1 * t
     # count_nonzero costs half of near.all() (0.44 against 0.97 us at 622
-    # elements, on the VM of the crossover above), and a mixed window pays
-    # it on top of the gathers
-    if np.count_nonzero(near) == near.size:
-        # every element near: no gathers, and no far pass over empty arrays
+    # elements, on the VM of the crossover above)
+    count = np.count_nonzero(near)
+    if count == near.size:
+        # every element near: no gathers, and no far pass
         return _bd0_series(a, d, np.divide(d, t, out=t))
-    far = ~near
-    an, dn = a[near], d[near]
-    # t is not read again after v, so its buffer takes the result
+    if count:
+        # the near inputs, before the far pass below overwrites t
+        an, dn, vn = a[near], d[near], t[near]
+        np.divide(dn, vn, out=vn)
+    # in place over every element, the near ones written over after:
+    # a * log(a / m) + m - a, in that order; a / m overflows when m is
+    # subnormal (x within a few ulp of 0 or 1), and the inf propagates to a
+    # -inf log weight, i.e. an exact 0 weight
     out = t
-    out[near] = _bd0_series(an, dn, dn / t[near])
-    # in place: af * log(af / mf) + mf - af, in that order; af / mf may
-    # overflow when mf is subnormal (x within a few ulp of 0 or 1), and the
-    # inf propagates to a -inf log weight, i.e. an exact 0 weight
-    af, mf = a[far], m[far]
-    with np.errstate(over="ignore"):
-        q = af / mf
-    np.log(q, out=q)
-    q *= af
-    q += mf
-    q -= af
-    out[far] = q
+    if small_m:
+        with np.errstate(over="ignore"):
+            np.divide(a, m, out=out)
+    else:
+        np.divide(a, m, out=out)
+    np.log(out, out=out)
+    out *= a
+    out += m
+    out -= a
+    if count:
+        out[near] = _bd0_series(an, dn, vn)
     return out
 
 
@@ -543,5 +590,6 @@ def warmup():
     comp_dot(a, a)
     exact_sum(np.ones(_CASCADE_MIN_TERMS))
     bilinear_accumulate(np.ones((2, 3)), a[:2], a, np.zeros(2))
-    # 3 near elements with v != 0: the series' accumulates run
+    # 3 near elements of 14, with v != 0: the s table, the in-place far
+    # pass and the series' accumulates run
     log_weights(8, 0.37)

@@ -6,6 +6,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -493,6 +494,25 @@ def test_warmup_takes_the_small_window_series(monkeypatch):
                for size, v2_max in seen)
 
 
+def test_warmup_grows_the_s_table_and_takes_the_in_place_far_pass(monkeypatch):
+    # from an empty table and terms cache, as in a fresh process
+    monkeypatch.setattr(_kernels, "_stirlerr_kept", np.empty(0))
+    _kernels._cached_degree_terms.cache_clear()
+    windows = []
+    exact = _kernels._bd0_np
+
+    def recorded(a, m, small_m=True):
+        near = np.abs(a - m) < 0.1 * (a + m)
+        windows.append((np.count_nonzero(near), near.size))
+        return exact(a, m, small_m)
+
+    monkeypatch.setattr(_kernels, "_bd0_np", recorded)
+    _kernels.warmup()
+    assert _kernels._stirlerr_kept.size > 0
+    # a mixed window: the far pass over every element, then the near ones
+    assert any(0 < count < size for count, size in windows)
+
+
 def _frozen_log_weights(n, x, lo=0, hi=None):
     hi = n if hi is None else hi
     lw = np.empty(hi - lo + 1)
@@ -548,6 +568,71 @@ def test_log_weights_are_bit_identical_to_the_frozen_reference(n, x, cut):
     np.testing.assert_array_equal(
         _kernels.log_weights(n, x, lo, hi), _frozen_log_weights(n, x, lo, hi)
     )
+
+
+def test_the_kept_s_table_is_the_frozen_stirlerr_up_to_its_cap():
+    cap = _kernels._STIRLERR_CAP
+    table = _kernels._stirlerr_upto(cap - 1)
+    assert table.size == cap and not table.flags.writeable
+    expected = _frozen_stirlerr(np.arange(float(cap)))
+    np.testing.assert_array_equal(table.view(np.int64), expected.view(np.int64))
+
+
+_SWITCH_DEGREES = [
+    8191, 8192, 8193,  # the terms cache's last degree and the next
+    2**18 - 1, 2**18, 2**18 + 1,  # the s table's cap
+    2**20,
+]
+
+
+def _assert_frozen_bits(n, x, lo=0, hi=None):
+    _assert_same_bits(_kernels.log_weights(n, x, lo, hi), _frozen_log_weights(n, x, lo, hi))
+
+
+def test_a_numpy_integer_degree_grows_the_s_table(monkeypatch):
+    monkeypatch.setattr(_kernels, "_stirlerr_kept", np.empty(0))
+    _kernels._cached_degree_terms.cache_clear()
+    _assert_frozen_bits(np.int64(64), 0.3)
+
+
+@pytest.mark.parametrize("n", _SWITCH_DEGREES)
+def test_log_weights_keep_their_bits_at_each_switch(n):
+    assert _kernels._STIRLERR_CAP == 2**18 and _kernels._TERMS_MAX_DEGREE == 8192
+    _assert_frozen_bits(n, 0.37)
+    for x in (0.5, 0.3, 0.1, 0.999):
+        _assert_frozen_bits(n, x, *_kernels.support(n, x))
+
+
+@pytest.mark.parametrize("n", [7, 1024] + _SWITCH_DEGREES)
+def test_log_weights_keep_their_bits_on_both_sides_of_the_overflow_test(n):
+    # n x just above and just below 2^-1000, where a / m may overflow and
+    # errstate hides it; any warning that escapes fails the test
+    for x in (2.0**-1000 / n * (1.0 + 2.0**-10), 2.0**-1000 / n * (1.0 - 2.0**-10),
+              5e-324, 1e-300, 1.0 - 2.0**-53):
+        _assert_frozen_bits(n, x, 0, min(n, 4096))
+        _assert_frozen_bits(n, x, *_kernels.support(n, x))
+
+
+def test_kernel_caches_hold_at_most_their_stated_worst_case(monkeypatch):
+    # the s table's 2 MiB and 16 terms blocks of 4 (n - 1) doubles, n <= 8192,
+    # 6 MiB in all, and 64 KiB for the Python objects around them
+    worst = 6 * 2**20 + 2**16
+    monkeypatch.setattr(_kernels, "_stirlerr_kept", np.empty(0))
+    _kernels._cached_degree_terms.cache_clear()
+    top = _kernels._TERMS_MAX_DEGREE
+    tracemalloc.start()
+    try:
+        for n in range(top - 2 * _kernels._TERMS_CACHE_SIZE, top + 1):
+            _kernels.log_weights(n, 0.5, *_kernels.support(n, 0.5))
+        for n in (_kernels._STIRLERR_CAP - 1, _kernels.MAX_DEGREE):
+            _kernels.log_weights(n, 0.5)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert _kernels._stirlerr_kept.size == _kernels._STIRLERR_CAP
+    info = _kernels._cached_degree_terms.cache_info()
+    assert info.currsize == _kernels._TERMS_CACHE_SIZE
+    assert held <= worst, held
 
 
 @pytest.mark.parametrize(
