@@ -491,7 +491,9 @@ _CASCADE_MIN_TERMS = 128
 
 
 def exact_sum(p):
-    """The exact sum of the doubles of the 1-d array p, correctly rounded.
+    """The exact sum of the doubles of the 1-d array p, correctly rounded;
+    for a 2-d p of rows of one term or more, a 1-d array of the correctly
+    rounded sum of each row.
 
     From _CASCADE_MIN_TERMS terms on, the sum is Sum2 of T. Ogita, S. M.
     Rump and S. Oishi, "Accurate sum and dot product", SIAM J. Sci.
@@ -503,7 +505,9 @@ def exact_sum(p):
     r is returned only when a bound proves it is S rounded to nearest;
     otherwise, and below _CASCADE_MIN_TERMS terms, math.fsum gives the
     sum.  The correctly rounded sum is unique, so the two agree bit for
-    bit.
+    bit.  A 2-d stack runs the cascade once over all its rows, at any
+    width, and holds each row to the bound on its own; a row that fails
+    goes to fsum.  m is then the row's length, every term counted.
 
     The bound.  With u = 2^-53, lo is a floating sum of the m - 1 errors,
     in any order, so |E - lo| <= gamma_(m-2) sum|e_i|, gamma_k = k u / (1 -
@@ -533,33 +537,57 @@ def exact_sum(p):
     other input, and an r of 0, whose sign fsum gives, go to fsum, which
     returns the value or raises the exception it always has.
     """
-    m = p.shape[0]
-    # False for an inf or a nan among the terms too
-    if m >= _CASCADE_MIN_TERMS and m * float(np.abs(p).max()) < 2.0**1020:
-        s = np.add.accumulate(p)
-        prev, cur = s[:-1], s[1:]
-        z = cur - prev
-        e = cur - z
-        np.subtract(prev, e, out=e)
-        e += np.subtract(p[1:], z, out=z)
-        lo = float(np.add.reduce(e))
-        t = float(np.add.reduce(np.abs(e, out=e)))
-        hi = float(s[-1])
-        r = hi + lo
-        if r:
-            z = r - hi
-            d = (hi - (r - z)) + (lo - z)
-            if r < 0.0:  # d as seen from |r|
-                d = -d
-            a = abs(r)
-            g_in = (a - math.nextafter(a, 0.0)) * 0.5
-            g_out = math.ulp(a) * 0.5
-            b = t * (m * 2.0**-52) + 2.0**-1022
-            if b < g_out - d and b < g_in + d:
-                return r
-    # fsum reads a list of Python floats faster than it iterates an array,
-    # and they hold the same doubles
-    return math.fsum(p.tolist())
+    m = p.shape[-1]
+    if p.ndim > 1:
+        # m max|p_i| < 2^1020 divided through, so that no product
+        # overflows; the quotient's rounding lets m max|p_i| reach 2^1020
+        # (1 + u), and every quantity still stays below 2^1022.  False
+        # for an inf or a nan among a row's terms too
+        fits = np.abs(p).max(axis=1) < 2.0**1020 / m
+        q = p if fits.all() else p[fits]
+    elif m >= _CASCADE_MIN_TERMS and m * float(np.abs(p).max()) < 2.0**1020:
+        q = p
+    else:
+        # fsum reads a list of Python floats faster than it iterates an
+        # array, and they hold the same doubles
+        return math.fsum(p.tolist())
+    # the cascade runs down axis 0 of the transpose: for a 1-d p that is p
+    # itself, and no call takes an axis argument, so a single sum pays
+    # nothing for the stacks
+    q = q.T
+    s = np.add.accumulate(q)
+    prev, cur = s[:-1], s[1:]
+    z = cur - prev
+    e = cur - z
+    np.subtract(prev, e, out=e)
+    e += np.subtract(q[1:], z, out=z)
+    lo = np.add.reduce(e)
+    t = np.add.reduce(np.abs(e, out=e))
+    hi = s[-1]
+    if p.ndim == 1:
+        r = _certified(float(hi), float(lo), float(t), m)
+        return math.fsum(p.tolist()) if r is None else r
+    certified = map(_certified, hi.tolist(), lo.tolist(), t.tolist(), [m] * hi.size)
+    sums = [next(certified) if fit else None for fit in fits.tolist()]
+    return np.array([math.fsum(row.tolist()) if r is None else r for r, row in zip(sums, p)])
+
+
+def _certified(hi, lo, t, m):
+    """r = hi + lo when the bound of ``exact_sum`` proves it the exact sum
+    of m terms rounded to nearest, else None."""
+    r = hi + lo
+    if r:
+        z = r - hi
+        d = (hi - (r - z)) + (lo - z)
+        if r < 0.0:  # d as seen from |r|
+            d = -d
+        a = abs(r)
+        g_in = (a - math.nextafter(a, 0.0)) * 0.5
+        g_out = math.ulp(a) * 0.5
+        b = t * (m * 2.0**-52) + 2.0**-1022
+        if b < g_out - d and b < g_in + d:
+            return r
+    return None
 
 
 def comp_dot(a, b):

@@ -15,7 +15,9 @@ import numpy as np
 from ._kernels import (
     CACHE_BLOCK_ELEMENTS, _finite_nonnegative, check_integral, small_ufunc_buffer,
 )
-from .akr import _fixed_point_errors, _remainder_formula, build_node_table, remainder
+from .akr import (
+    _fixed_point_errors, _remainder_factors, _remainder_formula, build_node_table, remainder,
+)
 from .asymptotics import (
     KINDS,
     ConvergenceSeries,
@@ -109,8 +111,10 @@ def _remainder_sweep(last):
     ``build_node_table`` gives.  A block has at most CACHE_BLOCK_ELEMENTS
     cells; the cells with k > n, all in the columns after the first degree,
     are padding.  The blocks share buffers allocated once, so a block is
-    valid only until the next one is yielded."""
+    valid only until the next one is yielded; the formula's factors of k
+    alone and of n alone are formed once, and each block slices them."""
     grid = np.arange(last + 1, dtype=np.float64)
+    kk, nn, half, twice = _remainder_factors(grid, grid[2:, None])
     size = max(CACHE_BLOCK_ELEMENTS, last + 1)
     buffers = np.empty((4, size))
     first = 2
@@ -123,7 +127,11 @@ def _remainder_sweep(last):
         drift, r, nodes, scratch = (
             b[:cells].reshape(end - first, end) for b in buffers
         )
-        r = _remainder_formula(k, n, out=r, drift=drift, root=nodes, scratch=scratch)
+        degrees = slice(first - 2, end - 2)
+        factors = (kk[:end], nn[degrees], half[degrees], twice[degrees])
+        r = _remainder_formula(
+            k, n, out=r, drift=drift, root=nodes, scratch=scratch, factors=factors
+        )
         yield first, n, k, drift, r, nodes
         first = end
 

@@ -12,8 +12,8 @@ the operator's first-order asymptotics.
 import numpy as np
 
 from ._kernels import (
-    MAX_GRID, check_at_least, check_degree, check_index, check_order, comp_dot, exact_sum,
-    log_weights, support,
+    CACHE_BLOCK_ELEMENTS, MAX_GRID, check_at_least, check_degree, check_index, check_order,
+    exact_sum, log_weights, support,
 )
 from .errors import DomainError
 
@@ -33,9 +33,11 @@ def _check_window(n, lo, hi):
     return lo, hi
 
 
-def _node_formula(k, n, j, out=None):
+def _node_formula(k, n, j, out=None, products=None):
     """t(n,k,j) elementwise over broadcast float arrays k and n, n >= j,
-    written into ``out`` when it is given (of the broadcast shape).
+    written into ``out`` when it is given (of the broadcast shape).  At
+    j = 2 ``products`` may hold the pair ``_node_products(k, n)``, formed
+    once by a caller that keeps it.
 
     At j = 1 the node is k/n, one division.  At j = 2 it is
     sqrt(k(k-1) / (n(n-1))): both products are exact integers (below 2^40
@@ -52,7 +54,7 @@ def _node_formula(k, n, j, out=None):
     if j == 1:
         return np.divide(k, n, out=out)
     if j == 2:
-        root = np.divide(k * np.maximum(k - 1.0, 0.0), n * (n - 1.0), out=out)
+        root = np.divide(*(products or _node_products(k, n)), out=out)
         return np.sqrt(root, out=out)
     with np.errstate(divide="ignore"):
         acc = np.subtract(np.log(k), np.log(n), out=out)
@@ -60,6 +62,12 @@ def _node_formula(k, n, j, out=None):
             acc += np.log(np.maximum(k - i, 0.0)) - np.log(n - i)
         acc /= j
         return np.exp(acc, out=out)
+
+
+def _node_products(k, n):
+    """k max(k - 1, 0) and n (n - 1), the two exact integer products of the
+    j = 2 node."""
+    return k * np.maximum(k - 1.0, 0.0), n * (n - 1.0)
 
 
 def build_node_table(n, j=2, lo=0, hi=None):
@@ -76,18 +84,26 @@ def build_node_table(n, j=2, lo=0, hi=None):
     return nodes
 
 
-def _remainder_formula(k, n, out=None, drift=None, root=None, scratch=None):
+def _remainder_formula(k, n, out=None, drift=None, root=None, scratch=None, factors=None):
     """The j = 2 node correction term elementwise over broadcast float
     arrays k and n; ``remainder`` and criterion 2 both call it.  It forms
     the node drift k/n - t first, t the j = 2 node of ``_node_formula``,
     then R = drift - 1/(2n) + k/(2n^2).  The criterion passes ``out`` for
     the result, ``drift`` and ``root`` to keep the drift and the node, and
-    ``scratch`` for the last term, all of the broadcast shape."""
+    ``scratch`` for the last term, all of the broadcast shape, and
+    ``factors``, the ``_remainder_factors(k, n)`` it keeps for the sweep."""
+    kk, nn, half, twice = factors or _remainder_factors(k, n)
     drift = np.divide(k, n, out=drift)
-    drift -= _node_formula(k, n, 2, out=root)
-    r = np.subtract(drift, 1.0 / (2.0 * n), out=out)
-    r += np.divide(k, 2.0 * n * n, out=scratch)
+    drift -= _node_formula(k, n, 2, out=root, products=(kk, nn))
+    r = np.subtract(drift, half, out=out)
+    r += np.divide(k, twice, out=scratch)
     return r
+
+
+def _remainder_factors(k, n):
+    """The factors of the j = 2 remainder that depend on k or on n alone:
+    the two ``_node_products``, 1/(2n) and 2n^2."""
+    return (*_node_products(k, n), 1.0 / (2.0 * n), 2.0 * n * n)
 
 
 def remainder(n, k):
@@ -122,18 +138,44 @@ def fixed_point_error(n, j, grid_size):
 
 def _fixed_point_errors(n, orders, grid_size):
     """fixed_point_error(n, j, grid_size) for each j of ``orders`` (checked
-    by the caller), from one pass over the grid's weights.
+    by the caller), from one pass over the grid's weights."""
+    grid = np.linspace(0.0, 1.0, grid_size).tolist()
+    sums = _fixed_point_sums(n, orders, grid)
+    one = np.abs(sums[0] - 1.0)
+    return [
+        float(np.maximum(one, np.abs(row - [x**j for x in grid])).max())
+        for row, j in zip(sums[1:], orders)
+    ]
+
+
+def _fixed_point_sums(n, orders, grid):
+    """The sums that ``_fixed_point_errors`` checks, one column a point x
+    of ``grid``: row 0 the sum of the weights at x, row 1 + i the sum of
+    the weights times t^j, j = orders[i].
 
     At each point the weights are the ones every operator sums: the
-    ``log_weights`` of the support window."""
+    ``log_weights`` of the support window, one call a point.  The windows
+    go into the rows of a block padded with weight 0 (a log weight of
+    -inf) and node power 0, cut into chunks of whole rows of at most
+    CACHE_BLOCK_ELEMENTS cells, and one ``exact_sum`` call sums a chunk's
+    rows: each sum is correctly rounded, so the padding's zeros leave it
+    the ``exact_sum`` and ``comp_dot`` of the point's window bit for bit."""
     powers = [build_node_table(n, j) ** j for j in orders]
-    worst = [0.0] * len(orders)
-    for x in np.linspace(0.0, 1.0, grid_size).tolist():
-        lo, hi = support(n, x)
-        window = slice(lo, hi + 1)
-        w = np.exp(log_weights(n, x, lo, hi))
-        one = abs(exact_sum(w) - 1.0)
-        for i, j in enumerate(orders):
-            error = abs(comp_dot(powers[i][window], w) - x**j)
-            worst[i] = max(worst[i], one, error)
-    return worst
+    windows = [support(n, x) for x in grid]
+    width = max(hi - lo + 1 for lo, hi in windows)
+    rows = max(1, CACHE_BLOCK_ELEMENTS // width)
+    sums = np.empty((1 + len(orders), len(grid)))
+    for start in range(0, len(grid), rows):
+        chunk = slice(start, start + rows)
+        # the weights, then the weights times each order's node powers
+        stack = np.zeros((1 + len(orders), len(grid[chunk]), width))
+        w = stack[0]
+        w.fill(-np.inf)
+        for i, (x, (lo, hi)) in enumerate(zip(grid[chunk], windows[chunk])):
+            w[i, : hi - lo + 1] = log_weights(n, x, lo, hi)
+            for power, row in zip(powers, stack[1:, i]):
+                row[: hi - lo + 1] = power[lo : hi + 1]
+        np.exp(w, out=w)
+        stack[1:] *= w
+        sums[:, chunk] = exact_sum(stack.reshape(-1, width)).reshape(len(stack), -1)
+    return sums

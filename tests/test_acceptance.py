@@ -74,17 +74,18 @@ def test_max_excess_is_the_full_block_maximum_bit_for_bit():
 
 
 # the wrong node formula writes into ``out``, as the sweep's nodes are the
-# remainder formula's root buffer; the wrong remainder formula passes the
-# sweep's buffers on and returns a new array
+# remainder formula's root buffer; each wrong formula passes the sweep's
+# buffers and kept factors on, and the wrong remainder formula returns a
+# new array
 def _scaled_nodes(formula):
-    def wrong(k, n, j, out=None):
-        return np.multiply(formula(k, n, j, out=out), 1.0 + 1e-12, out=out)
+    def wrong(k, n, j, out=None, **kept):
+        return np.multiply(formula(k, n, j, out=out, **kept), 1.0 + 1e-12, out=out)
 
     return wrong
 
 
 def _shifted_remainder(formula):
-    return lambda k, n, **buffers: formula(k, n, **buffers) - 1e-14
+    return lambda k, n, **kept: formula(k, n, **kept) - 1e-14
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import mpmath as mp
@@ -363,6 +364,38 @@ def test_fixed_point_error_equals_the_single_point_loop(n, j, grid_size):
     assert fixed_point_error(n, j, grid_size) == _frozen_fixed_point_error(
         n, j, grid_size
     )
+
+
+@pytest.mark.parametrize("n", [2, 16, 64, 256, 1024, 8193])
+@pytest.mark.parametrize("grid_size", [2, 11, 101])
+def test_every_fixed_point_sum_is_the_sum_over_its_window_bit_for_bit(n, grid_size):
+    # each row sum of the padded, chunked block against exact_sum and
+    # comp_dot over the point's own window, not only the largest error
+    orders = tuple(j for j in (1, 2, 3) if j <= n)
+    grid = np.linspace(0.0, 1.0, grid_size).tolist()
+    powers = [build_node_table(n, j) ** j for j in orders]
+    expected = []
+    for x in grid:
+        lo, hi = _kernels.support(n, x)
+        w = np.exp(_kernels.log_weights(n, x, lo, hi))
+        sums = [_kernels.exact_sum(w)]
+        sums += [_kernels.comp_dot(power[lo : hi + 1], w) for power in powers]
+        expected.append([s.hex() for s in sums])
+    got = akr._fixed_point_sums(n, orders, grid)
+    assert got.shape == (1 + len(orders), grid_size)
+    assert [[s.hex() for s in point] for point in got.T.tolist()] == expected
+
+
+def test_fixed_point_error_sums_the_grid_in_cache_sized_chunks():
+    # at n = 2^20 the padded block of the whole grid would be 1616 x 9906
+    # doubles, about 128 MB; the full node table and its powers take 32 MiB
+    tracemalloc.start()
+    try:
+        fixed_point_error(2**20, 3, _kernels.MAX_GRID)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 def test_fixed_point_error_passes_log_weights_scalar_points(monkeypatch):

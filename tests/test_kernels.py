@@ -226,6 +226,90 @@ def test_an_akr_1d_series_certifies_every_sum_past_the_crossover(monkeypatch, x)
     assert [m for m in fallbacks if m >= _CROSSOVER] == []
 
 
+# exact_sum over a 2-d stack: one cascade for all rows, each row held to
+# the scalar certificate.  The certificate counts m as the padded width, the
+# row's length, not the width of the terms a caller put in it.  That count
+# is valid because padding is made of terms: a zero term adds a TwoSum error
+# of exactly 0, and the bound holds for any m terms, so a row's sum is
+# certified, or sent to fsum, as the 1-d call on the same padded row is.
+# Padding with zeros changes no correctly rounded sum but a signed zero's,
+# and fsum on the padded row gives that.
+@st.composite
+def _stacks(draw):
+    """A 2-d stack of a few rows of _TERMS, each padded with zeros to one
+    width, the width on both sides of the crossover."""
+    width = draw(st.integers(min_value=1, max_value=2 * _CROSSOVER))
+    sizes = draw(st.lists(st.integers(0, width), min_size=1, max_size=4))
+    rows = [draw(st.lists(_TERMS, min_size=size, max_size=size)) for size in sizes]
+    return np.array([row + [0.0] * (width - len(row)) for row in rows])
+
+
+@given(_stacks())
+@settings(max_examples=100, deadline=None)
+def test_exact_sum_of_a_stack_is_each_rows_exact_sum(stack):
+    got = _kernels.exact_sum(stack)
+    assert got.shape == (stack.shape[0],)
+    for value, row in zip(got.tolist(), stack):
+        assert value.hex() == _kernels.exact_sum(row).hex()
+        assert value.hex() == math.fsum(row.tolist()).hex()
+
+
+@pytest.mark.parametrize("width", ["narrow", "wide"])
+@pytest.mark.parametrize(
+    "head",
+    [
+        [math.inf],
+        [-math.inf],
+        [math.nan],
+        [math.inf, -math.inf],
+        [math.inf, math.nan],
+        [1e308, 1e308],
+        [1e308, 1e308, -1e308],
+        [_MAX] + [math.ulp(_MAX) / 4] * 3 + [-_MAX],
+        [1e306] * _CROSSOVER,
+    ],
+)
+def test_a_stack_row_past_the_finite_range_gives_the_1d_value_or_exception(head, width):
+    # the row between two finite rows, which the cascade still sums
+    row = np.array(head + [0.5] * (3 if width == "narrow" else _CROSSOVER))
+    finite = np.linspace(-1.0, 1.0, row.size)
+    stack = np.array([finite, row, finite[::-1]])
+    try:
+        expected = _kernels.exact_sum(row)
+    except (OverflowError, ValueError) as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            _kernels.exact_sum(stack)
+    else:
+        got = _kernels.exact_sum(stack).tolist()
+        assert [v.hex() for v in got] == [
+            _kernels.exact_sum(r).hex() for r in (finite, row, finite[::-1])
+        ]
+        assert got[1].hex() == expected.hex()
+
+
+def test_a_stack_of_support_window_weights_certifies_every_row(monkeypatch):
+    # criterion 1's stacks at n = 256, padded to the widest window, go to
+    # fsum in no row, so the stacked cascade cannot go dead unnoticed
+    n, grid = 256, np.linspace(0.0, 1.0, 101).tolist()
+    windows = [_kernels.support(n, x) for x in grid]
+    width = max(hi - lo + 1 for lo, hi in windows)
+    stack = np.zeros((len(grid), width))
+    for row, x, (lo, hi) in zip(stack, grid, windows):
+        row[: hi - lo + 1] = np.exp(_kernels.log_weights(n, x, lo, hi))
+    fallbacks = []
+    fsum = math.fsum
+
+    def recorded(terms):
+        fallbacks.append(len(terms))
+        return fsum(terms)
+
+    monkeypatch.setattr(math, "fsum", recorded)
+    sums = _kernels.exact_sum(stack)
+    monkeypatch.undo()
+    assert fallbacks == []
+    assert [s.hex() for s in sums.tolist()] == [fsum(r.tolist()).hex() for r in stack]
+
+
 def test_bilinear_accumulate_matches_brute_force():
     rng = np.random.default_rng(11)
     block = rng.standard_normal((17, 29))
@@ -1007,10 +1091,12 @@ def test_a_nested_errstate_keeps_the_small_buffer():
 def test_criterion_2_sweeps_under_the_small_buffer(monkeypatch):
     seen = set()
 
-    # the sweep's one formula call per block, which computes its nodes too
-    def remainder_formula(k, n, **buffers):
+    # the sweep's one formula call per block, which computes its nodes too;
+    # its buffers and kept factors are passed on unchanged
+    def remainder_formula(k, n, **kept):
         seen.add(np.getbufsize())
-        return _remainder_formula(k, n, **buffers)
+        assert kept.keys() == {"out", "drift", "root", "scratch", "factors"}
+        return _remainder_formula(k, n, **kept)
 
     monkeypatch.setattr(acceptance, "_remainder_formula", remainder_formula)
     passed, _ = acceptance.criterion_2()
