@@ -83,22 +83,22 @@ _S4 = 1.0 / 1188.0
 # Degrees below _STIRLERR_CAP read s(k) and s(n - k) from it; from the cap
 # on, s is computed on the requested window only.  The table holds at most
 # _STIRLERR_CAP doubles, 2 MiB, the worst case.  A grown table replaces the
-# old one whole: a caller holding the old one still reads valid entries,
-# and two threads growing it at once only compute it twice.
+# old one whole in the one-element holder, whose module binding never
+# changes: a caller holding the old table still reads valid entries, and
+# two threads growing it at once only compute it twice.
 _STIRLERR_CAP = 2**18
-_stirlerr_kept = np.empty(0)
+_stirlerr_kept = [np.empty(0)]
 
 
 def _stirlerr_upto(n):
     """The kept table of s(m), holding at least m = 0..n < _STIRLERR_CAP."""
-    global _stirlerr_kept
-    table = _stirlerr_kept
+    (table,) = _stirlerr_kept
     if table.size <= n:
         grown = np.empty(1 << int(n).bit_length())
         grown[: table.size] = table
         grown[table.size :] = _stirlerr_np(np.arange(float(table.size), grown.size))
         grown.flags.writeable = False
-        _stirlerr_kept = table = grown
+        _stirlerr_kept[0] = table = grown
     return table
 
 

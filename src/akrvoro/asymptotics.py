@@ -275,25 +275,21 @@ def decomposition(f, n, p):
 class SeriesKind:
     """How one kind of scaled series is computed and what it converges to.
 
-    A kind of ``order`` 1 (Bernstein) runs at j = 1 whatever j is asked
-    for.  A kind of order None runs at the order j asked for: above 1, j is
-    its least n0 and its point must have strictly positive coordinates.  At
-    the order j it runs at, ``value(f, n, j, coords)`` is the series at
-    degree n and ``target(f, coords, j)`` its limit, at the point with these
-    ``arity`` coordinates.  ``uses_f`` is False for a series that does not
-    depend on f.
+    Every kind runs at the order j asked for, j = 1 being Bernstein: above
+    1, j is its least n0 and its point must have strictly positive
+    coordinates.  ``value(f, n, j, coords)`` is the series at degree n and
+    ``target(f, coords, j)`` its limit, at the point with these ``arity``
+    coordinates.
     """
 
     arity: int
-    order: Optional[int]
     value: Callable
     target: Callable
-    uses_f: bool = True
 
     def limit(self, f, point, j):
-        """The series' limit at any point that ``check_point`` accepts at
-        this kind's arity, when it is asked for order j."""
-        return self.target(f, check_point(point, self.arity), self.order or j)
+        """The series' limit at order j, at any point that ``check_point``
+        accepts at this kind's arity."""
+        return self.target(f, check_point(point, self.arity), j)
 
 
 def _operator_value(f, n, j, coords):
@@ -310,23 +306,17 @@ def _lemma_value(f, n, j, coords):
     return lemma_sum(n, *coords)
 
 
-# The operator series n (Op_n f - f) of each order (1, or j) and arity,
-# then the difference of the two operators and the remainder sum.
+# The operator series n (Op_n f - f) of each arity, then the difference of
+# the orders j and 1 and the remainder sum, which does not depend on f.
 KINDS = {
     **{
-        f"{name}-{arity}d": SeriesKind(arity, order, _operator_value, _limit)
+        f"akr-{arity}d": SeriesKind(arity, _operator_value, _limit)
         for arity in ARITIES
-        for name, order in (("bernstein", 1), ("akr", None))
     },
     "akr-minus-bernstein-2d": SeriesKind(
-        2,
-        None,
-        _drift_value,
-        lambda f, coords, j: _limit(f, coords, j, diffusion=False),
+        2, _drift_value, lambda f, coords, j: _limit(f, coords, j, diffusion=False)
     ),
-    "lemma-sum": SeriesKind(
-        1, None, _lemma_value, lambda f, coords, j: 0.0, uses_f=False
-    ),
+    "lemma-sum": SeriesKind(1, _lemma_value, lambda f, coords, j: 0.0),
 }
 
 SERIES_KINDS = tuple(KINDS)
@@ -338,10 +328,10 @@ def residual_series(kind, f, point, n0=64, doublings=7, j=2):
     ``f`` is a Function of the kind's arity and is ignored for kind
     'lemma-sum'.  ``point`` is a sequence of that many coordinates, or a
     bare number for a kind on [0, 1]; the series carries it as a tuple.  j
-    must be >= 1; a kind of order None runs at j, and at j >= 2 needs
-    strictly positive coordinates and n0 of at least j; every kind needs n0
-    of at least 2.  The whole schedule is checked against MAX_DEGREE before
-    any operator runs.
+    must be >= 1, and every kind runs at j: at j >= 2 it needs strictly
+    positive coordinates and n0 of at least j; every kind needs n0 of at
+    least 2.  The whole schedule is checked against MAX_DEGREE before any
+    operator runs.
     """
     if kind not in KINDS:
         raise DomainError(
@@ -349,14 +339,13 @@ def residual_series(kind, f, point, n0=64, doublings=7, j=2):
         )
     spec = KINDS[kind]
     j = check_order(j)
-    order = spec.order or j
-    ns = check_schedule(n0, doublings, max(2, order))
+    ns = check_schedule(n0, doublings, max(2, j))
 
     coords = check_point(point, spec.arity)
-    if order != 1:
+    if j != 1:
         check_positive(coords)
 
-    entries = tuple((n, float(spec.value(f, n, order, coords))) for n in ns)
+    entries = tuple((n, float(spec.value(f, n, j, coords))) for n in ns)
     return ConvergenceSeries(entries=entries, operator_kind=kind, point=coords)
 
 

@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands: nodes, eval, residual, lemma, decompose, verify.  Output is
+Subcommands: nodes, eval, residual, decompose, verify.  Output is
 CSV (default) or JSON via --format; --out redirects to a file.  Exit codes:
 0 success / all verdicts pass, 1 a verification verdict failed, 2 invalid
 arguments (a command line the parser cannot read, a domain error, an --out
@@ -17,10 +17,10 @@ import os
 import sys
 from dataclasses import asdict
 
-from ._kernels import check_integral, check_order, check_point, check_schedule
+from ._kernels import check_integral, check_schedule
 from .acceptance import check_limit, run_all
 from .akr import build_node_table
-from .asymptotics import KINDS, _operator_value, decomposition, rate_estimates
+from .asymptotics import SERIES_KINDS, decomposition, rate_estimates
 from .catalog import lookup
 from .errors import CapabilityError, DomainError, UnknownFunctionError
 from .tensor import apply
@@ -31,7 +31,7 @@ DEFAULT_TOLERANCE = 1e-2
 # does not take prints as null.
 _CONFIG_KEYS = (
     "command", "format", "output_path", "dry_run", "n", "n0", "doublings", "j",
-    "kind", "fn_name", "point", "x", "tolerance", "criteria",
+    "kind", "fn_name", "point", "tolerance", "criteria",
 )
 
 
@@ -83,7 +83,6 @@ _FLAGS = {
     "--point": dict(type=float, nargs="+", required=True),
     "--n0": dict(action=_Integral, default=64),
     "--doublings": dict(action=_Integral, default=7),
-    "--tolerance": dict(type=float, default=DEFAULT_TOLERANCE),
     "--format": dict(choices=("csv", "json"), default="csv"),
     "--out": dict(dest="output_path", default=None, metavar="PATH"),
     "--dry-run": dict(action="store_true", help="echo the parsed configuration and exit"),
@@ -99,8 +98,6 @@ def build_parser():
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    operators = [name for name, kind in KINDS.items() if kind.value is _operator_value]
-    series = [name for name, kind in KINDS.items() if kind.uses_f]
 
     def command(name, handler, help, *flags):
         """A subcommand with its flags in the order given, each a name of
@@ -115,14 +112,12 @@ def build_parser():
     command("nodes", _cmd_nodes, "emit the sampling-node table for (n, j)",
             "--n", "--j")
     command("eval", _cmd_eval, "evaluate one operator value",
-            ("--kind", dict(choices=operators, required=True)),
             "--fn", "--n", "--j", "--point")
     command("residual", _cmd_residual, "scaled residual series plus extrapolated limit",
-            ("--kind", dict(choices=series, required=True)),
-            "--fn", "--point", "--n0", "--doublings", "--j", "--tolerance")
-    command("lemma", _cmd_lemma,
-            "scaled remainder-sum series and vanishing-limit verdict",
-            ("--x", dict(type=float, required=True)), "--n0", "--doublings", "--tolerance")
+            ("--kind", dict(choices=SERIES_KINDS, required=True)),
+            ("--fn", dict(dest="fn_name", default=None)),
+            "--point", "--n0", "--doublings", "--j",
+            ("--tolerance", dict(type=float, default=DEFAULT_TOLERANCE)))
     command("decompose", _cmd_decompose,
             "drift decomposition rows over a doubling schedule",
             "--fn", "--point", "--n0", ("--doublings", dict(action=_Integral, default=4)))
@@ -157,50 +152,33 @@ def _cmd_nodes(args):
 
 
 def _cmd_eval(args):
-    kind = KINDS[args.kind]
-    f = lookup(args.fn_name).function
-    check_order(args.j)
-    coords = check_point(args.point, kind.arity)
-    value = apply(f, args.n, kind.order or args.j, coords)
+    value = apply(lookup(args.fn_name).function, args.n, args.j, args.point)
     return [{"n": args.n, "value": value}], {"value": value}, 0
 
 
-def _verdict(check, **fields):
-    """The series rows, the summary and the exit code, 0 on PASS and 1 on
-    FAIL.  The summary is the limit and rate estimates, the command's own
-    ``fields``, then the check's target and verdict."""
-    summary = {
-        "limit_estimate": check.result.limit_estimate,
-        "rate_estimate": check.result.rate_estimate,
-        **fields,
-        "target": check.target,
-        "verdict": "PASS" if check.passed else "FAIL",
-    }
-    return _series_rows(check.series), summary, 0 if check.passed else 1
-
-
 def _cmd_residual(args):
+    """The series rows, the summary and the exit code, 0 on PASS and 1 on
+    FAIL.  Without --fn, f is None, which only a series that does not
+    depend on f takes."""
+    f = None if args.fn_name is None else lookup(args.fn_name).function
     check = check_limit(
         args.kind,
-        lookup(args.fn_name).function,
+        f,
         args.point,
         args.tolerance,
         n0=args.n0,
         doublings=args.doublings,
         j=args.j,
     )
-    return _verdict(
-        check,
-        residual_tail=check.result.residual_tail,
-        monotone_tail=check.result.monotone_tail,
-    )
-
-
-def _cmd_lemma(args):
-    check = check_limit(
-        "lemma-sum", None, args.x, args.tolerance, n0=args.n0, doublings=args.doublings
-    )
-    return _verdict(check, min_value=float(check.series.values.min()))
+    summary = {
+        "limit_estimate": check.result.limit_estimate,
+        "rate_estimate": check.result.rate_estimate,
+        "residual_tail": check.result.residual_tail,
+        "monotone_tail": check.result.monotone_tail,
+        "target": check.target,
+        "verdict": "PASS" if check.passed else "FAIL",
+    }
+    return _series_rows(check.series), summary, 0 if check.passed else 1
 
 
 def _cmd_decompose(args):

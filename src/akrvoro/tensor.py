@@ -168,8 +168,11 @@ class Function:
 
 
 def _check_arity(f, d):
-    """Refuse with DomainError an f of another arity than d, the point's; an
-    f that declares no table takes any point."""
+    """Refuse with DomainError an f that is not a Function, or one of another
+    arity than d, the point's; an f that declares no table takes any
+    point."""
+    if not isinstance(f, Function):
+        raise DomainError(f"f must be a Function, got {type(f).__name__}")
     if f.arity not in (None, d):
         raise DomainError(f"f has arity {f.arity}, but the point has {d} coordinate(s)")
 

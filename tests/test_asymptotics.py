@@ -407,11 +407,11 @@ def test_second_partials_not_of_the_square_are_a_domain_error():
 
 def test_series_validation():
     with pytest.raises(DomainError, match="at least one entry"):
-        ConvergenceSeries((), "bernstein-1d", (0.5,))
+        ConvergenceSeries((), "akr-1d", (0.5,))
     with pytest.raises(DomainError):
-        ConvergenceSeries(((4, 1.0), (9, 0.5)), "bernstein-1d", (0.5,))
+        ConvergenceSeries(((4, 1.0), (9, 0.5)), "akr-1d", (0.5,))
     with pytest.raises(DomainError):
-        ConvergenceSeries(((4, math.inf), (8, 0.5)), "bernstein-1d", (0.5,))
+        ConvergenceSeries(((4, math.inf), (8, 0.5)), "akr-1d", (0.5,))
     # each degree is held to check_degree's rule: 4.5 and 9.0 would read as
     # [4, 9], and 0 or negative degrees double as well
     for entries, message in (
@@ -420,8 +420,8 @@ def test_series_validation():
         (((-4, 1.0), (-8, 0.5)), "degree must be >= 1, got -4"),
     ):
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
-            ConvergenceSeries(entries, "bernstein-1d", (0.5,))
-    series = ConvergenceSeries(((4, 1.0), (8, 0.5)), "bernstein-1d", (0.5,))
+            ConvergenceSeries(entries, "akr-1d", (0.5,))
+    series = ConvergenceSeries(((4, 1.0), (8, 0.5)), "akr-1d", (0.5,))
     assert list(series.ns) == [4, 8]
     assert list(series.values) == [1.0, 0.5]
 
@@ -444,43 +444,42 @@ def test_residual_series_argument_validation():
 def test_only_extrapolation_needs_four_entries():
     e1 = lookup("e1").function
     for doublings in (0, 1):
-        series = residual_series("bernstein-1d", e1, 0.5, n0=8, doublings=doublings)
+        series = residual_series("akr-1d", e1, 0.5, n0=8, doublings=doublings, j=1)
         assert list(series.ns) == [8, 16][: doublings + 1]
-    short = residual_series("bernstein-1d", e1, 0.5, n0=8, doublings=2)
+    short = residual_series("akr-1d", e1, 0.5, n0=8, doublings=2, j=1)
     message = "extrapolation needs at least 4 series entries (doublings >= 3), got 3"
     with pytest.raises(DomainError, match=re.escape(message)):
         extrapolate(short)
     with pytest.raises(DomainError, match=re.escape(message)):
-        check_limit("bernstein-1d", e1, 0.5, 1e-2, n0=8, doublings=2)
+        check_limit("akr-1d", e1, 0.5, 1e-2, n0=8, doublings=2, j=1)
 
 
 def test_order_one_series_takes_a_zero_coordinate():
     # positivity is the rule of orders above 1 only, as for the limit
     e2 = lookup("e2").function
+    # the Bernstein operator interpolates at the end point, so each entry is 0
     at_zero = residual_series("akr-1d", e2, 0.0, n0=8, doublings=3, j=1)
-    bernstein = residual_series("bernstein-1d", e2, 0.0, n0=8, doublings=3)
-    assert at_zero.entries == bernstein.entries
+    assert at_zero.entries == ((8, 0.0), (16, 0.0), (32, 0.0), (64, 0.0))
     with pytest.raises(DomainError, match="order j >= 2 needs positive coordinates"):
         residual_series("akr-1d", e2, 0.0, n0=8, doublings=3, j=2)
 
 
-@pytest.mark.parametrize("kind, point", [("bernstein-1d", 0.3), ("bernstein-2d", (0.3, 0.7))])
-def test_bernstein_series_ignore_j_and_start_at_degree_two(kind, point):
-    f = lookup("e3" if kind == "bernstein-1d" else "runge-2d").function
-    at_j2 = residual_series(kind, f, point, n0=2, doublings=3)
-    at_j5 = residual_series(kind, f, point, n0=2, doublings=3, j=5)
-    assert at_j5.entries == at_j2.entries
+@pytest.mark.parametrize("kind, point", [("akr-1d", 0.3), ("akr-2d", (0.3, 0.7))])
+def test_order_one_series_start_at_degree_two(kind, point):
+    f = lookup("e3" if kind == "akr-1d" else "runge-2d").function
+    series = residual_series(kind, f, point, n0=2, doublings=3, j=1)
+    assert list(series.ns) == [2, 4, 8, 16]
     with pytest.raises(DomainError, match="n0 must be >= 2"):
-        residual_series(kind, f, point, n0=1, doublings=3, j=5)
+        residual_series(kind, f, point, n0=1, doublings=3, j=1)
 
 
-@pytest.mark.parametrize("kind", ["akr-1d", "bernstein-2d", "lemma-sum"])
+@pytest.mark.parametrize("kind", ["akr-1d", "akr-2d", "lemma-sum"])
 def test_residual_series_refuses_a_schedule_past_the_degree_cap(kind):
     def never(*args):
         raise AssertionError("an operator ran")
 
     f = Function(eval=never)
-    point = 0.5 if kind != "bernstein-2d" else (0.5, 0.5)
+    point = 0.5 if kind != "akr-2d" else (0.5, 0.5)
     # 64 * 2^15 = 2 MAX_DEGREE; 2^(10^30) is never computed
     for doublings in (15, 20000, 10**30):
         with pytest.raises(DomainError, match="degree must be <="):
@@ -496,10 +495,10 @@ _POINT_CALLS_1D = {
     "limit j=2 1d": lambda p: limit(E3, p, 2),
     "limit j=1 1d": lambda p: limit(E3, p, 1),
     **{
-        f"residual_series {kind}": (
-            lambda p, kind=kind: residual_series(kind, E3, p, n0=8, doublings=2)
+        f"residual_series {kind} j={j}": (
+            lambda p, kind=kind, j=j: residual_series(kind, E3, p, n0=8, doublings=2, j=j)
         )
-        for kind in ("bernstein-1d", "akr-1d", "lemma-sum")
+        for kind, j in (("akr-1d", 1), ("akr-1d", 2), ("lemma-sum", 2))
     },
 }
 _POINT_CALLS_2D = {
@@ -510,10 +509,10 @@ _POINT_CALLS_2D = {
     "drift limit": lambda p: drift_limit(RUNGE, p),
     "decomposition": lambda p: decomposition(RUNGE, 16, p),
     **{
-        f"residual_series {kind}": (
-            lambda p, kind=kind: residual_series(kind, RUNGE, p, n0=8, doublings=2)
+        f"residual_series {kind} j={j}": (
+            lambda p, kind=kind, j=j: residual_series(kind, RUNGE, p, n0=8, doublings=2, j=j)
         )
-        for kind in ("bernstein-2d", "akr-2d", "akr-minus-bernstein-2d")
+        for kind, j in (("akr-2d", 1), ("akr-2d", 2), ("akr-minus-bernstein-2d", 2))
     },
 }
 _BAD_POINTS_1D = ((0.3, 0.4), (), "x", None, 1.5, (1.5,), math.nan)
@@ -547,7 +546,7 @@ _OTHER_ARITY_CALLS = {
     **{
         f"{name} {kind}": (spec.arity, lambda f, p, call=call, kind=kind: call(kind, f, p))
         for kind, spec in KINDS.items()
-        if spec.uses_f
+        if kind != "lemma-sum"
         for name, call in (
             ("residual_series", lambda k, f, p: residual_series(k, f, p, n0=8, doublings=3)),
             ("check_limit", lambda k, f, p: check_limit(k, f, p, 1e-2, n0=8, doublings=3)),
@@ -558,16 +557,33 @@ _OTHER_ARITY_CALLS = {
 }
 
 
-@pytest.mark.parametrize("name", list(_OTHER_ARITY_CALLS))
-def test_an_f_of_the_other_arity_is_refused_before_any_weight(name, monkeypatch):
+def _refuse_weights(monkeypatch):
     def no_weights(*args):
         raise AssertionError("weights were computed")
 
     for module in ("_kernels", "akr", "asymptotics", "basis", "tensor"):
         monkeypatch.setattr(f"akrvoro.{module}.log_weights", no_weights)
+
+
+@pytest.mark.parametrize("name", list(_OTHER_ARITY_CALLS))
+def test_an_f_of_the_other_arity_is_refused_before_any_weight(name, monkeypatch):
+    _refuse_weights(monkeypatch)
     d, call = _OTHER_ARITY_CALLS[name]
     with pytest.raises(DomainError, match=r"^f has arity \d, but the point has \d coordinate"):
         call(*_OTHER_ARITY[d])
+
+
+# the same entry points, at a point of the arity each takes, with an f that
+# is not a Function: the arity rule refuses it in the same place
+@pytest.mark.parametrize(
+    "f, shown", [(None, "NoneType"), (lambda *x: sum(x), "function")], ids=["None", "lambda"]
+)
+@pytest.mark.parametrize("name", list(_OTHER_ARITY_CALLS))
+def test_an_f_that_is_not_a_function_is_refused_before_any_weight(name, f, shown, monkeypatch):
+    _refuse_weights(monkeypatch)
+    d, call = _OTHER_ARITY_CALLS[name]
+    with pytest.raises(DomainError, match=f"^f must be a Function, got {shown}$"):
+        call(f, _OTHER_ARITY[d][1])
 
 
 @pytest.mark.parametrize(
@@ -614,9 +630,9 @@ def test_series_point_is_the_coordinate_tuple(kind, f, point, coords):
 
 def test_bernstein_1d_series_vanishes_for_identity():
     e1 = lookup("e1").function
-    series = residual_series("bernstein-1d", e1, 0.5, n0=64, doublings=5)
+    series = residual_series("akr-1d", e1, 0.5, n0=64, doublings=5, j=1)
     assert np.max(np.abs(series.values)) <= 1e-12
-    assert series.operator_kind == "bernstein-1d"
+    assert series.operator_kind == "akr-1d"
 
 
 def test_akr_1d_series_approaches_drift_limit():
@@ -628,7 +644,7 @@ def test_akr_1d_series_approaches_drift_limit():
 
 def test_bernstein_2d_series_approaches_classical_limit():
     es = lookup("exp-sum").function
-    series = residual_series("bernstein-2d", es, (0.5, 0.5), n0=64, doublings=5)
+    series = residual_series("akr-2d", es, (0.5, 0.5), n0=64, doublings=5, j=1)
     limit = extrapolate(series).limit_estimate
     assert limit == pytest.approx(0.25 * math.e, rel=1e-3)
 
@@ -645,7 +661,7 @@ def test_difference_series_is_consistent_with_component_series():
     point = (0.5, 0.5)
     kw = dict(n0=16, doublings=3)
     akr = residual_series("akr-2d", f, point, **kw).values
-    bern = residual_series("bernstein-2d", f, point, **kw).values
+    bern = residual_series("akr-2d", f, point, j=1, **kw).values
     diff = residual_series("akr-minus-bernstein-2d", f, point, **kw).values
     np.testing.assert_allclose(diff, akr - bern, atol=1e-9)
 

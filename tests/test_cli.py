@@ -6,8 +6,12 @@ from pathlib import Path
 
 import pytest
 
-from akrvoro import SERIES_KINDS, build_node_table, cli
+from akrvoro import SERIES_KINDS, apply, build_node_table, cli, lookup
 from akrvoro.cli import build_parser, main
+
+
+# the remainder sum's series, which does not depend on f
+_LEMMA_SUM = ["residual", "--kind", "lemma-sum"]
 
 
 def run_cli(capsys, argv):
@@ -100,7 +104,9 @@ def test_integer_flags_follow_the_library_integral_rule(capsys):
     assert json.loads(outputs[3][1])["n"] == 8
     # the text is read as an int first, so a large integer keeps every digit
     big = "123456789012345678901234567890"
-    code, out, _ = run_cli(capsys, ["lemma", "--x", "0.5", "--n0", big, "--dry-run"])
+    code, out, _ = run_cli(
+        capsys, [*_LEMMA_SUM, "--point", "0.5", "--n0", big, "--dry-run"]
+    )
     assert code == 0 and json.loads(out)["n0"] == int(big)
 
 
@@ -113,7 +119,7 @@ def test_verify_takes_an_integral_float_criterion(capsys):
 
 def test_lemma_at_one_passes_with_zero_series(capsys):
     code, out, _ = run_cli(
-        capsys, ["lemma", "--x", "1.0", "--n0", "64", "--doublings", "4"]
+        capsys, [*_LEMMA_SUM, "--point", "1.0", "--n0", "64", "--doublings", "4"]
     )
     assert code == 0
     rows, summary = parse_csv(out)
@@ -123,7 +129,7 @@ def test_lemma_at_one_passes_with_zero_series(capsys):
 
 def test_lemma_interior_point_passes(capsys):
     code, out, _ = run_cli(
-        capsys, ["lemma", "--x", "0.5", "--n0", "64", "--doublings", "5"]
+        capsys, [*_LEMMA_SUM, "--point", "0.5", "--n0", "64", "--doublings", "5"]
     )
     assert code == 0
     rows, summary = parse_csv(out)
@@ -133,13 +139,13 @@ def test_lemma_interior_point_passes(capsys):
 
 
 def test_csv_and_json_payloads_match(capsys):
-    base = ["lemma", "--x", "0.25", "--n0", "32", "--doublings", "4"]
+    base = [*_LEMMA_SUM, "--point", "0.25", "--n0", "32", "--doublings", "4"]
     code_csv, out_csv, _ = run_cli(capsys, base)
     code_json, out_json, _ = run_cli(capsys, base + ["--format", "json"])
     assert code_csv == code_json == 0
     rows_csv, summary_csv = parse_csv(out_csv)
     payload = json.loads(out_json)
-    assert payload["command"] == "lemma"
+    assert payload["command"] == "residual"
     assert len(payload["rows"]) == len(rows_csv)
     for row_c, row_j in zip(rows_csv, payload["rows"]):
         assert int(row_c["n"]) == row_j["n"]
@@ -152,7 +158,7 @@ def test_csv_and_json_payloads_match(capsys):
             assert row_j["rate_estimate"] is None
         else:
             assert float(row_c["rate_estimate"]) == row_j["rate_estimate"]
-    for key in ("limit_estimate", "min_value", "target"):
+    for key in ("limit_estimate", "residual_tail", "target"):
         assert float(summary_csv[key]) == payload["summary"][key]
     assert summary_csv["verdict"] == payload["summary"]["verdict"]
 
@@ -160,7 +166,7 @@ def test_csv_and_json_payloads_match(capsys):
 def test_eval_values(capsys):
     code, out, _ = run_cli(
         capsys,
-        ["eval", "--kind", "akr-1d", "--fn", "e2", "--n", "16", "--point", "0.4"],
+        ["eval", "--fn", "e2", "--n", "16", "--point", "0.4"],
     )
     assert code == 0
     rows, summary = parse_csv(out)
@@ -170,8 +176,8 @@ def test_eval_values(capsys):
         capsys,
         [
             "eval",
-            "--kind",
-            "bernstein-2d",
+            "--j",
+            "1",
             "--fn",
             "monomial(1,1)",
             "--n",
@@ -189,21 +195,22 @@ def test_eval_values(capsys):
 def test_eval_rejects_wrong_arity(capsys):
     code, _, err = run_cli(
         capsys,
-        ["eval", "--kind", "akr-1d", "--fn", "exp-sum", "--n", "16", "--point", "0.4"],
+        ["eval", "--fn", "exp-sum", "--n", "16", "--point", "0.4"],
     )
     assert code == 2
     assert "arity" in err
 
 
-def test_bernstein_eval_ignores_j(capsys):
-    # any order the rule accepts; --j 0 is refused (the bad-input matrix)
+@pytest.mark.parametrize("j", ["1", "2", "5"])
+def test_eval_takes_its_order_from_j_alone(j, capsys):
+    # j = 1 is the Bernstein operator; --j 0 is refused (the bad-input matrix)
     code, out, _ = run_cli(
-        capsys,
-        ["eval", "--kind", "bernstein-1d", "--fn", "e3", "--n", "64",
-         "--point", "0.3", "--j", "5"],
+        capsys, ["eval", "--fn", "e3", "--n", "64", "--point", "0.3", "--j", j]
     )
     assert code == 0
-    assert out == (GOLDEN / "eval_bernstein_1d.csv").read_text()
+    rows, summary = parse_csv(out)
+    value = apply(lookup("e3").function, 64, int(j), 0.3)
+    assert float(rows[0]["value"]) == float(summary["value"]) == value
 
 
 def test_residual_verdict_passes_for_known_limit(capsys):
@@ -298,30 +305,11 @@ def test_residual_with_general_order_reports_target_and_verdict(kind, point, j, 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
-@pytest.mark.parametrize(
-    "golden, argv",
-    [
-        ("residual_bernstein_1d_e3.csv",
-         ["--kind", "bernstein-1d", "--fn", "e3", "--point", "0.3"]),
-        ("residual_bernstein_2d_runge.csv",
-         ["--kind", "bernstein-2d", "--fn", "runge-2d", "--point", "0.3", "0.7"]),
-    ],
-)
-def test_bernstein_residual_ignores_j_and_keeps_its_verdict(golden, argv, capsys):
-    # the Bernstein series does not depend on j, so --j 3 prints the j = 2
-    # rows, limit and verdict byte for byte
-    code, out, _ = run_cli(
-        capsys, ["residual", *argv, "--n0", "16", "--doublings", "4", "--j", "3"]
-    )
-    assert code == 0
-    assert out == (GOLDEN / golden).read_text()
-
-
-def test_bernstein_residual_accepts_n0_two_at_any_j(capsys):
+def test_order_one_residual_accepts_n0_two(capsys):
     code, out, err = run_cli(
         capsys,
-        ["residual", "--kind", "bernstein-1d", "--fn", "e3", "--point", "0.3",
-         "--n0", "2", "--doublings", "4", "--j", "3", "--format", "json"],
+        ["residual", "--kind", "akr-1d", "--fn", "e3", "--point", "0.3",
+         "--n0", "2", "--doublings", "4", "--j", "1", "--format", "json"],
     )
     assert code == 0, err
     payload = json.loads(out)
@@ -351,7 +339,7 @@ def test_akr_residual_at_order_one_is_the_bernstein_residual(golden, argv, capsy
 
 def test_akr_eval_and_nodes_at_order_one_are_bernstein(capsys):
     argv = ["eval", "--fn", "e3", "--n", "64", "--point", "0.3"]
-    code, out, _ = run_cli(capsys, [*argv, "--kind", "akr-1d", "--j", "1"])
+    code, out, _ = run_cli(capsys, [*argv, "--j", "1"])
     assert code == 0
     assert out == (GOLDEN / "eval_bernstein_1d.csv").read_text()
     code, out, _ = run_cli(capsys, ["nodes", "--n", "8", "--j", "1"])
@@ -377,8 +365,6 @@ def test_unknown_function_is_a_usage_error_with_json_error_object(capsys):
         capsys,
         [
             "eval",
-            "--kind",
-            "akr-1d",
             "--fn",
             "nope",
             "--n",
@@ -418,12 +404,16 @@ def test_positivity_requirement_is_enforced(capsys):
 
 
 def test_kind_choices_come_from_series_kinds():
+    # eval takes its order from --j and its arity from --point alone
     sub = next(
         a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
     )
-    for command, count in (("eval", 4), ("residual", 5)):
-        kind = next(a for a in sub.choices[command]._actions if a.dest == "kind")
-        assert list(kind.choices) == list(SERIES_KINDS[:count])
+    kinds = {
+        command: [a.choices for a in parser._actions if a.dest == "kind"]
+        for command, parser in sub.choices.items()
+    }
+    assert kinds == {"nodes": [], "eval": [], "residual": [SERIES_KINDS],
+                     "decompose": [], "verify": []}
 
 
 def assert_structured_error(capsys, argv):
@@ -439,12 +429,11 @@ _HUGE = "1000000000000000"
     "argv",
     [
         ["nodes", "--n", _HUGE],
-        ["eval", "--kind", "akr-1d", "--fn", "e1", "--n", _HUGE, "--point", "0.5"],
-        ["eval", "--kind", "bernstein-2d", "--fn", "runge-2d", "--n", _HUGE,
-         "--point", "0.5", "0.5"],
+        ["eval", "--fn", "e1", "--n", _HUGE, "--point", "0.5"],
+        ["eval", "--j", "1", "--fn", "runge-2d", "--n", _HUGE, "--point", "0.5", "0.5"],
         ["residual", "--kind", "akr-2d", "--fn", "runge-2d", "--point", "0.5", "0.5",
          "--doublings", "40"],
-        ["lemma", "--x", "0.5", "--doublings", "40"],
+        [*_LEMMA_SUM, "--point", "0.5", "--doublings", "40"],
         # the first rows are cheap; the last degree, 64 * 2^20, is refused first
         ["decompose", "--fn", "exp-sum", "--point", "0.5", "0.5", "--doublings", "20"],
     ],
@@ -463,7 +452,7 @@ def test_degree_past_the_cap_is_a_structured_error(argv, capsys):
          "--n0", "16", "--doublings", "4", "--tolerance", tol]
         for tol in ("-1", "nan", "inf")
     ]
-    + [["lemma", "--x", "0.5", "--tolerance", tol] for tol in ("-1", "nan", "inf")],
+    + [[*_LEMMA_SUM, "--point", "0.5", "--tolerance", tol] for tol in ("-1", "nan", "inf")],
 )
 def test_bad_doublings_and_tolerance_are_structured_errors(argv, capsys):
     assert_structured_error(capsys, argv)
@@ -564,12 +553,12 @@ def test_verify_rejects_unknown_criteria_before_running(criteria, capsys, monkey
 # Bad input: every subcommand against every rule it takes
 # --------------------------------------------------------------------------
 
-_EVAL = ["eval", "--kind", "akr-1d", "--fn", "e3", "--n", "8"]
-_EVAL_2D = ["eval", "--kind", "akr-2d", "--fn", "runge-2d", "--n", "8"]
+_EVAL = ["eval", "--fn", "e3", "--n", "8"]
+_EVAL_2D = ["eval", "--fn", "runge-2d", "--n", "8"]
 _RESIDUAL = ["residual", "--kind", "akr-1d", "--fn", "e1", "--n0", "8"]
 _RESIDUAL_2D = ["residual", "--kind", "akr-2d", "--fn", "exp-sum", "--n0", "8"]
 _DRIFT = ["residual", "--kind", "akr-minus-bernstein-2d", "--fn", "exp-sum"]
-_LEMMA = ["lemma", "--n0", "8"]
+_LEMMA = [*_LEMMA_SUM, "--n0", "8"]
 _DECOMPOSE = ["decompose", "--fn", "exp-sum", "--n0", "8", "--doublings", "1"]
 
 # (argv, a fragment of the one error message); MISSING and DIRECTORY stand
@@ -591,10 +580,10 @@ _BAD_INPUT = {
     "eval: point of the square": (
         [*_EVAL_2D, "--point", "1.5", "0.5"], "point must lie in [0, 1]^2"),
     "eval: point of the wrong arity": (
-        [*_EVAL_2D, "--point", "0.3"], "point must have 2 numeric coordinate(s)"),
+        [*_EVAL_2D, "--point", "0.3"], "f has arity 2, but the point has 1 coordinate(s)"),
     **{
         f"eval: monomial exponent {axis} of {digits} digits": (
-            ["eval", "--kind", "akr-2d", "--fn", fn, "--n", "8", "--point", "0.5", "0.5"],
+            ["eval", "--fn", fn, "--n", "8", "--point", "0.5", "0.5"],
             f"monomial exponent {axis} must be")
         for axis, digits, fn in (
             ("p", 400, f"monomial({'9' * 400},1)"),
@@ -602,14 +591,13 @@ _BAD_INPUT = {
         )
     },
     "eval: non-integral degree": (
-        ["eval", "--kind", "akr-1d", "--fn", "e3", "--n", "8.5", "--point", "0.3"],
+        ["eval", "--fn", "e3", "--n", "8.5", "--point", "0.3"],
         "--n must be integral, got 8.5"),
     "eval: non-integral order": ([*_EVAL, "--j", "2.5", "--point", "0.3"], "got 2.5"),
     "eval: order below 1": (
         [*_EVAL, "--j", "0", "--point", "0.3"], "order j must be >= 1, got 0"),
-    "eval: Bernstein order below 1": (
-        ["eval", "--kind", "bernstein-1d", "--fn", "e3", "--n", "8", "--j", "0",
-         "--point", "0.3"], "order j must be >= 1, got 0"),
+    "eval: order below 1 on the square": (
+        [*_EVAL_2D, "--j", "0", "--point", "0.3", "0.7"], "order j must be >= 1, got 0"),
     "residual: non-numeric point": ([*_RESIDUAL, "--point", "a"], "'a'"),
     "residual: point above 1": (
         [*_RESIDUAL, "--point", "1.5"], "point must lie in [0, 1]"),
@@ -636,12 +624,15 @@ _BAD_INPUT = {
     "residual: unknown kind": (
         ["residual", "--kind", "bogus-kind", "--fn", "e1", "--point", "0.5"],
         "invalid choice: 'bogus-kind'"),
-    "lemma: non-numeric point": ([*_LEMMA, "--x", "a"], "invalid float value: 'a'"),
-    "lemma: point above 1": ([*_LEMMA, "--x", "1.5"], "point must lie in [0, 1]"),
-    "lemma: zero coordinate": ([*_LEMMA, "--x", "0"], "needs positive coordinates"),
-    "lemma: non-integral n0": ([*_LEMMA, "--x", "0.5", "--n0", "8.5"], "got 8.5"),
+    "residual: no --fn for a series of f": (
+        ["residual", "--kind", "akr-1d", "--point", "0.3"],
+        "f must be a Function, got NoneType"),
+    "lemma: non-numeric point": ([*_LEMMA, "--point", "a"], "invalid float value: 'a'"),
+    "lemma: point above 1": ([*_LEMMA, "--point", "1.5"], "point must lie in [0, 1]"),
+    "lemma: zero coordinate": ([*_LEMMA, "--point", "0"], "needs positive coordinates"),
+    "lemma: non-integral n0": ([*_LEMMA, "--point", "0.5", "--n0", "8.5"], "got 8.5"),
     "lemma: short schedule": (
-        [*_LEMMA, "--x", "0.5", "--doublings", "0"], "at least 4 series entries"),
+        [*_LEMMA, "--point", "0.5", "--doublings", "0"], "at least 4 series entries"),
     "decompose: non-numeric point": ([*_DECOMPOSE, "--point", "a", "0.5"], "'a'"),
     "decompose: point above 1": (
         [*_DECOMPOSE, "--point", "0.5", "1.5"], "point must lie in [0, 1]^2"),
@@ -656,23 +647,22 @@ _BAD_INPUT = {
         [*_DECOMPOSE, "--point", "0.5", "0.5", "--doublings", "-1"],
         "doublings must be >= 0, got -1"),
     **{
-        f"{argv[0]}: {doublings} doublings": (
+        f"{command}: {doublings} doublings": (
             [*argv, "--doublings", doublings],
             f"schedule's last degree must be <= 1048576, got n0 * 2^doublings with "
             f"n0 = 8, doublings = {shown}")
-        for argv in (
-            [*_RESIDUAL, "--point", "0.5"],
-            [*_LEMMA, "--x", "0.5"],
-            [*_DECOMPOSE, "--point", "0.5", "0.5"],
+        for command, argv in (
+            ("residual", [*_RESIDUAL, "--point", "0.5"]),
+            ("lemma", [*_LEMMA, "--point", "0.5"]),
+            ("decompose", [*_DECOMPOSE, "--point", "0.5", "0.5"]),
         )
         for doublings, shown in (("20000", "20000"), ("1e300", "10^300.0"))
     },
     **{
         f"{argv[0]}: --fn of the other arity, {argv[2]}": (argv, "arity")
         for argv in (
-            ["eval", "--kind", "akr-1d", "--fn", "exp-sum", "--n", "8", "--point", "0.4"],
-            ["eval", "--kind", "bernstein-2d", "--fn", "e3", "--n", "8",
-             "--point", "0.4", "0.6"],
+            ["eval", "--fn", "exp-sum", "--n", "8", "--point", "0.4"],
+            ["eval", "--fn", "e3", "--j", "1", "--n", "8", "--point", "0.4", "0.6"],
             ["residual", "--kind", "akr-1d", "--fn", "runge-2d", "--point", "0.4"],
             ["residual", "--kind", "akr-2d", "--fn", "e3", "--point", "0.4", "0.6"],
             ["residual", "--kind", "akr-minus-bernstein-2d", "--fn", "e3",
@@ -700,7 +690,7 @@ _BAD_INPUT = {
             ("nodes", ["nodes", "--n", "4"]),
             ("eval", [*_EVAL, "--point", "0.3"]),
             ("residual", [*_RESIDUAL, "--point", "0.5", "--doublings", "3"]),
-            ("lemma", [*_LEMMA, "--x", "0.5", "--doublings", "3"]),
+            ("lemma", [*_LEMMA, "--point", "0.5", "--doublings", "3"]),
             ("decompose", [*_DECOMPOSE, "--point", "0.5", "0.5"]),
             ("verify", ["verify", "--criteria", "8"]),
         )
@@ -737,7 +727,7 @@ def test_bad_input_exits_2_with_one_structured_error(case, fmt, capsys, tmp_path
     [
         [*_RESIDUAL, "--point", "0.5", "--doublings", "2"],
         [*_RESIDUAL_2D, "--point", "0.5", "0.5", "--doublings", "0"],
-        [*_LEMMA, "--x", "0.5", "--doublings", "2"],
+        [*_LEMMA, "--point", "0.5", "--doublings", "2"],
     ],
 )
 def test_short_schedule_is_refused_before_the_series_runs(argv, capsys, monkeypatch):

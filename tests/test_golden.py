@@ -4,8 +4,10 @@ Each file under ``tests/golden/`` holds the exact stdout of one command,
 captured before the kernels were reduced to a single numpy path (the three
 Bernstein and runge-2d drift ``residual`` runs and the ``verify`` columns
 before Bernstein became the order-1 node set; the ``dry_run_*`` configs
-while the CLI still built them from a dataclass).  A change that moves any
-printed digit fails here.
+while the CLI still built them from a dataclass).  The JSON configs and the
+remainder-sum summary were captured again when the ``lemma`` subcommand
+became ``residual --kind lemma-sum``; its rows kept every byte.  A change
+that moves any printed digit fails here.
 """
 
 import csv
@@ -21,22 +23,21 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 # file name -> (argv, exit code)
 CASES = {
     "nodes_n16.csv": (["nodes", "--n", "16"], 0),
+    # j = 1 is the Bernstein operator
     "eval_bernstein_1d.csv": (
-        ["eval", "--kind", "bernstein-1d", "--fn", "e3", "--n", "64", "--point", "0.3"],
+        ["eval", "--j", "1", "--fn", "e3", "--n", "64", "--point", "0.3"],
         0,
     ),
     "eval_akr_1d.csv": (
-        ["eval", "--kind", "akr-1d", "--fn", "e3", "--n", "64", "--point", "0.3"],
+        ["eval", "--fn", "e3", "--n", "64", "--point", "0.3"],
         0,
     ),
     "eval_bernstein_2d.csv": (
-        ["eval", "--kind", "bernstein-2d", "--fn", "runge-2d", "--n", "64",
-         "--point", "0.3", "0.7"],
+        ["eval", "--j", "1", "--fn", "runge-2d", "--n", "64", "--point", "0.3", "0.7"],
         0,
     ),
     "eval_akr_2d.csv": (
-        ["eval", "--kind", "akr-2d", "--fn", "sinpix-cospiy", "--n", "64",
-         "--point", "0.3", "0.7"],
+        ["eval", "--fn", "sinpix-cospiy", "--n", "64", "--point", "0.3", "0.7"],
         0,
     ),
     "residual_akr_1d_e2.csv": (
@@ -54,8 +55,9 @@ CASES = {
          "--point", "0.7", "0.3", "--n0", "16", "--doublings", "4"],
         0,
     ),
-    "lemma_x0.3.csv": (
-        ["lemma", "--x", "0.3", "--n0", "16", "--doublings", "4"],
+    "residual_lemma_sum_x0.3.csv": (
+        ["residual", "--kind", "lemma-sum", "--point", "0.3", "--n0", "16",
+         "--doublings", "4"],
         0,
     ),
     "decompose_exp_sum.csv": (
@@ -64,13 +66,13 @@ CASES = {
         0,
     ),
     "residual_bernstein_1d_e3.csv": (
-        ["residual", "--kind", "bernstein-1d", "--fn", "e3", "--point", "0.3",
-         "--n0", "16", "--doublings", "4"],
+        ["residual", "--kind", "akr-1d", "--fn", "e3", "--point", "0.3",
+         "--n0", "16", "--doublings", "4", "--j", "1"],
         0,
     ),
     "residual_bernstein_2d_runge.csv": (
-        ["residual", "--kind", "bernstein-2d", "--fn", "runge-2d", "--point", "0.3",
-         "0.7", "--n0", "16", "--doublings", "4"],
+        ["residual", "--kind", "akr-2d", "--fn", "runge-2d", "--point", "0.3",
+         "0.7", "--n0", "16", "--doublings", "4", "--j", "1"],
         0,
     ),
     "residual_drift_runge.csv": (
@@ -100,10 +102,9 @@ CASES = {
         f"dry_run_{argv[0]}.json": ([*argv, "--dry-run", "--format", "json"], 0)
         for argv in (
             ["nodes", "--n", "4", "--j", "2"],
-            ["eval", "--kind", "akr-1d", "--fn", "e2", "--n", "16", "--point", "0.4"],
+            ["eval", "--fn", "e2", "--n", "16", "--point", "0.4"],
             ["residual", "--kind", "akr-2d", "--fn", "exp-sum", "--point", "0.5",
              "0.5", "--n0", "64", "--doublings", "7"],
-            ["lemma", "--x", "0.5", "--n0", "64", "--doublings", "7"],
             ["decompose", "--fn", "exp-sum", "--point", "0.5", "0.5", "--n0", "64",
              "--doublings", "4"],
             ["verify", "--criteria", "1,8"],

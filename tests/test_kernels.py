@@ -580,7 +580,7 @@ def test_warmup_takes_the_small_window_series(monkeypatch):
 
 def test_warmup_grows_the_s_table_and_takes_the_in_place_far_pass(monkeypatch):
     # from an empty table and terms cache, as in a fresh process
-    monkeypatch.setattr(_kernels, "_stirlerr_kept", np.empty(0))
+    monkeypatch.setattr(_kernels, "_stirlerr_kept", [np.empty(0)])
     _kernels._cached_degree_terms.cache_clear()
     windows = []
     exact = _kernels._bd0_np
@@ -592,7 +592,7 @@ def test_warmup_grows_the_s_table_and_takes_the_in_place_far_pass(monkeypatch):
 
     monkeypatch.setattr(_kernels, "_bd0_np", recorded)
     _kernels.warmup()
-    assert _kernels._stirlerr_kept.size > 0
+    assert _kernels._stirlerr_kept[0].size > 0
     # a mixed window: the far pass over every element, then the near ones
     assert any(0 < count < size for count, size in windows)
 
@@ -674,7 +674,7 @@ def _assert_frozen_bits(n, x, lo=0, hi=None):
 
 
 def test_a_numpy_integer_degree_grows_the_s_table(monkeypatch):
-    monkeypatch.setattr(_kernels, "_stirlerr_kept", np.empty(0))
+    monkeypatch.setattr(_kernels, "_stirlerr_kept", [np.empty(0)])
     _kernels._cached_degree_terms.cache_clear()
     _assert_frozen_bits(np.int64(64), 0.3)
 
@@ -701,7 +701,7 @@ def test_kernel_caches_hold_at_most_their_stated_worst_case(monkeypatch):
     # the s table's 2 MiB and 16 terms blocks of 4 (n - 1) doubles, n <= 8192,
     # 6 MiB in all, and 64 KiB for the Python objects around them
     worst = 6 * 2**20 + 2**16
-    monkeypatch.setattr(_kernels, "_stirlerr_kept", np.empty(0))
+    monkeypatch.setattr(_kernels, "_stirlerr_kept", [np.empty(0)])
     _kernels._cached_degree_terms.cache_clear()
     top = _kernels._TERMS_MAX_DEGREE
     tracemalloc.start()
@@ -713,7 +713,7 @@ def test_kernel_caches_hold_at_most_their_stated_worst_case(monkeypatch):
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert _kernels._stirlerr_kept.size == _kernels._STIRLERR_CAP
+    assert _kernels._stirlerr_kept[0].size == _kernels._STIRLERR_CAP
     info = _kernels._cached_degree_terms.cache_info()
     assert info.currsize == _kernels._TERMS_CACHE_SIZE
     assert held <= worst, held

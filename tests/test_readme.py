@@ -1,10 +1,12 @@
 """The README's quick start runs, and its commented values hold; each
 command of its CLI block runs and exits 0; its catalog names are the
-catalog's; its Layout block names every module of the package, and every
+catalog's, the flags of its CLI section the parser's and its series-kinds
+table the kinds; its Layout block names every module of the package, and every
 ``<module>.<name>`` it puts in backticks is a name of that module.  Every
 benchmark record that README.md or ROADMAP.md names is committed and
 parses, and every claim a record makes names what the benchmark measures."""
 
+import argparse
 import importlib
 import json
 import math
@@ -14,8 +16,8 @@ from pathlib import Path
 
 import pytest
 
-from akrvoro import catalog_names, lookup
-from akrvoro.cli import main
+from akrvoro import SERIES_KINDS, catalog_names, lookup
+from akrvoro.cli import build_parser, main
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -40,18 +42,38 @@ def test_quick_start_runs_and_its_comments_hold():
     assert d.e_term + d.f_term + d.g_residual == pytest.approx(d.total, abs=1e-12)
 
 
+def section(heading):
+    """The README's text under ``heading``, up to the next heading of its
+    level or above."""
+    level = heading.split(" ", 1)[0]
+    text = README.read_text().split(f"\n{heading}\n", 1)[1]
+    ends = [m.start() for m in re.finditer(r"^#{1,%d} " % len(level), text, re.M)]
+    return text[: min(ends, default=len(text))]
+
+
 def cli_commands():
     """The argv of each line of the README's CLI block, the first ``sh``
     block after the "## CLI" heading."""
-    text = README.read_text().split("\n## CLI\n", 1)[1]
-    block = re.search(r"```sh\n(.*?)```", text, re.S).group(1)
+    block = re.search(r"```sh\n(.*?)```", section("## CLI"), re.S).group(1)
     return [shlex.split(line)[1:] for line in block.splitlines()]
 
 
 def test_cli_block_lists_every_subcommand():
     assert [argv[0] for argv in cli_commands()] == [
-        "nodes", "eval", "residual", "lemma", "decompose", "verify",
+        "nodes", "eval", "residual", "decompose", "verify",
     ]
+
+
+def test_every_flag_the_cli_section_names_is_an_option():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {flag for p in sub.choices.values() for a in p._actions for flag in a.option_strings}
+    named = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", section("## CLI")))
+    assert named and named <= options, sorted(named - options)
+
+
+def test_series_kinds_table_lists_the_kinds_in_order():
+    rows = re.findall(r"^\| `([^`]+)` \|", section("### Series kinds"), re.M)
+    assert tuple(rows) == SERIES_KINDS
 
 
 @pytest.mark.parametrize("argv", cli_commands(), ids=lambda argv: argv[0])
