@@ -127,11 +127,11 @@ def lemma_sum(n, x):
 
 def _partials(f, d, order, needed_by="the limit"):
     """The exact pure partials of f of this order on [0, 1]^d, one callable
-    per axis: ``grad[i]``, or the diagonal ``hess[i][i]``.  An f of another
-    arity than d is a DomainError."""
+    per axis: entry ``order - 1`` of each row of ``f.partials``.  An f of
+    another arity than d is a DomainError, and a missing partial, None or
+    past the end of its row, a CapabilityError."""
     _check_arity(f, d)
-    table = f.grad if order == 1 else f.hess
-    fns = [g if order == 1 else g[i] for i, g in enumerate(table or ())]
+    fns = [row[order - 1] if order <= len(row) else None for row in f.partials or ()]
     if not fns or any(fn is None for fn in fns):
         kind = "first" if order == 1 else "second"
         raise CapabilityError(f"{needed_by} requires exact {kind} partials")
@@ -288,8 +288,8 @@ class SeriesKind:
 
     def limit(self, f, point, j):
         """The series' limit at order j, at any point that ``check_point``
-        accepts at this kind's arity."""
-        return self.target(f, check_point(point, self.arity), j)
+        accepts at this kind's arity; j is held to ``check_order``."""
+        return self.target(f, check_point(point, self.arity), check_order(j))
 
 
 def _operator_value(f, n, j, coords):
@@ -300,14 +300,23 @@ def _drift_value(f, n, j, coords):
     return n * (_apply(f, n, j, coords) - _apply(f, n, 1, coords))
 
 
-def _lemma_value(f, n, j, coords):
+def _check_lemma(f, j):
+    """The remainder sum's two rules, for its series and its limit alike: it
+    takes no f, and it is defined for j = 2 only."""
+    if f is not None:
+        raise DomainError(f"the remainder sum takes no f, got {type(f).__name__}")
     if j != 2:
         raise DomainError("the remainder sum is defined for j = 2 only")
+
+
+def _lemma_value(f, n, j, coords):
+    _check_lemma(f, j)
     return lemma_sum(n, *coords)
 
 
 # The operator series n (Op_n f - f) of each arity, then the difference of
-# the orders j and 1 and the remainder sum, which does not depend on f.
+# the orders j and 1 and the remainder sum, which takes no f and whose
+# limit is 0 (``_check_lemma`` returns None).
 KINDS = {
     **{
         f"akr-{arity}d": SeriesKind(arity, _operator_value, _limit)
@@ -316,7 +325,7 @@ KINDS = {
     "akr-minus-bernstein-2d": SeriesKind(
         2, _drift_value, lambda f, coords, j: _limit(f, coords, j, diffusion=False)
     ),
-    "lemma-sum": SeriesKind(1, _lemma_value, lambda f, coords, j: 0.0),
+    "lemma-sum": SeriesKind(1, _lemma_value, lambda f, coords, j: _check_lemma(f, j) or 0.0),
 }
 
 SERIES_KINDS = tuple(KINDS)
@@ -325,13 +334,13 @@ SERIES_KINDS = tuple(KINDS)
 def residual_series(kind, f, point, n0=64, doublings=7, j=2):
     """Scaled residuals at degrees n0, 2 n0, ..., n0 * 2^doublings.
 
-    ``f`` is a Function of the kind's arity and is ignored for kind
-    'lemma-sum'.  ``point`` is a sequence of that many coordinates, or a
-    bare number for a kind on [0, 1]; the series carries it as a tuple.  j
-    must be >= 1, and every kind runs at j: at j >= 2 it needs strictly
-    positive coordinates and n0 of at least j; every kind needs n0 of at
-    least 2.  The whole schedule is checked against MAX_DEGREE before any
-    operator runs.
+    ``f`` is a Function of the kind's arity, or None for kind 'lemma-sum',
+    which takes no f and runs at j = 2 only.  ``point`` is a sequence of
+    that many coordinates, or a bare number for a kind on [0, 1]; the
+    series carries it as a tuple.  j must be >= 1, and every kind runs at
+    j: at j >= 2 it needs strictly positive coordinates and n0 of at least
+    j; every kind needs n0 of at least 2.  The whole schedule is checked
+    against MAX_DEGREE before any operator runs.
     """
     if kind not in KINDS:
         raise DomainError(

@@ -53,8 +53,7 @@ def _one_d(value, first, second):
     derivatives, each a map of float arrays.  The coordinate is read as a
     float array, and a call with two coordinates raises."""
     on_floats = lambda fn: lambda t: fn(_float(t))
-    return Function(eval=on_floats(value), grad=(on_floats(first),),
-                    hess=((on_floats(second),),))
+    return Function(eval=on_floats(value), partials=((on_floats(first), on_floats(second)),))
 
 
 def _scaled(c, fn):
@@ -70,15 +69,13 @@ def _monomial_1d(p):
 
 
 def _product(g, h, sup_bounds):
-    """f(s,t) = g(s) h(t): its partial of order a in s and b in t is
-    g^(a)(s) h^(b)(t)."""
-    dg, dh = ((f.eval, *f.grad, *f.hess[0]) for f in (g, h))
-    part = lambda a, b: lambda s, t: dg[a](s) * dh[b](t)
-    fxy = part(1, 1)
+    """f(s,t) = g(s) h(t): its pure partials of order m are g^(m)(s) h(t)
+    in s and g(s) h^(m)(t) in t."""
+    times = lambda a, b: lambda s, t: a(s) * b(t)
+    (dg,), (dh,) = g.partials, h.partials
     return Function(
-        eval=part(0, 0),
-        grad=(part(1, 0), part(0, 1)),
-        hess=((part(2, 0), fxy), (fxy, part(0, 2))),
+        eval=times(g.eval, h.eval),
+        partials=(tuple(times(d, h.eval) for d in dg), tuple(times(g.eval, d) for d in dh)),
         sup_bounds=sup_bounds,
         factors=(g, h),
     )
@@ -99,7 +96,7 @@ def _exp_sum():
     ev = lambda s, t: np.exp(_float(s) + t)
     exp = _one_d(np.exp, np.exp, np.exp)
     return Function(
-        eval=ev, grad=(ev, ev), hess=((ev, ev), (ev, ev)),
+        eval=ev, partials=((ev, ev), (ev, ev)),
         sup_bounds=SupBounds(((e2, e2), (e2, e2))),
         factors=(exp, exp),
     )
@@ -129,26 +126,18 @@ def _runge_2d():
         a = _float(s) - 0.5
         return -50.0 * a / denom(s, t) ** 2
 
-    def fy(s, t):
-        return fx(t, s)
-
     def fxx(s, t):
         a = _float(s) - 0.5
         D = denom(s, t)
         return -50.0 / D**2 + 5000.0 * a * a / D**3
 
-    def fyy(s, t):
-        return fxx(t, s)
-
-    def fxy(s, t):
-        a = _float(s) - 0.5
-        b = _float(t) - 0.5
-        return 5000.0 * a * b / denom(s, t) ** 3
-
-    # |fxx| peaks at 50 (center); |fxy| peaks at 5000 c / (1+50c)^3 with
-    # c = 1/100, just under 14.82
+    # the partials in t are those in s with the coordinates swapped
+    swapped = lambda fn: lambda s, t: fn(t, s)
+    # |fxx| peaks at 50 (center); the mixed partial 5000 ab / D^3, which
+    # only the Taylor constant reads, peaks at 5000 c / (1+50c)^3 with
+    # c = |ab| = 1/100, just under 14.82
     return Function(
-        eval=ev, grad=(fx, fy), hess=((fxx, fxy), (fxy, fyy)),
+        eval=ev, partials=((fx, fxx), (swapped(fx), swapped(fxx))),
         sup_bounds=SupBounds(((50.0, 15.0), (15.0, 50.0))),
     )
 

@@ -19,6 +19,7 @@ point) value once.  Outside a scope nothing is kept.
 import contextlib
 import contextvars
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple
 
@@ -69,7 +70,7 @@ def memo_scope():
 @dataclass(frozen=True)
 class SupBounds:
     """Sup norms of the second partials on [0, 1]^d: ``hess[i][l]`` is
-    sup|f_il|, a symmetric d x d table indexed like ``Function.hess``.  A
+    sup|f_il|, a symmetric d x d table, mixed partials included.  A
     table that is not d rows of d for some d >= 1, an entry that is not a
     finite number >= 0, or one that differs from its mirror entry, is a
     DomainError."""
@@ -112,6 +113,14 @@ class SupBounds:
                    for l in range(i, len(h)))
 
 
+def _length(name, t):
+    """The length of f's table or row t, refused with DomainError unless t is
+    a sequence."""
+    if not isinstance(t, Sequence):
+        raise DomainError(f"f's {name} must be a sequence, got {type(t).__name__}")
+    return len(t)
+
+
 @dataclass(frozen=True)
 class Function:
     """A real function on [0, 1]^d with optional exact partials.
@@ -119,34 +128,36 @@ class Function:
     Every callable takes the d coordinates and must be elementwise over
     broadcast numpy arrays: a value depends only on its own coordinates.
     Operators evaluate them on whole node vectors and on grids in row tiles.
-    ``grad[i]`` is the partial in coordinate i and ``hess[i][l]`` the second
-    partial in coordinates i and l.  ``factors`` declares f(x_1, ..., x_d) =
-    g_1(x_1) ... g_d(x_d), each g_i a Function of one coordinate; the
-    operators of such an f are the products of the 1-d operator values.
+    ``partials[i]`` holds the pure partials of f in coordinate i, lowest
+    order first: ``partials[i][0]`` is df/dx_i and ``partials[i][1]`` is
+    d^2f/dx_i^2.  A partial that is None, or past the end of its row, is
+    missing; rows may differ in length.  ``factors`` declares f(x_1, ...,
+    x_d) = g_1(x_1) ... g_d(x_d), each g_i a Function of one coordinate;
+    the operators of such an f are the products of the 1-d operator values.
 
-    ``arity`` is d, read from the tables f declares: ``grad`` and
-    ``factors`` have d entries, ``hess`` and ``sup_bounds.hess`` d rows of
-    d.  It is None when f declares none, and such an f takes a point of any
-    arity.  An empty table, tables of different lengths, or a factor of an
-    arity other than 1, are a DomainError.
+    ``arity`` is d, read from the tables f declares: ``partials`` and
+    ``factors`` have d entries, ``sup_bounds.hess`` d rows of d.  It is None
+    when f declares none, and such an f takes a point of any arity.  A table
+    or a row of ``partials`` that is not a sequence, an empty table, tables
+    of different lengths, or a factor of an arity other than 1, are a
+    DomainError.
     """
 
     eval: Callable
-    grad: Optional[Tuple[Callable, ...]] = None
-    hess: Optional[Tuple[Tuple[Callable, ...], ...]] = None
+    partials: Optional[Tuple[Tuple[Optional[Callable], ...], ...]] = None
     sup_bounds: Optional[SupBounds] = None
     factors: Optional[Tuple["Function", ...]] = None
     arity: Optional[int] = field(init=False)
 
     def __post_init__(self):
         bounds = self.sup_bounds and self.sup_bounds.hess
-        tables = (("grad", self.grad), ("hess", self.hess), ("factors", self.factors),
-                  ("sup bounds", bounds))
-        sizes = {name: len(t) for name, t in tables if t is not None}
+        tables = (("partials", self.partials), ("factors", self.factors), ("sup bounds", bounds))
+        sizes = {name: _length(name, t) for name, t in tables if t is not None}
+        for i, row in enumerate(self.partials or ()):
+            _length(f"partials[{i}]", row)
         empty = [name for name, size in sizes.items() if size == 0]
         if empty:
             raise DomainError(f"f's {empty[0]} table is empty; d must be at least 1")
-        sizes.update((f"hess[{i}]", len(row)) for i, row in enumerate(self.hess or ()))
         if len(set(sizes.values())) > 1:
             raise DomainError(
                 f"f's tables must agree on its arity d (d entries, or d rows of d), got {sizes}"
@@ -157,14 +168,14 @@ class Function:
         object.__setattr__(self, "arity", next(iter(sizes.values()), None))
 
     # The benchmark's runge-2d reference test reads these two; they go when
-    # the benchmark changes (ROADMAP item 4).  The package reads grad/hess.
+    # the benchmark changes (ROADMAP item 4).  The package reads partials.
     @property
     def fx(self):
-        return self.grad[0]
+        return self.partials[0][0]
 
     @property
     def fyy(self):
-        return self.hess[1][1]
+        return self.partials[1][1]
 
 
 def _check_arity(f, d):

@@ -279,7 +279,7 @@ def test_each_run_pays_for_its_own_work_and_leaves_no_memo_open(
 
 def test_check_limit_takes_an_f_whose_tables_cannot_be_hashed():
     f = lookup("runge-2d").function
-    listed = replace(f, grad=list(f.grad), hess=[list(row) for row in f.hess])
+    listed = replace(f, partials=[list(row) for row in f.partials])
     with pytest.raises(TypeError):
         hash(listed)
     check = check_limit("akr-minus-bernstein-2d", listed, (0.7, 0.3), 2e-2,

@@ -80,7 +80,7 @@ def test_limit_1d_values():
     assert limit(const1, 0.37, 2) == 0.0
     e1 = lookup("e1").function
     assert limit(e1, 0.5, 2) == -0.25
-    f = Function(eval=np.exp, grad=(np.exp,), hess=((np.exp,),))
+    f = Function(eval=np.exp, partials=((np.exp, np.exp),))
     assert limit(f, 0.5, 2) == pytest.approx(-0.125 * math.exp(0.5), rel=1e-15)
     with pytest.raises(DomainError):
         limit(e1, 0.0, 2)
@@ -108,12 +108,11 @@ def test_limit_2d_values():
 def test_classical_limit_2d_values():
     const = lookup("monomial(0,0)").function
     assert limit(const, (0.2, 0.8), 1) == 0.0
-    zero = lambda s, t: 0.0 * s * t
     two = lambda s, t: 2.0 + 0.0 * s * t
     s2t2 = Function(
         eval=lambda s, t: s**2 + t**2,
-        grad=(lambda s, t: 2.0 * s + 0.0 * t, lambda s, t: 2.0 * t + 0.0 * s),
-        hess=((two, zero), (zero, two)),
+        partials=((lambda s, t: 2.0 * s + 0.0 * t, two),
+                  (lambda s, t: 2.0 * t + 0.0 * s, two)),
     )
     assert limit(s2t2, (0.5, 0.5), 1) == pytest.approx(0.5, rel=1e-15)
     es = lookup("exp-sum").function
@@ -164,14 +163,14 @@ def test_a_1d_function_at_a_point_of_the_square_is_a_domain_error(call):
 def test_limits_read_only_the_partials_they_need():
     # the classical limits have no drift terms and need no first partials;
     # the drift limit has no diffusion terms and needs no second partials
-    f1 = Function(eval=np.exp, hess=((np.exp,),))
+    f1 = Function(eval=np.exp, partials=((None, np.exp),))
     assert limit(f1, 0.5, 1) == 0.125 * math.exp(0.5)
     with pytest.raises(CapabilityError):
         limit(f1, 0.5, 2)
     ev = lambda s, t: np.exp(s + t)
-    second_only = Function(eval=ev, hess=((ev, None), (None, ev)))
+    second_only = Function(eval=ev, partials=((None, ev), (None, ev)))
     assert limit(second_only, (0.5, 0.5), 1) == 0.25 * math.e
-    first_only = Function(eval=ev, grad=(ev, ev))
+    first_only = Function(eval=ev, partials=((ev,), (ev,)))
     assert drift_limit(first_only, (0.5, 0.5)) == -0.5 * math.e
 
 
@@ -207,8 +206,8 @@ def test_limit_keeps_a_small_value_that_is_not_rounding():
     # value 2^-44, 512 eps of the terms' sum, is no rounding and must survive
     f = Function(
         eval=np.exp,
-        grad=(lambda t: np.ones_like(t),),
-        hess=((lambda t: np.full_like(t, 2.0 * (1.0 + 2.0**-42)),),),
+        partials=((lambda t: np.ones_like(t),
+                   lambda t: np.full_like(t, 2.0 * (1.0 + 2.0**-42))),),
     )
     assert limit(f, 0.5, 2) == 2.0**-44
 
@@ -344,7 +343,7 @@ def test_g_bound_is_the_taylor_bound_plus_a_small_allowance():
     assert taylor < decomposition(es, 1024, (0.7, 0.3)).g_bound < taylor * (1.0 + 1e-6)
     assert decomposition(lookup("runge-2d").function, 64, (0.5, 0.5)).g_bound > 0.0
     # exact partials but no sup bounds
-    bare = Function(eval=lambda s, t: s * t, grad=(lambda s, t: t, lambda s, t: s))
+    bare = Function(eval=lambda s, t: s * t, partials=((lambda s, t: t,), (lambda s, t: s,)))
     assert decomposition(bare, 64, (0.5, 0.5)).g_bound is None
     with pytest.raises(DomainError):
         decomposition(es, 1, (0.5, 0.5))
@@ -394,10 +393,34 @@ def test_sup_bounds_refuse_an_entry_not_a_finite_number_at_least_zero(bound):
 
 def test_second_partials_not_of_the_square_are_a_domain_error():
     ev = lambda s, t: np.exp(s + t)
-    for hess in (((ev, ev), (ev,)), ((ev,) * 3,) * 3):
-        with pytest.raises(DomainError, match="tables must agree on its arity"):
-            f = Function(eval=ev, grad=(ev, ev), hess=hess)
-            limit(f, (0.5, 0.5), 2)
+    cube = ((ev, ev),) * 3
+    with pytest.raises(DomainError, match="tables must agree on its arity"):
+        Function(eval=ev, partials=cube, sup_bounds=lookup("exp-sum").function.sup_bounds)
+    with pytest.raises(DomainError, match="f has arity 3, but the point has 2 coordinate"):
+        limit(Function(eval=ev, partials=cube), (0.5, 0.5), 2)
+
+
+def test_a_missing_partial_is_refused_only_by_the_call_that_reads_it():
+    es = lookup("exp-sum").function
+    ev, p = es.eval, (0.5, 0.5)
+    # axis 1 declares no second partial, by a row that is too short: the
+    # diffusion terms read it, the drift terms and decomposition do not
+    short = Function(eval=ev, partials=((ev, ev), (ev,)))
+    assert drift_limit(short, p) == drift_limit(es, p)
+    got, want = decomposition(short, 64, p), decomposition(es, 64, p)
+    assert (got.e_term, got.f_term) == (want.e_term, want.f_term)
+    for j in (1, 2):
+        with pytest.raises(CapabilityError, match="^the limit requires exact second partials$"):
+            limit(short, p, j)
+    # axis 1's first partial is None: the classical limit reads none
+    no_first = Function(eval=ev, partials=((ev, ev), (None, ev)))
+    assert limit(no_first, p, 1) == limit(es, p, 1)
+    with pytest.raises(CapabilityError, match="^the limit requires exact first partials$"):
+        limit(no_first, p, 2)
+    with pytest.raises(CapabilityError, match="^the limit requires exact first partials$"):
+        drift_limit(no_first, p)
+    with pytest.raises(CapabilityError, match="^decomposition requires exact first partials$"):
+        decomposition(no_first, 64, p)
 
 
 # --------------------------------------------------------------------------
@@ -498,8 +521,11 @@ _POINT_CALLS_1D = {
         f"residual_series {kind} j={j}": (
             lambda p, kind=kind, j=j: residual_series(kind, E3, p, n0=8, doublings=2, j=j)
         )
-        for kind, j in (("akr-1d", 1), ("akr-1d", 2), ("lemma-sum", 2))
+        for kind, j in (("akr-1d", 1), ("akr-1d", 2))
     },
+    "residual_series lemma-sum j=2": (
+        lambda p: residual_series("lemma-sum", None, p, n0=8, doublings=2, j=2)
+    ),
 }
 _POINT_CALLS_2D = {
     "apply j=1 2d": lambda p: apply(RUNGE, 16, 1, p),
@@ -584,6 +610,54 @@ def test_an_f_that_is_not_a_function_is_refused_before_any_weight(name, f, shown
     d, call = _OTHER_ARITY_CALLS[name]
     with pytest.raises(DomainError, match=f"^f must be a Function, got {shown}$"):
         call(f, _OTHER_ARITY[d][1])
+
+
+# each kind's f and a point of its arity
+_KIND_ARGS = {
+    "akr-1d": (E3, 0.3),
+    "akr-2d": (RUNGE, (0.7, 0.3)),
+    "akr-minus-bernstein-2d": (RUNGE, (0.7, 0.3)),
+    "lemma-sum": (None, 0.3),
+}
+
+
+@pytest.mark.parametrize("j", [0, -3, 2.5, 10**9], ids=["0", "-3", "2.5", "10^9"])
+@pytest.mark.parametrize("kind", list(KINDS))
+def test_a_kinds_limit_holds_j_to_the_order_rule(kind, j):
+    # the limits of akr-1d at j = 0, -3, 2.5 and 10^9 read 0.42, 1.05,
+    # -0.105 and -2.1e8 for e2 at 0.3, and lemma-sum's read 0.0
+    f, point = _KIND_ARGS[kind]
+    with pytest.raises(DomainError, match="^order j must be"):
+        KINDS[kind].limit(f, point, j)
+
+
+_LEMMA_CALLS = {
+    "residual_series": lambda f, j: residual_series("lemma-sum", f, 0.3, n0=16, doublings=4,
+                                                    j=j),
+    "check_limit": lambda f, j: check_limit("lemma-sum", f, 0.3, 1e-2, n0=16, doublings=4,
+                                            j=j),
+    "KINDS limit": lambda f, j: KINDS["lemma-sum"].limit(f, 0.3, j),
+}
+
+
+@pytest.mark.parametrize(
+    "f, j, message",
+    [
+        (E3, 2, "the remainder sum takes no f, got Function"),
+        (RUNGE, 2, "the remainder sum takes no f, got Function"),
+        (lambda x: x, 2, "the remainder sum takes no f, got function"),
+        (None, 1, "the remainder sum is defined for j = 2 only"),
+        (None, 3, "the remainder sum is defined for j = 2 only"),
+        (None, 7, "the remainder sum is defined for j = 2 only"),
+    ],
+    ids=["e3", "runge-2d", "lambda", "j=1", "j=3", "j=7"],
+)
+@pytest.mark.parametrize("name", list(_LEMMA_CALLS))
+def test_the_remainder_sum_takes_no_f_and_j_2_only(name, f, j, message, monkeypatch):
+    # its series took runge-2d and passed; its limit read 0.0 at j = 7
+    _refuse_weights(monkeypatch)
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        _LEMMA_CALLS[name](f, j)
 
 
 @pytest.mark.parametrize(

@@ -633,6 +633,10 @@ _BAD_INPUT = {
     "lemma: non-integral n0": ([*_LEMMA, "--point", "0.5", "--n0", "8.5"], "got 8.5"),
     "lemma: short schedule": (
         [*_LEMMA, "--point", "0.5", "--doublings", "0"], "at least 4 series entries"),
+    "lemma: --fn given": (
+        [*_LEMMA_SUM, "--fn", "runge-2d", "--point", "0.3", "--n0", "16", "--doublings", "4"],
+        "the remainder sum takes no f, got Function"),
+    "lemma: order 3": ([*_LEMMA, "--point", "0.5", "--j", "3"], "defined for j = 2 only"),
     "decompose: non-numeric point": ([*_DECOMPOSE, "--point", "a", "0.5"], "'a'"),
     "decompose: point above 1": (
         [*_DECOMPOSE, "--point", "0.5", "1.5"], "point must lie in [0, 1]^2"),

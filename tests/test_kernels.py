@@ -966,7 +966,7 @@ def test_every_entry_point_takes_order_one_and_refuses_order_zero(name):
 _TOO_BIG = 10**15
 _ONES_1D = akrvoro.Function(eval=np.ones_like)
 _ONES_2D = akrvoro.Function(eval=lambda s, t: 1.0,
-                            grad=(lambda s, t: 0.0, lambda s, t: 0.0))
+                            partials=((lambda s, t: 0.0,), (lambda s, t: 0.0,)))
 
 
 @pytest.mark.parametrize(
@@ -1137,14 +1137,14 @@ _GRID_COLS = 128
 _GRID_TILE = _kernels.CACHE_BLOCK_ELEMENTS // _GRID_COLS  # rows per tile
 
 
-@pytest.mark.parametrize("partial", ["eval", "grad[0]"])
+@pytest.mark.parametrize("partial", ["eval", "partials[0][0]"])
 # one tile, four whole tiles, and three tiles and a part
 @pytest.mark.parametrize("rows", [_GRID_TILE // 2, 4 * _GRID_TILE, 3 * _GRID_TILE + 7])
 def test_grid_reduction_is_the_same_under_the_default_and_the_small_buffer(
     monkeypatch, partial, rows
 ):
     f = lookup("runge-2d").function
-    func = f.eval if partial == "eval" else f.grad[0]
+    func = f.eval if partial == "eval" else f.partials[0][0]
     rng = np.random.default_rng(rows)
     s, t = np.sort(rng.random(rows)), np.sort(rng.random(_GRID_COLS))
     wx, wy = rng.random(rows), rng.random(_GRID_COLS)

@@ -164,7 +164,7 @@ def test_factors_not_one_per_axis_are_a_domain_error(count):
     # zipped with the axes' windows, one factor dropped the second axis
     # (2.0123 against 2.7056 here) and a third was cut off
     f = lookup("exp-sum").function
-    with pytest.raises(DomainError, match=f"'grad': 2, .*'factors': {count}"):
+    with pytest.raises(DomainError, match=f"'partials': 2, .*'factors': {count}"):
         wrong = replace(f, factors=(f.factors * 2)[:count])
         apply(wrong, 64, 2, (0.7, 0.3))
     with pytest.raises(DomainError, match=r"f has arity 2, but the point has 1 coordinate"):
@@ -177,8 +177,8 @@ _E3 = lookup("e3").function
 
 def test_arity_is_read_from_the_tables_f_declares():
     assert Function(eval=np.exp).arity is None
-    assert Function(eval=_EV, grad=(_EV, _EV)).arity == 2
-    assert Function(eval=_EV, hess=((_EV,) * 3,) * 3).arity == 3
+    assert Function(eval=_EV, partials=((_EV,), (_EV,))).arity == 2
+    assert Function(eval=_EV, partials=((_EV, _EV),) * 3).arity == 3
     assert Function(eval=_EV, sup_bounds=SupBounds(((1.0,),))).arity == 1
     assert Function(eval=_EV, factors=(_E3, _E3)).arity == 2
     f = lookup("exp-sum").function
@@ -190,23 +190,46 @@ def test_arity_is_read_from_the_tables_f_declares():
 @pytest.mark.parametrize(
     "tables, message",
     [
-        (dict(grad=(_EV,), hess=((_EV, _EV), (_EV, _EV))),
-         "got {'grad': 1, 'hess': 2, 'hess[0]': 2, 'hess[1]': 2}"),
-        (dict(grad=(_EV, _EV), hess=((_EV, _EV), (_EV,))),
-         "got {'grad': 2, 'hess': 2, 'hess[0]': 2, 'hess[1]': 1}"),
-        (dict(grad=(_EV, _EV), sup_bounds=SupBounds(((1.0,),))),
-         "got {'grad': 2, 'sup bounds': 1}"),
-        (dict(grad=(_EV, _EV), factors=(_E3,) * 3), "got {'grad': 2, 'factors': 3}"),
+        (dict(partials=((_EV, _EV),), sup_bounds=SupBounds(((1.0, 1.0), (1.0, 1.0)))),
+         "got {'partials': 1, 'sup bounds': 2}"),
+        (dict(partials=((_EV,), (_EV,)), sup_bounds=SupBounds(((1.0,),))),
+         "got {'partials': 2, 'sup bounds': 1}"),
+        (dict(partials=((_EV,), (_EV,)), factors=(_E3,) * 3),
+         "got {'partials': 2, 'factors': 3}"),
         (dict(factors=(_E3, lookup("runge-2d").function)),
          "factors must each have arity 1, got [1, 2]"),
         (dict(factors=(_E3, Function(eval=np.exp))),
          "factors must each have arity 1, got [1, None]"),
     ],
-    ids=["grad", "ragged hess", "sup bounds", "factors", "factor of 2", "factor of none"],
+    ids=["partials", "sup bounds", "factors", "factor of 2", "factor of none"],
 )
 def test_tables_of_different_arities_are_refused_at_construction(tables, message):
     with pytest.raises(DomainError, match=re.escape(message)):
         Function(eval=_EV, **tables)
+
+
+def test_rows_of_partials_may_differ_in_length():
+    # a row holds the partials of its axis up to the highest order declared
+    assert Function(eval=_EV, partials=((_EV, _EV), (_EV,))).arity == 2
+    assert Function(eval=_EV, partials=((), (None, _EV), (_EV,))).arity == 3
+
+
+@pytest.mark.parametrize(
+    "tables, message",
+    [
+        (dict(partials=np.cos), "f's partials must be a sequence, got ufunc"),
+        (dict(partials=(np.cos,)), "f's partials[0] must be a sequence, got ufunc"),
+        (dict(partials=((_EV,), None)), "f's partials[1] must be a sequence, got NoneType"),
+        (dict(partials={0: (_EV,)}), "f's partials must be a sequence, got dict"),
+        (dict(factors=_E3), "f's factors must be a sequence, got Function"),
+    ],
+    ids=["table", "row", "None row", "dict", "factors"],
+)
+def test_a_table_or_row_that_is_not_a_sequence_is_refused_at_construction(tables, message):
+    # such a table once raised a raw TypeError from len(), and a dict's keys
+    # were read as its rows
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        Function(eval=np.sin, **tables)
 
 
 @pytest.mark.parametrize("hess", [((1.0, 1.0), (1.0,)), ((1.0, 1.0),), ((1.0,), (1.0,))])
@@ -216,7 +239,7 @@ def test_sup_bounds_not_d_rows_of_d_are_refused_at_construction(hess):
         SupBounds(hess).taylor_constant()
 
 
-@pytest.mark.parametrize("table", ["grad", "hess", "factors"])
+@pytest.mark.parametrize("table", ["partials", "factors"])
 def test_an_empty_table_is_refused_at_construction(table):
     # an empty table once gave arity 0, which every point refused
     with pytest.raises(DomainError, match=f"f's {table} table is empty"):
