@@ -1,9 +1,9 @@
 """Named test functions with exact derivatives and sup-norm metadata.
 
-Names accepted by ``lookup``: const1, e1, e2, e3, monomial(p,q), exp-sum,
-sinpix-cospiy, runge-2d.  The monomial entry is parametric: monomial(2,3)
-is s^2 t^3, its exponents written in ASCII digits.  All callables
-broadcast over numpy arrays.
+``lookup`` accepts the names of ``catalog_names()``, the keys of the
+builder registry.  The monomial entry is parametric: monomial(2,3) is
+s^2 t^3, its exponents written in ASCII digits.  All callables broadcast
+over numpy arrays.
 """
 
 import functools
@@ -17,8 +17,6 @@ from .tensor import Function, SupBounds
 
 __all__ = ["CatalogEntry", "lookup", "catalog_names"]
 
-_NAME_PATTERN = ("const1", "e1", "e2", "e3", "monomial(p,q)", "exp-sum",
-                 "sinpix-cospiy", "runge-2d")
 # ASCII digits, and only ASCII spaces after the comma
 _MONOMIAL_RE = re.compile(r"monomial\((\d+), *(\d+)\)", re.ASCII)
 
@@ -35,14 +33,6 @@ class CatalogEntry:
     name: str
     function: Function
 
-    @property
-    def arity(self):
-        return self.function.arity
-
-    @property
-    def separable(self):
-        return self.function.factors is not None
-
 
 def _float(t):
     return np.asarray(t, dtype=np.float64)
@@ -56,16 +46,11 @@ def _one_d(value, first, second):
     return Function(eval=on_floats(value), partials=((on_floats(first), on_floats(second)),))
 
 
-def _scaled(c, fn):
-    """t -> c fn(t), exactly 0 where c = 0: a monomial's fn may then be
-    t^-1 or t^-2, infinite at t = 0."""
-    return (lambda t: c * fn(t)) if c else np.zeros_like
-
-
 def _monomial_1d(p):
-    # the derivatives of t^p are p t^(p - 1) and p (p - 1) t^(p - 2)
-    power = lambda q: lambda t: t ** q
-    return _one_d(power(p), _scaled(p, power(p - 1)), _scaled(p * (p - 1), power(p - 2)))
+    # the derivatives of t^p are p t^(p - 1) and p (p - 1) t^(p - 2), each c t^q
+    # with q held at 0 where c is 0, so that t = 0 gives 0, not 0 * inf
+    term = lambda c, q: lambda t: c * t ** max(q, 0)
+    return _one_d(lambda t: t ** p, term(p, p - 1), term(p * (p - 1), p - 2))
 
 
 def _product(g, h, sup_bounds):
@@ -104,10 +89,10 @@ def _exp_sum():
 
 def _sinpix_cospiy():
     pi = np.pi
-    at_pi = lambda fn: lambda t: fn(pi * t)
-    sin, cos = at_pi(np.sin), at_pi(np.cos)
-    sin_part = _one_d(sin, _scaled(pi, cos), _scaled(-(pi**2), sin))
-    cos_part = _one_d(cos, _scaled(-pi, sin), _scaled(-(pi**2), cos))
+    sin = lambda t: np.sin(pi * t)
+    cos = lambda t: np.cos(pi * t)
+    sin_part = _one_d(sin, lambda t: pi * cos(t), lambda t: -(pi**2) * sin(t))
+    cos_part = _one_d(cos, lambda t: -pi * sin(t), lambda t: -(pi**2) * cos(t))
     p2 = float(pi**2)
     return _product(sin_part, cos_part, SupBounds(((p2, p2), (p2, p2))))
 
@@ -142,12 +127,15 @@ def _runge_2d():
     )
 
 
-# each fixed name's builder; an entry's arity is its function's
-_FIXED_ENTRIES = {
+# The documented names, in order, each with its builder; the monomial
+# pattern names the family whose builder takes the exponents (p, q).
+_MONOMIAL = "monomial(p,q)"
+_BUILDERS = {
     "const1": lambda: _monomial_1d(0),
     "e1": lambda: _monomial_1d(1),
     "e2": lambda: _monomial_1d(2),
     "e3": lambda: _monomial_1d(3),
+    _MONOMIAL: _monomial_2d,
     "exp-sum": _exp_sum,
     "sinpix-cospiy": _sinpix_cospiy,
     "runge-2d": _runge_2d,
@@ -175,7 +163,7 @@ def _exponent(digits, name):
 
 def catalog_names():
     """The documented name set (monomial shown as its pattern)."""
-    return _NAME_PATTERN
+    return tuple(_BUILDERS)
 
 
 def lookup(name):
@@ -186,17 +174,16 @@ def lookup(name):
     give the same entry: an operator value kept in ``tensor.memo_scope`` is
     found again by its function's identity."""
     if isinstance(name, str):
-        if name in _FIXED_ENTRIES:
-            return _entry(name, None)
         if m := _MONOMIAL_RE.fullmatch(name):
             p, q = (_exponent(digits, axis) for digits, axis in zip(m.groups(), "pq"))
-            return _entry(f"monomial({p},{q})", (p, q))
-    raise UnknownFunctionError(name, _NAME_PATTERN)
+            return _entry(f"monomial({p},{q})", _MONOMIAL, p, q)
+        if name in _BUILDERS and name != _MONOMIAL:
+            return _entry(name, name)
+    raise UnknownFunctionError(name, catalog_names())
 
 
 @functools.lru_cache(maxsize=64)
-def _entry(name, exponents):
-    """The entry of a canonical name; ``exponents`` are a monomial's (p, q),
-    None for a fixed name."""
-    f = _monomial_2d(*exponents) if exponents else _FIXED_ENTRIES[name]()
-    return CatalogEntry(name, f)
+def _entry(name, builder, *args):
+    """The entry of a canonical name, built by the registry's ``builder``
+    from ``args``, a monomial's exponents (p, q)."""
+    return CatalogEntry(name, _BUILDERS[builder](*args))

@@ -67,28 +67,39 @@ def memo_scope():
         _MEMO.reset(token)
 
 
+def _length(name, t, entry=None, rule=""):
+    """The length of the table or row t that f or its sup bounds declare,
+    refused with DomainError unless t is a sequence other than a str and,
+    given a test ``entry``, unless each of its entries passes it: an entry
+    that fails is refused by ``rule``, the entry appended."""
+    if isinstance(t, str) or not isinstance(t, Sequence):
+        raise DomainError(f"{name} must be a sequence, got {type(t).__name__}")
+    for x in t if entry else ():
+        if not entry(x):
+            raise DomainError(f"{rule}, got {x!r}")
+    return len(t)
+
+
 @dataclass(frozen=True)
 class SupBounds:
     """Sup norms of the second partials on [0, 1]^d: ``hess[i][l]`` is
     sup|f_il|, a symmetric d x d table, mixed partials included.  A
-    table that is not d rows of d for some d >= 1, an entry that is not a
-    finite number >= 0, or one that differs from its mirror entry, is a
-    DomainError."""
+    table that is not d rows of d for some d >= 1 (a str is no table), an
+    entry that is not a finite number >= 0, or one that differs from its
+    mirror entry, is a DomainError."""
 
     hess: Tuple[Tuple[float, ...], ...]
 
     def __post_init__(self):
         h = self.hess
-        if len(h) == 0:
+        if _length("sup bounds", h) == 0:
             raise DomainError("sup bounds must be d rows of d for some d >= 1, got none")
-        rows = tuple(len(row) for row in h)
-        if any(r != len(h) for r in rows):
-            raise DomainError(f"sup bounds must be d rows of d, got rows of lengths {rows}")
         # a nan or inf bound passes every |G| <= bound check and a negative
         # one fails it
-        bad = [b for row in h for b in row if not _finite_nonnegative(b)]
-        if bad:
-            raise DomainError(f"sup bounds must be finite and >= 0, got {bad[0]!r}")
+        rows = tuple(_length(f"sup bounds hess[{i}]", row, _finite_nonnegative,
+                             "sup bounds must be finite and >= 0") for i, row in enumerate(h))
+        if any(r != len(h) for r in rows):
+            raise DomainError(f"sup bounds must be d rows of d, got rows of lengths {rows}")
         # taylor_constant reads the upper triangle only
         for i, row in enumerate(h):
             for l in range(i + 1, len(h)):
@@ -113,14 +124,6 @@ class SupBounds:
                    for l in range(i, len(h)))
 
 
-def _length(name, t):
-    """The length of f's table or row t, refused with DomainError unless t is
-    a sequence."""
-    if not isinstance(t, Sequence):
-        raise DomainError(f"f's {name} must be a sequence, got {type(t).__name__}")
-    return len(t)
-
-
 @dataclass(frozen=True)
 class Function:
     """A real function on [0, 1]^d with optional exact partials.
@@ -138,9 +141,10 @@ class Function:
     ``arity`` is d, read from the tables f declares: ``partials`` and
     ``factors`` have d entries, ``sup_bounds.hess`` d rows of d.  It is None
     when f declares none, and such an f takes a point of any arity.  A table
-    or a row of ``partials`` that is not a sequence, an empty table, tables
-    of different lengths, or a factor of an arity other than 1, are a
-    DomainError.
+    or a row of ``partials`` that is not a sequence (a str is none), an
+    empty table, tables of different lengths, a partial that is neither
+    callable nor None, a factor that is not a Function of arity 1, or
+    ``sup_bounds`` that are not a SupBounds, are a DomainError.
     """
 
     eval: Callable
@@ -150,11 +154,16 @@ class Function:
     arity: Optional[int] = field(init=False)
 
     def __post_init__(self):
+        if not isinstance(self.sup_bounds, (SupBounds, type(None))):
+            raise DomainError(f"f's sup bounds must be a SupBounds, got {self.sup_bounds!r}")
         bounds = self.sup_bounds and self.sup_bounds.hess
         tables = (("partials", self.partials), ("factors", self.factors), ("sup bounds", bounds))
-        sizes = {name: _length(name, t) for name, t in tables if t is not None}
+        sizes = {name: _length(f"f's {name}", t) for name, t in tables if t is not None}
         for i, row in enumerate(self.partials or ()):
-            _length(f"partials[{i}]", row)
+            _length(f"f's partials[{i}]", row, lambda p: p is None or callable(p),
+                    "f's partials must be callables or None")
+        _length("f's factors", self.factors or (), lambda g: isinstance(g, Function),
+                "f's factors must be Functions")
         empty = [name for name, size in sizes.items() if size == 0]
         if empty:
             raise DomainError(f"f's {empty[0]} table is empty; d must be at least 1")
@@ -179,13 +188,17 @@ class Function:
 
 
 def _check_arity(f, d):
-    """Refuse with DomainError an f that is not a Function, or one of another
-    arity than d, the point's; an f that declares no table takes any
-    point."""
+    """Refuse with DomainError an f that is not a Function, one of another
+    arity than d, the point's, or one whose eval is a numpy ufunc of other
+    than d inputs (a unary ufunc would take the second coordinate as its
+    output); an f that declares no table takes any point."""
     if not isinstance(f, Function):
         raise DomainError(f"f must be a Function, got {type(f).__name__}")
     if f.arity not in (None, d):
         raise DomainError(f"f has arity {f.arity}, but the point has {d} coordinate(s)")
+    nin = f.eval.nin if isinstance(f.eval, np.ufunc) else d
+    if nin != d:
+        raise DomainError(f"f's eval takes {nin} input(s), but the point has {d} coordinate(s)")
 
 
 def eval_grid_block(func, s_nodes, t_nodes):

@@ -12,6 +12,7 @@ from akrvoro import (
     catalog_names,
     lookup,
 )
+from akrvoro import catalog
 
 
 def test_documented_names_resolve():
@@ -47,10 +48,10 @@ def test_unknown_name_lists_valid_names():
 
 
 def test_arities():
-    assert lookup("const1").arity == 1
-    assert lookup("e3").arity == 1
-    assert lookup("exp-sum").arity == 2
-    assert lookup("monomial(0,0)").arity == 2
+    assert lookup("const1").function.arity == 1
+    assert lookup("e3").function.arity == 1
+    assert lookup("exp-sum").function.arity == 2
+    assert lookup("monomial(0,0)").function.arity == 2
 
 
 def test_frozen_values():
@@ -66,11 +67,12 @@ def test_frozen_values():
 
 
 def test_separability_declarations():
-    assert lookup("exp-sum").separable
-    assert lookup("sinpix-cospiy").separable
-    assert lookup("monomial(1,4)").separable
-    assert not lookup("runge-2d").separable
-    assert lookup("const1").separable is False
+    separable = lambda name: lookup(name).function.factors is not None
+    assert separable("exp-sum")
+    assert separable("sinpix-cospiy")
+    assert separable("monomial(1,4)")
+    assert not separable("runge-2d")
+    assert separable("const1") is False
 
 
 @pytest.mark.parametrize("name", ["exp-sum", "sinpix-cospiy", "monomial(2,3)"])
@@ -216,7 +218,7 @@ def test_a_1d_entry_refuses_a_second_coordinate(name):
 def test_partials_match_the_entry_arity(name):
     entry = lookup(name)
     f = entry.function
-    assert len(f.partials) == entry.arity
+    assert len(f.partials) == entry.function.arity
     # every row holds the first and the second partial
     assert all(len(row) == 2 for row in f.partials)
 
@@ -281,3 +283,82 @@ def test_2d_partials_match_mpmath(name):
                 _close(f.eval(x, y), g(*at))
                 for partial, axes in partials:
                     _close(partial(x, y), mp.diff(g, at, axes))
+
+
+def test_the_names_are_the_registry_keys_in_order():
+    assert catalog_names() == ("const1", "e1", "e2", "e3", "monomial(p,q)", "exp-sum",
+                               "sinpix-cospiy", "runge-2d")
+    # the pattern names the monomial family, not an entry
+    with pytest.raises(UnknownFunctionError):
+        lookup("monomial(p,q)")
+
+
+# --------------------------------------------------------------------------
+# the derivatives written directly, against a frozen copy of the form that
+# built them through a scale helper, exactly 0 where the factor was 0
+
+def _frozen_scaled(c, fn):
+    return (lambda t: c * fn(t)) if c else np.zeros_like
+
+
+def _frozen_monomial_1d(p):
+    power = lambda q: lambda t: t ** q
+    return power(p), (_frozen_scaled(p, power(p - 1)), _frozen_scaled(p * (p - 1), power(p - 2)))
+
+
+def _frozen_sin_and_cos():
+    pi = np.pi
+    at_pi = lambda fn: lambda t: fn(pi * t)
+    sin, cos = at_pi(np.sin), at_pi(np.cos)
+    return ((sin, (_frozen_scaled(pi, cos), _frozen_scaled(-(pi**2), sin))),
+            (cos, (_frozen_scaled(-pi, sin), _frozen_scaled(-(pi**2), cos))))
+
+
+# 1,005 points of [0, 1]: an even grid with its ends and the tiny and
+# nearly-1 points where t^0 and 0 t^-1 could part
+_GRID = np.unique(np.concatenate(
+    [np.linspace(0.0, 1.0, 1001), [5e-324, 1e-300, 2.0**-53, 1.0 - 2.0**-53]]))
+_SUBGRID = np.unique(np.concatenate([_GRID[::25], _GRID[:3], _GRID[-2:], [2.0**-53]]))
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def _frozen_1d():
+    """(name, the Function of one coordinate, its frozen value and partials)."""
+    cases = [(f"t^{p}", catalog._monomial_1d(p), _frozen_monomial_1d(p)) for p in range(7)]
+    cases += [(name, lookup(name).function, _frozen_monomial_1d(p))
+              for p, name in enumerate(("const1", "e1", "e2", "e3"))]
+    g, h = lookup("sinpix-cospiy").function.factors
+    sin, cos = _frozen_sin_and_cos()
+    return cases + [("sin(pi t)", g, sin), ("cos(pi t)", h, cos)]
+
+
+@pytest.mark.parametrize("name, f, frozen", _frozen_1d(), ids=[c[0] for c in _frozen_1d()])
+def test_1d_partials_are_the_frozen_scaled_form_bit_for_bit(name, f, frozen):
+    _, rows = frozen
+    for partial, want in zip(f.partials[0], rows, strict=True):
+        _same_bits(partial(_GRID), want(_GRID))
+        for t in _SUBGRID:
+            _same_bits(partial(float(t)), want(np.asarray(float(t))))
+
+
+def _frozen_2d():
+    """(name, frozen value and partial rows of each factor)."""
+    cases = [(f"monomial({p},{q})", (_frozen_monomial_1d(p), _frozen_monomial_1d(q)))
+             for p in range(7) for q in range(7)]
+    return cases + [("sinpix-cospiy", _frozen_sin_and_cos())]
+
+
+@pytest.mark.parametrize("name, frozen", _frozen_2d(), ids=[c[0] for c in _frozen_2d()])
+def test_2d_partials_are_the_frozen_scaled_form_bit_for_bit(name, frozen):
+    (g, dg), (h, dh) = frozen
+    s, t = _SUBGRID[:, None], _SUBGRID[None, :]
+    want = (tuple(d(s) * h(t) for d in dg), tuple(g(s) * d(t) for d in dh))
+    f = lookup(name).function
+    for row, want_row in zip(f.partials, want, strict=True):
+        for partial, w in zip(row, want_row, strict=True):
+            _same_bits(partial(s, t), w)

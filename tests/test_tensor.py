@@ -232,6 +232,57 @@ def test_a_table_or_row_that_is_not_a_sequence_is_refused_at_construction(tables
         Function(eval=np.sin, **tables)
 
 
+# every malformed declaration once escaped as a raw error or was accepted:
+# len() of a ufunc or of None, a str read as a table of rows, a factor or a
+# sup_bounds tuple without .arity or .hess, and a partial that is not
+# callable, which only limit() then called
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: SupBounds(np.exp), "sup bounds must be a sequence, got ufunc"),
+        (lambda: SupBounds(((1.0,), None)), "sup bounds hess[1] must be a sequence, got NoneType"),
+        (lambda: SupBounds("ab"), "sup bounds must be a sequence, got str"),
+        (lambda: Function(eval=np.sin, factors=(np.exp,)),
+         "f's factors must be Functions, got <ufunc 'exp'>"),
+        (lambda: Function(eval=np.sin, sup_bounds=((1.0,),)),
+         "f's sup bounds must be a SupBounds, got ((1.0,),)"),
+        (lambda: Function(eval=np.sin, partials=((1.0, 2.0),)),
+         "f's partials must be callables or None, got 1.0"),
+        (lambda: Function(eval=np.sin, partials=("ab",)),
+         "f's partials[0] must be a sequence, got str"),
+        (lambda: Function(eval=np.sin, partials="ab"), "f's partials must be a sequence, got str"),
+    ],
+    ids=["sup bounds ufunc", "sup bounds None row", "sup bounds str", "factor ufunc",
+         "sup bounds tuple", "float partial", "str row", "str table"],
+)
+def test_every_malformed_declaration_is_a_domain_error_at_construction(build, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+@pytest.mark.parametrize(
+    "eval, point, message",
+    [
+        # np.sin(s, t) once took the node row t as its output array
+        (np.sin, (0.3, 0.4), "f's eval takes 1 input(s), but the point has 2 coordinate(s)"),
+        (np.add, 0.3, "f's eval takes 2 input(s), but the point has 1 coordinate(s)"),
+    ],
+    ids=["unary on the square", "binary on [0, 1]"],
+)
+def test_a_ufunc_eval_of_another_arity_is_refused_before_any_weight(eval, point, message,
+                                                                    monkeypatch):
+    monkeypatch.setattr(tensor, "log_weights", lambda *args: pytest.fail("weights computed"))
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        apply(Function(eval=eval), 8, 2, point)
+
+
+def test_a_ufunc_eval_of_the_point_arity_is_applied():
+    exp = lambda t: np.exp(t)
+    assert apply(Function(eval=np.exp), 8, 2, 0.3) == apply(Function(eval=exp), 8, 2, 0.3)
+    point = (0.3, 0.4)
+    assert apply(Function(eval=np.add), 8, 2, point) == apply(Function(eval=_EV), 8, 2, point)
+
+
 @pytest.mark.parametrize("hess", [((1.0, 1.0), (1.0,)), ((1.0, 1.0),), ((1.0,), (1.0,))])
 def test_sup_bounds_not_d_rows_of_d_are_refused_at_construction(hess):
     # a ragged table once reached taylor_constant, which raised IndexError
