@@ -20,10 +20,7 @@ from ._kernels import (
 )
 from .akr import remainder
 from .errors import CapabilityError, DomainError
-from .tensor import (
-    Function, _apply, _axis_windows, _check_arity, _window_apply, _window_nodes,
-    memo_scope,
-)
+from .tensor import _apply, _axis_windows, _check_arity, _window_apply, memo_scope
 
 __all__ = [
     "SERIES_KINDS",
@@ -203,14 +200,14 @@ def decomposition(f, n, p):
     total is the ``akr-minus-bernstein-2d`` series entry at n, bit for bit:
     its two operator values go through ``tensor._apply``, so an open memo
     keeps them, and the scope opened here gives them the drift terms' weight
-    windows and their order-1 and order-2 node tables.
+    windows and each axis's order-1 and order-2 node windows.
 
     e_term weights the x drift (node minus k/n) against the partial f_x
     sampled at the uniform grid, f_term does the same in y, and g_residual
     is the exact difference total - e_term - f_term.  Each drift term is
-    the operator body ``tensor._window_apply`` applied to f_i on the
-    uniform nodes, axis i's weights times its drift.  Requires exact first
-    partials.
+    the operator body ``tensor._window_apply`` applied to f_i on each
+    axis's uniform nodes, axis i's weights times its drift.  Requires exact
+    first partials.
 
     g_bound is the Taylor bound C/(2n) on |g_residual| plus a rounding
     allowance, or None when f declares no sup bounds.
@@ -222,30 +219,30 @@ def decomposition(f, n, p):
     2^-53), and the weights of an axis sum to 1 within 1e-12, which
     multiplies the bound by at most 1 + 1e-9 for n <= MAX_DEGREE.
 
-    Rounding part.  Taylor's theorem with the same sup bounds bounds f,
-    and sum_i |f_i|, on [0, 1]^d by K = |f(p)| + sum_i |f_i(p)| + C.  Each
-    of the 2 + d sums formed here (the two operators, and the d drift terms
-    before their factor n) is a weighted sum over at most m nodes per
-    axis, m the width of the hull of the support windows.  Its BLAS row
-    sums are off by at most gamma_m ~ m u of the sum of |terms|, and the
-    row products, the Kahan sum over rows, the drift weights and an
-    evaluation of f or a partial to within a few ulp add at most 16 u more
-    (the separable path's products of compensated dots add less).  The sum
-    of |terms| is at most K for the operators and K/n for the drift terms
-    together.  So n times the operators' difference is off by 2n (m + 16)
-    u K, the drift terms by (m + 16) u K, and the subtractions that form
-    the total and G add a few u K, within the 16: (2n + 1)(m + 16) u K in
-    all.
+    Rounding part.  Taylor's theorem with the same sup bounds bounds f, and
+    sum_i |f_i|, on [0, 1]^d by K = |f(p)| + sum_i |f_i(p)| + C.  Each of
+    the 2 + d sums formed here (the two operators, and the d drift terms
+    before their factor n) is a weighted sum over at most m nodes per axis,
+    m = max_i hi_i - min_i lo_i + 1 the span of the axes' support windows
+    lo_i..hi_i.  Its BLAS row sums are off by at most gamma_m ~ m u of the
+    sum of |terms|, and the row products, the Kahan sum over rows, the drift
+    weights and an evaluation of f or a partial to within a few ulp add at
+    most 16 u more (the separable path's products of compensated dots add
+    less).  The sum of |terms| is at most K for the operators and K/n for
+    the drift terms together.  So n times the operators' difference is off
+    by 2n (m + 16) u K, the drift terms by (m + 16) u K, and the
+    subtractions that form the total and G add a few u K, within the 16:
+    (2n + 1)(m + 16) u K in all.
     """
     n = check_degree(n, 2)
     coords = check_point(p, 2)
     grads = _partials(f, 2, 1, "decomposition")
-    lo, hi, windows = _axis_windows(n, coords)
-    uniform = _window_nodes(n, 1, lo, hi)
-    drift = _window_nodes(n, 2, lo, hi) - uniform
+    uniform = _axis_windows(n, 1, coords)
+    modified = _axis_windows(n, 2, coords)
     e_term, f_term = (
-        n * _window_apply(Function(eval=g), uniform, [
-            (s, w * drift[s] if axis == i else w) for axis, (s, w) in enumerate(windows)
+        n * _window_apply(g, [
+            (u, w * (t - u) if axis == i else w)
+            for axis, ((u, w), (t, _)) in enumerate(zip(uniform, modified))
         ])
         for i, g in enumerate(grads)
     )
@@ -254,7 +251,8 @@ def decomposition(f, n, p):
     if f.sup_bounds is not None:
         c = f.sup_bounds.taylor_constant()
         k = c + sum(abs(float(g(*coords))) for g in (f.eval, *grads))
-        m = hi - lo + 1
+        bounds = [support(n, x) for x in coords]
+        m = max(b for _, b in bounds) - min(a for a, _ in bounds) + 1
         rounding = (2 * n + 1) * (m + 16) * (_EPS / 2.0) * k
         bound = (1.0 + 1e-9) * c / (2.0 * n) + rounding
     return Decomposition(

@@ -3,17 +3,18 @@
 ``apply`` applies the same one-dimensional rule of order j in each
 coordinate (j = 1 is Bernstein, j >= 2 the modified-node operator): f is
 sampled on the nodes of the weights' support window in each axis and
-contracted against the windowed weight vectors.  The nodes are built only
-on the hull of the axes' windows.  On [0, 1] that is one compensated dot
-product.  On the square the general path streams the value grid in row
-blocks through a compensated bilinear reduction (k outer, l inner, both
-ascending); functions declared separable take an exact product fast path
-of one-dimensional sums.
+contracted against the windowed weight vectors.  Each axis reads its own
+window of nodes and weights.  On [0, 1] that is one compensated dot
+product.  On the square the body streams the value grid in row blocks
+through a compensated bilinear reduction (k outer, l inner, both
+ascending); a function declared separable is the exact product of its
+factors' one-dimensional operator values.
 
 Inside ``memo_scope`` the weight windows, node tables and operator values
 computed are kept until the outermost scope exits, so one acceptance run
-computes each (n, x) window, each (n, j) table on a hull and each (f, n, j,
-point) value once.  Outside a scope nothing is kept.
+computes each (n, x) weight window, each (n, j) node table on an axis's
+window and each (f, n, j, point) value once.  Outside a scope nothing is
+kept.
 """
 
 import contextlib
@@ -46,9 +47,9 @@ __all__ = [
 _BLOCK_ELEMENTS = 1 << 22
 
 # The memo of the open scope, None outside one: ("w", n, x) -> the
-# read-only weights on the support window at x, ("nodes", n, j, lo, hi) ->
-# the read-only nodes of order j at k = lo..hi, and ("op", id(f), n, j,
-# coords) -> (f, value), which holds f so that its id is not reused.
+# read-only weights on the support window lo..hi at x, ("nodes", n, j, lo,
+# hi) -> the read-only nodes of order j on that window, and ("op", id(f),
+# n, j, coords) -> (f, value), which holds f so that its id is not reused.
 _MEMO = contextvars.ContextVar("akrvoro_tensor_memo", default=None)
 
 
@@ -241,60 +242,48 @@ def _kept(key, make):
     return memo[key]
 
 
-def _window_weights(n, x, lo, hi):
-    """The degree-n weights at x on their support window lo..hi, taken from
-    the open memo, read-only, when there is one."""
-    return _kept(("w", n, x), lambda: np.exp(log_weights(n, x, lo, hi)))
+def _axis_windows(n, j, coords):
+    """One (nodes, weights) pair per axis: the degree-n nodes of order j and
+    the weights at that axis's coordinate, both on its own support window
+    and taken from the open memo, read-only, when there is one."""
+    windows = []
+    for x in coords:
+        lo, hi = support(n, x)
+        windows.append((
+            _kept(("nodes", n, j, lo, hi), lambda: build_node_table(n, j, lo, hi)),
+            _kept(("w", n, x), lambda: np.exp(log_weights(n, x, lo, hi))),
+        ))
+    return windows
 
 
-def _window_nodes(n, j, lo, hi):
-    """The degree-n nodes of order j at k = lo..hi (read-only), taken from
-    the open memo when there is one."""
-    return _kept(("nodes", n, j, lo, hi), lambda: build_node_table(n, j, lo, hi))
-
-
-def _axis_windows(n, coords):
-    """The hull (lo, hi) of the support windows of the degree-n weights at
-    these coordinates, and each axis's window as a slice of a node array
-    over the hull, with the weights on it."""
-    bounds = [support(n, x) for x in coords]
-    lo = min(a for a, _ in bounds)
-    hi = max(b for _, b in bounds)
-    windows = tuple(
-        (slice(a - lo, b - lo + 1), _window_weights(n, x, a, b))
-        for x, (a, b) in zip(coords, bounds)
-    )
-    return lo, hi, windows
-
-
-def _window_apply(f, nodes, windows):
-    """Operator of f on one node array shared by every axis, summed over the
-    per-axis windows returned by ``_axis_windows``: a compensated dot on
-    [0, 1]; on the square the product of the factors' sums when f declares
-    them, else the blocked double sum.  f's arity is the caller's check."""
+def _window_apply(fn, windows):
+    """The operator body: the callable fn summed over the nodes of the
+    (nodes, weights) pairs of ``_axis_windows`` against their weights, a
+    compensated dot on [0, 1] and the blocked double sum on the square."""
     if len(windows) == 1:
         ((s, w),) = windows
-        return comp_dot(eval_on(f.eval, nodes[s]), w)
-    if f.factors is not None:
-        return math.prod(
-            _window_apply(g, nodes, (window,)) for g, window in zip(f.factors, windows)
-        )
-    (sx, wx), (sy, wy) = windows
-    return tensor_reduce(f.eval, nodes[sx], nodes[sy], wx, wy)
+        return comp_dot(eval_on(fn, s), w)
+    (s, wx), (t, wy) = windows
+    return tensor_reduce(fn, s, t, wx, wy)
 
 
 def _apply(f, n, j, coords):
-    """Operator of order j of f at the point with these coordinates; one node
-    array over the hull of the axes' windows serves every axis.  An f of
-    another arity is refused before any weight is computed.  In an open
-    memo the value is kept by f's identity, so f need not be hashable."""
+    """Operator of order j of f at the point with these coordinates.  An f
+    that declares factors gets the product of its factors' 1-d operator
+    values, each at its own coordinate; any other f one body call over its
+    axes' windows.  An f of another arity is refused before any weight is
+    computed.  In an open memo each value is kept by its function's
+    identity, so f need not be hashable, and factors at equal coordinates
+    share theirs."""
     _check_arity(f, len(coords))
     memo = _MEMO.get()
     key = ("op", id(f), n, j, coords)
     if memo is not None and key in memo:
         return memo[key][1]
-    lo, hi, windows = _axis_windows(n, coords)
-    value = _window_apply(f, _window_nodes(n, j, lo, hi), windows)
+    if f.factors is not None:
+        value = math.prod(_apply(g, n, j, (x,)) for g, x in zip(f.factors, coords))
+    else:
+        value = _window_apply(f.eval, _axis_windows(n, j, coords))
     if memo is not None:
         memo[key] = (f, value)
     return value

@@ -17,7 +17,7 @@ from akrvoro import (
     residual_series,
 )
 from akrvoro import akr, asymptotics, tensor
-from akrvoro._kernels import CACHE_BLOCK_ELEMENTS, bilinear_accumulate, check_point
+from akrvoro._kernels import CACHE_BLOCK_ELEMENTS, bilinear_accumulate, check_point, support
 from akrvoro.basis import eval_on
 from akrvoro.tensor import eval_grid_block
 
@@ -489,12 +489,14 @@ def test_a_bare_drift_series_computes_both_weight_vectors_at_every_degree(
 
 def test_weights_kept_in_the_memo_are_read_only():
     with tensor.memo_scope():
-        _, _, windows = tensor._axis_windows(64, (0.5, 0.3))
-        for _, w in windows:
-            assert not w.flags.writeable
-            with pytest.raises(ValueError):
-                w[0] = 0.0
-    _, _, windows = tensor._axis_windows(64, (0.5, 0.3))
+        windows = tensor._axis_windows(64, 2, (0.5, 0.3))
+        assert len(windows) == 2
+        for pair in windows:
+            for a in pair:
+                assert not a.flags.writeable
+                with pytest.raises(ValueError):
+                    a[0] = 0.0
+    windows = tensor._axis_windows(64, 2, (0.5, 0.3))
     assert all(w.flags.writeable for _, w in windows)
 
 
@@ -530,11 +532,14 @@ def test_one_decomposition_builds_each_orders_node_table_once(monkeypatch):
         if hasattr(module, "build_node_table"):
             monkeypatch.setattr(module, "build_node_table", counted)
     f = lookup("runge-2d").function
-    # the drift terms' tables serve the total's two operators
-    decomposition(f, 256, (0.7, 0.3))
-    assert sorted(j for _, j, _, _ in calls) == [1, 2]
+    p = (0.7, 0.3)
+    # one table per (order, axis window): the drift terms' tables serve the
+    # total's two operators
+    decomposition(f, 256, p)
+    assert sorted(calls) == sorted((256, j, *support(256, x)) for j in (1, 2) for x in p)
     assert set(calls.values()) == {1}
-    # outside a scope each operator builds its own table
+    # outside a scope each operator builds each axis's table
     calls.clear()
-    assert apply(f, 256, 2, (0.7, 0.3)) == apply(f, 256, 2, (0.7, 0.3))
-    assert list(calls.values()) == [2]
+    assert apply(f, 256, 2, p) == apply(f, 256, 2, p)
+    assert sorted(calls) == sorted((256, 2, *support(256, x)) for x in p)
+    assert set(calls.values()) == {2}
